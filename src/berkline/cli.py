@@ -56,7 +56,7 @@ def _magnitude_json(v: AbsValue) -> object:
 
 
 def _format_cost(c) -> str:
-    if c == float("inf"):
+    if c == curves.INFINITE:
         return "infinity"
     return str(c)
 

@@ -16,7 +16,7 @@ from typing import Any
 
 from .curves import CurveModel, TreeOfDisks, curve_model, tree_of_disks, ultra
 from .errors import SchemaError
-from .field import PADIC, PUISEUX, FieldSpec, Scalar, as_fraction
+from .field import PADIC, PUISEUX, AbsValue, FieldSpec, Scalar, as_fraction
 from .fsderiv import Domain, SeriesMap, series_map
 from .points import Poly
 from .tropic import Interval, TropicalPolygon
@@ -100,18 +100,6 @@ def parse_scalar(spec: FieldSpec, node: Any, path: str) -> Scalar:
     raise _fail(path, f"expected a rational or a term list, got {node!r}")
 
 
-def encode_scalar(x: Scalar) -> Any:
-    from .field import PadicScalar, PuiseuxScalar
-
-    if isinstance(x, PadicScalar):
-        return str(x.value)
-    assert isinstance(x, PuiseuxScalar)
-    num, den = x.canonical()
-    if den != ((Fraction(0), Fraction(1)),):
-        raise ValueError("only polynomial puiseux values serialize")
-    return [[str(q), str(c)] for q, c in num]
-
-
 def parse_poly(spec: FieldSpec, node: Any, path: str) -> Poly:
     if not isinstance(node, list):
         raise _fail(path, "expected a list of [exponent, coefficient] pairs")
@@ -128,17 +116,11 @@ def parse_poly(spec: FieldSpec, node: Any, path: str) -> Poly:
     return Poly.from_dict(spec, coeffs)
 
 
-def encode_poly(p: Poly) -> Any:
-    return [[n, encode_scalar(c)] for n, c in p.terms]
-
-
 def _parse_domain(node: Any, path: str) -> Domain | None:
     if node is None:
         return None
     if not isinstance(node, dict) or len(node) != 1:
         raise _fail(path, "expected {'disk': logval} or {'annulus': [lo, hi]}")
-    from .field import AbsValue
-
     if "disk" in node:
         return Domain.disk(AbsValue.of(_rational(node["disk"], f"{path}.disk")))
     if "annulus" in node:

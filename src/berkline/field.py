@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import BackendMismatch, DivisionByZero, NumericBaseRequired
+from .errors import BackendMismatch, DivisionByZero, NumericBaseRequired, RadiusNotInValueGroup
 
 RationalInput = Union[int, str, Fraction]
 
@@ -49,15 +49,33 @@ def as_fraction(x: RationalInput) -> Fraction:
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases up to 41.
+
+    These bases decide primality exactly for n < 3317044064679887385961981;
+    larger n raise ValueError rather than return a guess.
+    """
+    if n >= 3317044064679887385961981:
+        raise ValueError("primality is decided only for p < 3317044064679887385961981 (about 3.3e24)")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -200,24 +218,19 @@ def magnitude_as_rational(v: AbsValue, base: Fraction) -> Fraction:
 
 
 def _iroot_exact(n: int, k: int) -> int | None:
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    # float seed can be off for huge n; fall back to integer bisection
-    lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        m = mid ** k
-        if m == n:
-            return mid
-        if m < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    """The integer k-th root of n >= 0 when n is a perfect k-th power, else None."""
+    if n < 2:
+        return n
+    if k >= n.bit_length():
+        return None  # 1 < n^(1/k) < 2
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        # integer Newton step; decreases strictly until it reaches floor(n^(1/k))
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x**k == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +331,6 @@ class FieldSpec:
         padic: a power of p (raises RadiusNotInValueGroup when logval is not
         an integer); puiseux-q: a power of t.
         """
-        from .errors import RadiusNotInValueGroup
-
         q = as_fraction(logval)
         if self.backend == PADIC:
             if q.denominator != 1:
@@ -470,105 +481,100 @@ def _terms_min_exp(a: Terms) -> Fraction:
     return a[0][0]
 
 
-# dense Q[u] helpers used only to put num/den pairs in canonical form
+# Dense integer polynomials: the one gcd stack of the library.
+#
+# A Z[u] polynomial is a list of ints, index = degree, with no trailing zeros
+# (the empty list is 0).  Fraction reduction below, and poly_gcd and the
+# coprimality certificate in points.py, all run the primitive pseudo-remainder
+# sequence of _zgcd.  A Puiseux term map becomes a Z[u] polynomial through
+# u = t^(1/denom), a shift of exponents and one integer scale.
 
 
-def _terms_to_upoly(a: Terms, denom: int, shift: Fraction) -> list[Fraction]:
-    degs = [int((q - shift) * denom) for q, _ in a]
-    out = [Fraction(0)] * (max(degs) + 1)
-    for (q, c), d in zip(a, degs):
-        out[d] = c
+def _terms_to_zpoly(a: Terms, denom: int, shift: Fraction, scale: int) -> list[int]:
+    """scale * t^(-shift) * a as a Z[u] polynomial; scale clears every
+    coefficient denominator of a."""
+    out = [0] * (int((a[-1][0] - shift) * denom) + 1)
+    for q, c in a:
+        out[int((q - shift) * denom)] = c.numerator * (scale // c.denominator)
     return out
 
 
-def _upoly_from(a: list[Fraction], denom: int, shift: Fraction) -> Terms:
-    return tuple((Fraction(i, denom) + shift, c) for i, c in enumerate(a) if c != 0)
+def _zpoly_to_terms(z: list[int], denom: int, shift: Fraction, scale: Fraction) -> Terms:
+    return tuple((Fraction(i, denom) + shift, c * scale) for i, c in enumerate(z) if c)
 
 
-def _upoly_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _zclear(a: list[Fraction]) -> list[int]:
+    """A dense Q[u] polynomial times the lcm of its denominators."""
+    scale = math.lcm(*(c.denominator for c in a))
+    return [c.numerator * (scale // c.denominator) for c in a]
 
 
-def _upoly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        coeff = a[-1] * inv_lead
-        deg = len(a) - len(b)
-        q[deg] = coeff
-        for i, bc in enumerate(b):
-            a[deg + i] -= coeff * bc
-        _upoly_trim(a)
-    return q, a
-
-
-def _upoly_int_primitive(a: list[Fraction]) -> list[int]:
-    lcm = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * lcm) for c in a]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-        if content == 1:
-            return ints
-    return [c // content for c in ints]
-
-
-def _upoly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd in Q[u], computed by a primitive pseudo-remainder sequence
-    over the integers to keep coefficient growth polynomial."""
-    a, b = _upoly_trim(list(a)), _upoly_trim(list(b))
+def _zprimitive(a: list[int]) -> tuple[int, list[int]]:
+    """(content, primitive part); the content takes the sign of the leading
+    coefficient, so the primitive part leads positively."""
     if not a:
-        return [c / b[-1] for c in b] if b else b
-    if not b:
-        return [c / a[-1] for c in a]
-    x, y = _upoly_int_primitive(a), _upoly_int_primitive(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        # integer pseudo-remainder of x by y
-        r = list(x)
-        ly = y[-1]
-        while r and len(r) >= len(y):
-            lr = r.pop()
-            shift = len(r) - (len(y) - 1)
-            r = [c * ly for c in r]
-            for i, cy in enumerate(y[:-1]):
-                r[shift + i] -= lr * cy
-            while r and r[-1] == 0:
-                r.pop()
-        if r:
-            content = 0
-            for c in r:
-                content = math.gcd(content, c)
-                if content == 1:
-                    break
-            if content > 1:
-                r = [c // content for c in r]
-        x, y = y, r
-    lead = Fraction(x[-1])
-    return [Fraction(c) / lead for c in x]
+        return 0, []
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return g, (a if g == 1 else [c // g for c in a])
 
 
-def _upoly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _zmul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _upoly_trim(out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
-def _upoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
     for i, cb in enumerate(b):
         out[i] -= cb
-    return _upoly_trim(out)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdivexact(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b in Z[u] when b divides a there."""
+    r = list(a)
+    nb, lead = len(b), b[-1]
+    q = [0] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + nb - 1] // lead
+        if c:
+            q[k] = c
+            for i, cb in enumerate(b):
+                r[k + i] -= c * cb
+    return q
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd in Z[u], leading positively, by a primitive pseudo-remainder
+    sequence: each remainder is made primitive, so coefficients stay small."""
+    ca, a = _zprimitive(a)
+    cb, b = _zprimitive(b)
+    content = math.gcd(ca, cb)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = list(a)
+        lead, nb = b[-1], len(b)
+        while len(r) >= nb:
+            lr = r.pop()
+            k = len(r) - nb + 1
+            r = [c * lead for c in r]
+            for i in range(nb - 1):
+                r[k + i] -= lr * b[i]
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _zprimitive(r)[1]
+    return a if content == 1 else [content * c for c in a]
 
 
 def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
@@ -580,18 +586,18 @@ def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
         raise DivisionByZero("zero denominator")
     denom = math.lcm(*(q.denominator for q, _ in num + den))
     en, ed = _terms_min_exp(num), _terms_min_exp(den)
-    pn = _terms_to_upoly(num, denom, en)
-    pd = _terms_to_upoly(den, denom, ed)
-    g = _upoly_gcd(pn, pd)
+    sn = math.lcm(*(c.denominator for _, c in num))
+    sd = math.lcm(*(c.denominator for _, c in den))
+    zn = _terms_to_zpoly(num, denom, en, sn)
+    zd = _terms_to_zpoly(den, denom, ed, sd)
+    g = _zgcd(zn, zd)
     if len(g) > 1:
-        pn, _ = _upoly_divmod(pn, g)
-        pd, _ = _upoly_divmod(pd, g)
-    scale = 1 / pd[0]
-    pn = [c * scale for c in pn]
-    pd = [c * scale for c in pd]
-    new_num = _upoly_from(pn, denom, en - ed)
-    new_den = _upoly_from(pd, denom, Fraction(0))
-    return new_num, new_den
+        zn, zd = _zdivexact(zn, g), _zdivexact(zd, g)
+    # num/den = (sd/sn) * zn/zd; scale so the denominator's lowest term is 1
+    return (
+        _zpoly_to_terms(zn, denom, en - ed, Fraction(sd, sn * zd[0])),
+        _zpoly_to_terms(zd, denom, Fraction(0), Fraction(1, zd[0])),
+    )
 
 
 _REDUCE_THRESHOLD = 48  # lazy fractions reduce once this many terms accumulate
@@ -691,27 +697,3 @@ class PuiseuxScalar(Scalar):
         if den == _ONE_TERMS:
             return fmt(num)
         return f"({fmt(num)})/({fmt(den)})"
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation surface
-
-
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def sub(x: Scalar, y: Scalar) -> Scalar:
-    return x - y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def inv(x: Scalar) -> Scalar:
-    return x.inv()
-
-
-def abs_value(x: Scalar) -> AbsValue:
-    return x.abs()

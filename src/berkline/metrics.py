@@ -41,10 +41,6 @@ def d_proj(x: Sequence[Scalar], y: Sequence[Scalar]) -> AbsValue:
     return minors / (nx * ny)
 
 
-def _point_norm(x: DiskPoint) -> AbsValue:
-    return x.norm()
-
-
 def d_proj_line(x: DiskPoint | ProjPoint, y: DiskPoint | ProjPoint) -> AbsValue:
     """The chordal distance on the line, extended to type II/III points.
 
@@ -59,10 +55,10 @@ def d_proj_line(x: DiskPoint | ProjPoint, y: DiskPoint | ProjPoint) -> AbsValue:
     if xa is None or ya is None:
         other = ya if xa is None else xa
         assert other is not None
-        return ABS_ONE / unit_max(_point_norm(other))
+        return ABS_ONE / unit_max(other.norm())
     gap = (xa.center - ya.center).abs()
     num = abs_max([gap, xa.radius, ya.radius])
-    return num / (unit_max(_point_norm(xa)) * unit_max(_point_norm(ya)))
+    return num / (unit_max(xa.norm()) * unit_max(ya.norm()))
 
 
 def tate_lipschitz_check(f: Poly, z: Scalar, w: Scalar) -> bool:

@@ -18,15 +18,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import BackendMismatch, DivisionByZero, PoleAtPoint
+from .errors import BackendMismatch, PoleAtPoint
 from .field import (
     ABS_ONE,
     ABS_ZERO,
+    PUISEUX,
     AbsValue,
     FieldSpec,
+    PuiseuxScalar,
     Scalar,
+    _ONE_TERMS,
+    _terms_mul,
+    _terms_to_zpoly,
+    _zclear,
+    _zdivexact,
+    _zgcd,
+    _zmul,
+    _zpoly_to_terms,
+    _zsub,
     abs_max,
     unit_max,
 )
@@ -137,16 +148,6 @@ class Poly:
         """Multiply by T^m."""
         return Poly(self.spec, tuple((n + m, c) for n, c in self.terms))
 
-    def pow(self, k: int) -> "Poly":
-        out = Poly.constant(self.spec, self.spec.one())
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def derivative(self) -> "Poly":
         """Exact formal derivative; the factor n keeps its backend magnitude."""
         acc = {}
@@ -209,68 +210,60 @@ def taylor_shift(p: Poly, a: Scalar) -> Poly:
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor of two plain polynomials, up to a unit.
 
-    Over padic coefficients this is the monic Euclidean gcd on Fractions.
-    Over puiseux-q coefficients, naive Euclid would accumulate rational-
-    function coefficients with exponential blowup, so the gcd is computed by
-    a primitive pseudo-remainder sequence in Q[u][T], u = t^(1/D).
+    Over padic coefficients this is the monic gcd.  Over puiseux-q
+    coefficients it is primitive in Z[u][T], u = t^(1/D), with a positive
+    leading integer: naive Euclid would accumulate rational-function
+    coefficients with exponential blowup.  Both run the integer primitive
+    pseudo-remainder sequence of field._zgcd.
     """
     if p.spec != q.spec:
         raise BackendMismatch("gcd over different backends")
-    if p.spec.backend == "puiseux-q":
+    if p.spec.backend == PUISEUX:
         return _puiseux_poly_gcd(p, q)
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, _poly_mod(a, b)
-    if a.is_zero:
-        return a
-    return a.scale(a.terms[-1][1].inv())
+    g = _zgcd(_zclear(_dense_values(p)), _zclear(_dense_values(q)))
+    if not g:
+        return Poly(p.spec, ())
+    return Poly.from_coeffs(p.spec, [p.spec.scalar(Fraction(c, g[-1])) for c in g])
 
 
-def _poly_mod(a: Poly, b: Poly) -> Poly:
-    lead_inv = b.terms[-1][1].inv()
-    db = b.degree()
-    while not a.is_zero and a.degree() >= db:
-        n, c = a.terms[-1]
-        factor = c * lead_inv
-        a = a - b.shift_exp(n - db).scale(factor)
-    return a
+def _dense_values(p: Poly) -> list[Fraction]:
+    out = [Fraction(0)] * (p.degree() + 1 if p.terms else 0)
+    for n, c in p.terms:
+        out[n] = c.value  # type: ignore[attr-defined]
+    return out
 
 
 def coprime_certificate(polys: Sequence[Poly]) -> bool:
-    """A sound fast test that plain polynomials share no common factor.
+    """A sound fast test that plain puiseux-q polynomials share no common factor.
 
-    Specializing the puiseux parameter at a rational point can only enlarge
-    the gcd, so a constant specialized gcd certifies coprimality.  Returns
-    False when inconclusive (callers then run the exact gcd).
+    Specializing the puiseux parameter at a rational point where some
+    polynomial keeps its degree can only enlarge the gcd, so a constant
+    specialized gcd certifies coprimality.  Returns False when inconclusive
+    and for padic coefficients (callers then run the exact gcd).
     """
-    from .field import PuiseuxScalar, _upoly_gcd
-
-    if len(polys) < 2:
+    if len(polys) < 2 or polys[0].spec.backend != PUISEUX:
         return False
-    if polys[0].spec.backend != "puiseux-q":
-        dense = [_dense_fractions(p) for p in polys]
-        return _dense_gcd_is_constant(dense, _upoly_gcd)
-    denom = 1
-    for p in polys:
-        for _, c in p.terms:
-            assert isinstance(c, PuiseuxScalar)
-            for e, _ in c.num + c.den:
-                denom = denom * e.denominator // math.gcd(denom, e.denominator)
+    denom = _exponent_lcm(polys)
     for sigma in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        dense = []
-        ok = True
-        for p in polys:
-            d = _specialize_dense(p, denom, sigma)
-            if d is None:
-                ok = False
-                break
-            dense.append(d)
-        if ok and _dense_gcd_is_constant(dense, _upoly_gcd):
-            return True
+        dense = [_specialize_dense(p, denom, sigma) for p in polys]
+        if None in dense or not any(len(d) == p.degree() + 1 for d, p in zip(dense, polys)):
+            continue
+        g = dense[0]
+        for d in dense[1:]:
+            g = _zgcd(g, d)
+            if len(g) == 1:
+                return True
     return False
 
 
-def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[Fraction] | None:
+def _exponent_lcm(polys: Sequence[Poly]) -> int:
+    """The D for which u = t^(1/D) makes every coefficient a Laurent
+    polynomial (over its denominator) in u."""
+    return math.lcm(*(e.denominator for p in polys for _, c in p.terms for e, _ in c.num + c.den))  # type: ignore[attr-defined]
+
+
+def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[int] | None:
+    """p at u = sigma, u = t^(1/denom), cleared to Z[T]; None at a pole."""
     out = [Fraction(0)] * (p.degree() + 1)
     for n, c in p.terms:
         num = sum((coeff * sigma ** int(e * denom) for e, coeff in c.num), Fraction(0))
@@ -280,129 +273,66 @@ def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[Fraction] | 
         out[n] = num / den
     while out and out[-1] == 0:
         out.pop()
-    return out
+    return _zclear(out)
 
 
-def _dense_fractions(p: Poly) -> list[Fraction]:
-    out = [Fraction(0)] * (p.degree() + 1)
-    for n, c in p.terms:
-        out[n] = c.value  # type: ignore[attr-defined]
-    return out
+# -- gcd over puiseux coefficients (primitive PRS in Z[u][T]) ----------------
 
 
-def _dense_gcd_is_constant(dense: list[list[Fraction]], upoly_gcd) -> bool:
-    g = dense[0]
-    for d in dense[1:]:
-        g = upoly_gcd(g, d)
-        if len(g) == 1:
-            return True
-    return len(g) == 1
+def _to_zbiv(p: Poly, denom: int) -> dict[int, list[int]]:
+    """A unit multiple of p in Z[u][T]: Puiseux denominators cleared by
+    cross-multiplication, then one shift and one integer scale."""
+    cans = [(n, c.canonical()) for n, c in p.terms]  # type: ignore[attr-defined]
+    nums = []
+    for i, (n, (num, _)) in enumerate(cans):
+        for j, (_, (_, d)) in enumerate(cans):
+            if j != i and d != _ONE_TERMS:
+                num = _terms_mul(num, d)
+        nums.append((n, num))
+    if not nums:
+        return {}
+    shift = min(num[0][0] for _, num in nums)
+    scale = math.lcm(*(c.denominator for _, num in nums for _, c in num))
+    return {n: _terms_to_zpoly(num, denom, shift, scale) for n, num in nums}
 
 
-# -- gcd over puiseux coefficients (primitive PRS in Q[u][T]) ----------------
-
-
-def _poly_to_biv(p: Poly, denom: int, shift: Fraction) -> dict[int, list[Fraction]]:
-    from .field import PuiseuxScalar, _terms_to_upoly
-
-    out = {}
-    for n, c in p.terms:
-        assert isinstance(c, PuiseuxScalar)
-        out[n] = _terms_to_upoly(c.num, denom, shift)
-    return out
-
-
-def _biv_deg(a: dict[int, list[Fraction]]) -> int:
-    return max(a) if a else -1
-
-
-def _biv_pp(a: dict[int, list[Fraction]]) -> dict[int, list[Fraction]]:
-    """Divide out the content (the common Q[u] factor of the coefficients)."""
-    from .field import _upoly_divmod, _upoly_gcd
-
-    if not a:
-        return a
-    content: list[Fraction] = []
+def _biv_pp(a: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Divide out the content (the Z[u] gcd of the coefficients)."""
+    content: list[int] = []
     for coeff in a.values():
-        content = _upoly_gcd(content, coeff) if content else list(coeff)
-        if len(content) == 1:
-            break
-    if len(content) <= 1:
-        return a
-    out = {}
-    for n, coeff in a.items():
-        q, r = _upoly_divmod(coeff, content)
-        assert not r
-        out[n] = q
-    return out
+        content = _zgcd(content, coeff)
+        if content == [1]:
+            return a
+    return {n: _zdivexact(coeff, content) for n, coeff in a.items()}
 
 
-def _biv_prem(a: dict[int, list[Fraction]], b: dict[int, list[Fraction]]) -> dict:
-    """Pseudo-remainder of a by b in Q[u][T]: fraction-free elimination."""
-    from .field import _upoly_mul, _upoly_sub, _upoly_trim
-
-    db = _biv_deg(b)
+def _biv_prem(a: dict[int, list[int]], b: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Pseudo-remainder of a by b in Z[u][T]: fraction-free elimination."""
+    db = max(b)
     lb = b[db]
-    r = {n: list(c) for n, c in a.items()}
-    while r and _biv_deg(r) >= db:
-        dr = _biv_deg(r)
+    r = dict(a)
+    while r and max(r) >= db:
+        dr = max(r)
         lr = r.pop(dr)
         shifted = {n + dr - db: c for n, c in b.items() if n != db}
         new = {}
         for n in set(r) | set(shifted):
-            left = _upoly_mul(r.get(n, []), lb)
-            right = _upoly_mul(shifted.get(n, []), lr)
-            val = _upoly_sub(left, right)
+            val = _zsub(_zmul(r.get(n, []), lb), _zmul(shifted.get(n, []), lr))
             if val:
                 new[n] = val
         r = new
     return r
 
 
-def _clear_denominators(p: Poly) -> Poly:
-    """Scale a puiseux-coefficient polynomial so every coefficient is a plain
-    term map (gcds are unchanged up to content, which is removed later)."""
-    from .field import PuiseuxScalar, _ONE_TERMS, _terms_mul
-
-    cans = [(n, c.canonical()) for n, c in p.terms]
-    if all(d == _ONE_TERMS for _, (_, d) in cans):
-        return Poly(p.spec, tuple((n, PuiseuxScalar(p.spec, num)) for n, (num, _) in cans))
-    out = []
-    for i, (n, (num, _)) in enumerate(cans):
-        for j, (_, (_, d)) in enumerate(cans):
-            if j != i and d != _ONE_TERMS:
-                num = _terms_mul(num, d)
-        out.append((n, PuiseuxScalar(p.spec, num)))
-    return Poly(p.spec, tuple(out))
-
-
 def _puiseux_poly_gcd(p: Poly, q: Poly) -> Poly:
-    import math as _math
-
-    from .field import PuiseuxScalar, _upoly_from
-
     spec = p.spec
-    p, q = _clear_denominators(p), _clear_denominators(q)
-    exps = []
-    for poly in (p, q):
-        for _, c in poly.terms:
-            exps.extend(e for e, _ in c.num)
-    denom = _math.lcm(*(e.denominator for e in exps)) if exps else 1
-    shifts = []
-    for poly in (p, q):
-        mins = [min(e for e, _ in c.num) for _, c in poly.terms]
-        shifts.append(min(mins) if mins else Fraction(0))
-    a = _biv_pp(_poly_to_biv(p, denom, shifts[0]))
-    b = _biv_pp(_poly_to_biv(q, denom, shifts[1]))
-    if _biv_deg(a) < _biv_deg(b):
+    denom = _exponent_lcm((p, q))
+    a, b = _biv_pp(_to_zbiv(p, denom)), _biv_pp(_to_zbiv(q, denom))
+    if max(a, default=-1) < max(b, default=-1):
         a, b = b, a
     while b:
-        r = _biv_prem(a, b)
-        a, b = b, _biv_pp(r)
-    coeffs = {
-        n: PuiseuxScalar(spec, _upoly_from(c, denom, Fraction(0)))
-        for n, c in a.items()
-    }
+        a, b = b, _biv_pp(_biv_prem(a, b))
+    coeffs = {n: PuiseuxScalar(spec, _zpoly_to_terms(c, denom, Fraction(0), Fraction(1))) for n, c in a.items()}
     return Poly(spec, tuple(sorted(coeffs.items())))
 
 
@@ -447,7 +377,7 @@ class DiskPoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiskPoint):
             return NotImplemented
-        if self.radius != other.radius:
+        if self.spec != other.spec or self.radius != other.radius:
             return False
         return (self.center - other.center).abs() <= self.radius
 
@@ -504,6 +434,8 @@ class ProjPoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
+        if self.point.spec != other.point.spec:
+            return False
         a, b = self.to_affine(), other.to_affine()
         if a is None or b is None:
             return a is None and b is None

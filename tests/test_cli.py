@@ -88,6 +88,23 @@ def test_multiplicative_padic_output():
     assert out == "9\n"  # |T^-1 + 3T| at eta_{0, 3^-2} is 3^2
 
 
+def test_multiplicative_huge_numeric_base(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"field": {"backend": "puiseux-q"}, "series": {"terms": [[1, "1"]]}}))
+    code, out = run_cli(
+        "eval", str(path), "--point", "0,1/2", "--multiplicative", "--field", f"puiseux:{10**400}"
+    )
+    assert code == 0
+    assert out == f"{10**200}\n"  # |T| at eta_{0, beta^(1/2)} with beta = 10^400
+
+
+def test_padic_prime_beyond_the_primality_limit_is_a_schema_error():
+    code, _ = run_cli("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--field", f"padic:{2**89 - 1}")
+    assert code == 2
+    code, out = run_cli("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--field", f"padic:{2**61 - 1}")
+    assert code == 0
+
+
 def test_schema_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"field": {"backend": "padic"}}')

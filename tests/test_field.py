@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from berkline import ABS_ONE, ABS_ZERO, AbsValue, FieldSpec
 from berkline.errors import BackendMismatch, DivisionByZero, RadiusNotInValueGroup
 from berkline.field import (
+    _iroot_exact,
+    _is_prime,
     magnitude_as_rational,
     magnitude_ge_rational,
     magnitude_le_rational,
@@ -169,3 +172,40 @@ def test_rational_comparisons_of_magnitudes():
     assert magnitude_as_rational(AbsValue.of("1/2"), Fraction(9, 4)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         magnitude_as_rational(AbsValue.of("1/2"), Fraction(3))
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if _trial_division(n)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 3215031751,
+     149491 * 747451 * 34233211, 399165290221 * 798330580441],
+)
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_large_primes_and_limit():
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(2**61 + 1)
+    assert FieldSpec("padic", 2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError, match="3.3e24"):
+        FieldSpec("padic", 2**89 - 1)
+
+
+def test_iroot_exact_is_integer_only():
+    assert _iroot_exact(10**400, 2) == 10**200
+    assert _iroot_exact(10**400 + 1, 2) is None
+    assert _iroot_exact(3**500, 7) is None
+    assert _iroot_exact(3**700, 7) == 3**100
+    for n in range(200):
+        for k in (2, 3, 5):
+            r = _iroot_exact(n, k)
+            roots = [x for x in range(n + 1) if x**k == n]
+            assert r == (roots[0] if roots else None)

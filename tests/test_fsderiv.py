@@ -122,15 +122,19 @@ def test_series_map_removes_monomial_content(p3):
     assert f.coords[0].is_constant
 
 
-def test_series_map_removes_common_factor(p3):
-    t = Poly.coordinate(p3)
-    one = Poly.constant(p3, p3.one())
-    sq_minus = t * t - one  # (T-1)(T+1)
-    lin = t - one
+@pytest.mark.parametrize("spec_name", ["p3", "pq"])
+def test_series_map_removes_common_factor(spec_name, request):
+    spec = request.getfixturevalue(spec_name)
+    t = Poly.coordinate(spec)
+    one = Poly.constant(spec, spec.one())
+    a = Poly.constant(spec, spec.one() if spec.backend == "padic" else spec.t_power("1/2", 2))
+    sq_minus = t * t - a * a  # (T-a)(T+a)
+    lin = t - a
     f = series_map([sq_minus, lin])
-    assert f.coords[1].is_constant  # T - 1 cancelled
+    assert f.coords[1].is_constant  # T - a cancelled
+    assert f.proportional_to(series_map([t + a, one]))
     with pytest.raises(ZeroTuple):
-        series_map([Poly(p3, ()), Poly(p3, ())])
+        series_map([Poly(spec, ()), Poly(spec, ())])
 
 
 # ---------------------------------------------------------------------------

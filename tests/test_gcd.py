@@ -1,0 +1,96 @@
+"""The integer gcd stack: fraction reduction, poly_gcd on both backends, and
+the coprimality certificate, each against an exact oracle."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from berkline import FieldSpec, Poly, series_map
+from berkline.field import _normalize_fraction, _terms_from_dict, _terms_mul
+from berkline.fsderiv import _poly_divexact
+from berkline.points import coprime_certificate, poly_gcd
+
+from conftest import random_poly, rng_for
+
+P3 = FieldSpec("padic", 3)
+PQ = FieldSpec("puiseux-q")
+
+exponents = st.builds(Fraction, st.integers(-3, 6), st.sampled_from([1, 2, 3]))
+coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 5]))
+term_maps = st.lists(st.tuples(exponents, coefficients), min_size=1, max_size=4).map(
+    lambda pairs: _terms_from_dict({q: c for q, c in pairs})
+)
+
+
+@given(term_maps, term_maps, term_maps)
+@settings(max_examples=150, deadline=None)
+def test_normalize_fraction_is_an_equal_canonical_fraction(num, den, common):
+    num, den = _terms_mul(num, common), _terms_mul(den, common)
+    n, d = _normalize_fraction(num, den)
+    assert _terms_mul(n, den) == _terms_mul(num, d)
+    assert d[0] == (Fraction(0), Fraction(1))
+
+
+SCALARS = {
+    "padic": st.builds(lambda a, b: P3.scalar(Fraction(a, b)), st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 9])),
+    "puiseux-q": term_maps.map(PQ.from_terms),
+}
+
+
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_poly_gcd_divides_and_is_divided_by_common_factor(backend, data):
+    spec = P3 if backend == "padic" else PQ
+    polys = st.lists(SCALARS[backend], min_size=1, max_size=3).map(lambda cs: Poly.from_coeffs(spec, cs))
+    p, q, g = data.draw(polys), data.draw(polys), data.draw(polys)
+    assume(not p.is_zero and not q.is_zero and g.degree() >= 1)
+    a, b = p * g, q * g
+    h = poly_gcd(a, b)
+    _poly_divexact(h, g)  # raises ValueError unless g divides h
+    _poly_divexact(a, h)
+    _poly_divexact(b, h)
+
+
+def _euclid_gcd(p: Poly, q: Poly) -> Poly:
+    """Slow oracle: the monic Euclidean gcd over padic coefficients."""
+    a, b = p, q
+    while not b.is_zero:
+        lead_inv, db = b.terms[-1][1].inv(), b.degree()
+        while not a.is_zero and a.degree() >= db:
+            n, c = a.terms[-1]
+            a = a - b.shift_exp(n - db).scale(c * lead_inv)
+        a, b = b, a
+    return a if a.is_zero else a.scale(a.terms[-1][1].inv())
+
+
+def test_padic_gcd_matches_euclid_oracle(p3):
+    rng = rng_for("padic-gcd-euclid")
+    for _ in range(150):
+        g = random_poly(rng, p3, rng.randint(0, 3))
+        p = random_poly(rng, p3, rng.randint(0, 3)) * g
+        q = random_poly(rng, p3, rng.randint(0, 3)) * g
+        assert poly_gcd(p, q) == _euclid_gcd(p, q)
+
+
+def test_certificate_ignores_specializations_that_drop_every_degree(pq):
+    # h = (t - 2) T + 1 becomes the constant 1 at t = 2, where both products
+    # below also lose their leading terms; the certificate must not trust t = 2
+    t = Poly.coordinate(pq)
+    one = Poly.constant(pq, pq.one())
+    h = Poly.from_dict(pq, {0: pq.one(), 1: pq.from_terms([(1, 1), (0, -2)])})
+    p, q = h * t, h * (t + one)
+    assert not coprime_certificate([p, q])
+    assert poly_gcd(p, q).degree() == 1
+    f = series_map([p, q])
+    assert [c.degree() for c in f.coords] == [1, 1]
+    assert f.proportional_to(series_map([t, t + one]))
+
+
+def test_certificate_is_puiseux_only(p3):
+    t = Poly.coordinate(p3)
+    assert not coprime_certificate([t, t + Poly.constant(p3, p3.one())])

@@ -232,6 +232,16 @@ def test_ball_equality(p3):
     assert DiskPoint(p3.zero(), r) != DiskPoint(p3.zero(), AbsValue.of(-2))
 
 
+def test_points_from_mixed_backends_are_distinct(p3, pq):
+    p5 = FieldSpec("padic", 5)
+    pts = [rigid(p3.zero()), rigid(pq.zero()), rigid(p5.zero()), gauss_point(p3), gauss_point(pq)]
+    assert rigid(p3.zero()) != rigid(pq.zero())
+    assert len(set(pts)) == 5
+    proj = {ProjPoint.affine(x) for x in pts}
+    proj |= {ProjPoint.infinity(p3), ProjPoint.infinity(pq), ProjPoint.infinity(p3)}
+    assert len(proj) == 7
+
+
 def test_point_types_follow_value_group():
     spec = FieldSpec("padic", 3)  # value group Z
     assert rigid(spec.one()).point_type() == "I"

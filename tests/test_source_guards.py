@@ -1,0 +1,25 @@
+"""Source guards: the library contains no floating point at all."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "berkline"
+
+
+def _float_uses(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"{path.name}:{node.lineno}: float(...) call")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_float_literals_or_calls(path):
+    assert _float_uses(path) == []
