@@ -10,9 +10,13 @@ Two backends are provided:
     The field generated by rational powers of a parameter t with rational
     coefficients, valued by the lowest exponent: |x| = beta^(-min supp x) for
     an abstract base beta > 1.  Residue characteristic 0, residue field Q.
-    Elements are kept as canonical num/den pairs of finite-support term maps
-    so that inversion stays exact; values produced by ring operations always
-    have denominator 1.
+    Elements are kept as num/den pairs of finite-support term maps so that
+    inversion stays exact; values produced by ring operations always have
+    denominator 1.  A term map is (D, ((k, c), ...)): int exponents k that
+    stand for k/D over one minimal denominator D, and exact rational
+    coefficients c stored as ints when integral, so the hot loops add and
+    multiply ints.  ``PuiseuxScalar.num``/``.den`` are views of the same maps
+    as (Fraction exponent, Fraction coefficient) pairs.
 
 Magnitudes are never floats.  An :class:`AbsValue` is either the zero
 magnitude or beta^q for an exact rational q, with beta = p for padic and the
@@ -83,7 +87,7 @@ def _is_prime(n: int) -> bool:
 # Magnitudes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsValue:
     """An exact magnitude: zero, or beta^logval with logval rational.
 
@@ -300,8 +304,8 @@ class FieldSpec:
         if self.backend == PADIC:
             return PadicScalar(self, c)
         if c == 0:
-            return PuiseuxScalar(self, (), _ONE_TERMS)
-        return PuiseuxScalar(self, ((Fraction(0), c),), _ONE_TERMS)
+            return PuiseuxScalar(self, _ZERO_TERMS)
+        return PuiseuxScalar(self, (1, ((0, _coeff(c)),)))
 
     def from_int(self, n: int) -> "Scalar":
         return self.scalar(n)
@@ -313,7 +317,8 @@ class FieldSpec:
         c = as_fraction(coeff)
         if c == 0:
             return self.zero()
-        return PuiseuxScalar(self, ((as_fraction(q), c),), _ONE_TERMS)
+        e = as_fraction(q)
+        return PuiseuxScalar(self, (e.denominator, ((e.numerator, _coeff(c)),)))
 
     def from_terms(self, terms: Iterable[tuple[RationalInput, RationalInput]]) -> "Scalar":
         """A puiseux-q element from (exponent, coefficient) pairs."""
@@ -323,7 +328,7 @@ class FieldSpec:
         for q, c in terms:
             qf, cf = as_fraction(q), as_fraction(c)
             acc[qf] = acc.get(qf, Fraction(0)) + cf
-        return PuiseuxScalar(self, _terms_from_dict(acc), _ONE_TERMS)
+        return PuiseuxScalar(self, _terms_from_dict(acc))
 
     def uniformizer(self, logval: RationalInput) -> "Scalar":
         """The canonical scalar of magnitude beta^logval.
@@ -346,6 +351,8 @@ class FieldSpec:
 class Scalar:
     """Common interface of the two backend element types."""
 
+    __slots__ = ()
+
     spec: FieldSpec
 
     def abs(self) -> AbsValue:
@@ -359,7 +366,7 @@ class Scalar:
         raise NotImplementedError
 
     def _check(self, other: "Scalar") -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise BackendMismatch(f"mixed backends: {self.spec} vs {other.spec}")
 
     def __sub__(self, other: "Scalar") -> "Scalar":
@@ -371,7 +378,7 @@ class Scalar:
     # subclasses implement __add__, __neg__, __mul__, __eq__, __hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadicScalar(Scalar):
     spec: FieldSpec
     value: Fraction
@@ -399,8 +406,7 @@ class PadicScalar(Scalar):
     def abs(self) -> AbsValue:
         if self.value == 0:
             return ABS_ZERO
-        p = self.spec.p
-        assert p is not None
+        p = self.spec.p  # FieldSpec requires a prime for padic
         v = _padic_valuation(self.value.numerator, p) - _padic_valuation(self.value.denominator, p)
         return AbsValue(Fraction(-v))
 
@@ -420,65 +426,153 @@ def _padic_valuation(n: int, p: int) -> int:
 
 
 # -- puiseux term algebra ----------------------------------------------------
+#
+# A term map is (D, ((k, c), ...)): the finite sum of c * t^(k/D) over its
+# terms, sorted by the int k.  Every c is a nonzero exact rational, stored as
+# an int when it is integral.  D >= 1 is kept minimal, gcd(D, every k) == 1,
+# so equal sums are equal tuples.  The zero map is (1, ()).  Sums and
+# products work on int exponents and rescale to a common D only when the two
+# operands' D differ (the layout of FLINT's fmpq_poly: integer data over one
+# denominator).  Term tuples are built from lists, never from generators:
+# tuple(genexpr) reallocates a guessed-size tuple, and the results, once freed,
+# pile up in CPython's per-size tuple free lists until a full collection.
 
-Terms = tuple  # tuple[tuple[Fraction, Fraction], ...], sorted by exponent
+Coeff = Union[int, Fraction]
+Terms = tuple  # tuple[int, tuple[tuple[int, Coeff], ...]]
 
-_ONE_TERMS: Terms = ((Fraction(0), Fraction(1)),)
+_ZERO_TERMS: Terms = (1, ())
+_ONE_TERMS: Terms = (1, ((0, 1),))
 
 
-def _terms_from_dict(d: dict) -> Terms:
-    return tuple(sorted((q, c) for q, c in d.items() if c != 0))
+def _coeff(c: Coeff) -> Coeff:
+    """c as an int when it is integral."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _terms_from_dict(d: dict[Fraction, Fraction]) -> Terms:
+    """The term map of an exponent -> coefficient dict of Fractions."""
+    items = [(q, c) for q, c in d.items() if c]
+    if not items:
+        return _ZERO_TERMS
+    denom = math.lcm(*(q.denominator for q, _ in items))
+    return denom, tuple(sorted((q.numerator * (denom // q.denominator), _coeff(c)) for q, c in items))
+
+
+def _terms_view(a: Terms) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The (exponent, coefficient) Fraction pairs of a term map."""
+    denom, terms = a
+    return tuple([(Fraction(k, denom), Fraction(c)) for k, c in terms])
+
+
+def _reduced(denom: int, terms: tuple) -> Terms:
+    """(denom, terms) with denom made minimal."""
+    if not terms:
+        return _ZERO_TERMS
+    if denom > 1:
+        g = math.gcd(denom, *(k for k, _ in terms))
+        if g > 1:
+            return denom // g, tuple([(k // g, c) for k, c in terms])
+    return denom, terms
+
+
+def _common(a: Terms, b: Terms) -> tuple[int, tuple, tuple]:
+    """Both term lists over the lcm of the two denominators."""
+    da, ta = a
+    db, tb = b
+    if da == db:
+        return da, ta, tb
+    d = math.lcm(da, db)
+    if d != da:
+        m = d // da
+        ta = tuple([(k * m, c) for k, c in ta])
+    if d != db:
+        m = d // db
+        tb = tuple([(k * m, c) for k, c in tb])
+    return d, ta, tb
 
 
 def _terms_add(a: Terms, b: Terms) -> Terms:
-    # sorted merge; avoids hashing Fraction keys in the hot path
-    if not a:
+    if not a[1]:
         return b
-    if not b:
+    if not b[1]:
         return a
+    denom, ta, tb = _common(a, b)
+    # sorted merge on int exponents; without a cancellation the merged
+    # exponents keep gcd(denom, k) == 1, so only a cancellation can shrink D
     out = []
+    append = out.append
+    cancelled = False
     i = j = 0
-    na, nb = len(a), len(b)
+    na, nb = len(ta), len(tb)
     while i < na and j < nb:
-        qa, ca = a[i]
-        qb, cb = b[j]
-        if qa < qb:
-            out.append(a[i])
+        ka = ta[i][0]
+        kb = tb[j][0]
+        if ka < kb:
+            append(ta[i])
             i += 1
-        elif qb < qa:
-            out.append(b[j])
+        elif kb < ka:
+            append(tb[j])
             j += 1
         else:
-            s = ca + cb
+            s = ta[i][1] + tb[j][1]
             if s:
-                out.append((qa, s))
+                append((ka, s if type(s) is int else _coeff(s)))
+            else:
+                cancelled = True
             i += 1
             j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    out.extend(ta[i:])
+    out.extend(tb[j:])
+    if cancelled:
+        return _reduced(denom, tuple(out))
+    return denom, tuple(out)
 
 
 def _terms_neg(a: Terms) -> Terms:
-    return tuple((q, -c) for q, c in a)
+    return a[0], tuple([(k, -c) for k, c in a[1]])
 
 
 def _terms_mul(a: Terms, b: Terms) -> Terms:
-    if len(a) == 1:
-        (qa, ca) = a[0]
+    if not a[1] or not b[1]:
+        return _ZERO_TERMS
+    denom, ta, tb = _common(a, b)
+    if len(ta) == 1 or len(tb) == 1:
+        if len(ta) != 1:
+            ta, tb = tb, ta
+        ((ka, ca),) = ta
         # products of nonzero rational coefficients never vanish
-        return tuple((qa + qb, ca * cb) for qb, cb in b)
-    if len(b) == 1:
-        (qb, cb) = b[0]
-        return tuple((qa + qb, ca * cb) for qa, ca in a)
-    out: Terms = ()
-    for qa, ca in a:
-        out = _terms_add(out, tuple((qa + qb, ca * cb) for qb, cb in b))
-    return out
+        if type(ca) is int:
+            out = tuple([(ka + kb, ca * cb if type(cb) is int else _coeff(ca * cb)) for kb, cb in tb])
+        else:
+            out = tuple([(ka + kb, _coeff(ca * cb)) for kb, cb in tb])
+    else:
+        acc: dict[int, Coeff] = {}
+        get = acc.get
+        for ka, ca in ta:
+            for kb, cb in tb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        out = tuple(sorted((k, c if type(c) is int else _coeff(c)) for k, c in acc.items() if c))
+    return _reduced(denom, out) if denom > 1 else (1, out)
 
 
-def _terms_min_exp(a: Terms) -> Fraction:
-    return a[0][0]
+def _clearing_scale(a: Terms) -> int:
+    """The lcm of the coefficient denominators of a term map."""
+    return math.lcm(*(c.denominator for _, c in a[1] if type(c) is not int))
+
+
+def _terms_lowest(a: Terms, denom: int) -> int:
+    """The lowest exponent of a nonzero term map, in units of 1/denom (a
+    multiple of its D)."""
+    return a[1][0][0] * (denom // a[0])
+
+
+def _terms_at(a: Terms, denom: int, sigma: Fraction) -> Fraction:
+    """The term map at u = sigma, u = t^(1/denom) (a multiple of its D)."""
+    m = denom // a[0]
+    return sum((c * sigma ** (k * m) for k, c in a[1]), Fraction(0))
 
 
 # Dense integer polynomials: the one gcd stack of the library.
@@ -490,17 +584,23 @@ def _terms_min_exp(a: Terms) -> Fraction:
 # u = t^(1/denom), a shift of exponents and one integer scale.
 
 
-def _terms_to_zpoly(a: Terms, denom: int, shift: Fraction, scale: int) -> list[int]:
-    """scale * t^(-shift) * a as a Z[u] polynomial; scale clears every
-    coefficient denominator of a."""
-    out = [0] * (int((a[-1][0] - shift) * denom) + 1)
-    for q, c in a:
-        out[int((q - shift) * denom)] = c.numerator * (scale // c.denominator)
+def _terms_to_zpoly(a: Terms, denom: int, shift: int, scale: int) -> list[int]:
+    """scale * t^(-shift/denom) * a as a Z[u] polynomial, u = t^(1/denom).
+
+    denom is a multiple of a's D, shift is at most a's lowest exponent (in
+    units of 1/denom) and scale clears every coefficient denominator of a.
+    """
+    d, terms = a
+    m = denom // d
+    out = [0] * (terms[-1][0] * m - shift + 1)
+    for k, c in terms:
+        out[k * m - shift] = c * scale if type(c) is int else c.numerator * (scale // c.denominator)
     return out
 
 
-def _zpoly_to_terms(z: list[int], denom: int, shift: Fraction, scale: Fraction) -> Terms:
-    return tuple((Fraction(i, denom) + shift, c * scale) for i, c in enumerate(z) if c)
+def _zpoly_to_terms(z: list[int], denom: int, shift: int, scale: Coeff) -> Terms:
+    """The term map of scale * t^(shift/denom) * z(t^(1/denom))."""
+    return _reduced(denom, tuple([(i + shift, _coeff(c * scale)) for i, c in enumerate(z) if c]))
 
 
 def _zclear(a: list[Fraction]) -> list[int]:
@@ -578,16 +678,15 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
-    if not num:
-        return (), _ONE_TERMS
+    if not num[1]:
+        return _ZERO_TERMS, _ONE_TERMS
     if den == _ONE_TERMS:
         return num, den
-    if not den:
+    if not den[1]:
         raise DivisionByZero("zero denominator")
-    denom = math.lcm(*(q.denominator for q, _ in num + den))
-    en, ed = _terms_min_exp(num), _terms_min_exp(den)
-    sn = math.lcm(*(c.denominator for _, c in num))
-    sd = math.lcm(*(c.denominator for _, c in den))
+    denom = math.lcm(num[0], den[0])
+    en, ed = _terms_lowest(num, denom), _terms_lowest(den, denom)
+    sn, sd = _clearing_scale(num), _clearing_scale(den)
     zn = _terms_to_zpoly(num, denom, en, sn)
     zd = _terms_to_zpoly(den, denom, ed, sd)
     g = _zgcd(zn, zd)
@@ -596,7 +695,7 @@ def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
     # num/den = (sd/sn) * zn/zd; scale so the denominator's lowest term is 1
     return (
         _zpoly_to_terms(zn, denom, en - ed, Fraction(sd, sn * zd[0])),
-        _zpoly_to_terms(zd, denom, Fraction(0), Fraction(1, zd[0])),
+        _zpoly_to_terms(zd, denom, 0, Fraction(1, zd[0])),
     )
 
 
@@ -604,22 +703,30 @@ _REDUCE_THRESHOLD = 48  # lazy fractions reduce once this many terms accumulate
 
 
 def _fast_reduce(num: Terms, den: Terms) -> tuple[Terms, Terms]:
-    """Cheap reductions that avoid the Q[u] gcd in the common cases."""
-    if not num:
-        return (), _ONE_TERMS
+    """Cheap reductions that avoid the Z[u] gcd in the common cases."""
+    if not num[1]:
+        return _ZERO_TERMS, _ONE_TERMS
     if den == _ONE_TERMS:
         return num, den
-    if len(den) == 1:
-        (q, c) = den[0]
-        return tuple((e - q, a / c) for e, a in num), _ONE_TERMS
-    if len(num) + len(den) > _REDUCE_THRESHOLD:
+    if len(den[1]) == 1:
+        # divide by the monomial c * t^(k/D)
+        denom, tn, ((k, c),) = _common(num, den)
+        inv = Fraction(1, c) if type(c) is int else 1 / c
+        return _reduced(denom, tuple([(e - k, _coeff(a * inv)) for e, a in tn])), _ONE_TERMS
+    if len(num[1]) + len(den[1]) > _REDUCE_THRESHOLD:
         return _normalize_fraction(num, den)
     return num, den
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PuiseuxScalar(Scalar):
-    """A quotient of finite Puiseux polynomials.
+    """A quotient num/den of finite Puiseux polynomials.
+
+    ``num_terms`` and ``den_terms`` are term maps (D, ((k, c), ...)): int
+    exponents k standing for k/D over one minimal denominator D, and exact
+    rational coefficients c stored as ints when integral.  The properties
+    ``num`` and ``den`` are read-only views of the same maps as
+    (Fraction exponent, Fraction coefficient) pairs.
 
     The denominator of any value produced by +, -, * on polynomial inputs is
     the constant 1, so those values are plain finite exponent -> coefficient
@@ -630,67 +737,78 @@ class PuiseuxScalar(Scalar):
     """
 
     spec: FieldSpec
-    num: Terms
-    den: Terms = _ONE_TERMS
+    num_terms: Terms
+    den_terms: Terms = _ONE_TERMS
+
+    @property
+    def num(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return _terms_view(self.num_terms)
+
+    @property
+    def den(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return _terms_view(self.den_terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.num_terms[1]
 
     def __add__(self, other: Scalar) -> "PuiseuxScalar":
         self._check(other)
         o: PuiseuxScalar = other  # type: ignore[assignment]
-        if self.den == _ONE_TERMS and o.den == _ONE_TERMS:
-            return PuiseuxScalar(self.spec, _terms_add(self.num, o.num))
-        num = _terms_add(_terms_mul(self.num, o.den), _terms_mul(o.num, self.den))
-        return PuiseuxScalar(self.spec, *_fast_reduce(num, _terms_mul(self.den, o.den)))
+        if self.den_terms == _ONE_TERMS and o.den_terms == _ONE_TERMS:
+            return PuiseuxScalar(self.spec, _terms_add(self.num_terms, o.num_terms))
+        num = _terms_add(_terms_mul(self.num_terms, o.den_terms), _terms_mul(o.num_terms, self.den_terms))
+        return PuiseuxScalar(self.spec, *_fast_reduce(num, _terms_mul(self.den_terms, o.den_terms)))
 
     def __neg__(self) -> "PuiseuxScalar":
-        return PuiseuxScalar(self.spec, _terms_neg(self.num), self.den)
+        return PuiseuxScalar(self.spec, _terms_neg(self.num_terms), self.den_terms)
 
     def __mul__(self, other: Scalar) -> "PuiseuxScalar":
         self._check(other)
         o: PuiseuxScalar = other  # type: ignore[assignment]
-        if self.den == _ONE_TERMS and o.den == _ONE_TERMS:
-            return PuiseuxScalar(self.spec, _terms_mul(self.num, o.num))
+        if self.den_terms == _ONE_TERMS and o.den_terms == _ONE_TERMS:
+            return PuiseuxScalar(self.spec, _terms_mul(self.num_terms, o.num_terms))
         return PuiseuxScalar(
             self.spec,
-            *_fast_reduce(_terms_mul(self.num, o.num), _terms_mul(self.den, o.den)),
+            *_fast_reduce(_terms_mul(self.num_terms, o.num_terms), _terms_mul(self.den_terms, o.den_terms)),
         )
 
     def inv(self) -> "PuiseuxScalar":
-        if not self.num:
+        if not self.num_terms[1]:
             raise DivisionByZero("inverse of 0")
-        return PuiseuxScalar(self.spec, *_fast_reduce(self.den, self.num))
+        return PuiseuxScalar(self.spec, *_fast_reduce(self.den_terms, self.num_terms))
 
     def abs(self) -> AbsValue:
         # the valuation of num/den needs no gcd reduction
-        if not self.num:
+        (dn, tn), (dd, td) = self.num_terms, self.den_terms
+        if not tn:
             return ABS_ZERO
-        return AbsValue(-(_terms_min_exp(self.num) - _terms_min_exp(self.den)))
+        return AbsValue(Fraction(td[0][0] * dn - tn[0][0] * dd, dn * dd))
 
     def canonical(self) -> tuple[Terms, Terms]:
         """The gcd-reduced form with denominator lowest term 1."""
-        return _normalize_fraction(self.num, self.den)
+        return _normalize_fraction(self.num_terms, self.den_terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PuiseuxScalar):
             return NotImplemented
         if self.spec != other.spec:
             return False
-        if self.den == other.den:
-            return self.num == other.num
-        return _terms_mul(self.num, other.den) == _terms_mul(other.num, self.den)
+        if self.den_terms == other.den_terms:
+            return self.num_terms == other.num_terms
+        return _terms_mul(self.num_terms, other.den_terms) == _terms_mul(other.num_terms, self.den_terms)
 
     def __hash__(self) -> int:
         return hash((self.spec, *self.canonical()))
 
     def __repr__(self) -> str:
         def fmt(terms: Terms) -> str:
-            if not terms:
+            denom, pairs = terms
+            if not pairs:
                 return "0"
             return " + ".join(
-                f"{c}" if q == 0 else (f"t^{q}" if c == 1 else f"{c}*t^{q}") for q, c in terms
+                f"{c}" if k == 0 else (f"t^{Fraction(k, denom)}" if c == 1 else f"{c}*t^{Fraction(k, denom)}")
+                for k, c in pairs
             )
 
         num, den = self.canonical()

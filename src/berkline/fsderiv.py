@@ -203,11 +203,8 @@ def _zero_free_log_bound(g0: Poly, outer: AbsValue) -> bool:
         return True
     from .tropic import Interval, TropicalPolygon
 
-    terms = []
-    for n, c in g0.terms:
-        v = c.abs()
-        assert v.logval is not None
-        terms.append((n, v.logval))
+    # Poly keeps nonzero coefficients only, so every magnitude is finite
+    terms = [(n, c.abs().logval) for n, c in g0.terms]
     polygon = TropicalPolygon(tuple(terms), Interval(None, None))
     segs = polygon.segments()
     if outer.logval is None:
@@ -355,12 +352,11 @@ def pgl_point(word: Sequence[Generator], x: DiskPoint | ProjPoint) -> ProjPoint:
     for gen in reversed(list(word)):
         _validate_generator(gen, spec)
         kind = gen[0]
-        if current.is_infinity:
+        aff = current.to_affine()
+        if aff is None:  # the rigid point at infinity
             if kind == "invert":
                 current = ProjPoint.affine(rigid(spec.zero()))
             continue
-        aff = current.to_affine()
-        assert aff is not None
         if kind == "scale":
             a: Scalar = gen[1]
             current = ProjPoint.affine(DiskPoint(a * aff.center, a.abs() * aff.radius))

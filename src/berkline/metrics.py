@@ -50,12 +50,10 @@ def d_proj_line(x: DiskPoint | ProjPoint, y: DiskPoint | ProjPoint) -> AbsValue:
     """
     xa = x.to_affine() if isinstance(x, ProjPoint) else x
     ya = y.to_affine() if isinstance(y, ProjPoint) else y
-    if xa is None and ya is None:
-        return ABS_ZERO
-    if xa is None or ya is None:
-        other = ya if xa is None else xa
-        assert other is not None
-        return ABS_ONE / unit_max(other.norm())
+    if xa is None:
+        return ABS_ZERO if ya is None else ABS_ONE / unit_max(ya.norm())
+    if ya is None:
+        return ABS_ONE / unit_max(xa.norm())
     gap = (xa.center - ya.center).abs()
     num = abs_max([gap, xa.radius, ya.radius])
     return num / (unit_max(xa.norm()) * unit_max(ya.norm()))

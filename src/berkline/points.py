@@ -30,6 +30,9 @@ from .field import (
     PuiseuxScalar,
     Scalar,
     _ONE_TERMS,
+    _clearing_scale,
+    _terms_at,
+    _terms_lowest,
     _terms_mul,
     _terms_to_zpoly,
     _zclear,
@@ -46,7 +49,7 @@ from .field import (
 # Laurent polynomials over a backend field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Poly:
     """A (Laurent) polynomial with exact backend coefficients.
 
@@ -117,7 +120,7 @@ class Poly:
         return Poly(self.spec, tuple(sorted(acc.items())))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.spec, tuple((n, -c) for n, c in self.terms))
+        return Poly(self.spec, tuple([(n, -c) for n, c in self.terms]))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -142,11 +145,11 @@ class Poly:
     def scale(self, c: Scalar) -> "Poly":
         if c.is_zero:
             return Poly(self.spec, ())
-        return Poly(self.spec, tuple((n, a * c) for n, a in self.terms))
+        return Poly(self.spec, tuple([(n, a * c) for n, a in self.terms]))
 
     def shift_exp(self, m: int) -> "Poly":
         """Multiply by T^m."""
-        return Poly(self.spec, tuple((n + m, c) for n, c in self.terms))
+        return Poly(self.spec, tuple([(n + m, c) for n, c in self.terms]))
 
     def derivative(self) -> "Poly":
         """Exact formal derivative; the factor n keeps its backend magnitude."""
@@ -259,18 +262,17 @@ def coprime_certificate(polys: Sequence[Poly]) -> bool:
 def _exponent_lcm(polys: Sequence[Poly]) -> int:
     """The D for which u = t^(1/D) makes every coefficient a Laurent
     polynomial (over its denominator) in u."""
-    return math.lcm(*(e.denominator for p in polys for _, c in p.terms for e, _ in c.num + c.den))  # type: ignore[attr-defined]
+    return math.lcm(*(d for p in polys for _, c in p.terms for d in (c.num_terms[0], c.den_terms[0])))  # type: ignore[attr-defined]
 
 
 def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[int] | None:
     """p at u = sigma, u = t^(1/denom), cleared to Z[T]; None at a pole."""
     out = [Fraction(0)] * (p.degree() + 1)
     for n, c in p.terms:
-        num = sum((coeff * sigma ** int(e * denom) for e, coeff in c.num), Fraction(0))
-        den = sum((coeff * sigma ** int(e * denom) for e, coeff in c.den), Fraction(0))
+        den = _terms_at(c.den_terms, denom, sigma)  # type: ignore[attr-defined]
         if den == 0:
             return None
-        out[n] = num / den
+        out[n] = _terms_at(c.num_terms, denom, sigma) / den  # type: ignore[attr-defined]
     while out and out[-1] == 0:
         out.pop()
     return _zclear(out)
@@ -291,8 +293,8 @@ def _to_zbiv(p: Poly, denom: int) -> dict[int, list[int]]:
         nums.append((n, num))
     if not nums:
         return {}
-    shift = min(num[0][0] for _, num in nums)
-    scale = math.lcm(*(c.denominator for _, num in nums for _, c in num))
+    shift = min(_terms_lowest(num, denom) for _, num in nums)
+    scale = math.lcm(*(_clearing_scale(num) for _, num in nums))
     return {n: _terms_to_zpoly(num, denom, shift, scale) for n, num in nums}
 
 
@@ -332,7 +334,7 @@ def _puiseux_poly_gcd(p: Poly, q: Poly) -> Poly:
         a, b = b, a
     while b:
         a, b = b, _biv_pp(_biv_prem(a, b))
-    coeffs = {n: PuiseuxScalar(spec, _zpoly_to_terms(c, denom, Fraction(0), Fraction(1))) for n, c in a.items()}
+    coeffs = {n: PuiseuxScalar(spec, _zpoly_to_terms(c, denom, 0, 1)) for n, c in a.items()}
     return Poly(spec, tuple(sorted(coeffs.items())))
 
 
@@ -340,7 +342,7 @@ def _puiseux_poly_gcd(p: Poly, q: Poly) -> Poly:
 # Points
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DiskPoint:
     """eta_{a,r}: the point of the affine line given by a closed ball.
 
@@ -361,10 +363,10 @@ class DiskPoint:
         return self.radius.is_zero
 
     def point_type(self) -> str:
-        if self.radius.is_zero:
+        q = self.radius.logval
+        if q is None:
             return "I"
-        assert self.radius.logval is not None
-        return "II" if self.spec.group_contains(self.radius.logval) else "III"
+        return "II" if self.spec.group_contains(q) else "III"
 
     def norm(self) -> AbsValue:
         """|T(x)| = max(|a|, r)."""
@@ -442,7 +444,9 @@ class ProjPoint:
         return a == b
 
     def __hash__(self) -> int:
-        return 0
+        # equal points have equal affine radii
+        aff = self.to_affine()
+        return hash(None if aff is None else aff.radius)
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,9 @@ def from_series(f: Poly, domain: Interval) -> TropicalPolygon:
         raise ZeroSeries("tropicalization of the zero series")
     terms = []
     for n, c in f.terms:
-        v = c.abs()
-        if not v.is_zero:
-            assert v.logval is not None
-            terms.append((n, v.logval))
+        v = c.abs().logval
+        if v is not None:
+            terms.append((n, v))
     return TropicalPolygon(tuple(terms), domain)
 
 
@@ -223,9 +222,8 @@ def count_zeros_annulus(
     hi = None if log_r is None else as_fraction(log_r)
     count = 0
     for prev, cur in zip(segs, segs[1:]):
-        b = cur.left
-        assert b is not None
-        if (lo is None or b > lo) and (hi is None or b < hi):
+        b = cur.left  # finite: every segment after the first starts at a break
+        if b is not None and (lo is None or b > lo) and (hi is None or b < hi):
             count += cur.slope - prev.slope
     return count
 
@@ -249,12 +247,8 @@ def monomial_pieces(f: Poly, radii: Interval) -> list[MonomialPiece]:
     magnitude at most 1 on the relevant boundary radius.
     """
     terms = []
-    for n, c in f.terms:
-        if n == 0:
-            continue
-        v = c.abs()
-        assert v.logval is not None
-        terms.append((n, v.logval))
+    # Poly keeps nonzero coefficients only, so every magnitude is finite
+    terms = [(n, c.abs().logval) for n, c in f.terms if n != 0]
     if not terms:
         return [MonomialPiece(radii.lo, radii.hi, None, None, constant=True)]
     for n, v in terms:

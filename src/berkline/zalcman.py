@@ -163,17 +163,18 @@ def zalcman_rescale(
                     pts.append(x)
         values = []
         kept = []
+        mags = []  # nonzero only
         for x in pts:
             v = _fs_at(f, x)
             if v.is_zero:
                 continue  # carries no information for the selection
             kept.append(x)
             values.append(_magnitude_rational(v, spec))
+            mags.append(v)
         sample = SampledFunction(tuple(kept), tuple(values))
         b_index = gromov_select(sample, 0, Fraction(1, n), 1 + Fraction(1, n))
         z = sample.points[b_index]
-        dz = _fs_at(f, z)
-        assert dz.logval is not None
+        dz = mags[b_index]
         rho = spec.uniformizer(-dz.logval)
         g = rescale_map(f, rho, z, Domain.disk(dz))
         if fs_derivative(g, rigid(spec.zero())) != ABS_ONE:

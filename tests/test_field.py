@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from berkline import ABS_ONE, ABS_ZERO, AbsValue, FieldSpec
 from berkline.errors import BackendMismatch, DivisionByZero, RadiusNotInValueGroup
 from berkline.field import (
+    _ONE_TERMS,
+    PuiseuxScalar,
     _iroot_exact,
     _is_prime,
     magnitude_as_rational,
@@ -209,3 +211,117 @@ def test_iroot_exact_is_integer_only():
             r = _iroot_exact(n, k)
             roots = [x for x in range(n + 1) if x**k == n]
             assert r == (roots[0] if roots else None)
+
+
+# -- the Puiseux term kernel against a slow dict[Fraction, Fraction] oracle ----
+
+PQ = FieldSpec("puiseux-q")
+
+oracle_exponents = st.builds(Fraction, st.integers(-8, 12), st.sampled_from([1, 2, 3, 4, 6]))
+oracle_coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 1, 2, 3]))
+oracle_polys = st.dictionaries(oracle_exponents, oracle_coefficients, max_size=4)
+nonzero_oracle_polys = st.dictionaries(oracle_exponents, oracle_coefficients, min_size=1, max_size=4)
+
+
+def _oadd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for q, c in b.items():
+        out[q] = out.get(q, Fraction(0)) + c
+    return {q: c for q, c in out.items() if c}
+
+
+def _omul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for qa, ca in a.items():
+        for qb, cb in b.items():
+            out[qa + qb] = out.get(qa + qb, Fraction(0)) + ca * cb
+    return {q: c for q, c in out.items() if c}
+
+
+def _oneg(a: dict) -> dict:
+    return {q: -c for q, c in a.items()}
+
+
+def _check_layout(terms) -> None:
+    """(D, ((k, c), ...)): int keys sorted and distinct, D minimal, nonzero
+    coefficients stored as ints when integral."""
+    denom, pairs = terms
+    keys = [k for k, _ in pairs]
+    assert type(denom) is int and denom >= 1
+    assert all(type(k) is int for k in keys) and keys == sorted(set(keys))
+    assert math.gcd(denom, *keys) == 1
+    for _, c in pairs:
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _check_value(x: PuiseuxScalar, num: dict, den: dict) -> None:
+    """x == num/den, read through the Fraction views."""
+    _check_layout(x.num_terms)
+    _check_layout(x.den_terms)
+    assert _omul(dict(x.num), den) == _omul(num, dict(x.den))
+
+
+@given(oracle_polys, oracle_polys)
+@settings(max_examples=200, deadline=None)
+def test_term_kernel_ring_operations_match_oracle(a, b):
+    x, y = PQ.from_terms(a.items()), PQ.from_terms(b.items())
+    cases = [(x, a), (x + y, _oadd(a, b)), (-x, _oneg(a)), (x * y, _omul(a, b)), (x - y, _oadd(a, _oneg(b)))]
+    for value, oracle in cases:
+        _check_layout(value.num_terms)
+        assert value.den_terms == _ONE_TERMS
+        assert dict(value.num) == oracle
+
+
+@given(oracle_polys, nonzero_oracle_polys, oracle_polys, nonzero_oracle_polys)
+@settings(max_examples=150, deadline=None)
+def test_term_kernel_fractions_match_oracle(a, b, c, d):
+    x = PQ.from_terms(a.items()) * PQ.from_terms(b.items()).inv()
+    y = PQ.from_terms(c.items()) * PQ.from_terms(d.items()).inv()
+    _check_value(x, a, b)
+    _check_value(x + y, _oadd(_omul(a, d), _omul(c, b)), _omul(b, d))
+    _check_value(-x, _oneg(a), b)
+    _check_value(x * y, _omul(a, c), _omul(b, d))
+    if a:
+        _check_value(x.inv(), b, a)
+
+
+@given(oracle_polys, nonzero_oracle_polys, nonzero_oracle_polys)
+@settings(max_examples=100, deadline=None)
+def test_canonical_form_is_unique_and_hash_agrees(a, b, common):
+    x = PQ.from_terms(a.items()) * PQ.from_terms(b.items()).inv()
+    g = PQ.from_terms(common.items())
+    y = (x * g) * g.inv()  # the same value through a different num/den pair
+    num, den = x.canonical()
+    _check_layout(num)
+    _check_layout(den)
+    assert den[1][0] == (0, 1)
+    _check_value(PuiseuxScalar(PQ, num, den), a, b)
+    assert y == x and y.canonical() == (num, den) and hash(y) == hash(x)
+
+
+@given(oracle_polys, nonzero_oracle_polys)
+@settings(max_examples=100, deadline=None)
+def test_num_den_views_round_trip_through_from_terms(a, b):
+    x = PQ.from_terms(a.items()) * PQ.from_terms(b.items()).inv()
+    assert all(type(q) is Fraction and type(c) is Fraction for q, c in x.num + x.den)
+    assert PQ.from_terms(x.num).num_terms == x.num_terms
+    assert PQ.from_terms(x.den).num_terms == x.den_terms
+    assert PQ.from_terms(x.num) * PQ.from_terms(x.den).inv() == x
+
+
+def test_denominator_shrinks_after_product_and_cancellation():
+    half = PQ.t_power("1/2")
+    square = half * half
+    assert square.num_terms == (1, ((1, 1),))
+    assert square == PQ.t_power(1) and hash(square) == hash(PQ.t_power(1))
+    rest = (PQ.one() + half) - half
+    assert rest.num_terms == _ONE_TERMS
+    assert rest == PQ.one() and hash(rest) == hash(PQ.one())
+
+
+def test_integral_coefficients_are_ints():
+    x = PQ.from_terms([("1/3", "1/2"), (1, 4)])
+    assert x.num_terms == (3, ((1, Fraction(1, 2)), (3, 4)))
+    assert (x + x).num_terms == (3, ((1, 1), (3, 8)))
+    assert x.num == ((Fraction(1, 3), Fraction(1, 2)), (Fraction(1), Fraction(4)))

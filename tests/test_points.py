@@ -242,6 +242,32 @@ def test_points_from_mixed_backends_are_distinct(p3, pq):
     assert len(proj) == 7
 
 
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+def test_equal_points_in_different_charts_hash_equal(backend):
+    spec = FieldSpec(backend, 3 if backend == "padic" else None)
+    rng = rng_for(f"proj-hash-{backend}")
+    pool = [ProjPoint.infinity(spec), ProjPoint("infinity", rigid(spec.zero()))]
+    for _ in range(60):
+        x = DiskPoint(random_scalar(rng, spec), random_radius(rng))
+        ca = x.center.abs()
+        if ca > x.radius:
+            # a ball avoiding 0 is the ball eta_{1/a, r/|a|^2} of the chart at infinity
+            other = ProjPoint("infinity", DiskPoint(x.center.inv(), x.radius / (ca * ca)))
+        elif not x.radius.is_zero:
+            # a ball around 0 is eta_{0, 1/r} there, whatever centre it was built with
+            other = ProjPoint("infinity", DiskPoint(spec.zero(), ABS_ONE / x.radius))
+        else:
+            continue  # the rigid point 0 lies outside the chart at infinity
+        point = ProjPoint.affine(x)
+        assert point == other and hash(point) == hash(other)
+        assert len({point, other}) == 1
+        pool += [point, other]
+    for p in pool:
+        for q in pool:
+            if p == q:
+                assert hash(p) == hash(q)
+
+
 def test_point_types_follow_value_group():
     spec = FieldSpec("padic", 3)  # value group Z
     assert rigid(spec.one()).point_type() == "I"

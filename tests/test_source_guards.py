@@ -1,4 +1,6 @@
-"""Source guards: the library contains no floating point at all."""
+"""Source guards: the library contains no floating point at all, and its
+runtime checks are explicit raises, never assert statements (which python -O
+strips)."""
 
 from __future__ import annotations
 
@@ -23,3 +25,13 @@ def _float_uses(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_float_literals_or_calls(path):
     assert _float_uses(path) == []
+
+
+def _asserts(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.name}:{node.lineno}: assert" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert _asserts(path) == []
