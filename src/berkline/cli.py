@@ -8,11 +8,16 @@ rationals whenever the backend base makes that possible.  Output is
 deterministic byte for byte; ``--json`` emits a machine-readable form.
 
 Exit status: 0 on success, 2 on parse/schema errors, 3 on domain errors.
+
+``main(argv)`` may be called repeatedly in one process: the argument parser is
+built on the first call and reused by every later one.  ``build_parser()``
+returns a fresh parser, so no caller can change the shared one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,6 +108,8 @@ def _parse_field_flag(text: str) -> FieldSpec:
 
 def _load(args: argparse.Namespace, kinds: tuple[str, ...]) -> Document:
     if args.input is None:
+        if kinds:
+            raise SchemaError(f"an input file with a payload among {list(kinds)} is required")
         if getattr(args, "field", None):
             spec = _parse_field_flag(args.field)
             return Document(spec, "field-only", None, {"field": {"backend": spec.backend}})
@@ -218,19 +225,16 @@ def _cmd_pieces(args) -> None:
     for p in pieces:
         left = "-inf" if p.left is None else str(p.left)
         right = "+inf" if p.right is None else str(p.right)
+        bounds = {
+            "left": None if p.left is None else str(p.left),
+            "right": None if p.right is None else str(p.right),
+        }
         if p.constant:
             lines.append(f"[{left}, {right})  constant (zero diameter)")
-            payload.append({"left": p.left and str(p.left), "right": p.right and str(p.right), "constant": True})
+            payload.append(bounds | {"constant": True})
         else:
             lines.append(f"[{left}, {right})  exponent {p.exponent}  logcoeff {p.logcoeff}")
-            payload.append(
-                {
-                    "left": None if p.left is None else str(p.left),
-                    "right": None if p.right is None else str(p.right),
-                    "exponent": p.exponent,
-                    "logcoeff": str(p.logcoeff),
-                }
-            )
+            payload.append(bounds | {"exponent": p.exponent, "logcoeff": str(p.logcoeff)})
     _emit(args, "\n".join(lines), payload)
 
 
@@ -413,9 +417,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on the first call.
+
+    argparse keeps no state between parse_args calls (each returns a new
+    Namespace, and the only append action defaults to None), so one parser
+    serves every main() call in the process.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except SchemaError as exc:

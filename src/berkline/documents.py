@@ -51,7 +51,7 @@ def _rational(node: Any, path: str) -> Fraction:
         raise _fail(path, f"expected a rational as int or 'num/den' string, got {node!r}")
     try:
         return as_fraction(node)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _fail(path, f"bad rational {node!r}: {exc}") from None
 
 

@@ -29,6 +29,7 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -41,14 +42,31 @@ PADIC = "padic"
 PUISEUX = "puiseux-q"
 
 
+_RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def as_fraction(x: RationalInput) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to an exact Fraction."""
+    """Coerce ints, Fractions and "num/den" strings to an exact Fraction.
+
+    Strings are an optionally signed integer, optionally followed by "/" and
+    a positive integer denominator, with surrounding whitespace allowed; any
+    other string (decimals, exponents, a zero denominator) raises ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        m = _RATIONAL.fullmatch(x)
+        if m is None:
+            raise ValueError(f"not an integer or 'num/den' rational: {x!r}")
+        num, den = m.groups()
+        if den is None:
+            return Fraction(int(num))
+        d = int(den)
+        if d == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+        return Fraction(int(num), d)
     raise TypeError(f"not an exact rational: {x!r}")
 
 

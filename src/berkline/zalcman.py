@@ -70,9 +70,15 @@ def sampled_function(points: Sequence[Scalar], values: Sequence) -> SampledFunct
     return SampledFunction(tuple(points), tuple(as_fraction(v) for v in values))
 
 
+def _check_index(s: SampledFunction, i: int) -> None:
+    if not 0 <= i < len(s.points):
+        raise ValueError(f"point index {i} is outside 0..{len(s.points) - 1}")
+
+
 def gromov_select(s: SampledFunction, a_index: int, epsilon, tau) -> int:
     """Index of a point satisfying the three selection conditions for the
     start index ``a_index``.  Always succeeds on a finite sample."""
+    _check_index(s, a_index)
     eps, t = as_fraction(epsilon), as_fraction(tau)
     if eps <= 0 or t <= 1:
         raise ValueError("need epsilon > 0 and tau > 1")
@@ -94,6 +100,8 @@ def gromov_select(s: SampledFunction, a_index: int, epsilon, tau) -> int:
 
 def gromov_conditions(s: SampledFunction, a_index: int, b_index: int, epsilon, tau) -> tuple[bool, bool, bool]:
     """Exhaustive post-hoc check of the three selection conditions."""
+    _check_index(s, a_index)
+    _check_index(s, b_index)
     eps, t = as_fraction(epsilon), as_fraction(tau)
     base = s.spec.base()
     phi_a, phi_b = s.values[a_index], s.values[b_index]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from berkline import (
     series_map,
     tree_of_disks,
 )
+from berkline.cli import main
 
 
 @pytest.fixture
@@ -31,6 +34,17 @@ def p2() -> FieldSpec:
 @pytest.fixture
 def pq() -> FieldSpec:
     return FieldSpec("puiseux-q")
+
+
+def run_cli_full(argv: list[str]) -> tuple[object, str, str]:
+    """Exit code (argparse's SystemExit code included), stdout and stderr of one cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def rng_for(name: str) -> random.Random:

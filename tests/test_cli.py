@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from berkline import cli
 from berkline.cli import main
 from berkline.documents import canonical_json, load_document, parse_document
+
+from conftest import run_cli_full
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -162,3 +165,113 @@ def test_round_trip_documents():
         assert canonical_json(again.raw) == text
         assert again.kind == doc.kind
         assert again.spec == doc.spec
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    fresh = cli.build_parser
+    sequence = [
+        ["eval", str(GOLDEN / "eval_gauss.json")],  # --point missing: argparse exits 2
+        ["eval", str(GOLDEN / "laurent_series.json"), "--point", "0,zero"],  # domain error
+        ["dtree", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y", "--json"],
+    ] + [list(args) for args, _ in GOLDEN_RUNS]
+
+    monkeypatch.setattr(cli, "_parser", fresh)  # a freshly built parser for every call
+    reference = [run_cli_full(argv) for argv in sequence]
+    monkeypatch.undo()
+
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return fresh()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        reused = [run_cli_full(argv) for argv in sequence]
+    finally:
+        cli._parser.cache_clear()
+
+    assert len(builds) <= 1
+    assert reused == reference
+    assert [code for code, _, _ in reused[:3]] == [2, 3, 0]
+    assert "the following arguments are required: --point" in reused[0][2]
+    assert json.loads(reused[2][1]) == {"command": "dtree", "result": "1/5"}
+    assert [(code, out) for code, out, _ in reused[3:]] == [(0, expected) for _, expected in GOLDEN_RUNS]
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("window,expected", [("0,1", ["0", "1"]), ("-1,0", ["-1", "0"])])
+def test_pieces_json_on_a_constant_series(tmp_path, window, expected):
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"field": {"backend": "padic", "p": 3}, "series": {"terms": [[0, "1"]]}}))
+    code, out, err = run_cli_full(["pieces", str(path), f"--window={window}", "--json"])
+    assert (code, err) == (0, "")
+    left, right = expected
+    assert json.loads(out) == {"command": "pieces", "result": [{"left": left, "right": right, "constant": True}]}
+    code, out = run_cli("pieces", str(path), f"--window={window}")
+    assert out == f"[{left}, {right})  constant (zero diameter)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", str(GOLDEN / "tropical_two_lines.json"), "--at", "1/0"],
+        ["zeros", str(GOLDEN / "laurent_series.json"), "--window=1/0,2"],
+        ["eval", str(GOLDEN / "eval_gauss.json"), "--point", "1/0"],
+        ["eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,1/0"],
+        ["diam", str(GOLDEN / "eval_gauss.json"), "--point", "1/0"],
+        ["gromov", str(GOLDEN / "squares_sample.json"), "--start", "0", "--epsilon", "1/0", "--tau", "3/2"],
+        ["eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--field", "puiseux:1/0"],
+        ["theta", str(GOLDEN / "tropical_two_lines.json"), "--at", "1e1000000"],
+        ["theta", str(GOLDEN / "tropical_two_lines.json"), "--at", "0.5"],
+        ["eval", str(GOLDEN / "eval_gauss.json"), "--point", "t^1e9,0", "--field", "puiseux"],
+    ],
+    ids=lambda argv: " ".join(argv[2:]),
+)
+def test_malformed_rational_flags_are_input_errors(argv):
+    code, out, err = run_cli_full(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("berkline: input error: ")
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1e1000000", "0.5", "1_000"])
+def test_malformed_rationals_in_documents_are_schema_errors(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": {"backend": "padic", "p": 3}, "series": {"terms": [[1, bad]]}}))
+    code, out, err = run_cli_full(["eval", str(path), "--point", "0,0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("berkline: input error: series.terms[0][1]: bad rational")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--point", "0,0"],
+        ["fsderiv", "--point", "0,1"],
+        ["theta", "--at", "0"],
+        ["zeros", "--window=-1,0"],
+        ["dtree", "--from", "x", "--to", "y"],
+        ["classify"],
+        ["gromov", "--start", "0", "--epsilon", "1", "--tau", "2"],
+        ["zalcman"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_field_flag_without_input_needs_the_payload(argv):
+    # only diam reads nothing but the field; every other command needs its payload
+    code, out, err = run_cli_full(argv + ["--field", "padic:3"])
+    assert (code, out) == (2, "")
+    assert "an input file with a payload among" in err
+
+
+@pytest.mark.parametrize("start", ["2", "-1"])
+def test_gromov_start_outside_the_sample_is_an_input_error(start):
+    code, out, err = run_cli_full(
+        ["gromov", str(GOLDEN / "squares_sample.json"), "--start", start, "--epsilon", "1", "--tau", "3/2"]
+    )
+    assert (code, out) == (2, "")
+    assert "outside 0..1" in err

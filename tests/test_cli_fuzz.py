@@ -1,0 +1,204 @@
+"""Fuzz the command line: every argv ends in exit code 0, 2 or 3, in bounded time.
+
+Random command lines go to ``cli.main`` in-process: any of the subcommands,
+random flags with values drawn from exact rationals, malformed numbers
+("1/0", "-inf", long exponents, decimals) and free text, and input documents
+that are the golden files or truncated and byte-mutated copies of them.
+Documents stay as small as the goldens, so no command runs long on
+legitimate input; the hypothesis deadline is the time bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+from datetime import timedelta
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from berkline.cli import build_parser
+
+from conftest import run_cli_full
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_DOCS = sorted(GOLDEN.glob("*.json"))
+
+# subcommand -> (the golden document whose payload it reads, the flags it takes a value for)
+COMMANDS = {
+    "eval": ("eval_gauss", ("--point",)),
+    "diam": ("eval_gauss", ("--point", "--point")),
+    "fsderiv": ("fsderiv_identity", ("--point",)),
+    "dproj": ("dproj_units", ()),
+    "theta": ("tropical_two_lines", ("--at",)),
+    "segments": ("tropical_two_lines", ()),
+    "zeros": ("laurent_series", ("--window",)),
+    "pieces": ("eval_gauss", ("--window",)),
+    "dck": ("chain5", ("--from", "--to")),
+    "dtree": ("chain5", ("--from", "--to")),
+    "classify": ("tate", ()),
+    "genus": ("tate", ()),
+    "chi": (None, ("--genus", "--punctures")),
+    "gromov": ("squares_sample", ("--start", "--epsilon", "--tau")),
+    "zalcman": ("zalcman_family", ("--nmax",)),
+}
+FLAGS_WITH_VALUE = tuple(sorted({f for _, flags in COMMANDS.values() for f in flags} | {"--field"}))
+
+ODD_VALUES = (
+    "1/0",
+    "-1/0",
+    "0/0",
+    "-inf",
+    "+inf",
+    "inf",
+    "zero",
+    "1e1000000",
+    "-1e-99999999999",
+    "1.5",
+    "nan",
+    "1_000",
+    "3/-4",
+    "",
+    " ",
+    "t",
+    "t^1/2",
+    "2*t^3+1",
+    "t^1/0",
+    "t^1e1000000",
+    "9" * 5000,
+    "x",
+    "y",
+    "z",
+    "padic:3",
+    "padic:4",
+    "padic:",
+    "padic:1/0",
+    "puiseux",
+    "puiseux:2",
+    "puiseux:1/0",
+    "puiseux:1",
+    "puiseux:-3",
+    "puiseux-q",
+    "bogus:5",
+)
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(str)
+small_ints = st.integers(-1, 4).map(str)
+atoms = st.one_of(st.sampled_from(ODD_VALUES), rationals, small_ints, st.text(max_size=8))
+values = st.one_of(atoms, st.tuples(atoms, atoms).map(",".join))
+ends = st.one_of(st.fractions(-12, 2, max_denominator=6).map(str), st.sampled_from(["-inf", "+inf", ""]))
+centers = st.one_of(rationals, st.sampled_from(["t", "t^1/2", "2*t^3+1", "t^-1/3+3/4", "0"]))
+
+# flag -> values of the shape it expects; the shapes still reach the error paths
+WELL_FORMED = {
+    "--point": st.one_of(centers, st.tuples(centers, st.one_of(rationals, st.just("zero"))).map(",".join)),
+    "--window": st.tuples(ends, ends).map(",".join),
+    "--at": rationals,
+    "--from": st.sampled_from(["x", "y", "z"]),
+    "--to": st.sampled_from(["x", "y", "z"]),
+    "--genus": small_ints,
+    "--punctures": small_ints,
+    "--start": st.integers(-1, 2).map(str),
+    "--nmax": small_ints,
+    "--epsilon": st.fractions(0, 20, max_denominator=12).map(str),
+    "--tau": st.fractions(1, 20, max_denominator=12).map(str),
+    "--field": st.sampled_from(["padic:2", "padic:3", "padic:5", "puiseux", "puiseux:3", "puiseux:1/2"]),
+}
+
+
+def flag(name: str, value: str, joined: bool) -> list[str]:
+    return [f"{name}={value}"] if joined else [name, value]
+
+
+def chance(draw, k: int, n: int) -> bool:
+    """True with probability k/n."""
+    return draw(st.integers(0, n - 1)) < k
+
+
+@st.composite
+def flag_value(draw, name: str) -> str:
+    return draw(WELL_FORMED[name] if chance(draw, 3, 4) else values)
+
+
+@st.composite
+def flag_args(draw, command: str) -> list[str]:
+    """The command's own flags (each usually present), --field, the bare flags
+    and now and then a stray flag or token."""
+    argv: list[str] = []
+    for name in COMMANDS[command][1]:
+        if chance(draw, 7, 8):
+            argv += flag(name, draw(flag_value(name)), draw(st.booleans()))
+    if chance(draw, 1, 4):
+        argv += flag("--field", draw(flag_value("--field")), draw(st.booleans()))
+    for name in ("--json", "--multiplicative") + (("--plot",) if command == "theta" else ()):
+        if chance(draw, 1, 3):
+            argv.append(name)
+    if chance(draw, 1, 4):
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(FLAGS_WITH_VALUE))
+            argv += flag(name, draw(flag_value(name)), draw(st.booleans()))
+        else:
+            argv.append(draw(atoms))
+    return argv
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """A truncated copy of ``data`` or one with a few bytes replaced, inserted or deleted."""
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data)))]
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(out)))
+        byte = draw(st.one_of(st.sampled_from(b'0123456789-/"[]{},.e '), st.integers(0, 255)))
+        op = draw(st.integers(0, 2))
+        if op == 0 and pos < len(out):
+            out[pos] = byte
+        elif op == 1:
+            out.insert(pos, byte)
+        elif pos < len(out):
+            del out[pos]
+    return bytes(out)
+
+
+def compact(path: Path) -> bytes:
+    return json.dumps(json.loads(path.read_text()), separators=(",", ":")).encode()
+
+
+@st.composite
+def command_lines(draw, workdir: Path) -> list[str]:
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    doc = COMMANDS[command][0]
+    source = draw(st.integers(0, 5))
+    if source <= 1 and doc is not None:
+        argv.append(str(GOLDEN / f"{doc}.json"))
+    elif source == 2:
+        argv.append(str(draw(st.sampled_from(GOLDEN_DOCS))))
+    elif source == 3:
+        path = workdir / "doc.json"
+        path.write_bytes(draw(mutated(compact(GOLDEN / f"{doc or 'tate'}.json"))))
+        argv.append(str(path))
+    elif source == 4:
+        argv.append(str(draw(st.sampled_from([workdir / "missing.json", workdir]))))
+    # otherwise no input document
+    return argv + draw(flag_args(command))
+
+
+# tmp_path is shared by the examples of one run: each example rewrites doc.json
+# before its command reads it.
+@settings(
+    max_examples=400,
+    deadline=timedelta(seconds=2),
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_every_command_line_exits_0_2_or_3(tmp_path, data):
+    argv = data.draw(command_lines(tmp_path))
+    assert run_cli_full(argv)[0] in (0, 2, 3), argv
+
+
+def test_the_fuzzer_draws_every_subcommand():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(COMMANDS)

@@ -16,6 +16,7 @@ from berkline.field import (
     PuiseuxScalar,
     _iroot_exact,
     _is_prime,
+    as_fraction,
     magnitude_as_rational,
     magnitude_ge_rational,
     magnitude_le_rational,
@@ -325,3 +326,20 @@ def test_integral_coefficients_are_ints():
     assert x.num_terms == (3, ((1, Fraction(1, 2)), (3, 4)))
     assert (x + x).num_terms == (3, ((1, 1), (3, 8)))
     assert x.num == ((Fraction(1, 3), Fraction(1, 2)), (Fraction(1), Fraction(4)))
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("7", Fraction(7)), (" -3/4 ", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)), ("0/5", Fraction(0)), ("-0", Fraction(0))],
+)
+def test_as_fraction_reads_integers_and_num_den(text, value):
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/0", "-3/0", "0/0", "1e1000000", "1E5", "0.5", ".5", "1_000", "3/-4", "/4", "3/", "", " ", "inf", "nan", "\u0663"],
+)
+def test_as_fraction_rejects_everything_else(text):
+    with pytest.raises(ValueError):
+        as_fraction(text)

@@ -58,6 +58,15 @@ def test_two_point_jump(p3):
     assert all(gromov_conditions(s, 0, b, Fraction(1), Fraction(3, 2)))
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_selection_rejects_indices_outside_the_sample(p3, index):
+    s = sampled_function([p3.zero(), p3.one()], [1, 10])
+    with pytest.raises(ValueError, match="outside 0..1"):
+        gromov_select(s, index, Fraction(1), Fraction(3, 2))
+    with pytest.raises(ValueError, match="outside 0..1"):
+        gromov_conditions(s, 0, index, Fraction(1), Fraction(3, 2))
+
+
 def test_isolated_ball_selects_start(p3):
     # 1/(eps phi(a)) is far below every pairwise distance
     pts = [p3.zero(), p3.one(), p3.scalar(2)]
