@@ -35,6 +35,7 @@ from .field import (
     PUISEUX,
     Scalar,
     as_fraction,
+    as_integer,
     magnitude_as_rational,
 )
 from .fsderiv import fs_derivative
@@ -99,11 +100,19 @@ def _parse_field_flag(text: str) -> FieldSpec:
     if name == "padic":
         if not arg:
             raise SchemaError("--field padic:P needs a prime")
-        return FieldSpec(PADIC, int(arg))
+        return FieldSpec(PADIC, as_integer(arg))
     if name in ("puiseux", PUISEUX):
         base = as_fraction(arg) if arg else None
         return FieldSpec(PUISEUX, numeric_base=base)
     raise SchemaError(f"--field: unknown backend {name!r}")
+
+
+def _integer_flag(text: str) -> int:
+    """argparse type of the integer flags: the as_integer grammar."""
+    try:
+        return as_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load(args: argparse.Namespace, kinds: tuple[str, ...]) -> Document:
@@ -398,20 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="Euler characteristic 2 - 2g - punctures")
     common(p, with_input=False)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--punctures", type=int, default=0)
+    p.add_argument("--genus", type=_integer_flag, required=True)
+    p.add_argument("--punctures", type=_integer_flag, default=0)
     p.set_defaults(func=_cmd_chi, input=None)
 
     p = sub.add_parser("gromov", help="selection step on a sampled function")
     common(p)
-    p.add_argument("--start", type=int, required=True, help="index of the start point")
+    p.add_argument("--start", type=_integer_flag, required=True, help="index of the start point")
     p.add_argument("--epsilon", required=True)
     p.add_argument("--tau", required=True)
     p.set_defaults(func=_cmd_gromov)
 
     p = sub.add_parser("zalcman", help="rescale a map family around selected points")
     common(p)
-    p.add_argument("--nmax", type=int)
+    p.add_argument("--nmax", type=_integer_flag)
     p.set_defaults(func=_cmd_zalcman)
 
     return parser

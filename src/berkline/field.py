@@ -70,6 +70,17 @@ def as_fraction(x: RationalInput) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def as_integer(text: str) -> int:
+    """An integer string in the grammar of as_fraction without the "/den":
+    an optional sign and ASCII digits, surrounding whitespace allowed.
+    Digit separators and non-ASCII digits, which int() accepts, raise
+    ValueError."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None or m.group(2) is not None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(m.group(1))
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the prime bases up to 41.
 

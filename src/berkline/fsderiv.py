@@ -34,6 +34,7 @@ from .points import (
     coprime_certificate,
     eval_seminorm,
     poly_gcd,
+    recentre,
     rigid,
     taylor_shift,
 )
@@ -404,8 +405,9 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     for p in f.coords[1:]:
         if not p.is_plain:
             raise DomainViolation("affine coordinates must be plain polynomials")
-        q = p if z.center.is_zero else taylor_shift(p, z.center)
-        center = q.coeff(0) * c_inv
-        radius = image_disk_radius(q, z.radius) / c_abs
-        out.append(DiskPoint(center, radius))
+        if z.is_rigid:
+            out.append(DiskPoint(p.evaluate(z.center) * c_inv, z.radius))
+            continue
+        q = recentre(p, z)
+        out.append(DiskPoint(q.coeff(0) * c_inv, image_disk_radius(q, z.radius) / c_abs))
     return out

@@ -3,10 +3,21 @@
 A type I-III point of the analytic affine line is a closed ball eta_{a,r}:
 center a in the field, radius an exact magnitude (zero magnitude for rigid
 points).  The seminorm of a polynomial P at eta_{a,r} is max_i |c_i| r^i over
-the Taylor recentering P(T) = sum c_i (T-a)^i; at rigid points this is plain
-evaluation.  Laurent polynomials are evaluated multiplicatively through
-|T^{-1}(x)| = 1/max(|a|, r), which is finite at every point except the rigid
-point 0.
+the Taylor recentering P(T) = sum c_i (T-a)^i.  It is evaluated in one of two
+ways:
+
+* at a rigid point (r = 0) only c_0 = P(a) counts, so P is evaluated by
+  Horner's rule and never shifted;
+* at a ball, P is recentred at the ball's short centre: for a puiseux-q
+  polynomial centre, the terms of magnitude <= r are dropped first (the same
+  ball, by the ultrametric inequality), and a centre that drops to 0 needs
+  no shift.  The point's own centre is left as given.
+
+The shift itself is the binomial sum c_k = sum_n p_n C(n, k) a^(n-k) over the
+nonzero terms p_n T^n, O(terms * degree) products on raw values (Fractions,
+or int Puiseux term maps over one denominator).  Laurent polynomials are
+evaluated multiplicatively through |T^{-1}(x)| = 1/max(|a|, r), which is
+finite at every point except the rigid point 0.
 
 Diameter functions follow the usual conventions: diam_A is the radius (the
 max of coordinate radii in higher dimension) and the projective diameter
@@ -26,11 +37,15 @@ from .field import (
     ABS_ZERO,
     PUISEUX,
     AbsValue,
+    Coeff,
     FieldSpec,
+    PadicScalar,
     PuiseuxScalar,
     Scalar,
     _ONE_TERMS,
     _clearing_scale,
+    _coeff,
+    _reduced,
     _terms_at,
     _terms_lowest,
     _terms_mul,
@@ -163,18 +178,24 @@ class Poly:
         return Poly(self.spec, tuple(sorted(acc.items())))
 
     def evaluate(self, a: Scalar) -> Scalar:
-        """Exact evaluation at a field element (inverts a for Laurent input)."""
+        """Exact evaluation at a field element (inverts a for Laurent input).
+
+        Horner's rule from the top term down; a gap of g missing exponents
+        multiplies by a^g once, so sparse input costs O(terms * log degree)
+        products.
+        """
         if not self.terms:
             return self.spec.zero()
-        neg = -min(0, self.min_exp())
-        if neg and a.is_zero:
+        if self.terms[0][0] < 0 and a.is_zero:
             raise PoleAtPoint("Laurent polynomial evaluated at 0")
-        plain = self.shift_exp(neg) if neg else self
-        acc = self.spec.zero()
-        for n, c in plain.terms:
-            acc = acc + c * _scalar_pow(a, n)
-        if neg:
-            acc = acc * _scalar_pow(a.inv(), neg)
+        prev, acc = self.terms[-1]
+        for n, c in reversed(self.terms[:-1]):
+            acc = acc * _scalar_pow(a, prev - n) + c
+            prev = n
+        if prev > 0:
+            acc = acc * _scalar_pow(a, prev)
+        elif prev < 0:
+            acc = acc * _scalar_pow(a.inv(), -prev)
         return acc
 
     def gauss_norm(self) -> AbsValue:
@@ -183,31 +204,101 @@ class Poly:
 
 
 def _scalar_pow(a: Scalar, k: int) -> Scalar:
-    out = a.spec.one()
-    base = a
-    while k:
+    """a^k for k >= 1, by repeated squaring."""
+    out = None
+    while True:
         if k & 1:
-            out = out * base
-        base = base * base
+            out = a if out is None else out * a
         k >>= 1
-    return out
+        if not k:
+            return out
+        a = a * a
 
 
 def taylor_shift(p: Poly, a: Scalar) -> Poly:
-    """The recentering P(T + a), computed exactly (plain polynomials only)."""
+    """The recentering P(T + a), computed exactly (plain polynomials only).
+
+    The coefficients are the binomial sums b_k = sum_n c_n C(n, k) a^(n-k)
+    over the nonzero terms c_n T^n of P: O(terms * degree) products, so a
+    sparse polynomial of large degree stays cheap.  The sums run on raw
+    values, chosen by coefficient type: the Fractions of padic scalars, the
+    int term maps of puiseux-q polynomials (over one denominator D, one
+    PuiseuxScalar per output coefficient), and Scalar operations for
+    puiseux-q rational functions.
+    """
     if not p.is_plain:
         raise PoleAtPoint("taylor_shift is defined for plain polynomials")
-    if a.is_zero or p.is_zero:
+    if a.is_zero or p.is_constant:
         return p
-    deg = p.degree()
-    coeffs = [p.spec.zero()] * (deg + 1)
+    spec = p.spec
+    if spec.backend != PUISEUX:
+        sums = _binomial_sums([(n, c.value) for n, c in p.terms], a.value, Fraction(1), int)  # type: ignore[attr-defined]
+        return Poly(spec, tuple([(k, PadicScalar(spec, b)) for k, b in sums if b]))
+    if a.den_terms == _ONE_TERMS and all(c.den_terms == _ONE_TERMS for _, c in p.terms):  # type: ignore[attr-defined]
+        return _shift_puiseux_polynomial(p, a)
+    sums = _binomial_sums(p.terms, a, spec.one(), spec.from_int)
+    return Poly(spec, tuple([(k, b) for k, b in sums if not b.is_zero]))
+
+
+def _binomial_sums(terms: Sequence[tuple[int, object]], a, one, from_int) -> list[tuple[int, object]]:
+    """The sums b_k = sum_n c_n C(n, k) a^(n-k), sorted by k, for any values
+    with + and * (Fractions, or Scalars); from_int embeds C(n, k)."""
+    powers = [one, a]
+    for _ in range(terms[-1][0] - 1):
+        powers.append(powers[-1] * a)
+    out: dict[int, object] = {}
+    for n, c in terms:
+        binom = 1  # C(n, k) for k = n, n - 1, ..., 0
+        for k in range(n, -1, -1):
+            term = c if k == n else c * powers[n - k]
+            if binom != 1:
+                term = term * from_int(binom)
+            out[k] = out[k] + term if k in out else term
+            binom = binom * k // (n - k + 1)
+    return sorted(out.items())
+
+
+def _shift_puiseux_polynomial(p: Poly, a: Scalar) -> Poly:
+    """The binomial sums on int term maps: every coefficient and the powers of
+    a over one common D, accumulated in int-keyed dicts."""
+    spec = p.spec
+    denom = math.lcm(a.num_terms[0], *(c.num_terms[0] for _, c in p.terms))  # type: ignore[attr-defined]
+
+    def over(t: tuple) -> list:
+        m = denom // t[0]
+        return t[1] if m == 1 else [(k * m, c) for k, c in t[1]]
+
+    base = over(a.num_terms)  # type: ignore[attr-defined]
+    deg = p.terms[-1][0]
+    powers = [[(0, 1)], base]
+    for _ in range(deg - 1):
+        acc: dict[int, Coeff] = {}
+        get = acc.get
+        for ka, ca in powers[-1]:
+            for kb, cb in base:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        powers.append([kc for kc in acc.items() if kc[1]])
+    sums: list[dict[int, Coeff]] = [{} for _ in range(deg + 1)]
     for n, c in p.terms:
-        coeffs[n] = c
-    # synthetic Horner shift, O(deg^2) exact scalar operations
-    for i in range(deg):
-        for j in range(deg - 1, i - 1, -1):
-            coeffs[j] = coeffs[j] + a * coeffs[j + 1]
-    return Poly.from_coeffs(p.spec, coeffs)
+        cn = over(c.num_terms)  # type: ignore[attr-defined]
+        binom = 1  # C(n, k) for k = n, n - 1, ..., 0
+        for k in range(n, -1, -1):
+            acc = sums[k]
+            get = acc.get
+            power = powers[n - k]
+            for ka, ca in cn:
+                ca = ca * binom
+                for kb, cb in power:
+                    e = ka + kb
+                    acc[e] = get(e, 0) + ca * cb
+            binom = binom * k // (n - k + 1)
+    out = []
+    for k, acc in enumerate(sums):
+        terms = sorted([(e, c if type(c) is int else _coeff(c)) for e, c in acc.items() if c])
+        if terms:
+            out.append((k, PuiseuxScalar(spec, _reduced(denom, tuple(terms)))))
+    return Poly(spec, tuple(out))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -384,6 +475,9 @@ class DiskPoint:
         return (self.center - other.center).abs() <= self.radius
 
     def __hash__(self) -> int:
+        # a rigid ball is its centre (|a - b| <= 0 means a == b)
+        if self.radius.is_zero:
+            return hash((self.radius, self.center))
         return hash(self.radius)
 
     def __repr__(self) -> str:
@@ -444,9 +538,8 @@ class ProjPoint:
         return a == b
 
     def __hash__(self) -> int:
-        # equal points have equal affine radii
-        aff = self.to_affine()
-        return hash(None if aff is None else aff.radius)
+        # equal points have equal affine representatives
+        return hash(self.to_affine())
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +563,39 @@ def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
             raise PoleAtPoint("Laurent polynomial at the rigid point 0")
         plain_val = eval_seminorm(p.shift_exp(neg), x)
         return plain_val / t_norm ** neg
-    q = p if x.center.is_zero else taylor_shift(p, x.center)
     if x.radius.is_zero:
-        return q.coeff(0).abs()
+        return p.evaluate(x.center).abs()
+    q = recentre(p, x)
     return abs_max(c.abs() * x.radius ** n for n, c in q.terms)
+
+
+def short_centre(x: DiskPoint) -> Scalar:
+    """A centre of the ball x with no term inside the ball.
+
+    For a puiseux-q polynomial centre, the terms of magnitude <= r are
+    dropped: their sum lies in the closed ball of radius r around 0, so the
+    rest names the same ball (ultrametric inequality).  Other centres are
+    returned as given.
+    """
+    a = x.center
+    if x.radius.is_zero or type(a) is not PuiseuxScalar or a.den_terms != _ONE_TERMS:
+        return a
+    denom, terms = a.num_terms
+    # |c t^(k/D)| = beta^(-k/D) > beta^rho  iff  k < -rho * D; terms are sorted by k
+    bound = -x.radius.logval * denom  # type: ignore[operator]
+    keep = 0
+    while keep < len(terms) and terms[keep][0] < bound:
+        keep += 1
+    if keep == len(terms):
+        return a
+    return PuiseuxScalar(a.spec, _reduced(denom, terms[:keep]))
+
+
+def recentre(p: Poly, x: DiskPoint) -> Poly:
+    """P(T + a) for a centre a of the ball x: its short centre, so that a
+    centre inside the ball of radius r around 0 needs no shift at all."""
+    a = short_centre(x)
+    return p if a.is_zero else taylor_shift(p, a)
 
 
 def diam_affine(coords: Sequence[DiskPoint] | DiskPoint) -> AbsValue:

@@ -6,6 +6,7 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -164,3 +165,34 @@ def random_tree_of_disks(rng: random.Random, n_disks: int = 5):
         edges.append((a, coord(), b, coord()))
     marks = {m: (rng.choice(names), coord()) for m in ("x", "y", "z")}
     return tree_of_disks(names, edges, marks)
+
+
+# ---------------------------------------------------------------------------
+# Recentering oracles: slow, exact, independent of points.taylor_shift
+
+
+def binomial_shift_oracle(p: Poly, a):
+    """Independent recentering oracle: expand each (T + a)^n binomially."""
+    spec = p.spec
+    acc: dict[int, object] = {}
+    for n, c in p.terms:
+        for k in range(n + 1):
+            term = c * spec.from_int(comb(n, k))
+            for _ in range(n - k):
+                term = term * a
+            prev = acc.get(k)
+            acc[k] = term if prev is None else prev + term
+    return Poly.from_dict(spec, {k: v for k, v in acc.items() if not v.is_zero})
+
+
+def horner_shift_oracle(p: Poly, a):
+    """Dense synthetic-Horner recentering: O(deg^2) scalar operations."""
+    spec = p.spec
+    coeffs = [spec.zero()] * (p.degree() + 1)
+    for n, c in p.terms:
+        coeffs[n] = c
+    deg = len(coeffs) - 1
+    for i in range(deg):
+        for j in range(deg - 1, i - 1, -1):
+            coeffs[j] = coeffs[j] + a * coeffs[j + 1]
+    return Poly.from_coeffs(spec, coeffs)

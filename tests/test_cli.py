@@ -5,16 +5,20 @@ from __future__ import annotations
 import io
 import json
 import os
+import time
 from contextlib import redirect_stdout
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from berkline import cli
+from berkline import AbsValue, Poly, cli
 from berkline.cli import main
 from berkline.documents import canonical_json, load_document, parse_document
+from berkline.field import abs_max
 
-from conftest import run_cli_full
+from conftest import binomial_shift_oracle, run_cli_full
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -275,3 +279,82 @@ def test_gromov_start_outside_the_sample_is_an_input_error(start):
     )
     assert (code, out) == (2, "")
     assert "outside 0..1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi", "--genus", "1_0"],
+        ["chi", "--genus", "٣"],
+        ["chi", "--genus", "1.0"],
+        ["chi", "--genus", "0", "--punctures", "1_0"],
+        ["gromov", str(GOLDEN / "squares_sample.json"), "--start", "0_0", "--epsilon", "1", "--tau", "3/2"],
+        ["gromov", str(GOLDEN / "squares_sample.json"), "--start", "٠", "--epsilon", "1", "--tau", "3/2"],
+        ["zalcman", str(GOLDEN / "zalcman_family.json"), "--nmax", "١"],
+        ["eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--field", "padic:٣"],
+        ["eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--field", "padic:1_1"],
+        ["eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--field", "padic:3/1"],
+    ],
+    ids=lambda argv: " ".join(argv[-2:]),
+)
+def test_integer_flags_take_ascii_digits_only(argv):
+    # int() would accept digit separators and non-ASCII digits; the flags do not
+    code, out, err = run_cli_full(argv)
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+
+
+def test_integer_flags_allow_a_sign_and_whitespace():
+    assert run_cli("chi", "--genus", "+1", "--punctures", " 2 ") == (0, "-2\n")
+    assert run_cli("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--field", "padic:+3") == (0, "1\n")
+
+
+def sparse_series(tmp_path, exponent: int) -> Path:
+    path = tmp_path / f"sparse{exponent}.json"
+    doc = {"field": {"backend": "padic", "p": 3}, "series": {"terms": [[exponent, "3"], [2, "1"]]}}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def v3(x: Fraction) -> int:
+    """The 3-adic valuation of a nonzero rational."""
+    v, num, den = 0, x.numerator, x.denominator
+    while num % 3 == 0:
+        num, v = num // 3, v + 1
+    while den % 3 == 0:
+        den, v = den // 3, v - 1
+    return v
+
+
+@pytest.mark.parametrize("radius", [None, -1])
+def test_sparse_series_of_large_degree_evaluates_in_bounded_time(tmp_path, radius):
+    # 3 T^2999 + T^2 at 1/2: the seminorm needs P(T + 1/2), not a dense O(deg^2) shift
+    point = "1/2" if radius is None else f"1/2,{radius}"
+    start = time.perf_counter()
+    code, out, err = run_cli_full(["eval", str(sparse_series(tmp_path, 2999)), "--point", point, "--json"])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert elapsed < 10
+    # the seminorm from plain Fractions: b_k = sum_n c_n C(n, k) (1/2)^(n - k)
+    half = Fraction(1, 2)
+    coeffs = [3 * comb(2999, k) * half ** (2999 - k) + comb(2, k) * half ** (2 - k) for k in range(3000)]
+    if radius is None:
+        expected = -v3(coeffs[0])
+    else:
+        expected = max(-v3(b) + radius * k for k, b in enumerate(coeffs) if b)
+    assert json.loads(out)["result"] == str(expected)
+
+
+@pytest.mark.parametrize("point", ["1/2", "1/2,-1", "3/5,-2", "9,-1/2", "0,1"])
+def test_sparse_series_value_matches_the_binomial_oracle(tmp_path, p3, point):
+    code, out, _ = run_cli_full(["eval", str(sparse_series(tmp_path, 9)), "--point", point, "--json"])
+    centre, _, radius = point.partition(",")
+    poly = Poly.from_dict(p3, {9: p3.scalar(3), 2: p3.one()})
+    shifted = binomial_shift_oracle(poly, p3.scalar(Fraction(centre)))
+    if radius:
+        r = AbsValue.of(radius)
+        value = abs_max(c.abs() * r**n for n, c in shifted.terms)
+    else:
+        value = shifted.coeff(0).abs()
+    assert code == 0
+    assert json.loads(out)["result"] == (None if value.is_zero else str(value.logval))

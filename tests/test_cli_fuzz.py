@@ -84,7 +84,10 @@ ODD_VALUES = (
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(str)
+# int() accepts digit separators and non-ASCII digits; the integer flags must not
+ODD_INTEGERS = ("1_0", "0_0", "٣", "١", "+3", " 2 ", "-0", "2/1")
 small_ints = st.integers(-1, 4).map(str)
+integer_flags = st.one_of(small_ints, st.sampled_from(ODD_INTEGERS))
 atoms = st.one_of(st.sampled_from(ODD_VALUES), rationals, small_ints, st.text(max_size=8))
 values = st.one_of(atoms, st.tuples(atoms, atoms).map(",".join))
 ends = st.one_of(st.fractions(-12, 2, max_denominator=6).map(str), st.sampled_from(["-inf", "+inf", ""]))
@@ -97,13 +100,15 @@ WELL_FORMED = {
     "--at": rationals,
     "--from": st.sampled_from(["x", "y", "z"]),
     "--to": st.sampled_from(["x", "y", "z"]),
-    "--genus": small_ints,
-    "--punctures": small_ints,
-    "--start": st.integers(-1, 2).map(str),
-    "--nmax": small_ints,
+    "--genus": integer_flags,
+    "--punctures": integer_flags,
+    "--start": st.one_of(st.integers(-1, 2).map(str), st.sampled_from(ODD_INTEGERS)),
+    "--nmax": integer_flags,
     "--epsilon": st.fractions(0, 20, max_denominator=12).map(str),
     "--tau": st.fractions(1, 20, max_denominator=12).map(str),
-    "--field": st.sampled_from(["padic:2", "padic:3", "padic:5", "puiseux", "puiseux:3", "puiseux:1/2"]),
+    "--field": st.sampled_from(
+        ["padic:2", "padic:3", "padic:5", "padic:+3", "padic:٣", "padic:1_1", "puiseux", "puiseux:3", "puiseux:1/2"]
+    ),
 }
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
-from math import comb
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berkline import (
     ABS_ONE,
@@ -15,6 +18,8 @@ from berkline import (
     FieldSpec,
     Poly,
     ProjPoint,
+    Scalar,
+    apply_map,
     diam_affine,
     diam_proj,
     diam_proj_point,
@@ -22,11 +27,16 @@ from berkline import (
     gauss_point,
     join,
     rigid,
+    series_map,
     taylor_shift,
 )
 from berkline.errors import PoleAtPoint
+from berkline.field import PuiseuxScalar, abs_max
+from berkline.points import short_centre
 
 from conftest import (
+    binomial_shift_oracle,
+    horner_shift_oracle,
     random_nonzero_scalar,
     random_poly,
     random_radius,
@@ -49,20 +59,6 @@ def test_taylor_shift_square(p3):
 def test_taylor_shift_coordinate(p3):
     c = p3.scalar(7)
     assert taylor_shift(Poly.coordinate(p3), c) == Poly.from_coeffs(p3, [c, p3.one()])
-
-
-def binomial_shift_oracle(p: Poly, a):
-    """Independent recentering oracle: expand each (T + a)^n binomially."""
-    spec = p.spec
-    acc: dict[int, object] = {}
-    for n, c in p.terms:
-        for k in range(n + 1):
-            term = c * spec.from_int(comb(n, k))
-            for _ in range(n - k):
-                term = term * a
-            prev = acc.get(k)
-            acc[k] = term if prev is None else prev + term
-    return Poly.from_dict(spec, {k: v for k, v in acc.items() if not v.is_zero})
 
 
 def test_taylor_shift_cubic_against_binomial_oracle(p3):
@@ -91,6 +87,121 @@ def test_taylor_shift_evaluation_identity(p3):
         a = random_scalar(rng, p3)
         x = random_scalar(rng, p3)
         assert taylor_shift(p, a).evaluate(x) == p.evaluate(x + a)
+
+
+# -- the fast paths against the slow oracles (hypothesis) ---------------------
+
+P3 = FieldSpec("padic", 3)
+PQ = FieldSpec("puiseux-q")
+
+padic_scalars = st.fractions(-40, 40, max_denominator=30).map(P3.scalar)
+# (exponent, coefficient) pairs; exponent denominators up to 3, so D <= 6
+puiseux_terms = st.tuples(st.fractions(-2, 3, max_denominator=3), st.fractions(-6, 6, max_denominator=3))
+puiseux_polynomials = st.lists(puiseux_terms, max_size=3).map(PQ.from_terms)
+binomials = st.lists(puiseux_terms, max_size=2).map(PQ.from_terms)
+puiseux_rational_functions = st.tuples(binomials, binomials.filter(lambda d: not d.is_zero)).map(
+    lambda nd: nd[0] / nd[1]
+)
+# one scalar strategy per shift path: padic Fractions, puiseux-q int term
+# maps, and puiseux-q rational functions (a rational coefficient or centre)
+SCALARS = {
+    "padic": padic_scalars,
+    "puiseux-polynomial": puiseux_polynomials,
+    "puiseux-rational": st.one_of(puiseux_polynomials, puiseux_rational_functions),
+}
+SPECS = {"padic": P3, "puiseux-polynomial": PQ, "puiseux-rational": PQ}
+SHIFT_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def polys(kind: str, max_exp: int = 6, max_terms: int = 5):
+    spec = SPECS[kind]
+    if kind == "puiseux-rational":
+        # lazy fractions of degree-6 shifts can reach a slow dense gcd
+        max_exp, max_terms = 4, 3
+    return st.dictionaries(st.integers(0, max_exp), SCALARS[kind], max_size=max_terms).map(
+        lambda d: Poly.from_dict(spec, d)
+    )
+
+
+def assert_minimal_layout(p: Poly) -> None:
+    """Every puiseux-q coefficient keeps its term map over a minimal D."""
+    for _, c in p.terms:
+        if isinstance(c, PuiseuxScalar):
+            for denom, terms in (c.num_terms, c.den_terms):
+                assert gcd(denom, *(k for k, _ in terms)) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@SHIFT_SETTINGS
+@given(data=st.data())
+def test_taylor_shift_equals_both_oracles(kind, data):
+    p = data.draw(polys(kind))
+    a = data.draw(SCALARS[kind])
+    shifted = taylor_shift(p, a)
+    assert shifted == binomial_shift_oracle(p, a) == horner_shift_oracle(p, a)
+    assert_minimal_layout(shifted)
+
+
+@pytest.mark.parametrize("kind", ["padic", "puiseux-polynomial"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_taylor_shift_on_sparse_large_exponents(kind, data):
+    # a few terms of degree up to 120 (padic) or 30 (puiseux-q)
+    p = data.draw(polys(kind, max_exp=120 if kind == "padic" else 30, max_terms=3))
+    a = data.draw(SCALARS[kind])
+    shifted = taylor_shift(p, a)
+    assert shifted == binomial_shift_oracle(p, a) == horner_shift_oracle(p, a)
+    assert_minimal_layout(shifted)
+
+
+def affine_map(spec: FieldSpec, den: Scalar, p: Poly):
+    return series_map([Poly.constant(spec, den), p])
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@SHIFT_SETTINGS
+@given(data=st.data())
+def test_rigid_points_evaluate_as_the_shift_does(kind, data):
+    spec = SPECS[kind]
+    p = data.draw(polys(kind))
+    a = data.draw(SCALARS[kind])
+    b0 = binomial_shift_oracle(p, a).coeff(0)
+    assert eval_seminorm(p, rigid(a)) == b0.abs()
+    den = data.draw(SCALARS[kind].filter(lambda c: not c.is_zero))
+    f = affine_map(spec, den, p)
+    (image,) = apply_map(f, rigid(a))
+    expected = binomial_shift_oracle(f.coords[1], a).coeff(0) / f.coords[0].coeff(0)
+    assert image.is_rigid and image.center == expected
+
+
+# ball points with a puiseux-q polynomial centre and a radius in (1/6)Z
+puiseux_balls = st.builds(
+    DiskPoint, puiseux_polynomials, st.fractions(-4, 3, max_denominator=6).map(AbsValue)
+)
+
+
+@SHIFT_SETTINGS
+@given(x=puiseux_balls, p=polys("puiseux-polynomial"), den=puiseux_polynomials.filter(lambda c: not c.is_zero))
+def test_short_centre_names_the_same_ball_and_seminorm(x, p, den):
+    s = short_centre(x)
+    assert DiskPoint(s, x.radius) == x
+    assert all(AbsValue(-q) > x.radius for q, _ in s.num)  # no term inside the ball
+    assert s.den_terms == x.center.den_terms
+    full = binomial_shift_oracle(p, x.center)
+    assert eval_seminorm(p, x) == abs_max(c.abs() * x.radius**n for n, c in full.terms)
+    f = affine_map(PQ, den, p)
+    (image,) = apply_map(f, x)
+    g = binomial_shift_oracle(f.coords[1], x.center)
+    c0 = f.coords[0].coeff(0)
+    radius = abs_max(c.abs() * x.radius**n for n, c in g.terms if n >= 1) / c0.abs()
+    assert image == DiskPoint(g.coeff(0) / c0, radius)
+
+
+def test_short_centre_of_a_centre_inside_the_ball_is_zero(pq):
+    x = DiskPoint(pq.from_terms([(1, 2), ("3/2", 1)]), AbsValue.of(-1))
+    assert short_centre(x).is_zero
+    y = DiskPoint(pq.from_terms([("1/2", 1), (1, 2), ("3/2", 1)]), AbsValue.of(-1))
+    assert short_centre(y) == pq.t_power("1/2")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +377,22 @@ def test_equal_points_in_different_charts_hash_equal(backend):
         for q in pool:
             if p == q:
                 assert hash(p) == hash(q)
+
+
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+def test_a_set_of_distinct_rigid_points_builds_fast(backend):
+    # rigid points hash by their centre; a radius-only hash puts them all in one bucket
+    spec = FieldSpec(backend, 3 if backend == "padic" else None)
+    if backend == "padic":
+        centres = [spec.scalar(Fraction(i, 7)) for i in range(2000)]
+    else:
+        centres = [spec.from_terms([(0, i), ("1/2", 1)]) for i in range(2000)]
+    start = time.perf_counter()
+    disk_points = {rigid(c) for c in centres}
+    proj_points = {ProjPoint.affine(rigid(c)) for c in centres}
+    elapsed = time.perf_counter() - start
+    assert len(disk_points) == len(proj_points) == 2000
+    assert elapsed < 2
 
 
 def test_point_types_follow_value_group():
