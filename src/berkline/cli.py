@@ -248,8 +248,12 @@ def _cmd_pieces(args) -> None:
 
 
 def _budget() -> int | None:
+    """BERKLINE_MAX_CHAIN in the as_integer grammar; unset or empty means no budget."""
     raw = os.environ.get("BERKLINE_MAX_CHAIN")
-    return int(raw) if raw else None
+    try:
+        return as_integer(raw) if raw else None
+    except ValueError as exc:
+        raise SchemaError(f"BERKLINE_MAX_CHAIN: {exc}") from None
 
 
 def _cmd_dck(args) -> None:

@@ -17,16 +17,25 @@ attachment graph:
     dck: minimize the sum of the in-disk step sizes,
     d:   minimize the largest in-disk step size.
 
-Chains are enumerated as edge-simple trails, which is exhaustive: a chain
-revisiting an attachment can be spliced at the repeated edge without
-increasing either the sum or the max.  Because the steps are summed, the
+The search runs over states: a state is the edge end through which a chain
+entered its current disk, or the starting mark, so every continuation of a
+chain depends on its state alone.  Chains are expanded in order of cost
+(Dijkstra); neither the sum nor the max decreases along a chain, so the
+first chain to arrive at y is optimal.  A chain that returns to a state can
+be spliced at the repeat without increasing the sum or the max and with
+fewer disk visits.  So a chain that reaches an already expanded state, at no
+lower cost and with no fewer visits, is dominated: without a budget each
+state is expanded once, and under a visit budget again only with strictly
+fewer visits than at its last expansion.  Because the steps are summed, the
 distances are exact nonnegative rationals (math.inf when no chain exists)
 rather than symbolic magnitudes.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -171,43 +180,47 @@ INFINITE: float = math.inf
 
 
 def _chain_extremum(t: TreeOfDisks, x: str, y: str, budget: int | None, mode: str) -> Cost:
+    if budget is not None and budget < 1:
+        raise ValueError(f"a chain budget counts disk visits and must be at least 1, not {budget}")
     disk_x, coord_x = t.mark(x)
     disk_y, coord_y = t.mark(y)
-    adj: dict[str, list[tuple[int, UltraScalar, str, UltraScalar]]] = {d: [] for d in t.disks}
-    for idx, (a, ca, b, cb) in enumerate(t.edges):
-        adj[a].append((idx, ca, b, cb))
-        adj[b].append((idx, cb, a, ca))
-    best: list[Cost] = [INFINITE]
-
-    def combine(acc: Fraction, step: Fraction) -> Fraction:
-        return acc + step if mode == "sum" else max(acc, step)
-
-    def dfs(disk: str, entry: UltraScalar, used: frozenset[int], acc: Fraction, visits: int) -> None:
-        if acc >= best[0]:
-            return
+    combine = operator.add if mode == "sum" else max
+    # state 0 is the mark x; states 2k+1 and 2k+2 enter edge k's second and first disk
+    entries = [(disk_x, coord_x)]
+    exits: dict[str, list[tuple[UltraScalar, int]]] = {d: [] for d in t.disks}
+    for a, ca, b, cb in t.edges:
+        exits[a].append((ca, len(entries)))
+        entries.append((b, cb))
+        exits[b].append((cb, len(entries)))
+        entries.append((a, ca))
+    # Labels (cost, visits, state); state -1 means the chain has reached y.
+    # Without a budget the visit count stays 1, so the first expansion settles a state.
+    hop = 0 if budget is None else 1
+    expanded = [math.inf] * len(entries)  # visits at a state's last expansion
+    heap: list[tuple[Cost, int, int]] = [(Fraction(0), 1, 0)]
+    while heap:
+        cost, visits, state = heapq.heappop(heap)
+        if state < 0:
+            return cost
+        if expanded[state] <= visits:
+            continue
+        expanded[state] = visits
+        disk, coord = entries[state]
         if disk == disk_y:
-            total = combine(acc, (entry - coord_y).magnitude())
-            if total < best[0]:
-                best[0] = total
+            heapq.heappush(heap, (combine(cost, (coord - coord_y).magnitude()), visits, -1))
         if budget is not None and visits >= budget:
-            return
-        options = []
-        for idx, here, other, there in adj[disk]:
-            if idx in used:
-                continue
-            options.append(((entry - here).magnitude(), idx, other, there))
-        options.sort(key=lambda o: o[0])
-        for step, idx, other, there in options:
-            dfs(other, there, used | {idx}, combine(acc, step), visits + 1)
-
-    dfs(disk_x, coord_x, frozenset(), Fraction(0), 1)
-    return best[0]
+            continue
+        for here, nxt in exits[disk]:
+            if expanded[nxt] > visits + hop:
+                heapq.heappush(heap, (combine(cost, (coord - here).magnitude()), visits + hop, nxt))
+    return INFINITE
 
 
 def dck_tree(t: TreeOfDisks, x: str, y: str, budget: int | None = None) -> Cost:
     """The Kobayashi-type semi-distance: infimum over chains of the sum of
     in-disk step sizes.  Exact rational; math.inf when no chain joins the
-    marked points.  ``budget`` optionally caps the chain length."""
+    marked points.  ``budget`` optionally caps the number of disk visits
+    (the start disk counts as one); a budget below 1 raises ValueError."""
     return _chain_extremum(t, x, y, budget, "sum")
 
 
@@ -378,20 +391,26 @@ def _normalize(m: CurveModel) -> _NormalizedGraph:
     return _NormalizedGraph(genus, extra, punct, edges)
 
 
-def _components(names: Iterable[str], edges: Iterable[tuple]) -> int:
-    parent = {n: n for n in names}
+def _classes(items: Iterable, pairs: Iterable[tuple]) -> dict:
+    """Union-find: each item mapped to the representative of its class once
+    every pair is merged."""
+    parent = {i: i for i in items}
 
-    def find(a: str) -> str:
+    def find(a):
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    for u, v, _ in edges:
-        ra, rb = find(u), find(v)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return len({find(n) for n in parent})
+    return {i: find(i) for i in parent}
+
+
+def _components(names: Iterable[str], edges: Iterable[tuple]) -> int:
+    return len(set(_classes(names, ((u, v) for u, v, _ in edges)).values()))
 
 
 def total_genus(m: CurveModel) -> int:
@@ -405,25 +424,15 @@ def total_genus(m: CurveModel) -> int:
     return betti + sum(g.genus.values())
 
 
-def _non_discal_counts(m: CurveModel) -> dict:
-    g = _normalize(m)
-    count = {n: g.extra[n] + g.punctures_at[n] for n in g.genus}
-    for u, v, _ in g.edges:
-        count[u] += 1
-        count[v] += 1
-    return count
-
-
 def nodes(m: CurveModel) -> set:
     """Vertices with positive genus, >= 3 non-discal directions, or on the
     boundary (synthetic puncture vertices included)."""
     g = _normalize(m)
-    counts = _non_discal_counts(m)
-    out = set()
-    for name in g.genus:
-        if g.genus[name] > 0 or counts[name] >= 3 or name in m.boundary:
-            out.add(name)
-    return out
+    counts = {n: g.extra[n] + g.punctures_at[n] for n in g.genus}
+    for u, v, _ in g.edges:
+        counts[u] += 1
+        counts[v] += 1
+    return {n for n in g.genus if g.genus[n] > 0 or counts[n] >= 3 or n in m.boundary}
 
 
 @dataclass(frozen=True)
@@ -500,28 +509,16 @@ def decompose(m: CurveModel) -> Decomposition:
     if not node_set:
         raise NoNodes("decomposition needs at least one node")
     g = _normalize(m)
-    idx_parent = list(range(len(g.edges)))
-
-    def find(i: int) -> int:
-        while idx_parent[i] != i:
-            idx_parent[i] = idx_parent[idx_parent[i]]
-            i = idx_parent[i]
-        return i
-
     incident: dict[str, list[int]] = {}
     for i, (u, v, _) in enumerate(g.edges):
         incident.setdefault(u, []).append(i)
         incident.setdefault(v, []).append(i)
-    for name, edge_ids in incident.items():
-        if name in node_set:
-            continue
-        for other in edge_ids[1:]:
-            ra, rb = find(edge_ids[0]), find(other)
-            if ra != rb:
-                idx_parent[ra] = rb
+    # edges meeting at a vertex that is not a node lie on one segment
+    joins = [(ids[0], i) for name, ids in incident.items() if name not in node_set for i in ids[1:]]
+    root = _classes(range(len(g.edges)), joins)
     groups: dict[int, list[int]] = {}
     for i in range(len(g.edges)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(root[i], []).append(i)
     segments = []
     for ids in groups.values():
         length = sum((g.edges[i][2] for i in ids), Fraction(0))

@@ -137,6 +137,38 @@ def test_chain_budget_env(monkeypatch):
     assert out == "1/3\n"
 
 
+@pytest.mark.parametrize("raw, expected", [("1000000000", "1/5\n"), (" 4 ", "1/4\n"), ("", "1/5\n")])
+def test_chain_budget_env_values(monkeypatch, raw, expected):
+    monkeypatch.setenv("BERKLINE_MAX_CHAIN", raw)
+    assert run_cli_full(["dtree", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"]) == (0, expected, "")
+
+
+# int() would read "1_0" as 10 and "٣" as 3; a budget counts disk visits, so it is at least 1
+@pytest.mark.parametrize("raw", ["1_0", "٣", "0", "-1", "abc", "10**9", "3/1"])
+def test_chain_budget_env_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("BERKLINE_MAX_CHAIN", raw)
+    for command in ("dck", "dtree"):
+        code, out, err = run_cli_full([command, str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"])
+        assert (code, out) == (2, ""), raw
+        assert err.startswith("berkline: input error: ")
+
+
+def test_dck_on_a_long_path(tmp_path):
+    # 1,500 disks in a row: the chain search must not recurse once per disk
+    n = 1500
+    steps = [Fraction(1, 2 + i % 3) for i in range(n)]
+    edges = [[f"d{i}", [[str(steps[i]), "1"]], f"d{i + 1}", "0"] for i in range(n - 1)]
+    tree = {
+        "disks": [f"d{i}" for i in range(n)],
+        "edges": edges,
+        "marks": {"x": ["d0", "0"], "y": [f"d{n - 1}", [[str(steps[-1]), "1"]]]},
+    }
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"field": {"backend": "puiseux-q"}, "tree-of-disks": tree}))
+    assert run_cli_full(["dck", str(path), "--from", "x", "--to", "y"]) == (0, f"{sum(steps)}\n", "")
+    assert run_cli_full(["dtree", str(path), "--from", "x", "--to", "y"]) == (0, "1/2\n", "")
+
+
 def test_point_literals_with_puiseux_scalars(tmp_path):
     doc = {
         "field": {"backend": "puiseux-q"},

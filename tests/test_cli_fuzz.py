@@ -4,8 +4,11 @@ Random command lines go to ``cli.main`` in-process: any of the subcommands,
 random flags with values drawn from exact rationals, malformed numbers
 ("1/0", "-inf", long exponents, decimals) and free text, and input documents
 that are the golden files or truncated and byte-mutated copies of them.
-Documents stay as small as the goldens, so no command runs long on
-legitimate input; the hypothesis deadline is the time bound.
+``dck`` and ``dtree`` also read generated trees of disks: up to 12 disks,
+often every pair glued, sometimes with a mark on a disk no chain reaches,
+under a ``BERKLINE_MAX_CHAIN`` that is unset, well formed or malformed.
+Other documents stay as small as the goldens.  The hypothesis deadline is
+the time bound.
 """
 
 from __future__ import annotations
@@ -167,17 +170,52 @@ def mutated(draw, data: bytes) -> bytes:
     return bytes(out)
 
 
+MAGNITUDES = ("1", "1/2", "1/3", "1/4", "2/3")
+disk_coords = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.lists(st.tuples(st.sampled_from(MAGNITUDES), st.integers(-2, 2).map(str)).map(list), max_size=2),
+)
+TREE_COMMANDS = ("dck", "dtree")
+# well-formed budgets, then ones int() would accept or that are below 1
+chain_budgets = st.one_of(
+    st.none(),
+    st.integers(1, 8).map(str),
+    st.sampled_from(["1_0", "٣", "0", "-1", "abc", "10**9", str(10**9), " 3 ", ""]),
+)
+
+
+@st.composite
+def tree_documents(draw) -> dict:
+    """Up to 12 disks, either every pair glued or a spanning tree plus a few
+    extra edges, with marks x, y, z; now and then a mark sits on a disk glued
+    to nothing."""
+    names = [f"d{i}" for i in range(draw(st.integers(1, 12)))]
+    if draw(st.booleans()):
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    else:
+        pairs = [(names[i], draw(st.sampled_from(names[:i]))) for i in range(1, len(names))]
+        pairs += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=4))
+    edges = [[a, draw(disk_coords), b, draw(disk_coords)] for a, b in pairs]
+    disks = names + ["lone"] if chance(draw, 1, 3) else names
+    marks = {m: [draw(st.sampled_from(disks)), draw(disk_coords)] for m in ("x", "y", "z")}
+    return {"field": {"backend": "puiseux-q"}, "tree-of-disks": {"disks": disks, "edges": edges, "marks": marks}}
+
+
 def compact(path: Path) -> bytes:
     return json.dumps(json.loads(path.read_text()), separators=(",", ":")).encode()
 
 
 @st.composite
-def command_lines(draw, workdir: Path) -> list[str]:
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+def command_lines(draw, workdir: Path, commands: tuple[str, ...]) -> list[str]:
+    command = draw(st.sampled_from(commands))
     argv = [command]
     doc = COMMANDS[command][0]
     source = draw(st.integers(0, 5))
-    if source <= 1 and doc is not None:
+    if source in (1, 2) and command in TREE_COMMANDS:
+        path = workdir / "tree.json"
+        path.write_text(json.dumps(draw(tree_documents())))
+        argv.append(str(path))
+    elif source <= 1 and doc is not None:
         argv.append(str(GOLDEN / f"{doc}.json"))
     elif source == 2:
         argv.append(str(draw(st.sampled_from(GOLDEN_DOCS))))
@@ -191,17 +229,34 @@ def command_lines(draw, workdir: Path) -> list[str]:
     return argv + draw(flag_args(command))
 
 
-# tmp_path is shared by the examples of one run: each example rewrites doc.json
-# before its command reads it.
-@settings(
-    max_examples=400,
+# tmp_path and monkeypatch are shared by the examples of one run: each example
+# rewrites doc.json or tree.json and sets BERKLINE_MAX_CHAIN before its command runs.
+FUZZ = settings(
     deadline=timedelta(seconds=2),
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
+
+
+@settings(FUZZ, max_examples=400)
 @given(data=st.data())
-def test_every_command_line_exits_0_2_or_3(tmp_path, data):
-    argv = data.draw(command_lines(tmp_path))
-    assert run_cli_full(argv)[0] in (0, 2, 3), argv
+def test_every_command_line_exits_0_2_or_3(tmp_path, monkeypatch, data):
+    check_command_line(tmp_path, monkeypatch, data, tuple(sorted(COMMANDS)))
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=st.data())
+def test_tree_command_lines_exit_0_2_or_3(tmp_path, monkeypatch, data):
+    check_command_line(tmp_path, monkeypatch, data, TREE_COMMANDS)
+
+
+def check_command_line(workdir: Path, monkeypatch, data, commands: tuple[str, ...]) -> None:
+    budget = data.draw(chain_budgets)
+    if budget is None:
+        monkeypatch.delenv("BERKLINE_MAX_CHAIN", raising=False)
+    else:
+        monkeypatch.setenv("BERKLINE_MAX_CHAIN", budget)
+    argv = data.draw(command_lines(workdir, commands))
+    assert run_cli_full(argv)[0] in (0, 2, 3), (argv, budget)
 
 
 def test_the_fuzzer_draws_every_subcommand():

@@ -4,9 +4,13 @@ and the two chain semi-distances on trees of disks."""
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berkline import (
     StarShapedData,
@@ -336,6 +340,86 @@ def test_trail_enumeration_matches_walk_oracle():
             got = fn(t, "x", "y")
             oracle = brute_force_walks(t, "x", "y", 7, mode)
             assert got == oracle
+
+
+MAGNITUDES = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3)])
+# ultra() merges repeated magnitudes and drops zero coefficients
+COORDS = st.lists(st.tuples(MAGNITUDES, st.integers(-2, 2)), max_size=2)
+
+
+@st.composite
+def small_trees(draw):
+    """2-5 disks joined by a spanning tree plus up to 2 extra edges (loops
+    and parallel edges allowed), marks x and y anywhere."""
+    names = [f"d{i}" for i in range(draw(st.integers(2, 5)))]
+    edges = [(names[i], draw(COORDS), names[draw(st.integers(0, i - 1))], draw(COORDS)) for i in range(1, len(names))]
+    for _ in range(draw(st.integers(0, 2))):
+        edges.append((draw(st.sampled_from(names)), draw(COORDS), draw(st.sampled_from(names)), draw(COORDS)))
+    marks = {m: (draw(st.sampled_from(names)), draw(COORDS)) for m in ("x", "y")}
+    return tree_of_disks(names, edges, marks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_trees(), st.one_of(st.none(), st.integers(1, 6)))
+def test_chain_search_matches_walk_oracle_under_budgets(t, budget):
+    # with no budget, chains of at most |E| + 1 visits are enough (splicing)
+    visits = len(t.edges) + 1 if budget is None else budget
+    for mode, fn in (("sum", dck_tree), ("max", d_tree)):
+        assert fn(t, "x", "y", budget) == brute_force_walks(t, "x", "y", visits, mode)
+
+
+def test_chain_budget_below_one_is_rejected():
+    t = tree_of_disks(["d"], [], {"x": ("d", 0), "y": ("d", [(Fraction(1, 2), 1)])})
+    assert dck_tree(t, "x", "y", budget=1) == Fraction(1, 2)
+    for budget in (0, -5):
+        for fn in (dck_tree, d_tree):
+            with pytest.raises(ValueError):
+                fn(t, "x", "y", budget)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def complete_tree(n: int, y_disk: str):
+    """Every pair of n disks glued, attachment magnitudes 1/(i+2) on disk i,
+    and the disk "lone" glued to nothing."""
+    names = [f"d{i}" for i in range(n)]
+    edges = [
+        (names[i], [(Fraction(1, i + 2), 1)], names[j], [(Fraction(1, j + 2), 1)])
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return tree_of_disks(names + ["lone"], edges, {"x": ("d0", 0), "y": (y_disk, 0)})
+
+
+def test_complete_graph_with_unreachable_mark_is_fast():
+    t = complete_tree(7, "lone")
+    with time_limit(2):
+        assert dck_tree(t, "x", "y") == INF
+        assert d_tree(t, "x", "y") == INF
+        assert dck_tree(t, "x", "y", budget=10**9) == INF
+
+
+def test_huge_budget_on_a_complete_graph():
+    t = complete_tree(12, "d11")
+    with time_limit(2):
+        for fn in (dck_tree, d_tree):
+            assert fn(t, "x", "y", budget=10**9) == fn(t, "x", "y")
+        assert dck_tree(t, "x", "y", budget=10**9) == Fraction(1, 2) + Fraction(1, 13)
+        assert d_tree(t, "x", "y", budget=10**9) == Fraction(1, 2)
 
 
 def test_d_tree_ultrametric_and_dck_triangle():
