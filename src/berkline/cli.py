@@ -40,7 +40,7 @@ from .field import (
 )
 from .fsderiv import fs_derivative
 from .metrics import d_proj
-from .points import DiskPoint, diam_proj
+from .points import DiskPoint, diam_proj, eval_seminorm
 from .zalcman import gromov_conditions, gromov_select, zalcman_rescale
 
 
@@ -154,8 +154,6 @@ def _emit(args: argparse.Namespace, text: str, payload: object) -> None:
 def _cmd_eval(args) -> None:
     doc = _load(args, ("series",))
     point = _parse_point(doc.spec, args.point)
-    from .points import eval_seminorm
-
     value = eval_seminorm(doc.payload, point)
     _emit(args, _format_magnitude(value, doc.spec, args.multiplicative), _magnitude_json(value))
 

@@ -409,8 +409,25 @@ def _classes(items: Iterable, pairs: Iterable[tuple]) -> dict:
     return {i: find(i) for i in parent}
 
 
-def _components(names: Iterable[str], edges: Iterable[tuple]) -> int:
-    return len(set(_classes(names, ((u, v) for u, v, _ in edges)).values()))
+def _components(g: _NormalizedGraph) -> int:
+    return len(set(_classes(g.genus, ((u, v) for u, v, _ in g.edges)).values()))
+
+
+def _degrees(g: _NormalizedGraph) -> dict:
+    degree = {n: 0 for n in g.genus}
+    for u, v, _ in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return degree
+
+
+def _genus(g: _NormalizedGraph, components: int) -> int:
+    return len(g.edges) - len(g.genus) + components + sum(g.genus.values())
+
+
+def _nodes(g: _NormalizedGraph, degree: dict, boundary: frozenset) -> set:
+    counts = {n: degree[n] + g.extra[n] + g.punctures_at[n] for n in g.genus}
+    return {n for n in g.genus if g.genus[n] > 0 or counts[n] >= 3 or n in boundary}
 
 
 def total_genus(m: CurveModel) -> int:
@@ -420,19 +437,14 @@ def total_genus(m: CurveModel) -> int:
     if not m.vertices:
         return 0
     g = _normalize(m)
-    betti = len(g.edges) - len(g.genus) + _components(g.genus, g.edges)
-    return betti + sum(g.genus.values())
+    return _genus(g, _components(g))
 
 
 def nodes(m: CurveModel) -> set:
     """Vertices with positive genus, >= 3 non-discal directions, or on the
     boundary (synthetic puncture vertices included)."""
     g = _normalize(m)
-    counts = {n: g.extra[n] + g.punctures_at[n] for n in g.genus}
-    for u, v, _ in g.edges:
-        counts[u] += 1
-        counts[v] += 1
-    return {n for n in g.genus if g.genus[n] > 0 or counts[n] >= 3 or n in m.boundary}
+    return _nodes(g, _degrees(g), m.boundary)
 
 
 @dataclass(frozen=True)
@@ -454,19 +466,16 @@ def classify(m: CurveModel) -> Classification:
     if not m.vertices:
         return Classification("projective-line", 0)
     g = _normalize(m)
-    if _components(g.genus, g.edges) != 1:
+    if _components(g) != 1:
         raise InconsistentModel("the skeleton of an irreducible curve is connected")
-    degree = {n: 0 for n in g.genus}
-    for u, v, _ in g.edges:
-        degree[u] += 1
-        degree[v] += 1
+    degree = _degrees(g)
     for name, deg in degree.items():
         if deg <= 1 and g.genus[name] == 0:
             raise InconsistentModel(
                 f"skeleton endpoint {name!r} must carry positive genus"
             )
-    node_set = nodes(m)
-    genus = total_genus(m)
+    node_set = _nodes(g, degree, m.boundary)
+    genus = _genus(g, 1)  # one component, checked above
     if not node_set:
         if any(d != 2 for d in degree.values()) or genus != 1:
             raise InconsistentModel("a nodeless nonempty skeleton must be a circle")
@@ -505,10 +514,10 @@ class Decomposition:
 
 def decompose(m: CurveModel) -> Decomposition:
     """Split the skeleton into nodes and open segments."""
-    node_set = nodes(m)
+    g = _normalize(m)
+    node_set = _nodes(g, _degrees(g), m.boundary)
     if not node_set:
         raise NoNodes("decomposition needs at least one node")
-    g = _normalize(m)
     incident: dict[str, list[int]] = {}
     for i, (u, v, _) in enumerate(g.edges):
         incident.setdefault(u, []).append(i)

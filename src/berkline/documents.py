@@ -186,6 +186,12 @@ def _parse_ultra(node: Any, path: str):
     raise _fail(path, f"expected a rational or [magnitude, coefficient] pairs, got {node!r}")
 
 
+def _disk_name(node: Any, path: str) -> str:
+    if not isinstance(node, str):
+        raise _fail(path, "expected a disk name")
+    return node
+
+
 def parse_tree(node: Any, path: str) -> TreeOfDisks:
     if not isinstance(node, dict):
         raise _fail(path, "expected an object")
@@ -197,9 +203,9 @@ def parse_tree(node: Any, path: str) -> TreeOfDisks:
     for i, e in enumerate(edges_node):
         if not isinstance(e, list) or len(e) != 4:
             raise _fail(f"{path}.edges[{i}]", "expected [diskA, coordA, diskB, coordB]")
-        edges.append(
-            (e[0], _parse_ultra(e[1], f"{path}.edges[{i}][1]"), e[2], _parse_ultra(e[3], f"{path}.edges[{i}][3]"))
-        )
+        at = f"{path}.edges[{i}]"
+        a, b = _disk_name(e[0], f"{at}[0]"), _disk_name(e[2], f"{at}[2]")
+        edges.append((a, _parse_ultra(e[1], f"{at}[1]"), b, _parse_ultra(e[3], f"{at}[3]")))
     marks_node = node.get("marks", {})
     if not isinstance(marks_node, dict):
         raise _fail(f"{path}.marks", "expected an object of name -> [disk, coord]")
@@ -208,7 +214,8 @@ def parse_tree(node: Any, path: str) -> TreeOfDisks:
         entry = marks_node[name]
         if not isinstance(entry, list) or len(entry) != 2:
             raise _fail(f"{path}.marks.{name}", "expected [disk, coord]")
-        marks[name] = (entry[0], _parse_ultra(entry[1], f"{path}.marks.{name}[1]"))
+        disk = _disk_name(entry[0], f"{path}.marks.{name}[0]")
+        marks[name] = (disk, _parse_ultra(entry[1], f"{path}.marks.{name}[1]"))
     try:
         return tree_of_disks(disks, edges, marks)
     except ValueError as exc:

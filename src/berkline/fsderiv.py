@@ -12,6 +12,11 @@ the integer factors, so residue characteristic p is fully visible.
 Disk images of affine polynomial maps are exact: the image of eta_{a,r} has
 center f(a) and radius max_{i>=1} |q_i| r^i over the recentered coefficients,
 which is the computational content of the diameter-transport identity.
+
+Moebius words, composition, rescaling and the chart at infinity are one
+substitution T -> num/den into the homogenized coordinates.  num and den never
+share a zero, so a common zero of the results would be a common zero of the
+original coordinates: reduced maps stay reduced and no gcd follows.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .points import (
     poly_gcd,
     recentre,
     rigid,
-    taylor_shift,
 )
+from .tropic import Interval, TropicalPolygon
 
 # ---------------------------------------------------------------------------
 # Domains and maps
@@ -78,7 +83,9 @@ class SeriesMap:
 
     Construct through :func:`series_map`, which normalizes Laurent content
     and removes the common polynomial factor, so that vanishing of minors is
-    detected canonically.
+    detected canonically.  The transforms below keep coordinates coprime and
+    build their results directly; a SeriesMap built directly is taken as
+    given.
     """
 
     coords: tuple[Poly, ...]
@@ -185,7 +192,7 @@ def fs_derivative_proj(f: SeriesMap, z: ProjPoint) -> AbsValue:
     aff = z.to_affine()
     if aff is not None:
         return fs_derivative(f, aff)
-    flipped = pgl_apply([("invert",)], SeriesMap(f.coords, None))
+    flipped = _substitute(f, Poly.constant(f.spec, f.spec.one()), Poly.coordinate(f.spec), None)
     return fs_derivative(flipped, rigid(f.spec.zero()))
 
 
@@ -202,8 +209,6 @@ def _zero_free_log_bound(g0: Poly, outer: AbsValue) -> bool:
         return False
     if g0.is_constant:
         return True
-    from .tropic import Interval, TropicalPolygon
-
     # Poly keeps nonzero coefficients only, so every magnitude is finite
     terms = [(n, c.abs().logval) for n, c in g0.terms]
     polygon = TropicalPolygon(tuple(terms), Interval(None, None))
@@ -239,20 +244,7 @@ def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
                 raise PoleHit("image meets the puncture of the outer domain")
             if g1.coeff(0).abs() / g0_mag < f.domain.inner:
                 raise DomainViolation("image dips below the inner radius")
-    plain = _common_plain(f.coords)
-    d = max(c.degree() for c in plain if not c.is_zero)
-    powers0 = [Poly.constant(f.spec, f.spec.one())]
-    powers1 = [Poly.constant(f.spec, f.spec.one())]
-    for _ in range(d):
-        powers0.append(powers0[-1] * g0)
-        powers1.append(powers1[-1] * g1)
-    new_coords = []
-    for c in plain:
-        acc = Poly(f.spec, ())
-        for j, a in c.terms:
-            acc = acc + (powers1[j] * powers0[d - j]).scale(a)
-        new_coords.append(acc)
-    return series_map(new_coords, g.domain)
+    return _substitute(f, g1, g0, g.domain)
 
 
 def _common_plain(coords: Sequence[Poly]) -> list[Poly]:
@@ -264,24 +256,30 @@ def _common_plain(coords: Sequence[Poly]) -> list[Poly]:
     return [c.shift_exp(-shift) for c in coords]
 
 
-def sub_linear(p: Poly, scale: Scalar, offset: Scalar) -> Poly:
-    """P(scale*T + offset), exactly (plain polynomials)."""
-    shifted = taylor_shift(p, offset)
-    out: dict[int, Scalar] = {}
-    for n, c in shifted.terms:
-        factor = p.spec.one()
-        for _ in range(n):
-            factor = factor * scale
-        scaled = c * factor
-        if not scaled.is_zero:
-            out[n] = scaled
-    return Poly(p.spec, tuple(sorted(out.items())))
+def _substitute(f: SeriesMap, num: Poly, den: Poly, domain: Domain | None) -> SeriesMap:
+    """f composed with num/den: each coordinate sum_j a_j T^j of f (d the
+    largest degree) becomes sum_j a_j num^j den^(d-j).  num and den must have
+    no common zero; then coprime coordinates stay coprime and need no gcd."""
+    plain = _common_plain(f.coords)
+    d = max(c.degree() for c in plain if not c.is_zero)
+    one = Poly.constant(f.spec, f.spec.one())
+    pow_num, pow_den = [one], [one]
+    for _ in range(d):
+        pow_num.append(pow_num[-1] * num)
+        pow_den.append(pow_den[-1] * den)
+    coords = []
+    for c in plain:
+        acc = Poly(f.spec, ())
+        for j, a in c.terms:
+            acc = acc + (pow_num[j] * pow_den[d - j]).scale(a)
+        coords.append(acc)
+    return SeriesMap(tuple(coords), domain)
 
 
 def rescale_map(f: SeriesMap, scale: Scalar, offset: Scalar, domain: Domain | None) -> SeriesMap:
-    """The reparametrized map z -> f(offset + scale*z)."""
-    coords = [sub_linear(c, scale, offset) for c in _common_plain(f.coords)]
-    return series_map(coords, domain)
+    """The reparametrized map z -> f(offset + scale*z); scale must be nonzero."""
+    one = Poly.constant(f.spec, f.spec.one())
+    return _substitute(f, Poly.from_dict(f.spec, {0: offset, 1: scale}), one, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -328,50 +326,31 @@ def pgl_apply(word: Sequence[Generator], f: SeriesMap) -> SeriesMap:
     """f composed with the unit Moebius map of the word (first generator is
     the outermost factor, so the last one acts on the variable first)."""
     a, b, c, d = _word_matrix(word, f.spec)
-    plain = _common_plain(f.coords)
-    deg = max(p.degree() for p in plain if not p.is_zero)
     num = Poly.from_dict(f.spec, {0: b, 1: a})  # a*T + b
     den = Poly.from_dict(f.spec, {0: d, 1: c})  # c*T + d
-    pow_num = [Poly.constant(f.spec, f.spec.one())]
-    pow_den = [Poly.constant(f.spec, f.spec.one())]
-    for _ in range(deg):
-        pow_num.append(pow_num[-1] * num)
-        pow_den.append(pow_den[-1] * den)
-    out = []
-    for p in plain:
-        acc = Poly(f.spec, ())
-        for j, coeff in p.terms:
-            acc = acc + (pow_num[j] * pow_den[deg - j]).scale(coeff)
-        out.append(acc)
-    return series_map(out, f.domain)
+    return _substitute(f, num, den, f.domain)
 
 
 def pgl_point(word: Sequence[Generator], x: DiskPoint | ProjPoint) -> ProjPoint:
-    """The image of a point of the line under the Moebius map of the word."""
+    """The image of a point of the line under the Moebius map of the word.
+
+    Inversion swaps the chart, so the image may be held in the chart at
+    infinity; ProjPoint.to_affine inverts it on demand."""
     current: ProjPoint = x if isinstance(x, ProjPoint) else ProjPoint.affine(x)
     spec = current.point.spec
     for gen in reversed(list(word)):
         _validate_generator(gen, spec)
-        kind = gen[0]
-        aff = current.to_affine()
-        if aff is None:  # the rigid point at infinity
-            if kind == "invert":
-                current = ProjPoint.affine(rigid(spec.zero()))
+        if gen[0] == "invert":
+            current = ProjPoint("infinity" if current.chart == "affine" else "affine", current.point)
             continue
-        if kind == "scale":
+        aff = current.to_affine()
+        if aff is None:  # the rigid point at infinity is fixed by affine maps
+            continue
+        if gen[0] == "scale":
             a: Scalar = gen[1]
             current = ProjPoint.affine(DiskPoint(a * aff.center, a.abs() * aff.radius))
-        elif kind == "translate":
-            current = ProjPoint.affine(DiskPoint(aff.center + gen[1], aff.radius))
         else:
-            ca = aff.center.abs()
-            if ca > aff.radius:
-                inv_center = aff.center.inv()
-                current = ProjPoint.affine(DiskPoint(inv_center, aff.radius / (ca * ca)))
-            elif not aff.radius.is_zero:
-                current = ProjPoint.affine(DiskPoint(spec.zero(), ABS_ONE / aff.radius))
-            else:
-                current = ProjPoint.infinity(spec)
+            current = ProjPoint.affine(DiskPoint(aff.center + gen[1], aff.radius))
     return current
 
 

@@ -32,6 +32,7 @@ from .field import (
     FieldSpec,
     Scalar,
     as_fraction,
+    magnitude_as_rational,
     magnitude_ge_rational,
     magnitude_le_rational,
 )
@@ -177,7 +178,7 @@ def zalcman_rescale(
             if v.is_zero:
                 continue  # carries no information for the selection
             kept.append(x)
-            values.append(_magnitude_rational(v, spec))
+            values.append(magnitude_as_rational(v, spec.base()))
             mags.append(v)
         sample = SampledFunction(tuple(kept), tuple(values))
         b_index = gromov_select(sample, 0, Fraction(1, n), 1 + Fraction(1, n))
@@ -189,12 +190,6 @@ def zalcman_rescale(
             raise AssertionError("rescaled derivative at 0 must be exactly 1")
         steps.append(RescaleStep(n, a, z, rho, g, dz))
     return steps
-
-
-def _magnitude_rational(v: AbsValue, spec: FieldSpec) -> Fraction:
-    from .field import magnitude_as_rational
-
-    return magnitude_as_rational(v, spec.base())
 
 
 def rescaled_bound_holds(step: RescaleStep, radius: AbsValue, n: int) -> bool:

@@ -11,12 +11,16 @@ from math import comb
 import pytest
 
 from berkline import (
+    ABS_ONE,
     AbsValue,
     DiskPoint,
     FieldSpec,
     Poly,
+    ProjPoint,
     SeriesMap,
+    rigid,
     series_map,
+    taylor_shift,
     tree_of_disks,
 )
 from berkline.cli import main
@@ -196,3 +200,51 @@ def horner_shift_oracle(p: Poly, a):
         for j in range(deg - 1, i - 1, -1):
             coeffs[j] = coeffs[j] + a * coeffs[j + 1]
     return Poly.from_coeffs(spec, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Transform oracles: the per-transform code that fsderiv's one substitution
+# replaced
+
+
+def sub_linear(p: Poly, scale, offset) -> Poly:
+    """P(scale*T + offset) of a plain polynomial: shift, then scale term by term."""
+    shifted = taylor_shift(p, offset)
+    out = {}
+    for n, c in shifted.terms:
+        factor = p.spec.one()
+        for _ in range(n):
+            factor = factor * scale
+        scaled = c * factor
+        if not scaled.is_zero:
+            out[n] = scaled
+    return Poly.from_dict(p.spec, out)
+
+
+def eager_pgl_point(word, x) -> ProjPoint:
+    """The image of a point under a unit Moebius word, every inversion
+    carried out at once so the image is always held in the affine chart
+    (the rigid point at infinity aside)."""
+    current = x if isinstance(x, ProjPoint) else ProjPoint.affine(x)
+    spec = current.point.spec
+    for gen in reversed(list(word)):
+        kind = gen[0]
+        aff = current.to_affine()
+        if aff is None:  # the rigid point at infinity
+            if kind == "invert":
+                current = ProjPoint.affine(rigid(spec.zero()))
+            continue
+        if kind == "scale":
+            a = gen[1]
+            current = ProjPoint.affine(DiskPoint(a * aff.center, a.abs() * aff.radius))
+        elif kind == "translate":
+            current = ProjPoint.affine(DiskPoint(aff.center + gen[1], aff.radius))
+        else:
+            ca = aff.center.abs()
+            if ca > aff.radius:
+                current = ProjPoint.affine(DiskPoint(aff.center.inv(), aff.radius / (ca * ca)))
+            elif not aff.radius.is_zero:
+                current = ProjPoint.affine(DiskPoint(spec.zero(), ABS_ONE / aff.radius))
+            else:
+                current = ProjPoint.infinity(spec)
+    return current

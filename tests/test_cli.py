@@ -169,6 +169,24 @@ def test_dck_on_a_long_path(tmp_path):
     assert run_cli_full(["dtree", str(path), "--from", "x", "--to", "y"]) == (0, "1/2\n", "")
 
 
+@pytest.mark.parametrize(
+    "edges, marks, where",
+    [
+        ([[["x"], "0", "A", "0"]], {"x": ["A", "0"], "y": ["A", "0"]}, "tree-of-disks.edges[0][0]"),
+        ([], {"x": [["A"], "0"], "y": ["A", "0"]}, "tree-of-disks.marks.x[0]"),
+    ],
+)
+def test_disk_references_must_be_names(tmp_path, edges, marks, where):
+    # a list as a disk reference once reached TreeOfDisks and raised TypeError (exit 1)
+    tree = {"disks": ["A"], "edges": edges, "marks": marks}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"field": {"backend": "puiseux-q"}, "tree-of-disks": tree}))
+    for command in ("dck", "dtree"):
+        code, out, err = run_cli_full([command, str(path), "--from", "x", "--to", "y"])
+        assert (code, out) == (2, "")
+        assert err == f"berkline: input error: {where}: expected a disk name\n"
+
+
 def test_point_literals_with_puiseux_scalars(tmp_path):
     doc = {
         "field": {"backend": "puiseux-q"},

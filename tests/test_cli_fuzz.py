@@ -188,7 +188,8 @@ chain_budgets = st.one_of(
 def tree_documents(draw) -> dict:
     """Up to 12 disks, either every pair glued or a spanning tree plus a few
     extra edges, with marks x, y, z; now and then a mark sits on a disk glued
-    to nothing."""
+    to nothing, or one disk reference is a list, an object, a number, null
+    or a bool."""
     names = [f"d{i}" for i in range(draw(st.integers(1, 12)))]
     if draw(st.booleans()):
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
@@ -198,6 +199,11 @@ def tree_documents(draw) -> dict:
     edges = [[a, draw(disk_coords), b, draw(disk_coords)] for a, b in pairs]
     disks = names + ["lone"] if chance(draw, 1, 3) else names
     marks = {m: [draw(st.sampled_from(disks)), draw(disk_coords)] for m in ("x", "y", "z")}
+    if chance(draw, 1, 4):
+        # one disk reference that is not a name
+        refs = [(e, k) for e in edges for k in (0, 2)] + [(marks[m], 0) for m in marks]
+        entry, k = draw(st.sampled_from(refs))
+        entry[k] = draw(st.sampled_from([[entry[k]], {"disk": entry[k]}, 0, 1.5, None, True, False]))
     return {"field": {"backend": "puiseux-q"}, "tree-of-disks": {"disks": disks, "edges": edges, "marks": marks}}
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berkline import (
     ABS_ONE,
@@ -15,6 +17,7 @@ from berkline import (
     Domain,
     FieldSpec,
     Poly,
+    ProjPoint,
     UNIT_DISK,
     apply_map,
     compose,
@@ -27,13 +30,16 @@ from berkline import (
     image_disk_radius,
     pgl_apply,
     pgl_point,
+    rescale_map,
     rigid,
     series_map,
 )
 from berkline.errors import DomainViolation, InvalidGenerator, PoleHit, ZeroTuple
 from berkline.field import abs_max, unit_max
+from berkline.fsderiv import _substitute
 
 from conftest import (
+    eager_pgl_point,
     random_pgl_word,
     random_poly,
     random_poly_map,
@@ -41,6 +47,7 @@ from conftest import (
     random_scalar,
     random_unit_disk_point,
     rng_for,
+    sub_linear,
 )
 
 
@@ -238,6 +245,110 @@ def test_pgl_point_at_infinity(p3):
     assert back.to_affine() == rigid(p3.zero())
     f = identity_map(p3)
     assert fs_derivative_proj(f, inf) == ABS_ONE
+
+
+def test_pgl_point_matches_eager_inversion():
+    for spec in (FieldSpec("padic", 3), FieldSpec("puiseux-q")):
+        rng = rng_for(f"pgl-eager-{spec.backend}")
+        inv = ("invert",)
+        unit = ("scale", spec.one() if spec.backend == "padic" else spec.from_terms([(0, 2), (1, 1)]))
+        words = [[inv] * k for k in range(1, 5)]
+        words += [[inv, unit, inv], [inv, inv, ("translate", spec.one()), inv], [unit, inv, inv, inv]]
+        words += [random_pgl_word(rng, spec) + [inv, inv] + random_pgl_word(rng, spec) for _ in range(12)]
+        starts = [rigid(spec.zero()), ProjPoint.infinity(spec)]
+        starts += [random_unit_disk_point(rng, spec) for _ in range(6)]
+        for word in words:
+            for x in starts:
+                lazy, eager = pgl_point(word, x), eager_pgl_point(word, x)
+                assert lazy == eager
+                assert hash(lazy) == hash(eager)
+
+
+# -- the substitution keeps maps reduced (hypothesis) -------------------------
+
+P3 = FieldSpec("padic", 3)
+PQ = FieldSpec("puiseux-q")
+SCALARS = {
+    "padic": st.fractions(-20, 20, max_denominator=10).map(P3.scalar),
+    "puiseux-q": st.lists(
+        st.tuples(st.fractions(-2, 3, max_denominator=3), st.fractions(-6, 6, max_denominator=3)), max_size=2
+    ).map(PQ.from_terms),
+}
+SPECS = {"padic": P3, "puiseux-q": PQ}
+TRANSFORM_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def reduced_maps(backend: str, max_coords: int = 3):
+    """series_map of 2..max_coords plain polynomials of degree <= 3; many
+    have no constant coordinate, so a common factor could survive."""
+    spec = SPECS[backend]
+    coords = st.dictionaries(st.integers(0, 3), SCALARS[backend], max_size=3).map(
+        lambda d: Poly.from_dict(spec, d)
+    )
+    return (
+        st.lists(coords, min_size=2, max_size=max_coords)
+        .filter(lambda cs: any(not c.is_zero for c in cs))
+        .map(series_map)
+    )
+
+
+def unit_words(backend: str):
+    spec = SPECS[backend]
+    if backend == "padic":
+        units = st.sampled_from([1, 2, -1, Fraction(4, 5), 7]).map(spec.scalar)
+    else:
+        units = st.tuples(st.sampled_from([1, 2, -1, 3]), st.integers(1, 3)).map(
+            lambda ck: spec.from_terms([(0, ck[0]), (ck[1], 1)])
+        )
+    small = SCALARS[backend].filter(lambda b: b.abs() <= ABS_ONE)
+    gens = st.one_of(
+        units.map(lambda a: ("scale", a)), small.map(lambda b: ("translate", b)), st.just(("invert",))
+    )
+    return st.lists(gens, min_size=1, max_size=4)
+
+
+def assert_reduced(h) -> None:
+    assert series_map(h.coords).coords == h.coords
+
+
+@pytest.mark.parametrize("backend", sorted(SPECS))
+@TRANSFORM_SETTINGS
+@given(data=st.data())
+def test_pgl_apply_keeps_maps_reduced(backend, data):
+    f = data.draw(reduced_maps(backend))
+    assert_reduced(pgl_apply(data.draw(unit_words(backend)), f))
+
+
+@pytest.mark.parametrize("backend", sorted(SPECS))
+@TRANSFORM_SETTINGS
+@given(data=st.data())
+def test_compose_keeps_maps_reduced(backend, data):
+    f = data.draw(reduced_maps(backend))
+    g = data.draw(reduced_maps(backend, max_coords=2))
+    assert_reduced(compose(f, g))
+
+
+@pytest.mark.parametrize("backend", sorted(SPECS))
+@TRANSFORM_SETTINGS
+@given(data=st.data())
+def test_rescale_map_keeps_maps_reduced_and_matches_sub_linear(backend, data):
+    f = data.draw(reduced_maps(backend))
+    scale = data.draw(SCALARS[backend].filter(lambda a: not a.is_zero))
+    offset = data.draw(SCALARS[backend])
+    h = rescale_map(f, scale, offset, None)
+    assert h.coords == tuple(sub_linear(c, scale, offset) for c in f.coords)
+    assert_reduced(h)
+
+
+@pytest.mark.parametrize("backend", sorted(SPECS))
+@TRANSFORM_SETTINGS
+@given(data=st.data())
+def test_flip_at_infinity_keeps_maps_reduced(backend, data):
+    f = data.draw(reduced_maps(backend))
+    spec = f.spec
+    flipped = _substitute(f, Poly.constant(spec, spec.one()), Poly.coordinate(spec), None)
+    assert flipped.coords == pgl_apply([("invert",)], f).coords
+    assert_reduced(flipped)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Source guards: the library contains no floating point at all, and its
+"""Source guards: the library contains no floating point at all, its
 runtime checks are explicit raises, never assert statements (which python -O
-strips)."""
+strips), and every import sits at module level."""
 
 from __future__ import annotations
 
@@ -35,3 +35,19 @@ def _asserts(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert _asserts(path) == []
+
+
+def _function_local_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{path.name}:{node.lineno}: import in {fn.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert _function_local_imports(path) == []
