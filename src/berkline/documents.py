@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from .curves import CurveModel, TreeOfDisks, curve_model, tree_of_disks, ultra
-from .errors import SchemaError
+from .errors import InconsistentModel, SchemaError
 from .field import PADIC, PUISEUX, AbsValue, FieldSpec, Scalar, as_fraction
 from .fsderiv import Domain, SeriesMap, series_map
 from .points import Poly
@@ -186,9 +186,15 @@ def _parse_ultra(node: Any, path: str):
     raise _fail(path, f"expected a rational or [magnitude, coefficient] pairs, got {node!r}")
 
 
-def _disk_name(node: Any, path: str) -> str:
+def _list(node: Any, path: str) -> list:
+    if not isinstance(node, list):
+        raise _fail(path, f"expected a list, got {node!r}")
+    return node
+
+
+def _name(node: Any, path: str, kind: str) -> str:
     if not isinstance(node, str):
-        raise _fail(path, "expected a disk name")
+        raise _fail(path, f"expected a {kind} name")
     return node
 
 
@@ -198,13 +204,12 @@ def parse_tree(node: Any, path: str) -> TreeOfDisks:
     disks = node.get("disks")
     if not isinstance(disks, list) or not all(isinstance(d, str) for d in disks):
         raise _fail(f"{path}.disks", "expected a list of disk names")
-    edges_node = node.get("edges", [])
     edges = []
-    for i, e in enumerate(edges_node):
+    for i, e in enumerate(_list(node.get("edges", []), f"{path}.edges")):
         if not isinstance(e, list) or len(e) != 4:
             raise _fail(f"{path}.edges[{i}]", "expected [diskA, coordA, diskB, coordB]")
         at = f"{path}.edges[{i}]"
-        a, b = _disk_name(e[0], f"{at}[0]"), _disk_name(e[2], f"{at}[2]")
+        a, b = _name(e[0], f"{at}[0]", "disk"), _name(e[2], f"{at}[2]", "disk")
         edges.append((a, _parse_ultra(e[1], f"{at}[1]"), b, _parse_ultra(e[3], f"{at}[3]")))
     marks_node = node.get("marks", {})
     if not isinstance(marks_node, dict):
@@ -214,7 +219,7 @@ def parse_tree(node: Any, path: str) -> TreeOfDisks:
         entry = marks_node[name]
         if not isinstance(entry, list) or len(entry) != 2:
             raise _fail(f"{path}.marks.{name}", "expected [disk, coord]")
-        disk = _disk_name(entry[0], f"{path}.marks.{name}[0]")
+        disk = _name(entry[0], f"{path}.marks.{name}[0]", "disk")
         marks[name] = (disk, _parse_ultra(entry[1], f"{path}.marks.{name}[1]"))
     try:
         return tree_of_disks(disks, edges, marks)
@@ -226,7 +231,7 @@ def _parse_attachment(node: Any, path: str):
     if not isinstance(node, list) or not node:
         raise _fail(path, "expected ['vertex', name] or ['edge', index, offset]")
     if node[0] == "vertex" and len(node) == 2:
-        return ("vertex", node[1])
+        return ("vertex", _name(node[1], f"{path}[1]", "vertex"))
     if node[0] == "edge" and len(node) == 3:
         return ("edge", _int(node[1], f"{path}[1]"), _rational(node[2], f"{path}[2]"))
     raise _fail(path, f"bad attachment {node!r}")
@@ -239,30 +244,37 @@ def parse_curve_model(node: Any, path: str) -> CurveModel:
     if unknown:
         raise _fail(path, f"unknown keys {sorted(unknown)}")
     vertices = []
-    for i, v in enumerate(node.get("vertices", [])):
+    for i, v in enumerate(_list(node.get("vertices", []), f"{path}.vertices")):
         if not isinstance(v, list) or not 1 <= len(v) <= 3:
             raise _fail(f"{path}.vertices[{i}]", "expected [name, genus?, extra?]")
-        name = v[0]
+        name = _name(v[0], f"{path}.vertices[{i}][0]", "vertex")
         genus = _int(v[1], f"{path}.vertices[{i}][1]") if len(v) > 1 else 0
         extra = _int(v[2], f"{path}.vertices[{i}][2]") if len(v) > 2 else 0
         vertices.append((name, genus, extra))
     edges = []
-    for i, e in enumerate(node.get("edges", [])):
+    for i, e in enumerate(_list(node.get("edges", []), f"{path}.edges")):
         if not isinstance(e, list) or len(e) != 3:
             raise _fail(f"{path}.edges[{i}]", "expected [u, v, length]")
-        edges.append((e[0], e[1], _rational(e[2], f"{path}.edges[{i}][2]")))
+        at = f"{path}.edges[{i}]"
+        u, v = _name(e[0], f"{at}[0]", "vertex"), _name(e[1], f"{at}[1]", "vertex")
+        edges.append((u, v, _rational(e[2], f"{at}[2]")))
     punctures = [
-        _parse_attachment(a, f"{path}.punctures[{i}]") for i, a in enumerate(node.get("punctures", []))
+        _parse_attachment(a, f"{path}.punctures[{i}]")
+        for i, a in enumerate(_list(node.get("punctures", []), f"{path}.punctures"))
     ]
     disks = []
-    for i, d in enumerate(node.get("disks", [])):
+    for i, d in enumerate(_list(node.get("disks", []), f"{path}.disks")):
         if not isinstance(d, list) or len(d) != 2:
             raise _fail(f"{path}.disks[{i}]", "expected [tag, attachment]")
-        disks.append((d[0], _parse_attachment(d[1], f"{path}.disks[{i}][1]")))
-    boundary = node.get("boundary", [])
+        tag = _name(d[0], f"{path}.disks[{i}][0]", "tag")
+        disks.append((tag, _parse_attachment(d[1], f"{path}.disks[{i}][1]")))
+    boundary = [
+        _name(b, f"{path}.boundary[{i}]", "vertex")
+        for i, b in enumerate(_list(node.get("boundary", []), f"{path}.boundary"))
+    ]
     try:
         return curve_model(vertices, edges, punctures, boundary, disks)
-    except Exception as exc:
+    except (ValueError, InconsistentModel) as exc:
         raise _fail(path, str(exc)) from None
 
 

@@ -335,7 +335,8 @@ def pgl_point(word: Sequence[Generator], x: DiskPoint | ProjPoint) -> ProjPoint:
     """The image of a point of the line under the Moebius map of the word.
 
     Inversion swaps the chart, so the image may be held in the chart at
-    infinity; ProjPoint.to_affine inverts it on demand."""
+    infinity; ProjPoint.to_affine inverts it at its first call and keeps
+    the result, so each image is inverted at most once."""
     current: ProjPoint = x if isinstance(x, ProjPoint) else ProjPoint.affine(x)
     spec = current.point.spec
     for gen in reversed(list(word)):

@@ -14,8 +14,11 @@ ways:
   no shift.  The point's own centre is left as given.
 
 The shift itself is the binomial sum c_k = sum_n p_n C(n, k) a^(n-k) over the
-nonzero terms p_n T^n, O(terms * degree) products on raw values (Fractions,
-or int Puiseux term maps over one denominator).  Laurent polynomials are
+nonzero terms p_n T^n, O(terms * degree) products in one kernel for both
+backends: every value is read as a num/den pair of int term maps (a padic
+rational as two constants), the denominators are cleared into the
+numerators, and each c_k comes back as an unreduced quotient over their
+product.  Polynomial input has nothing to clear.  Laurent polynomials are
 evaluated multiplicatively through |T^{-1}(x)| = 1/max(|a|, r), which is
 finite at every point except the rigid point 0.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,6 +49,8 @@ from .field import (
     _ONE_TERMS,
     _clearing_scale,
     _coeff,
+    _common,
+    _padic_valuation,
     _reduced,
     _terms_at,
     _terms_lowest,
@@ -220,56 +226,41 @@ def taylor_shift(p: Poly, a: Scalar) -> Poly:
 
     The coefficients are the binomial sums b_k = sum_n c_n C(n, k) a^(n-k)
     over the nonzero terms c_n T^n of P: O(terms * degree) products, so a
-    sparse polynomial of large degree stays cheap.  The sums run on raw
-    values, chosen by coefficient type: the Fractions of padic scalars, the
-    int term maps of puiseux-q polynomials (over one denominator D, one
-    PuiseuxScalar per output coefficient), and Scalar operations for
-    puiseux-q rational functions.
+    sparse polynomial of large degree stays cheap.  One kernel serves every
+    backend and coefficient kind: with a = A/B and c_n = N_n/M_n read as int
+    term maps (a padic n/d as constants), L the product of the distinct M_n
+    and d the degree, the sums run on Q_n = N_n prod_{M != M_n} M B^(d-n) and
+    the powers of A, and b_k = e_k / (L B^(d-k)) is left unreduced (a
+    magnitude never needs the reduced form).  Nothing is cleared when L = B = 1.
     """
     if not p.is_plain:
         raise PoleAtPoint("taylor_shift is defined for plain polynomials")
     if a.is_zero or p.is_constant:
         return p
     spec = p.spec
-    if spec.backend != PUISEUX:
-        sums = _binomial_sums([(n, c.value) for n, c in p.terms], a.value, Fraction(1), int)  # type: ignore[attr-defined]
-        return Poly(spec, tuple([(k, PadicScalar(spec, b)) for k, b in sums if b]))
-    if a.den_terms == _ONE_TERMS and all(c.den_terms == _ONE_TERMS for _, c in p.terms):  # type: ignore[attr-defined]
-        return _shift_puiseux_polynomial(p, a)
-    sums = _binomial_sums(p.terms, a, spec.one(), spec.from_int)
-    return Poly(spec, tuple([(k, b) for k, b in sums if not b.is_zero]))
-
-
-def _binomial_sums(terms: Sequence[tuple[int, object]], a, one, from_int) -> list[tuple[int, object]]:
-    """The sums b_k = sum_n c_n C(n, k) a^(n-k), sorted by k, for any values
-    with + and * (Fractions, or Scalars); from_int embeds C(n, k)."""
-    powers = [one, a]
-    for _ in range(terms[-1][0] - 1):
-        powers.append(powers[-1] * a)
-    out: dict[int, object] = {}
-    for n, c in terms:
-        binom = 1  # C(n, k) for k = n, n - 1, ..., 0
-        for k in range(n, -1, -1):
-            term = c if k == n else c * powers[n - k]
-            if binom != 1:
-                term = term * from_int(binom)
-            out[k] = out[k] + term if k in out else term
-            binom = binom * k // (n - k + 1)
-    return sorted(out.items())
-
-
-def _shift_puiseux_polynomial(p: Poly, a: Scalar) -> Poly:
-    """The binomial sums on int term maps: every coefficient and the powers of
-    a over one common D, accumulated in int-keyed dicts."""
-    spec = p.spec
-    denom = math.lcm(a.num_terms[0], *(c.num_terms[0] for _, c in p.terms))  # type: ignore[attr-defined]
+    top, bottom = _num_den(a)
+    fractions = [(n, *_num_den(c)) for n, c in p.terms]
+    dens = list(dict.fromkeys([m for _, _, m in fractions if m != _ONE_TERMS]))
+    deg = p.terms[-1][0]
+    b_powers = [_ONE_TERMS]
+    for _ in range(deg):
+        b_powers.append(_times(b_powers[-1], bottom))
+    cleared = []
+    for n, num, den in fractions:
+        for m in dens:
+            if m != den:
+                num = _terms_mul(num, m)
+        cleared.append((n, _times(num, b_powers[deg - n])))
+    lcm = _ONE_TERMS
+    for m in dens:
+        lcm = _times(lcm, m)
+    denom = math.lcm(top[0], *(q[0] for _, q in cleared))
 
     def over(t: tuple) -> list:
         m = denom // t[0]
         return t[1] if m == 1 else [(k * m, c) for k, c in t[1]]
 
-    base = over(a.num_terms)  # type: ignore[attr-defined]
-    deg = p.terms[-1][0]
+    base = over(top)
     powers = [[(0, 1)], base]
     for _ in range(deg - 1):
         acc: dict[int, Coeff] = {}
@@ -280,8 +271,8 @@ def _shift_puiseux_polynomial(p: Poly, a: Scalar) -> Poly:
                 acc[k] = get(k, 0) + ca * cb
         powers.append([kc for kc in acc.items() if kc[1]])
     sums: list[dict[int, Coeff]] = [{} for _ in range(deg + 1)]
-    for n, c in p.terms:
-        cn = over(c.num_terms)  # type: ignore[attr-defined]
+    for n, q in cleared:
+        cn = over(q)
         binom = 1  # C(n, k) for k = n, n - 1, ..., 0
         for k in range(n, -1, -1):
             acc = sums[k]
@@ -297,8 +288,32 @@ def _shift_puiseux_polynomial(p: Poly, a: Scalar) -> Poly:
     for k, acc in enumerate(sums):
         terms = sorted([(e, c if type(c) is int else _coeff(c)) for e, c in acc.items() if c])
         if terms:
-            out.append((k, PuiseuxScalar(spec, _reduced(denom, tuple(terms)))))
+            num = _reduced(denom, tuple(terms))
+            out.append((k, _from_num_den(spec, num, _times(lcm, b_powers[deg - k]))))
     return Poly(spec, tuple(out))
+
+
+def _num_den(c: Scalar) -> tuple[tuple, tuple]:
+    """A scalar as a num/den pair of term maps; a padic n/d is the constant
+    maps n and d."""
+    if type(c) is PuiseuxScalar:
+        return c.num_terms, c.den_terms
+    v = c.value  # type: ignore[attr-defined]
+    return (1, ((0, v.numerator),)), (1, ((0, v.denominator),))
+
+
+def _from_num_den(spec: FieldSpec, num: tuple, den: tuple) -> Scalar:
+    """The scalar num/den of two term maps, unreduced (the inverse of _num_den)."""
+    if spec.backend == PUISEUX:
+        return PuiseuxScalar(spec, num, den)
+    return PadicScalar(spec, Fraction(num[1][0][1], den[1][0][1]))
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    """The product of two term maps, with no work for a factor 1."""
+    if x == _ONE_TERMS:
+        return y
+    return x if y == _ONE_TERMS else _terms_mul(x, y)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -478,10 +493,49 @@ class DiskPoint:
         # a rigid ball is its centre (|a - b| <= 0 means a == b)
         if self.radius.is_zero:
             return hash((self.radius, self.center))
-        return hash(self.radius)
+        return hash((self.radius, _ball_key(self.center, self.radius)))
 
     def __repr__(self) -> str:
         return f"eta({self.center!r}, {self.radius!r})"
+
+
+_KEY_TERMS = 6  # expansion terms of a puiseux-q centre that a ball's hash reads
+
+
+def _ball_key(a: Scalar, r: AbsValue) -> object:
+    """A value shared by every centre of the ball of radius r > 0 around a.
+
+    padic: the residue of a = num/den modulo p^m, m = -floor(log_p r), as
+    (num * u^-1 mod p^(m+e)) / p^e where den = p^e u; 0 when v_p(a) >= m.
+    puiseux-q: the lowest terms (at most _KEY_TERMS) of a's Puiseux expansion
+    that lie outside the ball of radius r around 0, found by long division of
+    num by den; for a polynomial centre these are its short centre's terms.
+    """
+    if type(a) is PuiseuxScalar:
+        denom, rem, (low, *rest) = _common(a.num_terms, a.den_terms)
+        bound = -r.logval * denom  # type: ignore[operator]
+        rem = dict(rem)
+        out = []
+        # each step divides the remainder's lowest term by den's lowest term
+        while rem and len(out) < _KEY_TERMS and min(rem) - low[0] < bound:
+            k = min(rem)
+            q = Fraction(rem.pop(k)) / low[1]
+            out.append((k - low[0], _coeff(q)))
+            for kd, cd in rest:
+                e = k - low[0] + kd
+                rem[e] = rem.get(e, 0) - q * cd
+                if not rem[e]:
+                    del rem[e]
+        return _reduced(denom, tuple(out))
+    p, v = a.spec.p, a.value  # type: ignore[attr-defined]
+    m = -math.floor(r.logval)  # type: ignore[arg-type]
+    if not v:
+        return 0
+    e = _padic_valuation(v.denominator, p)
+    if _padic_valuation(v.numerator, p) - e >= m:
+        return 0
+    mod = p ** (m + e)
+    return Fraction(v.numerator * pow(v.denominator // p**e, -1, mod) % mod, p**e)
 
 
 def rigid(center: Scalar) -> DiskPoint:
@@ -515,6 +569,11 @@ class ProjPoint:
     def to_affine(self) -> DiskPoint | None:
         """The affine-chart representative, or None for the rigid point at
         infinity (the only point without one)."""
+        return self._affine
+
+    @cached_property
+    def _affine(self) -> DiskPoint | None:
+        # a ball held in the chart at infinity is inverted once per point
         if self.chart == "affine":
             return self.point
         c, r = self.point.center, self.point.radius

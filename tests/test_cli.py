@@ -187,6 +187,52 @@ def test_disk_references_must_be_names(tmp_path, edges, marks, where):
         assert err == f"berkline: input error: {where}: expected a disk name\n"
 
 
+CURVE_BASE = {"vertices": [["a", 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, where",
+    [
+        ("genus", {"curve-model": {"vertices": 7}}, "curve-model.vertices: expected a list"),
+        ("genus", {"curve-model": {**CURVE_BASE, "edges": None}}, "curve-model.edges: expected a list"),
+        ("genus", {"curve-model": {**CURVE_BASE, "punctures": 3}}, "curve-model.punctures: expected a list"),
+        ("genus", {"curve-model": {**CURVE_BASE, "disks": True}}, "curve-model.disks: expected a list"),
+        ("genus", {"curve-model": {**CURVE_BASE, "boundary": "a"}}, "curve-model.boundary: expected a list"),
+        ("genus", {"curve-model": {"vertices": [[["a"], 1]]}}, "curve-model.vertices[0][0]: expected a vertex name"),
+        (
+            "genus",
+            {"curve-model": {**CURVE_BASE, "edges": [["a", 0, "1"]]}},
+            "curve-model.edges[0][1]: expected a vertex name",
+        ),
+        ("genus", {"curve-model": {**CURVE_BASE, "boundary": [["a"]]}}, "curve-model.boundary[0]: expected a vertex name"),
+        (
+            "classify",
+            {"curve-model": {**CURVE_BASE, "punctures": [["vertex", {"a": 1}]]}},
+            "curve-model.punctures[0][1]: expected a vertex name",
+        ),
+        (
+            "classify",
+            {"curve-model": {**CURVE_BASE, "disks": [[None, ["vertex", "a"]]]}},
+            "curve-model.disks[0][0]: expected a tag name",
+        ),
+        (
+            "dck",
+            {"tree-of-disks": {"disks": ["A"], "edges": 5, "marks": {"x": ["A", "0"], "y": ["A", "0"]}}},
+            "tree-of-disks.edges: expected a list",
+        ),
+    ],
+    ids=lambda v: v.split(":")[0] if isinstance(v, str) and ":" in v else None,
+)
+def test_non_list_and_non_name_document_fields_are_schema_errors(tmp_path, command, payload, where):
+    # each of these once raised TypeError out of the parser or the model (exit 1)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"field": {"backend": "padic", "p": 3}, **payload}))
+    argv = [command, str(path)] + (["--from", "x", "--to", "y"] if command == "dck" else [])
+    code, out, err = run_cli_full(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"berkline: input error: {where}")
+
+
 def test_point_literals_with_puiseux_scalars(tmp_path):
     doc = {
         "field": {"backend": "puiseux-q"},

@@ -3,7 +3,8 @@
 Random command lines go to ``cli.main`` in-process: any of the subcommands,
 random flags with values drawn from exact rationals, malformed numbers
 ("1/0", "-inf", long exponents, decimals) and free text, and input documents
-that are the golden files or truncated and byte-mutated copies of them.
+that are the golden files, truncated and byte-mutated copies of them, or
+copies with one node at any depth replaced by a value of another JSON type.
 ``dck`` and ``dtree`` also read generated trees of disks: up to 12 disks,
 often every pair glued, sometimes with a mark on a disk no chain reaches,
 under a ``BERKLINE_MAX_CHAIN`` that is unset, well formed or malformed.
@@ -211,12 +212,47 @@ def compact(path: Path) -> bytes:
     return json.dumps(json.loads(path.read_text()), separators=(",", ":")).encode()
 
 
+JSON_VALUES = ([], {}, 0, 1.5, "x", None, True)
+
+
+def node_paths(node, path: tuple = ()) -> list[tuple]:
+    """The path of every node of a parsed JSON document, the root included."""
+    out = [path]
+    if isinstance(node, dict):
+        for key, child in node.items():
+            out += node_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            out += node_paths(child, path + (i,))
+    return out
+
+
+@st.composite
+def retyped(draw, path: Path) -> object:
+    """The golden document with one node, at any depth, replaced by a value
+    of another JSON type; the depth is drawn first, so the few nodes near the
+    root are drawn as often as the many leaves."""
+    doc = json.loads(path.read_text())
+    paths = node_paths(doc)
+    depth = draw(st.integers(0, max(len(p) for p in paths)))
+    where = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+    parent, key = None, None
+    node = doc
+    for key in where:
+        parent, node = node, node[key]
+    value = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(node)]))
+    if parent is None:
+        return value
+    parent[key] = value
+    return doc
+
+
 @st.composite
 def command_lines(draw, workdir: Path, commands: tuple[str, ...]) -> list[str]:
     command = draw(st.sampled_from(commands))
     argv = [command]
     doc = COMMANDS[command][0]
-    source = draw(st.integers(0, 5))
+    source = draw(st.integers(0, 6))
     if source in (1, 2) and command in TREE_COMMANDS:
         path = workdir / "tree.json"
         path.write_text(json.dumps(draw(tree_documents())))
@@ -231,6 +267,10 @@ def command_lines(draw, workdir: Path, commands: tuple[str, ...]) -> list[str]:
         argv.append(str(path))
     elif source == 4:
         argv.append(str(draw(st.sampled_from([workdir / "missing.json", workdir]))))
+    elif source == 5:
+        path = workdir / "doc.json"
+        path.write_text(json.dumps(draw(retyped(GOLDEN / f"{doc or 'tate'}.json"))))
+        argv.append(str(path))
     # otherwise no input document
     return argv + draw(flag_args(command))
 
@@ -263,6 +303,18 @@ def check_command_line(workdir: Path, monkeypatch, data, commands: tuple[str, ..
         monkeypatch.setenv("BERKLINE_MAX_CHAIN", budget)
     argv = data.draw(command_lines(workdir, commands))
     assert run_cli_full(argv)[0] in (0, 2, 3), (argv, budget)
+
+
+@settings(FUZZ, max_examples=500)
+@given(data=st.data())
+def test_retyped_documents_exit_0_2_or_3(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(c for c, (doc, _) in COMMANDS.items() if doc)))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data.draw(retyped(GOLDEN / f"{COMMANDS[command][0]}.json"))))
+    argv = [command, str(path)]
+    for name in COMMANDS[command][1]:  # well-formed flags, so the document is what fails
+        argv += [name, data.draw(WELL_FORMED[name])]
+    assert run_cli_full(argv)[0] in (0, 2, 3), argv
 
 
 def test_the_fuzzer_draws_every_subcommand():

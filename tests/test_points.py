@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +31,8 @@ from berkline import (
     taylor_shift,
 )
 from berkline.errors import PoleAtPoint
-from berkline.field import PuiseuxScalar, abs_max
-from berkline.points import short_centre
+from berkline.field import PadicScalar, PuiseuxScalar, abs_max
+from berkline.points import recentre, short_centre
 
 from conftest import (
     binomial_shift_oracle,
@@ -102,8 +102,9 @@ binomials = st.lists(puiseux_terms, max_size=2).map(PQ.from_terms)
 puiseux_rational_functions = st.tuples(binomials, binomials.filter(lambda d: not d.is_zero)).map(
     lambda nd: nd[0] / nd[1]
 )
-# one scalar strategy per shift path: padic Fractions, puiseux-q int term
-# maps, and puiseux-q rational functions (a rational coefficient or centre)
+# one scalar strategy per kind of value the shift kernel clears: padic
+# Fractions, puiseux-q polynomials (nothing to clear) and puiseux-q rational
+# functions (a rational coefficient or centre)
 SCALARS = {
     "padic": padic_scalars,
     "puiseux-polynomial": puiseux_polynomials,
@@ -152,6 +153,84 @@ def test_taylor_shift_on_sparse_large_exponents(kind, data):
     shifted = taylor_shift(p, a)
     assert shifted == binomial_shift_oracle(p, a) == horner_shift_oracle(p, a)
     assert_minimal_layout(shifted)
+
+
+def rational_shift_inputs():
+    """A padic polynomial and puiseux-q rational-function coefficients and
+    centre, each with its shift by the oracle."""
+    p3_poly = Poly.from_dict(P3, {0: P3.scalar("2/9"), 2: P3.scalar(-5), 5: P3.scalar("7/4")})
+    a = PQ.from_terms([(0, 1), ("1/2", 2)]) / PQ.from_terms([(0, 3), ("1/3", 1)])
+    c = PQ.from_terms([("1/2", 1)]) / PQ.from_terms([(0, 1), (1, "1/2")])
+    q = Poly.from_dict(PQ, {0: c, 1: PQ.t_power("1/3"), 3: c * c, 4: PQ.one() / c})
+    cases = [(p3_poly, P3.scalar("5/6")), (q, a), (q, PQ.t_power(1)), (Poly.coordinate(PQ).scale(c), a)]
+    return [(p, a, binomial_shift_oracle(p, a)) for p, a in cases]
+
+
+def test_taylor_shift_does_no_scalar_arithmetic(monkeypatch):
+    cases = rational_shift_inputs()
+
+    def refuse(*args):
+        raise AssertionError("taylor_shift called Scalar arithmetic")
+
+    for cls in (PuiseuxScalar, PadicScalar):
+        for name in ("__add__", "__mul__", "inv"):
+            monkeypatch.setattr(cls, name, refuse)
+    shifted = [taylor_shift(p, a) for p, a, _ in cases]
+    monkeypatch.undo()
+    for out, (_, _, expected) in zip(shifted, cases):
+        assert out == expected
+        assert_minimal_layout(out)
+
+
+def degree_6_rational_polynomials(rng, count: int):
+    """Degree-6 polynomials whose coefficients are quotients of two-term
+    puiseux-q polynomials (exponent denominators up to 6), each with a
+    polynomial centre; each coefficient is kept as its (N_n, M_n) pair."""
+
+    def element(n_terms: int):
+        terms = []
+        for _ in range(n_terms):
+            d = rng.randint(1, 6)
+            terms.append((Fraction(rng.randint(0, 3 * d), d), rng.choice([1, 2, 3, -1, -2, Fraction(1, 2)])))
+        return PQ.from_terms(terms)
+
+    out = []
+    for _ in range(count):
+        pairs = {}
+        for n in range(7):
+            num, den = element(2), element(2)
+            while den.is_zero or (n == 6 and num.is_zero):
+                num, den = element(2), element(2)
+            if not num.is_zero:
+                pairs[n] = (num, den)
+        out.append((pairs, element(3)))
+    return out
+
+
+def test_shift_of_degree_6_rational_coefficients_is_fast_and_exact():
+    # these shifts once fell into the dense Z[u] gcd of lazy-fraction
+    # arithmetic, for up to minutes per polynomial
+    radius = AbsValue.of(Fraction(-1, 2))
+    cases = [
+        (pairs, Poly.from_dict(PQ, {n: num / den for n, (num, den) in pairs.items()}), DiskPoint(centre, radius))
+        for pairs, centre in degree_6_rational_polynomials(rng_for("shift-degree-6-rational"), 10)
+    ]
+    start = time.perf_counter()
+    values = [eval_seminorm(p, x) for _, p, x in cases]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2
+    for (pairs, p, x), value in zip(cases, values):
+        # multiplicativity: P = Q / L with Q_n = N_n prod_{m != n} M_m and L = prod_m M_m
+        q_coeffs, lcm = {}, PQ.one()
+        for n, (num, _) in pairs.items():
+            for m, (_, den) in pairs.items():
+                if m != n:
+                    num = num * den
+            q_coeffs[n] = num
+        for _, den in pairs.values():
+            lcm = lcm * den
+        assert value == eval_seminorm(Poly.from_dict(PQ, q_coeffs), x) / lcm.abs()
+        assert_minimal_layout(recentre(p, x))
 
 
 def affine_map(spec: FieldSpec, den: Scalar, p: Poly):
@@ -393,6 +472,78 @@ def test_a_set_of_distinct_rigid_points_builds_fast(backend):
     elapsed = time.perf_counter() - start
     assert len(disk_points) == len(proj_points) == 2000
     assert elapsed < 2
+
+
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+def test_a_set_of_distinct_balls_of_one_radius_builds_fast(backend):
+    # non-rigid balls hash by a centre key; a radius-only hash puts them all in one bucket
+    spec = FieldSpec(backend, 3 if backend == "padic" else None)
+    if backend == "padic":
+        centres = [spec.scalar(Fraction(i, 7)) for i in range(2000)]
+    else:
+        centres = [spec.from_terms([(0, i), ("1/2", 1)]) for i in range(2000)]
+    start = time.perf_counter()
+    disk_points = {DiskPoint(c, AbsValue.of(-8)) for c in centres}
+    proj_points = {ProjPoint.affine(DiskPoint(c, AbsValue.of(-8))) for c in centres}
+    elapsed = time.perf_counter() - start
+    assert len(disk_points) == len(proj_points) == 2000
+    assert elapsed < 2
+
+
+PQ2 = FieldSpec("puiseux-q", value_group=2)  # radii beta^q with q not in (1/2)Z are type III
+# terms of magnitude at most 1, and below 1
+unit_terms = st.tuples(st.fractions(0, 3, max_denominator=3), st.fractions(-6, 6, max_denominator=3))
+positive_terms = st.tuples(st.fractions(Fraction(1, 3), 3, max_denominator=3), st.fractions(-6, 6, max_denominator=3))
+nonzero_rationals = st.fractions(-6, 6, max_denominator=3).filter(bool)
+
+
+@st.composite
+def puiseux_centre_and_small(draw, radius_logval: Fraction):
+    """A puiseux-q polynomial or rational-function centre, and an element of
+    magnitude at most beta^radius_logval (a polynomial or a rational function)."""
+    terms = st.lists(puiseux_terms, max_size=3).map(PQ2.from_terms)
+    centre = draw(terms)
+    if draw(st.booleans()):
+        centre = centre / draw(terms.filter(lambda d: not d.is_zero))
+    small = PQ2.from_terms(draw(st.lists(unit_terms, max_size=3))) * PQ2.uniformizer(radius_logval)
+    if draw(st.booleans()):
+        # divide by a unit 1 + (terms of positive exponent)
+        small = small / PQ2.from_terms([(0, draw(nonzero_rationals))] + draw(st.lists(positive_terms, max_size=2)))
+    return centre, small
+
+
+@SHIFT_SETTINGS
+@given(data=st.data(), logval=st.fractions(-5, 2, max_denominator=6))
+def test_a_ball_hashes_as_any_of_its_centres(data, logval):
+    radius = AbsValue(logval)
+    # padic: a perturbation 3^ceil(-q) * (a 3-integral rational) has magnitude <= 3^q
+    centre = data.draw(padic_scalars)
+    unit = data.draw(st.fractions(-40, 40, max_denominator=30).filter(lambda f: f.denominator % 3))
+    cases = [(centre, P3.scalar(unit * Fraction(3) ** ceil(-logval)))]
+    cases.append(data.draw(puiseux_centre_and_small(logval)))
+    for a, small in cases:
+        x, y = DiskPoint(a, radius), DiskPoint(a + small, radius)
+        assert x == y and hash(x) == hash(y)
+        assert hash(ProjPoint.affine(x)) == hash(ProjPoint.affine(y))
+
+
+def test_a_point_of_the_chart_at_infinity_is_inverted_once(monkeypatch):
+    calls = []
+    inv = PuiseuxScalar.inv
+
+    def counting_inv(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(PuiseuxScalar, "inv", counting_inv)
+    # |c| = beta > r, so the affine representative is eta(1/c, r/|c|^2)
+    c = PQ.from_terms([(-1, 1), (0, 2), ("1/2", 1)])
+    point = ProjPoint("infinity", DiskPoint(c, AbsValue.of(-3)))
+    twin = ProjPoint("infinity", DiskPoint(c, AbsValue.of(-3)))
+    for _ in range(5):
+        assert point.to_affine() == DiskPoint(inv(c), AbsValue.of(-5))
+        assert point == twin and hash(point) == hash(twin)
+    assert len(calls) == 2  # once for each of the two points
 
 
 def test_point_types_follow_value_group():
