@@ -10,9 +10,11 @@ directions, or on the boundary.
 Tree-of-disks spaces are unit-disk components glued at rigid points.  The
 in-disk coordinates are finite rational combinations of abstract unit-disk
 elements carrying *declared positive rational magnitudes*; differences are
-measured by the largest surviving magnitude, which is an ultrametric.  The
-two Kobayashi-type semi-distances are computed over chains through the
-attachment graph:
+measured by the largest surviving magnitude, which is an ultrametric.  A
+coordinate is held in one normal form, its terms sorted by strictly
+increasing magnitude with nonzero coefficients, so equal coordinates are
+equal tuples.  The two Kobayashi-type semi-distances are computed over
+chains through the attachment graph:
 
     dck: minimize the sum of the in-disk step sizes,
     d:   minimize the largest in-disk step size.
@@ -26,9 +28,16 @@ be spliced at the repeat without increasing the sum or the max and with
 fewer disk visits.  So a chain that reaches an already expanded state, at no
 lower cost and with no fewer visits, is dominated: without a budget each
 state is expanded once, and under a visit budget again only with strictly
-fewer visits than at its last expansion.  Because the steps are summed, the
-distances are exact nonnegative rationals (math.inf when no chain exists)
-rather than symbolic magnitudes.
+fewer visits than at its last expansion.
+
+Step costs are integers over one common denominator: before a search, every
+magnitude of the tree and both marks is scaled by the lcm L of their
+denominators, each coordinate becomes a list of int terms from the largest
+magnitude down, and a step is the first term, from the top, that two such
+lists do not share.  The search adds or compares ints only, and the
+distance is cost/L.  Because the steps are summed, the distances are exact
+nonnegative rationals (math.inf when no chain exists) rather than symbolic
+magnitudes.
 """
 
 from __future__ import annotations
@@ -65,6 +74,9 @@ def euler_characteristic(genus: int, punctures: int) -> int:
 # In-disk coordinates with declared rational magnitudes
 
 
+_RATIONAL_TYPES = (int, Fraction)
+
+
 @dataclass(frozen=True)
 class UltraScalar:
     """A finite rational combination of abstract unit-disk elements, each
@@ -74,18 +86,27 @@ class UltraScalar:
     coefficient; subtraction cancels termwise, so the induced distance
     |x - y| is an exact rational ultrametric.  Plain rationals embed with
     magnitude 1.
+
+    Normal form: the terms are sorted by strictly increasing magnitude and
+    every coefficient is nonzero, so equal values are equal tuples (and hash
+    alike).  Magnitudes and coefficients are ints or Fractions, never floats
+    or bools.
     """
 
     terms: tuple[tuple[Fraction, Fraction], ...]  # (magnitude, coefficient)
 
     def __post_init__(self) -> None:
-        mags = [m for m, _ in self.terms]
-        if any(m <= 0 for m in mags):
-            raise ValueError("magnitudes must be positive rationals")
-        if len(set(mags)) != len(mags):
-            raise ValueError("duplicate magnitudes")
-        if any(c == 0 for _, c in self.terms):
-            raise ValueError("zero coefficients are not stored")
+        prev = 0  # one pass: each magnitude exceeds the last, the first exceeds 0
+        for m, c in self.terms:
+            if type(m) not in _RATIONAL_TYPES or type(c) not in _RATIONAL_TYPES:
+                raise ValueError(f"magnitudes and coefficients must be ints or Fractions, not {m!r}, {c!r}")
+            if m <= prev:
+                if prev == 0:
+                    raise ValueError("magnitudes must be positive rationals")
+                raise ValueError("magnitudes must be strictly increasing")
+            if not c:
+                raise ValueError("zero coefficients are not stored")
+            prev = m
 
     def __sub__(self, other: "UltraScalar") -> "UltraScalar":
         acc = dict(self.terms)
@@ -98,7 +119,7 @@ class UltraScalar:
         return UltraScalar(tuple(sorted(acc.items())))
 
     def magnitude(self) -> Fraction:
-        return max((m for m, _ in self.terms), default=Fraction(0))
+        return self.terms[-1][0] if self.terms else Fraction(0)
 
 
 UltraLike = Union["UltraScalar", int, str, Fraction, Sequence]
@@ -108,7 +129,8 @@ def ultra(value: UltraLike) -> UltraScalar:
     """Coerce to an in-disk coordinate.
 
     Rationals embed as residue-field constants (magnitude 1 unless zero);
-    a sequence of (magnitude, coefficient) pairs declares the terms.
+    a sequence of (magnitude, coefficient) pairs declares the terms, and
+    repeated magnitudes are merged.
     """
     if isinstance(value, UltraScalar):
         return value
@@ -117,11 +139,14 @@ def ultra(value: UltraLike) -> UltraScalar:
         if c == 0:
             return UltraScalar(())
         return UltraScalar(((Fraction(1), c),))
-    acc: dict[Fraction, Fraction] = {}
-    for m, c in value:
-        mf, cf = as_fraction(m), as_fraction(c)
-        acc[mf] = acc.get(mf, Fraction(0)) + cf
-    return UltraScalar(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
+    pairs = sorted([(as_fraction(m), as_fraction(c)) for m, c in value], key=operator.itemgetter(0))
+    merged: list[list] = []
+    for m, c in pairs:
+        if merged and merged[-1][0] == m:
+            merged[-1][1] += c
+        else:
+            merged.append([m, c])
+    return UltraScalar(tuple([(m, c) for m, c in merged if c]))
 
 
 def ultra_distance(x: UltraLike, y: UltraLike) -> Fraction:
@@ -169,8 +194,8 @@ def tree_of_disks(
 ) -> TreeOfDisks:
     return TreeOfDisks(
         tuple(disks),
-        tuple((a, ultra(ca), b, ultra(cb)) for a, ca, b, cb in edges),
-        tuple((name, disk, ultra(coord)) for name, (disk, coord) in marks.items()),
+        tuple([(a, ultra(ca), b, ultra(cb)) for a, ca, b, cb in edges]),
+        tuple([(name, disk, ultra(coord)) for name, (disk, coord) in marks.items()]),
     )
 
 
@@ -179,40 +204,70 @@ Cost = Union[Fraction, float]  # exact rational, or math.inf for "no chain"
 INFINITE: float = math.inf
 
 
+def _top_down(c: UltraScalar, scale: int) -> list[tuple[int, int, int]]:
+    """The terms of c from the largest magnitude down, as int triples
+    (magnitude * scale, coefficient numerator, coefficient denominator)."""
+    return [(m.numerator * (scale // m.denominator), v.numerator, v.denominator) for m, v in reversed(c.terms)]
+
+
+def _step(a: list, b: list) -> int:
+    """The scaled magnitude of the difference of two top-down term lists:
+    the first term, from the top, that the two do not share."""
+    for s, t in zip(a, b):
+        if s != t:
+            return s[0] if s[0] > t[0] else t[0]
+    if len(a) > len(b):
+        return a[len(b)][0]
+    if len(b) > len(a):
+        return b[len(a)][0]
+    return 0
+
+
 def _chain_extremum(t: TreeOfDisks, x: str, y: str, budget: int | None, mode: str) -> Cost:
     if budget is not None and budget < 1:
         raise ValueError(f"a chain budget counts disk visits and must be at least 1, not {budget}")
     disk_x, coord_x = t.mark(x)
     disk_y, coord_y = t.mark(y)
-    combine = operator.add if mode == "sum" else max
+    # every magnitude as an int over one common denominator, so costs are ints
+    coords = [coord_x, coord_y]
+    for _, ca, _, cb in t.edges:
+        coords.append(ca)
+        coords.append(cb)
+    scale = math.lcm(*[m.denominator for c in coords for m, _ in c.terms])
+    target = _top_down(coord_y, scale)
     # state 0 is the mark x; states 2k+1 and 2k+2 enter edge k's second and first disk
-    entries = [(disk_x, coord_x)]
-    exits: dict[str, list[tuple[UltraScalar, int]]] = {d: [] for d in t.disks}
+    entries = [(disk_x, _top_down(coord_x, scale))]
+    exits: dict[str, list[tuple[list, int]]] = {d: [] for d in t.disks}
     for a, ca, b, cb in t.edges:
-        exits[a].append((ca, len(entries)))
-        entries.append((b, cb))
-        exits[b].append((cb, len(entries)))
-        entries.append((a, ca))
+        here_a, here_b = _top_down(ca, scale), _top_down(cb, scale)
+        exits[a].append((here_a, len(entries)))
+        entries.append((b, here_b))
+        exits[b].append((here_b, len(entries)))
+        entries.append((a, here_a))
+    add = mode == "sum"
     # Labels (cost, visits, state); state -1 means the chain has reached y.
     # Without a budget the visit count stays 1, so the first expansion settles a state.
     hop = 0 if budget is None else 1
-    expanded = [math.inf] * len(entries)  # visits at a state's last expansion
-    heap: list[tuple[Cost, int, int]] = [(Fraction(0), 1, 0)]
+    # visits at a state's last expansion; more visits than any label carries means never
+    expanded = [(budget or 1) + 1] * len(entries)
+    heap: list[tuple[int, int, int]] = [(0, 1, 0)]
     while heap:
         cost, visits, state = heapq.heappop(heap)
         if state < 0:
-            return cost
+            return Fraction(cost, scale)
         if expanded[state] <= visits:
             continue
         expanded[state] = visits
         disk, coord = entries[state]
         if disk == disk_y:
-            heapq.heappush(heap, (combine(cost, (coord - coord_y).magnitude()), visits, -1))
+            step = _step(coord, target)
+            heapq.heappush(heap, (cost + step if add else max(cost, step), visits, -1))
         if budget is not None and visits >= budget:
             continue
         for here, nxt in exits[disk]:
             if expanded[nxt] > visits + hop:
-                heapq.heappush(heap, (combine(cost, (coord - here).magnitude()), visits + hop, nxt))
+                step = _step(coord, here)
+                heapq.heappush(heap, (cost + step if add else max(cost, step), visits + hop, nxt))
     return INFINITE
 
 
@@ -349,9 +404,9 @@ def curve_model(
     boundary: Iterable[str] = (),
     disks: Iterable[tuple[str, Attachment]] = (),
 ) -> CurveModel:
-    vs = tuple(v if isinstance(v, VertexData) else VertexData(*v) for v in vertices)
+    vs = tuple([v if isinstance(v, VertexData) else VertexData(*v) for v in vertices])
     es = tuple(
-        e if isinstance(e, EdgeData) else EdgeData(e[0], e[1], as_fraction(e[2])) for e in edges
+        [e if isinstance(e, EdgeData) else EdgeData(e[0], e[1], as_fraction(e[2])) for e in edges]
     )
     return CurveModel(vs, es, tuple(punctures), frozenset(boundary), tuple(disks))
 
@@ -509,7 +564,7 @@ class Decomposition:
     def annulus_log_moduli(self) -> tuple[Fraction, ...]:
         """Each segment of length L corresponds to an annulus A(1, R) with
         log R = L."""
-        return tuple(s.length for s in self.segments)
+        return tuple([s.length for s in self.segments])
 
 
 def decompose(m: CurveModel) -> Decomposition:

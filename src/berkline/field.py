@@ -52,7 +52,9 @@ def as_fraction(x: RationalInput) -> Fraction:
     a positive integer denominator, with surrounding whitespace allowed; any
     other string (decimals, exponents, a zero denominator) raises ValueError.
     """
-    if isinstance(x, Fraction):
+    # an exact type check first: Fraction's metaclass is ABCMeta, so
+    # isinstance(x, Fraction) runs the slow ABC instance check
+    if type(x) is Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
@@ -67,6 +69,8 @@ def as_fraction(x: RationalInput) -> Fraction:
         if d == 0:
             raise ValueError(f"zero denominator in {x!r}")
         return Fraction(int(num), d)
+    if isinstance(x, Fraction):
+        return x
     raise TypeError(f"not an exact rational: {x!r}")
 
 

@@ -140,7 +140,7 @@ def series_map(coords: Sequence[Poly], domain: Domain | None = None) -> SeriesMa
     shift = min(c.min_exp() for c in nonzero)
     if shift != 0:
         # common monomial content; removing it is a projective rescaling
-        coords = tuple(c.shift_exp(-shift) for c in coords)
+        coords = tuple([c.shift_exp(-shift) for c in coords])
         nonzero = [c for c in coords if not c.is_zero]
     if not any(c.is_constant for c in nonzero) and not coprime_certificate(nonzero):
         g = nonzero[0]
@@ -149,7 +149,7 @@ def series_map(coords: Sequence[Poly], domain: Domain | None = None) -> SeriesMa
             if g.is_constant:
                 break
         if not g.is_constant:
-            coords = tuple(c if c.is_zero else _poly_divexact(c, g) for c in coords)
+            coords = tuple([c if c.is_zero else _poly_divexact(c, g) for c in coords])
     return SeriesMap(coords, domain)
 
 

@@ -68,12 +68,27 @@ class SampledFunction:
 
 
 def sampled_function(points: Sequence[Scalar], values: Sequence) -> SampledFunction:
-    return SampledFunction(tuple(points), tuple(as_fraction(v) for v in values))
+    return SampledFunction(tuple(points), tuple([as_fraction(v) for v in values]))
 
 
 def _check_index(s: SampledFunction, i: int) -> None:
     if not 0 <= i < len(s.points):
         raise ValueError(f"point index {i} is outside 0..{len(s.points) - 1}")
+
+
+def _ball_test(center: Scalar, bound: Fraction, base: Fraction) -> Callable[[Scalar], bool]:
+    """x -> |x - center| <= bound.  The answer depends only on the exponent
+    of the gap, so magnitude_le_rational runs once per distinct exponent."""
+    decided: dict = {}
+
+    def inside(x: Scalar) -> bool:
+        gap = (x - center).abs()
+        answer = decided.get(gap.logval)
+        if answer is None:
+            answer = decided[gap.logval] = magnitude_le_rational(gap, bound, base)
+        return answer
+
+    return inside
 
 
 def gromov_select(s: SampledFunction, a_index: int, epsilon, tau) -> int:
@@ -86,14 +101,12 @@ def gromov_select(s: SampledFunction, a_index: int, epsilon, tau) -> int:
     base = s.spec.base()
     b = a_index
     while True:
-        bound = 1 / (eps * s.values[b])
+        ceiling = t * s.values[b]
+        inside = _ball_test(s.points[b], 1 / (eps * s.values[b]), base)
         witness = None
         for i, (x, phi_x) in enumerate(zip(s.points, s.values)):
-            if phi_x <= t * s.values[b]:
-                continue
-            if magnitude_le_rational((x - s.points[b]).abs(), bound, base):
-                if witness is None or phi_x > s.values[witness]:
-                    witness = i
+            if phi_x > ceiling and inside(x) and (witness is None or phi_x > s.values[witness]):
+                witness = i
         if witness is None:
             return b
         b = witness
@@ -109,13 +122,9 @@ def gromov_conditions(s: SampledFunction, a_index: int, b_index: int, epsilon, t
     gap = (s.points[a_index] - s.points[b_index]).abs()
     cond_i = magnitude_le_rational(gap, t / (eps * (t - 1) * phi_a), base)
     cond_ii = phi_b >= phi_a
-    cond_iii = True
-    bound = 1 / (eps * phi_b)
-    for x, phi_x in zip(s.points, s.values):
-        if magnitude_le_rational((x - s.points[b_index]).abs(), bound, base):
-            if phi_x > t * phi_b:
-                cond_iii = False
-                break
+    ceiling = t * phi_b
+    inside = _ball_test(s.points[b_index], 1 / (eps * phi_b), base)
+    cond_iii = not any(phi_x > ceiling and inside(x) for x, phi_x in zip(s.points, s.values))
     return cond_i, cond_ii, cond_iii
 
 

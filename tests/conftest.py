@@ -24,6 +24,7 @@ from berkline import (
     tree_of_disks,
 )
 from berkline.cli import main
+from berkline.field import magnitude_le_rational
 
 
 @pytest.fixture
@@ -248,3 +249,43 @@ def eager_pgl_point(word, x) -> ProjPoint:
             else:
                 current = ProjPoint.infinity(spec)
     return current
+
+
+# ---------------------------------------------------------------------------
+# Selection oracles: slow, exact, one magnitude decision for every point
+
+
+def gromov_select_oracle(s, a_index: int, eps: Fraction, tau: Fraction) -> int:
+    """zalcman.gromov_select as an exhaustive loop: from b, jump to the
+    largest phi above tau phi(b) in the ball of radius 1/(eps phi(b))."""
+    base = s.spec.base()
+    b = a_index
+    while True:
+        bound = 1 / (eps * s.values[b])
+        witness = None
+        for i, (x, phi_x) in enumerate(zip(s.points, s.values)):
+            if phi_x <= tau * s.values[b]:
+                continue
+            if magnitude_le_rational((x - s.points[b]).abs(), bound, base):
+                if witness is None or phi_x > s.values[witness]:
+                    witness = i
+        if witness is None:
+            return b
+        b = witness
+
+
+def gromov_conditions_oracle(s, a_index: int, b_index: int, eps: Fraction, tau: Fraction) -> tuple[bool, bool, bool]:
+    """zalcman.gromov_conditions with condition (iii) tested at every point."""
+    base = s.spec.base()
+    phi_a, phi_b = s.values[a_index], s.values[b_index]
+    gap = (s.points[a_index] - s.points[b_index]).abs()
+    cond_i = magnitude_le_rational(gap, tau / (eps * (tau - 1) * phi_a), base)
+    cond_ii = phi_b >= phi_a
+    cond_iii = True
+    bound = 1 / (eps * phi_b)
+    for x, phi_x in zip(s.points, s.values):
+        if magnitude_le_rational((x - s.points[b_index]).abs(), bound, base):
+            if phi_x > tau * phi_b:
+                cond_iii = False
+                break
+    return cond_i, cond_ii, cond_iii

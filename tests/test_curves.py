@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from berkline import (
     StarShapedData,
+    UltraScalar,
     chained_disk_family,
     classify,
     curve_model,
@@ -267,6 +268,57 @@ def test_ultra_scalar_distances():
     assert ultra(Fraction(0)).magnitude() == 0
 
 
+def test_ultra_scalar_normal_form_equality_and_hash():
+    half = Fraction(1, 2)
+    x = ultra([(1, 1), (half, 1)])
+    y = ultra([(half, 1), (1, 1)])
+    assert x.terms == ((half, 1), (1, 1))
+    assert x == y and hash(x) == hash(y)
+    assert ultra([(half, 1), (half, 1)]) == ultra([(half, 2)])
+    assert ultra([(half, 1), (half, -1), (1, 3)]) == ultra(3)
+    # a difference is in normal form too
+    assert x - ultra([(half, 1)]) == ultra(1) and hash(x - ultra([(half, 1)])) == hash(ultra(1))
+    assert ultra_distance(x, y) == 0
+    # out of order or repeated magnitudes are not a normal form
+    for terms in (((1, 1), (half, 1)), ((half, 1), (half, 2))):
+        with pytest.raises(ValueError):
+            UltraScalar(terms)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        ((Fraction(1, 2), 1.5),),
+        ((0.5, 1),),
+        ((True, 1),),
+        ((Fraction(1, 2), True),),
+        ((Fraction(1, 2), "1"),),
+        ((Fraction(1, 2), 0),),
+        ((Fraction(-1, 2), 1),),
+    ],
+)
+def test_ultra_scalar_rejects_non_rationals_zero_coefficients_and_nonpositive_magnitudes(terms):
+    with pytest.raises(ValueError):
+        UltraScalar(terms)
+
+
+PAIRS = st.lists(st.tuples(st.integers(1, 12).map(lambda b: Fraction(1, b)), st.integers(-2, 2)), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAIRS, PAIRS, st.randoms(use_true_random=False))
+def test_ultra_matches_dict_oracle(u, v, rnd):
+    x, y = ultra(u), ultra(v)
+    acc = {}
+    for m, c in u:
+        acc[m] = acc.get(m, 0) + c
+    assert x.terms == tuple(sorted([(m, c) for m, c in acc.items() if c != 0]))
+    shuffled = list(u)
+    rnd.shuffle(shuffled)
+    assert ultra(shuffled) == x and hash(ultra(shuffled)) == hash(x)
+    assert ultra_distance(x, y) == raw_step(x, y) == ultra_distance(y, x)
+
+
 # ---------------------------------------------------------------------------
 # trees of disks
 
@@ -306,6 +358,17 @@ def test_chain_budget_limits_paths():
     assert d_tree(t, x, y, budget=2) == INF
 
 
+def raw_step(u, v):
+    """|u - v| from the raw (magnitude, coefficient) pairs: the largest
+    magnitude whose coefficients differ, summed in a plain dict."""
+    acc = {}
+    for m, c in u.terms:
+        acc[m] = acc.get(m, 0) + c
+    for m, c in v.terms:
+        acc[m] = acc.get(m, 0) - c
+    return max([m for m, c in acc.items() if c != 0], default=Fraction(0))
+
+
 def brute_force_walks(t, x, y, max_steps, mode):
     """Oracle: enumerate all walks (edge reuse allowed) up to a visit bound."""
     disk_x, coord_x = t.mark(x)
@@ -321,12 +384,12 @@ def brute_force_walks(t, x, y, max_steps, mode):
 
     def walk(disk, entry, acc, steps):
         if disk == disk_y:
-            total = combine(acc, (entry - coord_y).magnitude())
+            total = combine(acc, raw_step(entry, coord_y))
             best[0] = min(best[0], total)
         if steps >= max_steps:
             return
         for here, other, there in adj[disk]:
-            walk(other, there, combine(acc, (entry - here).magnitude()), steps + 1)
+            walk(other, there, combine(acc, raw_step(entry, here)), steps + 1)
 
     walk(disk_x, coord_x, Fraction(0), 1)
     return best[0]
@@ -342,9 +405,15 @@ def test_trail_enumeration_matches_walk_oracle():
             assert got == oracle
 
 
-MAGNITUDES = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3)])
+# A few shared magnitudes, so that leading terms cancel, and any a/b with
+# b <= 100, so that the common denominator of a tree meets coprime ones.
+MAGNITUDES = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3)]),
+    st.integers(1, 100).flatmap(lambda b: st.integers(1, b).map(lambda a: Fraction(a, b))),
+)
+COEFFS = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=7))
 # ultra() merges repeated magnitudes and drops zero coefficients
-COORDS = st.lists(st.tuples(MAGNITUDES, st.integers(-2, 2)), max_size=2)
+COORDS = st.lists(st.tuples(MAGNITUDES, COEFFS), max_size=2)
 
 
 @st.composite

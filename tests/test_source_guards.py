@@ -1,6 +1,7 @@
 """Source guards: the library contains no floating point at all, its
 runtime checks are explicit raises, never assert statements (which python -O
-strips), and every import sits at module level."""
+strips), every import sits at module level, and no tuple is built from a
+generator expression."""
 
 from __future__ import annotations
 
@@ -51,3 +52,24 @@ def _function_local_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert _function_local_imports(path) == []
+
+
+def _tuple_from_generator(path: Path) -> list[str]:
+    # tuple(genexpr) reallocates a guessed-size tuple, and the freed results
+    # pile up in CPython's per-size tuple free lists (see field.py's term
+    # algebra comment): build the tuple from a list instead.
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        f"{path.name}:{node.lineno}: tuple(genexpr)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and node.args
+        and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_tuple_from_generator(path):
+    assert _tuple_from_generator(path) == []

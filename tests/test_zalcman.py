@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berkline import (
     ABS_ONE,
@@ -25,7 +27,7 @@ from berkline import (
 from berkline.errors import NoExplosion, RadiusNotInValueGroup
 from berkline.field import magnitude_le_rational
 
-from conftest import rng_for
+from conftest import gromov_conditions_oracle, gromov_select_oracle, rng_for
 
 
 def scaled_identity_family(spec: FieldSpec):
@@ -94,6 +96,51 @@ def test_selection_conditions_on_random_samples(p3):
         b = gromov_select(s, a, eps, tau)
         ci, cii, ciii = gromov_conditions(s, a, b, eps, tau)
         assert ci and cii and ciii
+
+
+# Few gap exponents, many points: most gaps share a valuation, so the
+# per-exponent decisions are reused and any error in reusing them shows.
+UNITS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(4, 5), Fraction(-7, 4)])
+
+
+@st.composite
+def padic_samples(draw):
+    spec = FieldSpec("padic", draw(st.sampled_from([2, 3, 5])))
+    ks = st.integers(-2, 3)
+    values = [draw(UNITS) * Fraction(spec.p) ** draw(ks) for _ in range(draw(st.integers(1, 12)))]
+    return spec, [spec.scalar(v) for v in values]
+
+
+@st.composite
+def puiseux_samples(draw):
+    spec = FieldSpec("puiseux-q", numeric_base=draw(st.sampled_from([Fraction(2), Fraction(3), Fraction(9, 4)])))
+    exps = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        x = spec.zero()
+        for _ in range(draw(st.integers(1, 2))):
+            x = x + spec.t_power(draw(exps), draw(UNITS))
+        points.append(x)
+    return spec, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(padic_samples(), puiseux_samples()),
+    st.data(),
+)
+def test_selection_matches_exhaustive_oracle(sample, data):
+    spec, points = sample
+    values = [data.draw(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(2), Fraction(9, 2), Fraction(20)])) for _ in points]
+    s = sampled_function(points, values)
+    a = data.draw(st.integers(0, len(points) - 1))
+    eps = data.draw(st.sampled_from([Fraction(1, 9), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(27)]))
+    tau = 1 + Fraction(1, data.draw(st.integers(1, 4)))
+    b = gromov_select(s, a, eps, tau)
+    assert b == gromov_select_oracle(s, a, eps, tau)
+    other = data.draw(st.integers(0, len(points) - 1))
+    for index in (b, other):
+        assert gromov_conditions(s, a, index, eps, tau) == gromov_conditions_oracle(s, a, index, eps, tau)
 
 
 def test_selection_is_deterministic(p3):
