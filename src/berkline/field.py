@@ -11,12 +11,14 @@ Two backends are provided:
     coefficients, valued by the lowest exponent: |x| = beta^(-min supp x) for
     an abstract base beta > 1.  Residue characteristic 0, residue field Q.
     Elements are kept as num/den pairs of finite-support term maps so that
-    inversion stays exact; values produced by ring operations always have
-    denominator 1.  A term map is (D, ((k, c), ...)): int exponents k that
-    stand for k/D over one minimal denominator D, and exact rational
-    coefficients c stored as ints when integral, so the hot loops add and
-    multiply ints.  ``PuiseuxScalar.num``/``.den`` are views of the same maps
-    as (Fraction exponent, Fraction coefficient) pairs.
+    inversion stays exact.  A term map is (D, ((k, c), ...)): int exponents k
+    that stand for k/D over one minimal denominator D, and nonzero int
+    coefficients c, so the hot loops add and multiply ints only.  Rational
+    coefficients live in the denominator: a polynomial with rational
+    coefficients is num over the constant lcm of their denominators, and ring
+    operations on integer polynomials give denominator 1.
+    ``PuiseuxScalar.num``/``.den`` are views of the same maps as (Fraction
+    exponent, Fraction coefficient) pairs.
 
 Magnitudes are never floats.  An :class:`AbsValue` is either the zero
 magnitude or beta^q for an exact rational q, with beta = p for padic and the
@@ -338,7 +340,7 @@ class FieldSpec:
             return PadicScalar(self, c)
         if c == 0:
             return PuiseuxScalar(self, _ZERO_TERMS)
-        return PuiseuxScalar(self, (1, ((0, _coeff(c)),)))
+        return PuiseuxScalar(self, (1, ((0, c.numerator),)), _constant(c.denominator))
 
     def from_int(self, n: int) -> "Scalar":
         return self.scalar(n)
@@ -351,7 +353,7 @@ class FieldSpec:
         if c == 0:
             return self.zero()
         e = as_fraction(q)
-        return PuiseuxScalar(self, (e.denominator, ((e.numerator, _coeff(c)),)))
+        return PuiseuxScalar(self, (e.denominator, ((e.numerator, c.numerator),)), _constant(c.denominator))
 
     def from_terms(self, terms: Iterable[tuple[RationalInput, RationalInput]]) -> "Scalar":
         """A puiseux-q element from (exponent, coefficient) pairs."""
@@ -361,7 +363,7 @@ class FieldSpec:
         for q, c in terms:
             qf, cf = as_fraction(q), as_fraction(c)
             acc[qf] = acc.get(qf, Fraction(0)) + cf
-        return PuiseuxScalar(self, _terms_from_dict(acc))
+        return PuiseuxScalar(self, *_terms_from_dict(acc))
 
     def uniformizer(self, logval: RationalInput) -> "Scalar":
         """The canonical scalar of magnitude beta^logval.
@@ -461,36 +463,38 @@ def _padic_valuation(n: int, p: int) -> int:
 # -- puiseux term algebra ----------------------------------------------------
 #
 # A term map is (D, ((k, c), ...)): the finite sum of c * t^(k/D) over its
-# terms, sorted by the int k.  Every c is a nonzero exact rational, stored as
-# an int when it is integral.  D >= 1 is kept minimal, gcd(D, every k) == 1,
-# so equal sums are equal tuples.  The zero map is (1, ()).  Sums and
-# products work on int exponents and rescale to a common D only when the two
-# operands' D differ (the layout of FLINT's fmpq_poly: integer data over one
-# denominator).  Term tuples are built from lists, never from generators:
-# tuple(genexpr) reallocates a guessed-size tuple, and the results, once freed,
-# pile up in CPython's per-size tuple free lists until a full collection.
+# terms, sorted by the int k.  Every c is a nonzero int: a value's rational
+# coefficients are cleared into its denominator.  D >= 1 is kept minimal,
+# gcd(D, every k) == 1, so equal sums are equal tuples.  The zero map is
+# (1, ()).  Sums and products work on int exponents and rescale to a common D
+# only when the two operands' D differ (the layout of FLINT's fmpq_poly:
+# integer data over one denominator).  Term tuples are built from lists, never
+# from generators: tuple(genexpr) reallocates a guessed-size tuple, and the
+# results, once freed, pile up in CPython's per-size tuple free lists until a
+# full collection.
 
-Coeff = Union[int, Fraction]
-Terms = tuple  # tuple[int, tuple[tuple[int, Coeff], ...]]
+Terms = tuple  # tuple[int, tuple[tuple[int, int], ...]]
 
 _ZERO_TERMS: Terms = (1, ())
 _ONE_TERMS: Terms = (1, ((0, 1),))
 
 
-def _coeff(c: Coeff) -> Coeff:
-    """c as an int when it is integral."""
-    if type(c) is int or c.denominator != 1:
-        return c
-    return c.numerator
-
-
-def _terms_from_dict(d: dict[Fraction, Fraction]) -> Terms:
-    """The term map of an exponent -> coefficient dict of Fractions."""
+def _terms_from_dict(d: dict[Fraction, Fraction]) -> tuple[Terms, Terms]:
+    """The num/den pair of an exponent -> coefficient dict of Fractions: the
+    coefficients times the lcm L of their denominators, over the constant L
+    (coprime to the numerator's content, because L is the lcm)."""
     items = [(q, c) for q, c in d.items() if c]
     if not items:
-        return _ZERO_TERMS
+        return _ZERO_TERMS, _ONE_TERMS
     denom = math.lcm(*(q.denominator for q, _ in items))
-    return denom, tuple(sorted((q.numerator * (denom // q.denominator), _coeff(c)) for q, c in items))
+    scale = math.lcm(*(c.denominator for _, c in items))
+    num = [(q.numerator * (denom // q.denominator), c.numerator * (scale // c.denominator)) for q, c in items]
+    return (denom, tuple(sorted(num))), _constant(scale)
+
+
+def _constant(c: int) -> Terms:
+    """The term map of a positive int c, shared for c = 1."""
+    return _ONE_TERMS if c == 1 else (1, ((0, c),))
 
 
 def _terms_view(a: Terms) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -551,7 +555,7 @@ def _terms_add(a: Terms, b: Terms) -> Terms:
         else:
             s = ta[i][1] + tb[j][1]
             if s:
-                append((ka, s if type(s) is int else _coeff(s)))
+                append((ka, s))
             else:
                 cancelled = True
             i += 1
@@ -575,25 +579,17 @@ def _terms_mul(a: Terms, b: Terms) -> Terms:
         if len(ta) != 1:
             ta, tb = tb, ta
         ((ka, ca),) = ta
-        # products of nonzero rational coefficients never vanish
-        if type(ca) is int:
-            out = tuple([(ka + kb, ca * cb if type(cb) is int else _coeff(ca * cb)) for kb, cb in tb])
-        else:
-            out = tuple([(ka + kb, _coeff(ca * cb)) for kb, cb in tb])
+        # products of nonzero coefficients never vanish
+        out = tuple([(ka + kb, ca * cb) for kb, cb in tb])
     else:
-        acc: dict[int, Coeff] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for ka, ca in ta:
             for kb, cb in tb:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-        out = tuple(sorted((k, c if type(c) is int else _coeff(c)) for k, c in acc.items() if c))
+        out = tuple(sorted([kc for kc in acc.items() if kc[1]]))
     return _reduced(denom, out) if denom > 1 else (1, out)
-
-
-def _clearing_scale(a: Terms) -> int:
-    """The lcm of the coefficient denominators of a term map."""
-    return math.lcm(*(c.denominator for _, c in a[1] if type(c) is not int))
 
 
 def _terms_lowest(a: Terms, denom: int) -> int:
@@ -614,26 +610,26 @@ def _terms_at(a: Terms, denom: int, sigma: Fraction) -> Fraction:
 # (the empty list is 0).  Fraction reduction below, and poly_gcd and the
 # coprimality certificate in points.py, all run the primitive pseudo-remainder
 # sequence of _zgcd.  A Puiseux term map becomes a Z[u] polynomial through
-# u = t^(1/denom), a shift of exponents and one integer scale.
+# u = t^(1/denom) and a shift of exponents.
 
 
-def _terms_to_zpoly(a: Terms, denom: int, shift: int, scale: int) -> list[int]:
-    """scale * t^(-shift/denom) * a as a Z[u] polynomial, u = t^(1/denom).
+def _terms_to_zpoly(a: Terms, denom: int, shift: int) -> list[int]:
+    """t^(-shift/denom) * a as a Z[u] polynomial, u = t^(1/denom).
 
-    denom is a multiple of a's D, shift is at most a's lowest exponent (in
-    units of 1/denom) and scale clears every coefficient denominator of a.
+    denom is a multiple of a's D and shift is at most a's lowest exponent (in
+    units of 1/denom).
     """
     d, terms = a
     m = denom // d
     out = [0] * (terms[-1][0] * m - shift + 1)
     for k, c in terms:
-        out[k * m - shift] = c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+        out[k * m - shift] = c
     return out
 
 
-def _zpoly_to_terms(z: list[int], denom: int, shift: int, scale: Coeff) -> Terms:
-    """The term map of scale * t^(shift/denom) * z(t^(1/denom))."""
-    return _reduced(denom, tuple([(i + shift, _coeff(c * scale)) for i, c in enumerate(z) if c]))
+def _zpoly_to_terms(z: list[int], denom: int, shift: int) -> Terms:
+    """The term map of t^(shift/denom) * z(t^(1/denom))."""
+    return _reduced(denom, tuple([(i + shift, c) for i, c in enumerate(z) if c]))
 
 
 def _zclear(a: list[Fraction]) -> list[int]:
@@ -711,6 +707,10 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
+    """The reduced form of num/den: coprime in Z[u], content included, with
+    den's lowest term a positive int at exponent 0.  A one-term denominator
+    c * t^(k/D) needs no gcd: num is shifted by -k/D over the constant |c|,
+    and gcd(c, num's content) is divided out."""
     if not num[1]:
         return _ZERO_TERMS, _ONE_TERMS
     if den == _ONE_TERMS:
@@ -718,37 +718,64 @@ def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
     if not den[1]:
         raise DivisionByZero("zero denominator")
     denom = math.lcm(num[0], den[0])
-    en, ed = _terms_lowest(num, denom), _terms_lowest(den, denom)
-    sn, sd = _clearing_scale(num), _clearing_scale(den)
-    zn = _terms_to_zpoly(num, denom, en, sn)
-    zd = _terms_to_zpoly(den, denom, ed, sd)
+    ed = _terms_lowest(den, denom)
+    if len(den[1]) == 1:
+        c = den[1][0][1]
+        g = math.gcd(c, *(a for _, a in num[1]))
+        g = g if c > 0 else -g
+        m = denom // num[0]
+        return _reduced(denom, tuple([(k * m - ed, a // g) for k, a in num[1]])), _constant(c // g)
+    en = _terms_lowest(num, denom)
+    zn, zd = _terms_to_zpoly(num, denom, en), _terms_to_zpoly(den, denom, ed)
     g = _zgcd(zn, zd)
-    if len(g) > 1:
+    if (zd[0] < 0) != (g[0] < 0):
+        g = [-c for c in g]
+    if g != [1]:
         zn, zd = _zdivexact(zn, g), _zdivexact(zd, g)
-    # num/den = (sd/sn) * zn/zd; scale so the denominator's lowest term is 1
-    return (
-        _zpoly_to_terms(zn, denom, en - ed, Fraction(sd, sn * zd[0])),
-        _zpoly_to_terms(zd, denom, 0, Fraction(1, zd[0])),
-    )
+    return _zpoly_to_terms(zn, denom, en - ed), _zpoly_to_terms(zd, denom, 0)
 
 
 _REDUCE_THRESHOLD = 48  # lazy fractions reduce once this many terms accumulate
 
 
 def _fast_reduce(num: Terms, den: Terms) -> tuple[Terms, Terms]:
-    """Cheap reductions that avoid the Z[u] gcd in the common cases."""
+    """num/den, reduced where that is cheap (a one-term denominator) or the
+    terms have grown past _REDUCE_THRESHOLD, and left lazy otherwise."""
+    if len(den[1]) == 1 or len(num[1]) + len(den[1]) > _REDUCE_THRESHOLD:
+        return _normalize_fraction(num, den)
     if not num[1]:
         return _ZERO_TERMS, _ONE_TERMS
-    if den == _ONE_TERMS:
-        return num, den
-    if len(den[1]) == 1:
-        # divide by the monomial c * t^(k/D)
-        denom, tn, ((k, c),) = _common(num, den)
-        inv = Fraction(1, c) if type(c) is int else 1 / c
-        return _reduced(denom, tuple([(e - k, _coeff(a * inv)) for e, a in tn])), _ONE_TERMS
-    if len(num[1]) + len(den[1]) > _REDUCE_THRESHOLD:
-        return _normalize_fraction(num, den)
     return num, den
+
+
+_KEY_TERMS = 6  # expansion terms that a hash reads
+
+
+def _expansion(num: Terms, den: Terms, below: Fraction | None = None) -> tuple:
+    """The lowest terms, at most _KEY_TERMS, of the Puiseux expansion of
+    num/den as (exponent, coefficient) Fraction pairs; with ``below``, only
+    those of exponent < below.
+
+    An invariant of the value, so every num/den pair of it, reduced or not,
+    gives the same pairs with no gcd.  Sparse long division: each step divides
+    the remainder's lowest term by den's lowest term.  The cap holds for
+    polynomials too, so a polynomial and a fraction equal to it agree.
+    """
+    denom, rem, ((k0, c0), *rest) = _common(num, den)
+    rem = dict(rem)
+    out = []
+    while rem and len(out) < _KEY_TERMS:
+        k = min(rem)
+        if below is not None and k - k0 >= below * denom:
+            break
+        q = Fraction(rem.pop(k), c0)
+        out.append((Fraction(k - k0, denom), q))
+        for kd, cd in rest:
+            e = k - k0 + kd
+            c = rem.pop(e, 0) - q * cd
+            if c:
+                rem[e] = c
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -756,17 +783,17 @@ class PuiseuxScalar(Scalar):
     """A quotient num/den of finite Puiseux polynomials.
 
     ``num_terms`` and ``den_terms`` are term maps (D, ((k, c), ...)): int
-    exponents k standing for k/D over one minimal denominator D, and exact
-    rational coefficients c stored as ints when integral.  The properties
-    ``num`` and ``den`` are read-only views of the same maps as
-    (Fraction exponent, Fraction coefficient) pairs.
+    exponents k standing for k/D over one minimal denominator D, and nonzero
+    int coefficients c.  The properties ``num`` and ``den`` are read-only
+    views of the same maps as (Fraction exponent, Fraction coefficient) pairs.
 
-    The denominator of any value produced by +, -, * on polynomial inputs is
-    the constant 1, so those values are plain finite exponent -> coefficient
-    maps.  inv() introduces nontrivial denominators; fractions are kept lazy
-    (equality by cross-multiplication, gcd reduction only when values grow or
-    a canonical form is demanded), because the valuation of num/den never
-    needs the reduced form.
+    ``den_terms`` is the value's only denominator.  A polynomial with rational
+    coefficients is num over the positive constant lcm of their denominators,
+    and +, -, * on integer polynomials give the denominator 1.  inv()
+    introduces nontrivial denominators; fractions are kept lazy (equality by
+    cross-multiplication, gcd reduction only when values grow), because the
+    valuation of num/den never needs the reduced form.  The hash reads the
+    value's Puiseux expansion, which every num/den pair of it shares.
     """
 
     spec: FieldSpec
@@ -818,10 +845,6 @@ class PuiseuxScalar(Scalar):
             return ABS_ZERO
         return AbsValue(Fraction(td[0][0] * dn - tn[0][0] * dd, dn * dd))
 
-    def canonical(self) -> tuple[Terms, Terms]:
-        """The gcd-reduced form with denominator lowest term 1."""
-        return _normalize_fraction(self.num_terms, self.den_terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PuiseuxScalar):
             return NotImplemented
@@ -832,19 +855,21 @@ class PuiseuxScalar(Scalar):
         return _terms_mul(self.num_terms, other.den_terms) == _terms_mul(other.num_terms, self.den_terms)
 
     def __hash__(self) -> int:
-        return hash((self.spec, *self.canonical()))
+        return hash((self.spec, _expansion(self.num_terms, self.den_terms)))
 
     def __repr__(self) -> str:
+        # the reduced form, printed with den's lowest term scaled to 1
+        num, den = _normalize_fraction(self.num_terms, self.den_terms)
+        scale = den[1][0][1]
+
         def fmt(terms: Terms) -> str:
             denom, pairs = terms
-            if not pairs:
-                return "0"
-            return " + ".join(
-                f"{c}" if k == 0 else (f"t^{Fraction(k, denom)}" if c == 1 else f"{c}*t^{Fraction(k, denom)}")
-                for k, c in pairs
-            )
+            out = []
+            for k, c in pairs:
+                c, e = Fraction(c, scale), Fraction(k, denom)
+                out.append(f"{c}" if k == 0 else (f"t^{e}" if c == 1 else f"{c}*t^{e}"))
+            return " + ".join(out) or "0"
 
-        num, den = self.canonical()
-        if den == _ONE_TERMS:
+        if len(den[1]) == 1:
             return fmt(num)
         return f"({fmt(num)})/({fmt(den)})"

@@ -41,15 +41,12 @@ from .field import (
     ABS_ZERO,
     PUISEUX,
     AbsValue,
-    Coeff,
     FieldSpec,
     PadicScalar,
     PuiseuxScalar,
     Scalar,
     _ONE_TERMS,
-    _clearing_scale,
-    _coeff,
-    _common,
+    _expansion,
     _padic_valuation,
     _reduced,
     _terms_at,
@@ -263,14 +260,14 @@ def taylor_shift(p: Poly, a: Scalar) -> Poly:
     base = over(top)
     powers = [[(0, 1)], base]
     for _ in range(deg - 1):
-        acc: dict[int, Coeff] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for ka, ca in powers[-1]:
             for kb, cb in base:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
         powers.append([kc for kc in acc.items() if kc[1]])
-    sums: list[dict[int, Coeff]] = [{} for _ in range(deg + 1)]
+    sums: list[dict[int, int]] = [{} for _ in range(deg + 1)]
     for n, q in cleared:
         cn = over(q)
         binom = 1  # C(n, k) for k = n, n - 1, ..., 0
@@ -286,7 +283,7 @@ def taylor_shift(p: Poly, a: Scalar) -> Poly:
             binom = binom * k // (n - k + 1)
     out = []
     for k, acc in enumerate(sums):
-        terms = sorted([(e, c if type(c) is int else _coeff(c)) for e, c in acc.items() if c])
+        terms = sorted([ec for ec in acc.items() if ec[1]])
         if terms:
             num = _reduced(denom, tuple(terms))
             out.append((k, _from_num_den(spec, num, _times(lcm, b_powers[deg - k]))))
@@ -388,20 +385,19 @@ def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[int] | None:
 
 
 def _to_zbiv(p: Poly, denom: int) -> dict[int, list[int]]:
-    """A unit multiple of p in Z[u][T]: Puiseux denominators cleared by
-    cross-multiplication, then one shift and one integer scale."""
-    cans = [(n, c.canonical()) for n, c in p.terms]  # type: ignore[attr-defined]
+    """A unit multiple of p in Z[u][T]: each coefficient's raw num times
+    every other coefficient's raw den, then one shift of exponents."""
+    fracs = [(n, c.num_terms, c.den_terms) for n, c in p.terms]  # type: ignore[attr-defined]
     nums = []
-    for i, (n, (num, _)) in enumerate(cans):
-        for j, (_, (_, d)) in enumerate(cans):
+    for i, (n, num, _) in enumerate(fracs):
+        for j, (_, _, d) in enumerate(fracs):
             if j != i and d != _ONE_TERMS:
                 num = _terms_mul(num, d)
         nums.append((n, num))
     if not nums:
         return {}
     shift = min(_terms_lowest(num, denom) for _, num in nums)
-    scale = math.lcm(*(_clearing_scale(num) for _, num in nums))
-    return {n: _terms_to_zpoly(num, denom, shift, scale) for n, num in nums}
+    return {n: _terms_to_zpoly(num, denom, shift) for n, num in nums}
 
 
 def _biv_pp(a: dict[int, list[int]]) -> dict[int, list[int]]:
@@ -440,7 +436,7 @@ def _puiseux_poly_gcd(p: Poly, q: Poly) -> Poly:
         a, b = b, a
     while b:
         a, b = b, _biv_pp(_biv_prem(a, b))
-    coeffs = {n: PuiseuxScalar(spec, _zpoly_to_terms(c, denom, 0, 1)) for n, c in a.items()}
+    coeffs = {n: PuiseuxScalar(spec, _zpoly_to_terms(c, denom, 0)) for n, c in a.items()}
     return Poly(spec, tuple(sorted(coeffs.items())))
 
 
@@ -490,47 +486,27 @@ class DiskPoint:
         return (self.center - other.center).abs() <= self.radius
 
     def __hash__(self) -> int:
-        # a rigid ball is its centre (|a - b| <= 0 means a == b)
-        if self.radius.is_zero:
-            return hash((self.radius, self.center))
         return hash((self.radius, _ball_key(self.center, self.radius)))
 
     def __repr__(self) -> str:
         return f"eta({self.center!r}, {self.radius!r})"
 
 
-_KEY_TERMS = 6  # expansion terms of a puiseux-q centre that a ball's hash reads
-
-
 def _ball_key(a: Scalar, r: AbsValue) -> object:
-    """A value shared by every centre of the ball of radius r > 0 around a.
+    """A value shared by every centre of the ball of radius r around a.
 
-    padic: the residue of a = num/den modulo p^m, m = -floor(log_p r), as
-    (num * u^-1 mod p^(m+e)) / p^e where den = p^e u; 0 when v_p(a) >= m.
-    puiseux-q: the lowest terms (at most _KEY_TERMS) of a's Puiseux expansion
-    that lie outside the ball of radius r around 0, found by long division of
-    num by den; for a polynomial centre these are its short centre's terms.
+    padic: a itself when r = 0; otherwise the residue of a = num/den modulo
+    p^m, m = -floor(log_p r), as (num * u^-1 mod p^(m+e)) / p^e where
+    den = p^e u, and 0 when v_p(a) >= m.  puiseux-q: field._expansion of a,
+    cut at the terms inside the ball of radius r around 0 when r > 0 (for a
+    polynomial centre, its short centre's lowest terms).
     """
     if type(a) is PuiseuxScalar:
-        denom, rem, (low, *rest) = _common(a.num_terms, a.den_terms)
-        bound = -r.logval * denom  # type: ignore[operator]
-        rem = dict(rem)
-        out = []
-        # each step divides the remainder's lowest term by den's lowest term
-        while rem and len(out) < _KEY_TERMS and min(rem) - low[0] < bound:
-            k = min(rem)
-            q = Fraction(rem.pop(k)) / low[1]
-            out.append((k - low[0], _coeff(q)))
-            for kd, cd in rest:
-                e = k - low[0] + kd
-                rem[e] = rem.get(e, 0) - q * cd
-                if not rem[e]:
-                    del rem[e]
-        return _reduced(denom, tuple(out))
+        return _expansion(a.num_terms, a.den_terms, None if r.is_zero else -r.logval)  # type: ignore[operator]
     p, v = a.spec.p, a.value  # type: ignore[attr-defined]
+    if r.is_zero or not v:
+        return v
     m = -math.floor(r.logval)  # type: ignore[arg-type]
-    if not v:
-        return 0
     e = _padic_valuation(v.denominator, p)
     if _padic_valuation(v.numerator, p) - e >= m:
         return 0
@@ -631,14 +607,16 @@ def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
 def short_centre(x: DiskPoint) -> Scalar:
     """A centre of the ball x with no term inside the ball.
 
-    For a puiseux-q polynomial centre, the terms of magnitude <= r are
-    dropped: their sum lies in the closed ball of radius r around 0, so the
-    rest names the same ball (ultrametric inequality).  Other centres are
-    returned as given.
+    For a puiseux-q polynomial centre (num over a constant den), the terms of
+    magnitude <= r are dropped from num and den is kept: their sum lies in
+    the closed ball of radius r around 0, so the rest names the same ball
+    (ultrametric inequality).  Other centres are returned as given.
     """
     a = x.center
-    if x.radius.is_zero or type(a) is not PuiseuxScalar or a.den_terms != _ONE_TERMS:
+    if x.radius.is_zero or type(a) is not PuiseuxScalar:
         return a
+    if len(a.den_terms[1]) > 1 or a.den_terms[1][0][0]:
+        return a  # not a constant den: a rational function
     denom, terms = a.num_terms
     # |c t^(k/D)| = beta^(-k/D) > beta^rho  iff  k < -rho * D; terms are sorted by k
     bound = -x.radius.logval * denom  # type: ignore[operator]
@@ -647,7 +625,7 @@ def short_centre(x: DiskPoint) -> Scalar:
         keep += 1
     if keep == len(terms):
         return a
-    return PuiseuxScalar(a.spec, _reduced(denom, terms[:keep]))
+    return PuiseuxScalar(a.spec, _reduced(denom, terms[:keep]), a.den_terms)
 
 
 def recentre(p: Poly, x: DiskPoint) -> Poly:

@@ -44,10 +44,6 @@ class Interval:
         return f"({lo}, {hi})"
 
 
-def interval(lo: Fraction | int | str | None, hi: Fraction | int | str | None) -> Interval:
-    return Interval(None if lo is None else as_fraction(lo), None if hi is None else as_fraction(hi))
-
-
 @dataclass(frozen=True)
 class Segment:
     """A maximal subinterval on which one term dominates.

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from berkline import ABS_ONE, ABS_ZERO, AbsValue, FieldSpec
 from berkline.errors import BackendMismatch, DivisionByZero, RadiusNotInValueGroup
 from berkline.field import (
+    _KEY_TERMS,
     _ONE_TERMS,
     PuiseuxScalar,
     _iroot_exact,
     _is_prime,
+    _normalize_fraction,
     as_fraction,
     magnitude_as_rational,
     magnitude_ge_rational,
@@ -245,15 +247,14 @@ def _oneg(a: dict) -> dict:
 
 def _check_layout(terms) -> None:
     """(D, ((k, c), ...)): int keys sorted and distinct, D minimal, nonzero
-    coefficients stored as ints when integral."""
+    int coefficients."""
     denom, pairs = terms
     keys = [k for k, _ in pairs]
     assert type(denom) is int and denom >= 1
     assert all(type(k) is int for k in keys) and keys == sorted(set(keys))
     assert math.gcd(denom, *keys) == 1
     for _, c in pairs:
-        assert c != 0
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert type(c) is int and c != 0
 
 
 def _check_value(x: PuiseuxScalar, num: dict, den: dict) -> None:
@@ -270,8 +271,11 @@ def test_term_kernel_ring_operations_match_oracle(a, b):
     cases = [(x, a), (x + y, _oadd(a, b)), (-x, _oneg(a)), (x * y, _omul(a, b)), (x - y, _oadd(a, _oneg(b)))]
     for value, oracle in cases:
         _check_layout(value.num_terms)
-        assert value.den_terms == _ONE_TERMS
-        assert dict(value.num) == oracle
+        # rational coefficients live in one constant den: the lcm L of the
+        # oracle's coefficient denominators, _ONE_TERMS when every one is 1
+        scale = math.lcm(*(c.denominator for c in oracle.values()))
+        assert value.den_terms == (_ONE_TERMS if scale == 1 else (1, ((0, scale),)))
+        assert {q: c / scale for q, c in value.num} == oracle
 
 
 @given(oracle_polys, nonzero_oracle_polys, oracle_polys, nonzero_oracle_polys)
@@ -293,12 +297,39 @@ def test_canonical_form_is_unique_and_hash_agrees(a, b, common):
     x = PQ.from_terms(a.items()) * PQ.from_terms(b.items()).inv()
     g = PQ.from_terms(common.items())
     y = (x * g) * g.inv()  # the same value through a different num/den pair
-    num, den = x.canonical()
+    num, den = _normalize_fraction(x.num_terms, x.den_terms)
     _check_layout(num)
     _check_layout(den)
-    assert den[1][0] == (0, 1)
+    assert den[1][0][0] == 0 and den[1][0][1] > 0
+    assert math.gcd(*(c for _, c in num[1] + den[1])) == 1
     _check_value(PuiseuxScalar(PQ, num, den), a, b)
-    assert y == x and y.canonical() == (num, den) and hash(y) == hash(x)
+    assert y == x and _normalize_fraction(y.num_terms, y.den_terms) == (num, den) and hash(y) == hash(x)
+
+
+# exponent denominators up to 100: the lcm D, and so the dense length of a
+# Z[u] gcd, runs into the hundreds of thousands
+wide_exponents = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 100))
+wide_polys = st.dictionaries(wide_exponents, oracle_coefficients, max_size=4)
+nonzero_wide_polys = st.dictionaries(wide_exponents, oracle_coefficients, min_size=1, max_size=4)
+
+
+@given(wide_polys, nonzero_wide_polys, nonzero_wide_polys, wide_exponents.filter(bool), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_hash_agrees_with_eq_across_representatives(a, b, common, e, extra):
+    x = PQ.from_terms(a.items()) * PQ.from_terms(b.items()).inv()
+    g = PQ.from_terms(common.items())
+    y = (x * g) * g.inv()  # the same value through a different num/den pair
+    assert y == x and hash(y) == hash(x)
+    # 1 + u + ... + u^(n-1), u = t^e, has more than _KEY_TERMS terms; the
+    # fraction (u^n - 1)/(u - 1) equal to it stays unreduced
+    n, u, one = _KEY_TERMS + extra, PQ.t_power(e), PQ.one()
+    poly, power = PQ.zero(), one
+    for _ in range(n):
+        poly, power = poly + power, power * u
+    frac = (power - one) / (u - one)
+    assert len(poly.num_terms[1]) == n and len(frac.den_terms[1]) == 2
+    for scale in (one, g):
+        assert frac * scale == poly * scale and hash(frac * scale) == hash(poly * scale)
 
 
 @given(oracle_polys, nonzero_oracle_polys)
@@ -322,10 +353,15 @@ def test_denominator_shrinks_after_product_and_cancellation():
 
 
 def test_integral_coefficients_are_ints():
+    # 1/2 t^(1/3) + 4 t = (t^(1/3) + 8 t) / 2: int coefficients over one constant den
     x = PQ.from_terms([("1/3", "1/2"), (1, 4)])
-    assert x.num_terms == (3, ((1, Fraction(1, 2)), (3, 4)))
-    assert (x + x).num_terms == (3, ((1, 1), (3, 8)))
-    assert x.num == ((Fraction(1, 3), Fraction(1, 2)), (Fraction(1), Fraction(4)))
+    assert x.num_terms == (3, ((1, 1), (3, 8))) and x.den_terms == (1, ((0, 2),))
+    assert (x + x).num_terms == (3, ((1, 1), (3, 8))) and (x + x).den_terms == _ONE_TERMS
+    assert x.num == ((Fraction(1, 3), Fraction(1)), (Fraction(1), Fraction(8)))
+    assert x.den == ((Fraction(0), Fraction(2)),)
+    # the den divides out of every sum and product it cancels from
+    assert (x * PQ.scalar(6)).num_terms == (3, ((1, 3), (3, 24))) and (x * PQ.scalar(6)).den_terms == _ONE_TERMS
+    assert repr(x) == "1/2*t^1/3 + 4*t^1" and repr(x.inv()) == "(2*t^-1/3)/(1 + 8*t^2/3)"
 
 
 @pytest.mark.parametrize(

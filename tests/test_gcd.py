@@ -3,6 +3,7 @@ the coprimality certificate, each against an exact oracle."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,16 +23,20 @@ PQ = FieldSpec("puiseux-q")
 exponents = st.builds(Fraction, st.integers(-3, 6), st.sampled_from([1, 2, 3]))
 coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 5]))
 term_dicts = st.lists(st.tuples(exponents, coefficients), min_size=1, max_size=4).map(dict)
-term_maps = term_dicts.map(_terms_from_dict)
+term_pairs = term_dicts.map(_terms_from_dict)  # int num over the constant lcm of the denominators
 
 
-@given(term_maps, term_maps, term_maps)
+@given(term_pairs, term_pairs, term_pairs)
 @settings(max_examples=150, deadline=None)
-def test_normalize_fraction_is_an_equal_canonical_fraction(num, den, common):
-    num, den = _terms_mul(num, common), _terms_mul(den, common)
+def test_normalize_fraction_is_an_equal_canonical_fraction(a, b, common):
+    # the fraction a / b of two rational-coefficient maps, cleared to ints
+    # by cross-multiplication, then times common's numerator top and bottom
+    num = _terms_mul(_terms_mul(a[0], b[1]), common[0])
+    den = _terms_mul(_terms_mul(b[0], a[1]), common[0])
     n, d = _normalize_fraction(num, den)
     assert _terms_mul(n, den) == _terms_mul(num, d)
-    assert d[1][0] == (0, 1) and type(d[1][0][1]) is int
+    assert d[1][0][0] == 0 and type(d[1][0][1]) is int and d[1][0][1] > 0
+    assert math.gcd(*(c for _, c in n[1] + d[1])) == 1
 
 
 SCALARS = {

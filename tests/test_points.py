@@ -490,6 +490,20 @@ def test_a_set_of_distinct_balls_of_one_radius_builds_fast(backend):
     assert elapsed < 2
 
 
+def test_hashing_a_fraction_with_coprime_exponent_denominators_is_fast():
+    # (1 + t^(1/97) + t^3) / (1 + 2 t^(1/99) + t^3): reducing it over dense
+    # Z[u], u = t^(1/9603), took over 17 s per hash
+    x = PQ.from_terms([(0, 1), ("1/97", 1), (3, 1)]) / PQ.from_terms([(0, 1), ("1/99", 2), (3, 1)])
+    g = PQ.from_terms([(0, 1), ("1/7", 3)])
+    y = (x * g) * g.inv()  # an equal representative
+    for value in (x, y, rigid(x), rigid(y), ProjPoint.affine(rigid(x)), ProjPoint.affine(rigid(y))):
+        start = time.perf_counter()
+        hash(value)
+        assert time.perf_counter() - start < 1
+    assert x == y and hash(x) == hash(y)
+    assert hash(rigid(x)) == hash(rigid(y)) and hash(ProjPoint.affine(rigid(x))) == hash(ProjPoint.affine(rigid(y)))
+
+
 PQ2 = FieldSpec("puiseux-q", value_group=2)  # radii beta^q with q not in (1/2)Z are type III
 # terms of magnitude at most 1, and below 1
 unit_terms = st.tuples(st.fractions(0, 3, max_denominator=3), st.fractions(-6, 6, max_denominator=3))
