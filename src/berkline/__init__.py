@@ -79,10 +79,7 @@ from .tropic import (
     count_zeros_annulus,
     from_series,
     monomial_pieces,
-    segments,
-    single_slope,
     slope_bound_check,
-    theta_eval,
 )
 from .zalcman import (
     RescaleStep,

@@ -607,10 +607,11 @@ def _terms_at(a: Terms, denom: int, sigma: Fraction) -> Fraction:
 # Dense integer polynomials: the one gcd stack of the library.
 #
 # A Z[u] polynomial is a list of ints, index = degree, with no trailing zeros
-# (the empty list is 0).  Fraction reduction below, and poly_gcd and the
-# coprimality certificate in points.py, all run the primitive pseudo-remainder
-# sequence of _zgcd.  A Puiseux term map becomes a Z[u] polynomial through
-# u = t^(1/denom) and a shift of exponents.
+# (the empty list is 0).  Fraction reduction below, the coprimality
+# certificate, and gcd and exact division in Z[u][T] for both backends in
+# points.py all run the primitive pseudo-remainder sequence of _zgcd.  A
+# Puiseux term map becomes a Z[u] polynomial through u = t^(1/denom) and a
+# shift of exponents.
 
 
 def _terms_to_zpoly(a: Terms, denom: int, shift: int) -> list[int]:
@@ -736,15 +737,24 @@ def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
 
 
 _REDUCE_THRESHOLD = 48  # lazy fractions reduce once this many terms accumulate
+_DENSE_PER_TERM = 8  # ... and their dense Z[u] lists hold at most this many slots per term
 
 
 def _fast_reduce(num: Terms, den: Terms) -> tuple[Terms, Terms]:
     """num/den, reduced where that is cheap (a one-term denominator) or the
-    terms have grown past _REDUCE_THRESHOLD, and left lazy otherwise."""
-    if len(den[1]) == 1 or len(num[1]) + len(den[1]) > _REDUCE_THRESHOLD:
-        return _normalize_fraction(num, den)
-    if not num[1]:
+    terms have grown past _REDUCE_THRESHOLD, and left lazy otherwise; also
+    when the exponent spans of num and den, in units of 1/lcm(D), are long:
+    coprime exponent denominators can make the dense lists outgrow memory."""
+    (dn, tn), (dd, td) = num, den
+    if not tn:
         return _ZERO_TERMS, _ONE_TERMS
+    if len(td) == 1:
+        return _normalize_fraction(num, den)
+    terms = len(tn) + len(td)
+    if terms > _REDUCE_THRESHOLD:
+        d = math.lcm(dn, dd)
+        if (tn[-1][0] - tn[0][0]) * (d // dn) + (td[-1][0] - td[0][0]) * (d // dd) <= _DENSE_PER_TERM * terms:
+            return _normalize_fraction(num, den)
     return num, den
 
 

@@ -37,6 +37,7 @@ from .points import (
     Poly,
     ProjPoint,
     coprime_certificate,
+    divide_out,
     eval_seminorm,
     poly_gcd,
     recentre,
@@ -111,22 +112,9 @@ class SeriesMap:
         return True
 
 
-def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    lead_inv = b.terms[-1][1].inv()
-    db = b.degree()
-    out: dict[int, Scalar] = {}
-    while not a.is_zero and a.degree() >= db:
-        n, c = a.terms[-1]
-        factor = c * lead_inv
-        out[n - db] = factor
-        a = a - b.shift_exp(n - db).scale(factor)
-    if not a.is_zero:
-        raise ValueError("inexact polynomial division")
-    return Poly(b.spec, tuple(sorted(out.items())))
-
-
 def series_map(coords: Sequence[Poly], domain: Domain | None = None) -> SeriesMap:
-    """Build a reduced map from homogeneous (Laurent) polynomial coordinates."""
+    """Build a reduced map from homogeneous (Laurent) polynomial coordinates;
+    a common factor is divided out in Z[u][T], leaving polynomial coefficients."""
     coords = tuple(coords)
     if len(coords) < 2:
         raise ZeroTuple("a projective map needs at least two coordinates")
@@ -149,7 +137,7 @@ def series_map(coords: Sequence[Poly], domain: Domain | None = None) -> SeriesMa
             if g.is_constant:
                 break
         if not g.is_constant:
-            coords = tuple([c if c.is_zero else _poly_divexact(c, g) for c in coords])
+            coords = tuple(divide_out(coords, g))
     return SeriesMap(coords, domain)
 
 

@@ -236,21 +236,12 @@ def taylor_shift(p: Poly, a: Scalar) -> Poly:
         return p
     spec = p.spec
     top, bottom = _num_den(a)
-    fractions = [(n, *_num_den(c)) for n, c in p.terms]
-    dens = list(dict.fromkeys([m for _, _, m in fractions if m != _ONE_TERMS]))
+    nums, lcm = _cleared([_num_den(c) for _, c in p.terms])
     deg = p.terms[-1][0]
     b_powers = [_ONE_TERMS]
     for _ in range(deg):
         b_powers.append(_times(b_powers[-1], bottom))
-    cleared = []
-    for n, num, den in fractions:
-        for m in dens:
-            if m != den:
-                num = _terms_mul(num, m)
-        cleared.append((n, _times(num, b_powers[deg - n])))
-    lcm = _ONE_TERMS
-    for m in dens:
-        lcm = _times(lcm, m)
+    cleared = [(n, _times(num, b_powers[deg - n])) for (n, _), num in zip(p.terms, nums)]
     denom = math.lcm(top[0], *(q[0] for _, q in cleared))
 
     def over(t: tuple) -> list:
@@ -313,30 +304,20 @@ def _times(x: tuple, y: tuple) -> tuple:
     return x if y == _ONE_TERMS else _terms_mul(x, y)
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Greatest common divisor of two plain polynomials, up to a unit.
-
-    Over padic coefficients this is the monic gcd.  Over puiseux-q
-    coefficients it is primitive in Z[u][T], u = t^(1/D), with a positive
-    leading integer: naive Euclid would accumulate rational-function
-    coefficients with exponential blowup.  Both run the integer primitive
-    pseudo-remainder sequence of field._zgcd.
-    """
-    if p.spec != q.spec:
-        raise BackendMismatch("gcd over different backends")
-    if p.spec.backend == PUISEUX:
-        return _puiseux_poly_gcd(p, q)
-    g = _zgcd(_zclear(_dense_values(p)), _zclear(_dense_values(q)))
-    if not g:
-        return Poly(p.spec, ())
-    return Poly.from_coeffs(p.spec, [p.spec.scalar(Fraction(c, g[-1])) for c in g])
-
-
-def _dense_values(p: Poly) -> list[Fraction]:
-    out = [Fraction(0)] * (p.degree() + 1 if p.terms else 0)
-    for n, c in p.terms:
-        out[n] = c.value  # type: ignore[attr-defined]
-    return out
+def _cleared(pairs: list[tuple[tuple, tuple]]) -> tuple[list[tuple], tuple]:
+    """(nums, L): num/den pairs of term maps over L, the product of the
+    distinct dens, each num times every other distinct den."""
+    dens = list(dict.fromkeys([d for _, d in pairs if d != _ONE_TERMS]))
+    nums = []
+    for num, den in pairs:
+        for m in dens:
+            if m != den:
+                num = _terms_mul(num, m)
+        nums.append(num)
+    lcm = _ONE_TERMS
+    for m in dens:
+        lcm = _times(lcm, m)
+    return nums, lcm
 
 
 def coprime_certificate(polys: Sequence[Poly]) -> bool:
@@ -349,7 +330,9 @@ def coprime_certificate(polys: Sequence[Poly]) -> bool:
     """
     if len(polys) < 2 or polys[0].spec.backend != PUISEUX:
         return False
-    denom = _exponent_lcm(polys)
+    # u = t^(1/denom) makes every coefficient a Laurent polynomial over its den
+    maps = [m for p in polys for _, c in p.terms for m in (c.num_terms, c.den_terms)]  # type: ignore[attr-defined]
+    denom = math.lcm(*(m[0] for m in maps))
     for sigma in (Fraction(2), Fraction(3), Fraction(5, 2)):
         dense = [_specialize_dense(p, denom, sigma) for p in polys]
         if None in dense or not any(len(d) == p.degree() + 1 for d, p in zip(dense, polys)):
@@ -360,12 +343,6 @@ def coprime_certificate(polys: Sequence[Poly]) -> bool:
             if len(g) == 1:
                 return True
     return False
-
-
-def _exponent_lcm(polys: Sequence[Poly]) -> int:
-    """The D for which u = t^(1/D) makes every coefficient a Laurent
-    polynomial (over its denominator) in u."""
-    return math.lcm(*(d for p in polys for _, c in p.terms for d in (c.num_terms[0], c.den_terms[0])))  # type: ignore[attr-defined]
 
 
 def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[int] | None:
@@ -381,63 +358,97 @@ def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[int] | None:
     return _zclear(out)
 
 
-# -- gcd over puiseux coefficients (primitive PRS in Z[u][T]) ----------------
+# -- gcd and exact division in Z[u][T], u = t^(1/D), for both backends -------
+#
+# A polynomial is a dict degree -> dense Z[u] list (a padic n/d is the
+# constant n, D = 1).  By Gauss's lemma over the UFD Z[u], a primitive gcd
+# divides there every polynomial it divides over the field.
 
 
-def _to_zbiv(p: Poly, denom: int) -> dict[int, list[int]]:
-    """A unit multiple of p in Z[u][T]: each coefficient's raw num times
-    every other coefficient's raw den, then one shift of exponents."""
-    fracs = [(n, c.num_terms, c.den_terms) for n, c in p.terms]  # type: ignore[attr-defined]
-    nums = []
-    for i, (n, num, _) in enumerate(fracs):
-        for j, (_, _, d) in enumerate(fracs):
-            if j != i and d != _ONE_TERMS:
-                num = _terms_mul(num, d)
-        nums.append((n, num))
+def _zbiv(polys: Sequence[Poly]) -> tuple[int, list[dict[int, list[int]]]]:
+    """(D, images): the plain polynomials in Z[u][T], u = t^(1/D), all times
+    one common unit, so that the images of a map's coordinates stay
+    proportional."""
+    nums, _ = _cleared([_num_den(c) for p in polys for _, c in p.terms])
     if not nums:
-        return {}
-    shift = min(_terms_lowest(num, denom) for _, num in nums)
-    return {n: _terms_to_zpoly(num, denom, shift) for n, num in nums}
+        return 1, [{} for _ in polys]
+    denom = math.lcm(*(num[0] for num in nums))
+    shift = min(_terms_lowest(num, denom) for num in nums)
+    out, i = [], 0
+    for p in polys:
+        out.append({n: _terms_to_zpoly(nums[i + j], denom, shift) for j, (n, _) in enumerate(p.terms)})
+        i += len(p.terms)
+    return denom, out
 
 
-def _biv_pp(a: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Divide out the content (the Z[u] gcd of the coefficients)."""
+def _from_zbiv(spec: FieldSpec, denom: int, a: dict[int, list[int]]) -> Poly:
+    """The Poly of a Z[u][T] element, u = t^(1/denom): polynomial coefficients."""
+    terms = [(n, _from_num_den(spec, _zpoly_to_terms(c, denom, 0), _ONE_TERMS)) for n, c in a.items()]
+    return Poly(spec, tuple(sorted(terms)))
+
+
+def _biv_pp(polys: list[dict[int, list[int]]]) -> list[dict[int, list[int]]]:
+    """Divide out the joint content (the Z[u] gcd of every coefficient,
+    taken shortest first)."""
     content: list[int] = []
-    for coeff in a.values():
+    for coeff in sorted([c for a in polys for c in a.values()], key=len):
         content = _zgcd(content, coeff)
         if content == [1]:
-            return a
-    return {n: _zdivexact(coeff, content) for n, coeff in a.items()}
+            return polys
+    return [{n: _zdivexact(c, content) for n, c in a.items()} for a in polys]
 
 
-def _biv_prem(a: dict[int, list[int]], b: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Pseudo-remainder of a by b in Z[u][T]: fraction-free elimination."""
+def _biv_divide(a: dict[int, list[int]], b: dict[int, list[int]], exact: bool) -> dict[int, list[int]]:
+    """Elimination of a by b in Z[u][T]: with ``exact``, the quotient a / b
+    when b divides a there (b primitive and dividing a over the field
+    suffices, by Gauss's lemma); otherwise the fraction-free pseudo-remainder."""
     db = max(b)
     lb = b[db]
-    r = dict(a)
+    r, q = dict(a), {}
     while r and max(r) >= db:
         dr = max(r)
-        lr = r.pop(dr)
-        shifted = {n + dr - db: c for n, c in b.items() if n != db}
-        new = {}
-        for n in set(r) | set(shifted):
-            val = _zsub(_zmul(r.get(n, []), lb), _zmul(shifted.get(n, []), lr))
-            if val:
-                new[n] = val
-        r = new
-    return r
+        c = r.pop(dr)
+        if exact:
+            c = q[dr - db] = _zdivexact(c, lb)
+        else:
+            r = {n: _zmul(v, lb) for n, v in r.items()}
+        for n, cb in b.items():
+            if n != db:
+                k = n + dr - db
+                val = _zsub(r.get(k, []), _zmul(c, cb))
+                if val:
+                    r[k] = val
+                else:
+                    r.pop(k, None)
+    return q if exact else r
 
 
-def _puiseux_poly_gcd(p: Poly, q: Poly) -> Poly:
-    spec = p.spec
-    denom = _exponent_lcm((p, q))
-    a, b = _biv_pp(_to_zbiv(p, denom)), _biv_pp(_to_zbiv(q, denom))
-    if max(a, default=-1) < max(b, default=-1):
-        a, b = b, a
-    while b:
-        a, b = b, _biv_pp(_biv_prem(a, b))
-    coeffs = {n: PuiseuxScalar(spec, _zpoly_to_terms(c, denom, 0)) for n, c in a.items()}
-    return Poly(spec, tuple(sorted(coeffs.items())))
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Greatest common divisor of two plain polynomials, up to a unit: the
+    primitive pseudo-remainder sequence in Z[u][T] on both backends (naive
+    Euclid would accumulate rational-function coefficients with exponential
+    blowup), returned primitive there for puiseux-q and monic for padic."""
+    if p.spec != q.spec:
+        raise BackendMismatch("gcd over different backends")
+    denom, (a, b) = _zbiv([p, q])
+    (a,), (b,) = _biv_pp([a]), _biv_pp([b])
+    while b:  # a first remainder of lower degree swaps a and b
+        a, b = b, _biv_pp([_biv_divide(a, b, False)])[0]
+    g = _from_zbiv(p.spec, denom, a)
+    if p.spec.backend == PUISEUX or g.is_zero:
+        return g
+    return g.scale(g.terms[-1][1].inv())
+
+
+def divide_out(polys: Sequence[Poly], g: Poly) -> list[Poly]:
+    """The plain polynomials divided by a common factor g, exactly and up to
+    one common unit, with polynomial coefficients: their images in Z[u][T]
+    are divided by g's primitive part and lose their joint content, and no
+    inverse is formed."""
+    denom, (*images, divisor) = _zbiv([*polys, g])
+    (divisor,) = _biv_pp([divisor])
+    quotients = _biv_pp([_biv_divide(a, divisor, True) for a in images])
+    return [_from_zbiv(g.spec, denom, q) for q in quotients]
 
 
 # ---------------------------------------------------------------------------

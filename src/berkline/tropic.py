@@ -150,18 +150,6 @@ def from_series(f: Poly, domain: Interval) -> TropicalPolygon:
     return TropicalPolygon(tuple(terms), domain)
 
 
-def theta_eval(p: TropicalPolygon, r: Fraction | int | str) -> Fraction:
-    return p.theta(r)
-
-
-def segments(p: TropicalPolygon) -> list[Segment]:
-    return p.segments()
-
-
-def single_slope(p: TropicalPolygon) -> int | None:
-    return p.single_slope()
-
-
 @dataclass(frozen=True)
 class SlopeBoundResult:
     slope: int

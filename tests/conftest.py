@@ -204,6 +204,26 @@ def horner_shift_oracle(p: Poly, a):
 
 
 # ---------------------------------------------------------------------------
+# Division oracle: field division on Scalars, independent of the Z[u][T] path
+
+
+def poly_divexact_oracle(a: Poly, b: Poly) -> Poly:
+    """a / b by long division with Scalar inverses; raises ValueError unless
+    b divides a."""
+    lead_inv = b.terms[-1][1].inv()
+    db = b.degree()
+    out = {}
+    while not a.is_zero and a.degree() >= db:
+        n, c = a.terms[-1]
+        factor = c * lead_inv
+        out[n - db] = factor
+        a = a - b.shift_exp(n - db).scale(factor)
+    if not a.is_zero:
+        raise ValueError("inexact polynomial division")
+    return Poly(b.spec, tuple(sorted(out.items())))
+
+
+# ---------------------------------------------------------------------------
 # Transform oracles: the per-transform code that fsderiv's one substitution
 # replaced
 

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import berkline
 from berkline import ABS_ONE, ABS_ZERO, AbsValue, FieldSpec
 from berkline.errors import BackendMismatch, DivisionByZero, RadiusNotInValueGroup
 from berkline.field import (
@@ -362,6 +367,36 @@ def test_integral_coefficients_are_ints():
     # the den divides out of every sum and product it cancels from
     assert (x * PQ.scalar(6)).num_terms == (3, ((1, 3), (3, 24))) and (x * PQ.scalar(6)).den_terms == _ONE_TERMS
     assert repr(x) == "1/2*t^1/3 + 4*t^1" and repr(x.inv()) == "(2*t^-1/3)/(1 + 8*t^2/3)"
+
+
+_SPARSE_PRODUCT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from fractions import Fraction
+from berkline import FieldSpec
+from berkline.field import PuiseuxScalar, _terms_mul
+pq = FieldSpec("puiseux-q")
+a = pq.from_terms([(178 * i, 1) for i in range(12)])
+b = pq.from_terms(
+    [(Fraction(193, 19), -2), (Fraction(-165, 49), 4), (Fraction(289, 16), 6), (Fraction(274, 37), 6)]
+) / pq.from_terms([(-154, 4), (0, 5)])
+prod = a * b
+cross = PuiseuxScalar(pq, _terms_mul(a.num_terms, b.num_terms), _terms_mul(a.den_terms, b.den_terms))
+print(prod == cross, prod * b.inv() == a, hash(prod) == hash(cross))
+"""
+
+
+def test_threshold_keeps_a_sparse_fraction_lazy_under_a_memory_limit():
+    # 50 terms pass the reduction threshold, but the exponent denominators
+    # 16, 19, 37 and 49 give D = 551,152 and dense Z[u] lists of about 1.1e9
+    # ints: the product must stay lazy instead of allocating them
+    src = str(Path(berkline.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _SPARSE_PRODUCT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True", "True"]
 
 
 @pytest.mark.parametrize(

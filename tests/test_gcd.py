@@ -10,12 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from berkline import FieldSpec, Poly, series_map
+from berkline import FieldSpec, Poly, SeriesMap, fs_derivative, series_map
 from berkline.field import _normalize_fraction, _terms_from_dict, _terms_mul
-from berkline.fsderiv import _poly_divexact
 from berkline.points import coprime_certificate, poly_gcd
 
-from conftest import random_poly, rng_for
+from conftest import poly_divexact_oracle, random_poly, random_unit_disk_point, rng_for
 
 P3 = FieldSpec("padic", 3)
 PQ = FieldSpec("puiseux-q")
@@ -55,9 +54,9 @@ def test_poly_gcd_divides_and_is_divided_by_common_factor(backend, data):
     assume(not p.is_zero and not q.is_zero and g.degree() >= 1)
     a, b = p * g, q * g
     h = poly_gcd(a, b)
-    _poly_divexact(h, g)  # raises ValueError unless g divides h
-    _poly_divexact(a, h)
-    _poly_divexact(b, h)
+    poly_divexact_oracle(h, g)  # raises ValueError unless g divides h
+    poly_divexact_oracle(a, h)
+    poly_divexact_oracle(b, h)
 
 
 def _euclid_gcd(p: Poly, q: Poly) -> Poly:
@@ -98,3 +97,67 @@ def test_certificate_ignores_specializations_that_drop_every_degree(pq):
 def test_certificate_is_puiseux_only(p3):
     t = Poly.coordinate(p3)
     assert not coprime_certificate([t, t + Poly.constant(p3, p3.one())])
+
+
+# -- series_map against the Scalar-division oracle ----------------------------
+
+# exponents over 1 and 2 only: the Scalar oracle's lazy fractions reduce
+# through the dense gcd, which is slow over a larger D
+_PQ_POLY_COEFFS = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-2, 4), st.sampled_from([1, 2])), coefficients), min_size=1, max_size=3
+).map(PQ.from_terms)
+_PQ_FRACTION_COEFFS = st.tuples(_PQ_POLY_COEFFS, _PQ_POLY_COEFFS.filter(lambda c: not c.is_zero)).map(
+    lambda nd: nd[0] / nd[1]
+)
+MAP_COEFFS = {
+    "padic": SCALARS["padic"],
+    "puiseux-q": st.one_of(_PQ_POLY_COEFFS, _PQ_FRACTION_COEFFS),
+}
+# leading coefficients of the common factor: non-monomial for puiseux-q, so
+# that Scalar division by it makes lazy fractions
+LEADS = {
+    "padic": SCALARS["padic"].filter(lambda c: not c.is_zero),
+    "puiseux-q": st.one_of(
+        st.just(PQ.from_terms([(0, 3), (Fraction(1, 2), 1)])),
+        _PQ_POLY_COEFFS.filter(lambda c: len(c.num_terms[1]) > 1),
+        _PQ_FRACTION_COEFFS.filter(lambda c: len(c.num_terms[1]) > 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_series_map_divides_out_a_common_factor_exactly(backend, data):
+    spec = P3 if backend == "padic" else PQ
+    coeffs = MAP_COEFFS[backend]
+
+    def polys(max_degree):
+        cs = st.lists(coeffs, min_size=1, max_size=max_degree + 1)
+        return cs.map(lambda cs: Poly.from_coeffs(spec, cs)).filter(lambda p: not p.is_zero)
+
+    # p_0 has degree <= 1 and some other p_i misses its root, so the p_i are
+    # coprime and h is the whole common factor of the p_i h
+    first = data.draw(polys(1))
+    others = data.draw(st.lists(polys(2), min_size=1, max_size=2))
+    if first.degree() == 1:
+        root = -(first.coeff(0) / first.coeff(1))
+        assume(any(not p.evaluate(root).is_zero for p in others))
+    h = Poly.from_coeffs(spec, [*data.draw(st.lists(coeffs, min_size=1, max_size=2)), data.draw(LEADS[backend])])
+    coords = [p * h for p in [first, *others]]
+    f = series_map(coords)
+    oracle = SeriesMap(tuple([poly_divexact_oracle(c, h) for c in coords]))
+    assert f.proportional_to(oracle)
+    g = f.coords[0]
+    for c in f.coords[1:]:
+        g = poly_gcd(g, c)
+    assert g.is_constant
+    if backend == "puiseux-q":
+        for c in f.coords:
+            for _, a in c.terms:
+                ((k, d),) = a.den_terms[1]
+                assert k == 0 and d > 0
+    rng = rng_for(f"series-map-oracle-{backend}-{data.draw(st.integers(0, 2**16))}")
+    for _ in range(4):
+        z = random_unit_disk_point(rng, spec)  # coprime coordinates never all vanish
+        assert fs_derivative(f, z) == fs_derivative(oracle, z)

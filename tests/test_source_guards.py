@@ -73,3 +73,29 @@ def _tuple_from_generator(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_tuple_from_generator(path):
     assert _tuple_from_generator(path) == []
+
+
+def _unreferenced_private_functions() -> list[str]:
+    # a private module-level function that nothing else in the package names
+    # is dead code: count every name and attribute outside its own body
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    names: dict[str, int] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name is not None:
+                names[name] = names.get(name, 0) + 1
+    found = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__"):
+                inside = sum(1 for node in ast.walk(fn) if getattr(node, "id", None) == fn.name)
+                if names.get(fn.name, 0) - inside == 0:
+                    found.append(f"{module}:{fn.lineno}: {fn.name}")
+    return found
+
+
+def test_every_private_function_is_referenced():
+    assert _unreferenced_private_functions() == []

@@ -20,10 +20,7 @@ from berkline import (
     from_series,
     image_disk_radius,
     monomial_pieces,
-    segments,
-    single_slope,
     slope_bound_check,
-    theta_eval,
 )
 from berkline.errors import (
     DomainViolation,
@@ -66,17 +63,17 @@ def test_from_series_examples(p3):
 
 def test_theta_examples():
     single = TropicalPolygon(((3, Fraction(0)),), Interval(None, None))
-    assert theta_eval(single, -1) == -3
+    assert single.theta(-1) == -3
     two = TropicalPolygon(((1, Fraction(0)), (-1, Fraction(-2))), Interval(Fraction(-2), Fraction(0)))
-    assert theta_eval(two, -1) == -1  # breakpoint value
-    assert theta_eval(two, 0) == 0
+    assert two.theta(-1) == -1  # breakpoint value
+    assert two.theta(0) == 0
     with pytest.raises(OutOfDomain):
-        theta_eval(two, 1)
+        two.theta(1)
 
 
 def test_segments_examples():
     two = TropicalPolygon(((1, Fraction(0)), (-1, Fraction(-2))), Interval(Fraction(-2), Fraction(0)))
-    segs = segments(two)
+    segs = two.segments()
     assert [(s.left, s.right, s.slope) for s in segs] == [
         (Fraction(-2), Fraction(-1), -1),
         (Fraction(-1), Fraction(0), 1),
@@ -84,7 +81,7 @@ def test_segments_examples():
     flat = TropicalPolygon(
         ((0, Fraction(0)), (1, Fraction(0)), (2, Fraction(0))), Interval(Fraction(-1), Fraction(0))
     )
-    assert [(s.slope, s.intercept) for s in segments(flat)] == [(0, Fraction(0))]
+    assert [(s.slope, s.intercept) for s in flat.segments()] == [(0, Fraction(0))]
 
 
 def test_segments_agree_with_pointwise_maximum():
@@ -99,7 +96,7 @@ def test_segments_agree_with_pointwise_maximum():
         lo = Fraction(rng.randint(-8, -1), rng.choice([1, 2]))
         hi = lo + Fraction(rng.randint(1, 8), rng.choice([1, 2]))
         polygon = TropicalPolygon(terms, Interval(lo, hi))
-        segs = segments(polygon)
+        segs = polygon.segments()
         slopes = [s.slope for s in segs]
         assert slopes == sorted(set(slopes)), "slopes strictly increase"
         for k in range(50):
@@ -112,13 +109,13 @@ def test_segments_agree_with_pointwise_maximum():
 
 def test_single_slope_examples(p2, p3):
     five = from_series(Poly.from_dict(p3, {5: p3.one()}), Interval(None, None))
-    assert single_slope(five) == 5
+    assert five.single_slope() == 5
     two = TropicalPolygon(((1, Fraction(0)), (-1, Fraction(-2))), Interval(Fraction(-2), Fraction(0)))
-    assert single_slope(two) is None
+    assert two.single_slope() is None
     # 2 + T over the 2-adics on (-3, -1): the constant term dominates
     f = Poly.from_dict(p2, {0: p2.scalar(2), 1: p2.one()})
     restricted = from_series(f, Interval(Fraction(-3), Fraction(-1)))
-    assert single_slope(restricted) == 0
+    assert restricted.single_slope() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +205,7 @@ def test_single_slope_iff_no_zeros(p3):
         lo = Fraction(rng.randint(-5, -1))
         hi = lo + rng.randint(1, 4)
         polygon = from_series(f, Interval(lo, hi))
-        assert (single_slope(polygon) is not None) == (count_zeros_annulus(f, lo, hi) == 0)
+        assert (polygon.single_slope() is not None) == (count_zeros_annulus(f, lo, hi) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +283,7 @@ def test_envelope_convexity():
             {rng.randint(-5, 5): Fraction(rng.randint(-10, 10)) for _ in range(rng.randint(1, 5))}.items()
         )
         polygon = TropicalPolygon(terms, Interval(None, None))
-        segs = segments(polygon)
+        segs = polygon.segments()
         slopes = [s.slope for s in segs]
         assert slopes == sorted(slopes)
         for prev, cur in zip(segs, segs[1:]):
