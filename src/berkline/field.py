@@ -426,6 +426,10 @@ class PadicScalar(Scalar):
         self._check(other)
         return PadicScalar(self.spec, self.value + other.value)  # type: ignore[attr-defined]
 
+    def __sub__(self, other: Scalar) -> "PadicScalar":
+        self._check(other)
+        return PadicScalar(self.spec, self.value - other.value)  # type: ignore[attr-defined]
+
     def __neg__(self) -> "PadicScalar":
         return PadicScalar(self.spec, -self.value)
 

@@ -9,9 +9,13 @@ evaluated exactly through the seminorm of the point.  Wronskian minors are
 computed symbolically; derivative coefficients keep the backend magnitude of
 the integer factors, so residue characteristic p is fully visible.
 
-Disk images of affine polynomial maps are exact: the image of eta_{a,r} has
-center f(a) and radius max_{i>=1} |q_i| r^i over the recentered coefficients,
-which is the computational content of the diameter-transport identity.
+Disk images of affine polynomial maps are exact.  With a the short centre of
+eta_{a,r}, one synthetic division f = f(a) + (T - a) q gives the image: its
+center is f(a), and its radius is r |q|_{a,r}, because seminorms multiply and
+|T - a|_{a,r} = r.  This equals max_{i>=1} |f_i| r^i over the coefficients f_i
+of f recentred at a, the computational content of the diameter-transport
+identity, and holds in every residue characteristic; |q|_{a,r} is certified
+like any seminorm, so no shift runs unless the certificate is inconclusive.
 
 Moebius words, composition, rescaling and the chart at infinity are one
 substitution T -> num/den into the homogenized coordinates.  num and den never
@@ -37,11 +41,12 @@ from .points import (
     Poly,
     ProjPoint,
     coprime_certificate,
+    divide_linear,
     divide_out,
     eval_seminorm,
     poly_gcd,
-    recentre,
     rigid,
+    short_centre,
 )
 from .tropic import Interval, TropicalPolygon
 
@@ -364,6 +369,8 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     exactly computable center and radius.
     """
     _require_in_domain(f, z)
+    if f.spec is not z.spec and f.spec != z.spec:
+        raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
     den = f.coords[0]
     if den.is_zero or not den.is_constant:
         raise PoleHit("chart denominator must be a nonzero constant")
@@ -376,6 +383,8 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
         if z.is_rigid:
             out.append(DiskPoint(p.evaluate(z.center) * c_inv, z.radius))
             continue
-        q = recentre(p, z)
-        out.append(DiskPoint(q.coeff(0) * c_inv, image_disk_radius(q, z.radius) / c_abs))
+        a = short_centre(z)
+        value, q = divide_linear(p, a)
+        radius = z.radius * eval_seminorm(q, DiskPoint(a, z.radius)) / c_abs
+        out.append(DiskPoint(value * c_inv, radius))
     return out

@@ -3,24 +3,30 @@
 A type I-III point of the analytic affine line is a closed ball eta_{a,r}:
 center a in the field, radius an exact magnitude (zero magnitude for rigid
 points).  The seminorm of a polynomial P at eta_{a,r} is max_i |c_i| r^i over
-the Taylor recentering P(T) = sum c_i (T-a)^i.  It is evaluated in one of two
-ways:
+the Taylor recentering P(T) = sum c_i (T-a)^i.  It is read from the ball's
+short centre a, which is 0 or has |a| > r (a puiseux-q polynomial centre loses
+its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
 
-* at a rigid point (r = 0) only c_0 = P(a) counts, so P is evaluated by
-  Horner's rule and never shifted;
-* at a ball, P is recentred at the ball's short centre: for a puiseux-q
-  polynomial centre, the terms of magnitude <= r are dropped first (the same
-  ball, by the ultrametric inequality), and a centre that drops to 0 needs
-  no shift.  The point's own centre is left as given.
+* a = 0: the ball is eta_{0,r} and the seminorm is max_n |c_n| r^n over the
+  coefficients of P, with no shift;
+* otherwise the initial form of P at the Gauss point of radius R = |a|
+  certifies the value (Baker-Rumely: the reduction of P there does not vanish
+  in the direction of a).  U = |P|_{0,R} = max_n |c_n| R^n is attained by the
+  exponents S; when their leading parts do not cancel, |P(a)| = U, and since
+  |P(a)| <= |P|_{a,r} <= U the seminorm is exactly U.  The same test gives
+  |P(a)| at a rigid point, where Horner's rule is the fallback;
+* only when the leading parts cancel is P shifted to the centre.
 
 The shift itself is the binomial sum c_k = sum_n p_n C(n, k) a^(n-k) over the
 nonzero terms p_n T^n, O(terms * degree) products in one kernel for both
 backends: every value is read as a num/den pair of int term maps (a padic
 rational as two constants), the denominators are cleared into the
 numerators, and each c_k comes back as an unreduced quotient over their
-product.  Polynomial input has nothing to clear.  Laurent polynomials are
-evaluated multiplicatively through |T^{-1}(x)| = 1/max(|a|, r), which is
-finite at every point except the rigid point 0.
+product.  Polynomial input has nothing to clear.  The synthetic division
+P = P(a) + (T - a) Q that gives disk images runs on the same cleared maps.
+Laurent polynomials are evaluated multiplicatively through
+|T^{-1}(x)| = 1/max(|a|, r), which is finite at every point except the rigid
+point 0.
 
 Diameter functions follow the usual conventions: diam_A is the radius (the
 max of coordinate radii in higher dimension) and the projective diameter
@@ -46,9 +52,11 @@ from .field import (
     PuiseuxScalar,
     Scalar,
     _ONE_TERMS,
+    _ZERO_TERMS,
     _expansion,
     _padic_valuation,
     _reduced,
+    _terms_add,
     _terms_at,
     _terms_lowest,
     _terms_mul,
@@ -318,6 +326,97 @@ def _cleared(pairs: list[tuple[tuple, tuple]]) -> tuple[list[tuple], tuple]:
     for m in dens:
         lcm = _times(lcm, m)
     return nums, lcm
+
+
+def divide_linear(p: Poly, a: Scalar) -> tuple[Scalar, Poly]:
+    """(P(a), Q) with P = P(a) + (T - a) Q, for a plain polynomial.
+
+    One Horner pass (synthetic division) on taylor_shift's cleared term maps,
+    with no Scalar arithmetic: with a = A/B, c_n = N_n/L and d the degree,
+    e_{d-1} = N_d and e_{j-1} = N_j B^(d-j) + A e_j, so that
+    q_j = e_j B^j / (L B^(d-1)) and P(a) = e_{-1} / (L B^d), left unreduced.
+    Q's coefficients share one denominator, so a shift of Q clears nothing.
+    """
+    if not p.is_plain:
+        raise PoleAtPoint("divide_linear is defined for plain polynomials")
+    spec = p.spec
+    if a.is_zero:
+        return p.coeff(0), Poly(spec, tuple([(n - 1, c) for n, c in p.terms if n]))
+    top, bottom = _num_den(a)
+    nums, lcm = _cleared([_num_den(c) for _, c in p.terms])
+    cleared = {n: num for (n, _), num in zip(p.terms, nums)}
+    deg = p.degree()
+    b_powers = [_ONE_TERMS]
+    for _ in range(deg):
+        b_powers.append(_times(b_powers[-1], bottom))
+    q_den = _times(lcm, b_powers[deg - 1])
+    acc, out = _ZERO_TERMS, []
+    for j in range(deg, -1, -1):  # acc = e_j on entry, e_{j-1} on exit
+        if acc[1]:
+            acc = _terms_mul(top, acc)
+        if j in cleared:
+            acc = _terms_add(acc, _times(cleared[j], b_powers[deg - j]))
+        if j and acc[1]:
+            out.append((j - 1, _from_num_den(spec, _times(acc, b_powers[j - 1]), q_den)))
+    value = _from_num_den(spec, acc, _times(lcm, b_powers[deg])) if acc[1] else spec.zero()
+    return value, Poly(spec, tuple(out[::-1]))
+
+
+def initial_form(p: Poly, a: Scalar) -> tuple[AbsValue, tuple[int, ...]] | None:
+    """The certificate |P(a)| = |P|_{0,|a|} for a nonzero plain P and a != 0.
+
+    U = |P|_{0,|a|} = max_n |c_n| |a|^n needs no shift, and S lists the
+    exponents n whose terms attain it.  Their leading parts sum to
+    sigma = sum_{n in S} in(c_n) in(a)^n, in(x) being the lowest num
+    coefficient over the lowest den coefficient for puiseux-q and the unit
+    part of x mod p for padic.  When sigma != 0 the terms of S do not cancel,
+    so |P(a)| = U, and the witness (U, S) is returned; None when sigma = 0.
+    A single attaining term never cancels, so sigma is formed only for two or
+    more.  Valuations are ints over one common denominator (puiseux-q) or
+    p-adic valuations, and sigma is one int over the cleared leading
+    denominators, read mod p for padic.
+    """
+    values = [c for _, c in p.terms] + [a]
+    if type(a) is PuiseuxScalar:
+        maps = [(c.num_terms, c.den_terms) for c in values]  # type: ignore[attr-defined]
+        denom = math.lcm(*[m[0] for pair in maps for m in pair])
+        prime = 0
+        # (valuation in units of 1/denom, lowest num coefficient, lowest den coefficient)
+        initials = [
+            (num[1][0][0] * (denom // num[0]) - den[1][0][0] * (denom // den[0]), num[1][0][1], den[1][0][1])
+            for num, den in maps
+        ]
+    else:
+        prime, denom = a.spec.p, 1
+        initials = [_padic_split(c.value, prime) for c in values]  # type: ignore[attr-defined]
+    *coeffs, (step, alpha, beta) = initials
+    weights = [v + n * step for (n, _), (v, _, _) in zip(p.terms, coeffs)]
+    best = min(weights)
+    support = [i for i, w in enumerate(weights) if w == best]
+    if len(support) > 1:
+        # sigma times beta^d and the lcm of the in(c_n) denominators: an int,
+        # and for padic a residue of the same class, since p divides neither
+        d = p.terms[support[-1]][0]
+        scale = math.lcm(*[coeffs[i][2] for i in support])
+        sigma = 0
+        for i in support:
+            n = p.terms[i][0]
+            sigma += coeffs[i][1] * (scale // coeffs[i][2]) * alpha**n * beta ** (d - n)
+        if not (sigma % prime if prime else sigma):
+            return None
+    return AbsValue(Fraction(-best, denom)), tuple([p.terms[i][0] for i in support])
+
+
+def _padic_split(x: Fraction, prime: int) -> tuple[int, int, int]:
+    """(v, n, d) with x = prime^v n / d and prime dividing neither n nor d."""
+    n, d, v = x.numerator, x.denominator, 0
+    while not n % prime:
+        n //= prime
+        v += 1
+    while not d % prime:
+        d //= prime
+        v -= 1
+    return v, n, d
 
 
 def coprime_certificate(polys: Sequence[Poly]) -> bool:
@@ -595,10 +694,15 @@ class ProjPoint:
 def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
     """|P(x)| for the multiplicative seminorm of the point x.
 
-    For a plain polynomial this is max_i |c_i| r^i over the recentered
-    coefficients.  A Laurent polynomial is written T^{-m} Q with Q plain and
-    evaluated multiplicatively; this is exact at every point other than the
-    rigid point 0, where T has seminorm zero.
+    For a plain polynomial this is max_i |c_i| r^i over the coefficients
+    recentred at the short centre a: read off P itself when a = 0, certified
+    by initial_form when a != 0, and computed by taylor_shift only when the
+    certificate is inconclusive.  At a rigid point the certificate gives
+    |P(a)|, with Horner's rule as the fallback.  A Laurent polynomial is
+    written T^{-m} Q with Q plain and evaluated multiplicatively; this is
+    exact at every point other than the rigid point 0, where T has seminorm
+    zero.  A nonzero centre over another FieldSpec than P raises
+    BackendMismatch, as scalar arithmetic does.
     """
     if p.is_zero:
         return ABS_ZERO
@@ -609,41 +713,47 @@ def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
             raise PoleAtPoint("Laurent polynomial at the rigid point 0")
         plain_val = eval_seminorm(p.shift_exp(neg), x)
         return plain_val / t_norm ** neg
+    a = x.center if x.radius.is_zero else short_centre(x)
+    if not a.is_zero:
+        if p.spec is not a.spec and p.spec != a.spec:
+            raise BackendMismatch(f"mixed backends: {p.spec} vs {a.spec}")
+        certificate = initial_form(p, a)
+        if certificate is not None:
+            return certificate[0]
     if x.radius.is_zero:
-        return p.evaluate(x.center).abs()
-    q = recentre(p, x)
-    return abs_max(c.abs() * x.radius ** n for n, c in q.terms)
+        return p.evaluate(a).abs()
+    if not a.is_zero:
+        p = taylor_shift(p, a)
+    return abs_max(c.abs() * x.radius ** n for n, c in p.terms)
 
 
 def short_centre(x: DiskPoint) -> Scalar:
-    """A centre of the ball x with no term inside the ball.
+    """A centre of the ball x that is 0 or has no term inside the ball.
 
     For a puiseux-q polynomial centre (num over a constant den), the terms of
     magnitude <= r are dropped from num and den is kept: their sum lies in
     the closed ball of radius r around 0, so the rest names the same ball
-    (ultrametric inequality).  Other centres are returned as given.
+    (ultrametric inequality).  Any other centre a is 0 when |a| <= r (the
+    ball is then eta_{0,r}) and is returned as given otherwise.  A rigid
+    point keeps its centre.
     """
-    a = x.center
-    if x.radius.is_zero or type(a) is not PuiseuxScalar:
+    a, r = x.center, x.radius
+    if r.is_zero:
         return a
-    if len(a.den_terms[1]) > 1 or a.den_terms[1][0][0]:
-        return a  # not a constant den: a rational function
+    if type(a) is not PuiseuxScalar or len(a.den_terms[1]) > 1 or a.den_terms[1][0][0]:
+        # a padic value or a rational function
+        return a if a.abs() > r else a.spec.zero()
     denom, terms = a.num_terms
-    # |c t^(k/D)| = beta^(-k/D) > beta^rho  iff  k < -rho * D; terms are sorted by k
-    bound = -x.radius.logval * denom  # type: ignore[operator]
+    # |c t^(k/D)| = beta^(-k/D) > beta^rho  iff  k < -rho * D, iff k < ceil(-rho * D)
+    # for an int k; terms are sorted by k
+    rho = r.logval
+    bound = -(rho.numerator * denom // rho.denominator)  # type: ignore[union-attr]
     keep = 0
     while keep < len(terms) and terms[keep][0] < bound:
         keep += 1
     if keep == len(terms):
         return a
     return PuiseuxScalar(a.spec, _reduced(denom, terms[:keep]), a.den_terms)
-
-
-def recentre(p: Poly, x: DiskPoint) -> Poly:
-    """P(T + a) for a centre a of the ball x: its short centre, so that a
-    centre inside the ball of radius r around 0 needs no shift at all."""
-    a = short_centre(x)
-    return p if a.is_zero else taylor_shift(p, a)
 
 
 def diam_affine(coords: Sequence[DiskPoint] | DiskPoint) -> AbsValue:

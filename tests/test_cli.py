@@ -18,7 +18,7 @@ from berkline.cli import main
 from berkline.documents import canonical_json, load_document, parse_document
 from berkline.field import abs_max
 
-from conftest import binomial_shift_oracle, run_cli_full
+from conftest import binomial_shift_oracle, rng_for, run_cli_full
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -454,3 +454,66 @@ def test_sparse_series_value_matches_the_binomial_oracle(tmp_path, p3, point):
         value = shifted.coeff(0).abs()
     assert code == 0
     assert json.loads(out)["result"] == (None if value.is_zero else str(value.logval))
+
+
+@pytest.mark.parametrize("point", ["t", "t^1/2,-1"])
+def test_padic_series_at_a_puiseux_centre_is_a_backend_mismatch(point):
+    # the rigid point always raised; the ball once mixed the padic coefficients
+    # into a puiseux-q shift and printed a value
+    code, out, err = run_cli_full(["eval", str(GOLDEN / "eval_gauss.json"), "--point", point, "--field", "puiseux"])
+    assert (code, out) == (3, "")
+    assert "BackendMismatch" in err
+
+
+def puiseux_series(tmp_path, terms: dict[int, list[tuple[str, str]]]) -> Path:
+    """A puiseux-q series document: degree -> (exponent, coefficient) pairs."""
+    path = tmp_path / "puiseux_series.json"
+    series = [[n, [list(t) for t in pairs]] for n, pairs in terms.items()]
+    doc = {"field": {"backend": "puiseux-q"}, "series": {"terms": series}}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_dense_puiseux_series_at_a_ball_evaluates_in_bounded_time(tmp_path):
+    # (T - 2 t^(1/2))^400 expanded: by multiplicativity its seminorm at the
+    # ball around a = t^(1/2) + t + t^(4/3) of log-radius -2 is
+    # max(|a - 2 t^(1/2)|, beta^-2)^400 = (beta^(-1/2))^400
+    n = 400
+    terms = {k: [(f"{n - k}/2", str(comb(n, k) * (-2) ** (n - k)))] for k in range(n + 1)}
+    path = puiseux_series(tmp_path, terms)
+    start = time.perf_counter()
+    code, out, err = run_cli_full(["eval", str(path), "--point", "t^1/2+t+t^4/3,-2", "--json"])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert elapsed < 1
+    assert json.loads(out)["result"] == "-200"
+
+
+@pytest.mark.parametrize(
+    ("point", "centre", "radius"),
+    [
+        ("t^1/2+t+t^4/3,-2", [("1/2", 1), (1, 1), ("4/3", 1)], "-2"),
+        ("1+t^1/3+2*t^1,-1/2", [(0, 1), ("1/3", 1), (1, 2)], "-1/2"),
+        ("t^1/2+t+t^4/3,-1/3", [("1/2", 1), (1, 1), ("4/3", 1)], "-1/3"),
+        ("t^1/2+3*t^1,zero", [("1/2", 1), (1, 3)], None),
+    ],
+)
+def test_dense_puiseux_series_value_matches_the_binomial_oracle(tmp_path, pq, point, centre, radius):
+    rng = rng_for(f"dense-puiseux-{point}")
+    terms = {}
+    for k in range(13):
+        pairs = {}
+        for _ in range(rng.randint(1, 3)):
+            exponent = Fraction(rng.randint(0, 6), rng.choice([1, 2, 3]))
+            pairs[exponent] = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
+        terms[k] = [(str(e), str(c)) for e, c in pairs.items()]
+    code, out, err = run_cli_full(["eval", str(puiseux_series(tmp_path, terms)), "--point", point, "--json"])
+    poly = Poly.from_dict(pq, {k: pq.from_terms(pairs) for k, pairs in terms.items()})
+    shifted = binomial_shift_oracle(poly, pq.from_terms(centre))
+    if radius is None:
+        value = shifted.coeff(0).abs()
+    else:
+        r = AbsValue.of(radius)
+        value = abs_max(c.abs() * r**n for n, c in shifted.terms)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == str(value.logval)

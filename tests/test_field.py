@@ -76,6 +76,8 @@ def test_backend_mismatch_raises():
     b = FieldSpec("padic", 5).one()
     with pytest.raises(BackendMismatch):
         a + b
+    with pytest.raises(BackendMismatch):
+        a - b
 
 
 @pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
@@ -91,6 +93,9 @@ def test_field_axioms_on_random_values(backend):
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
         assert x - x == spec.zero()
+        # subtraction on the values: the value, type and hash of x + (-y)
+        diff, total = x - y, x + (-y)
+        assert diff == total and hash(diff) == hash(total) and type(diff) is type(total)
 
 
 def test_puiseux_inverse_of_multiterm_value():

@@ -36,6 +36,7 @@ from berkline import (
 )
 from berkline.errors import DomainViolation, InvalidGenerator, PoleHit, ZeroTuple
 from berkline.field import abs_max, unit_max
+from berkline import points
 from berkline.fsderiv import _substitute
 
 from conftest import (
@@ -446,3 +447,27 @@ def test_sample_max_stable_under_rigid_refinement(p3):
         refined = sample + [rigid(random_scalar(rng, p3, unit_ball=True)) for _ in range(5)]
         refined_max = max(fs_derivative(f, pt) for pt in refined + [shilov])
         assert refined_max >= base_max
+
+
+def test_transport_ops_shift_for_at_most_one_percent_of_seminorms_and_images(monkeypatch, pq):
+    # a work gate: it counts Taylor shifts, not time, so a loaded host cannot move it
+    shifts = []
+    shift = points.taylor_shift
+
+    def counting(p, a):
+        shifts.append(a)
+        return shift(p, a)
+
+    monkeypatch.setattr(points, "taylor_shift", counting)
+    rng = rng_for("transport-shift-gate")
+    calls = 0
+    for _ in range(500):
+        f = random_poly_map(rng, pq, 6)
+        z = random_unit_disk_point(rng, pq)
+        while len(z.center.num_terms[1]) < 2:
+            z = random_unit_disk_point(rng, pq)
+        apply_map(f, z)
+        fs_derivative(f, z)
+        # a seminorm per coordinate and per Wronskian minor, an image per affine coordinate
+        calls += len(f.coords) + len(f.coords) * (len(f.coords) - 1) // 2 + len(f.coords) - 1
+    assert len(shifts) * 100 <= calls, (len(shifts), calls)

@@ -32,7 +32,7 @@ from berkline import (
 )
 from berkline.errors import PoleAtPoint
 from berkline.field import PadicScalar, PuiseuxScalar, abs_max
-from berkline.points import recentre, short_centre
+from berkline.points import divide_linear, initial_form, short_centre
 
 from conftest import (
     binomial_shift_oracle,
@@ -230,7 +230,7 @@ def test_shift_of_degree_6_rational_coefficients_is_fast_and_exact():
         for _, den in pairs.values():
             lcm = lcm * den
         assert value == eval_seminorm(Poly.from_dict(PQ, q_coeffs), x) / lcm.abs()
-        assert_minimal_layout(recentre(p, x))
+        assert_minimal_layout(taylor_shift(p, short_centre(x)))
 
 
 def affine_map(spec: FieldSpec, den: Scalar, p: Poly):
@@ -276,11 +276,127 @@ def test_short_centre_names_the_same_ball_and_seminorm(x, p, den):
     assert image == DiskPoint(g.coeff(0) / c0, radius)
 
 
-def test_short_centre_of_a_centre_inside_the_ball_is_zero(pq):
+def test_short_centre_of_a_centre_inside_the_ball_is_zero(pq, p3):
     x = DiskPoint(pq.from_terms([(1, 2), ("3/2", 1)]), AbsValue.of(-1))
     assert short_centre(x).is_zero
     y = DiskPoint(pq.from_terms([("1/2", 1), (1, 2), ("3/2", 1)]), AbsValue.of(-1))
     assert short_centre(y) == pq.t_power("1/2")
+    # padic and rational-function centres: 0 when |a| <= r, as given otherwise
+    fraction = pq.t_power(1) / pq.from_terms([(0, 1), ("1/2", 1)])
+    assert short_centre(DiskPoint(fraction, AbsValue.of(-1))).is_zero
+    assert short_centre(DiskPoint(fraction, AbsValue.of(-2))) is fraction
+    assert short_centre(DiskPoint(p3.scalar(9), AbsValue.of(-2))).is_zero
+    assert short_centre(DiskPoint(p3.scalar(9), AbsValue.of("-5/2"))) == p3.scalar(9)
+
+
+# -- the initial-form certificate against the full shift (hypothesis) ---------
+
+PQ6 = FieldSpec("puiseux-q", value_group=6)  # log-radii outside (1/6)Z are type III
+_pq6_polynomials = st.lists(puiseux_terms, max_size=3).map(PQ6.from_terms)
+_pq6_binomials = st.lists(puiseux_terms, max_size=2).map(PQ6.from_terms)
+CERTIFICATE_SCALARS = {
+    "padic": padic_scalars,
+    "puiseux-polynomial": _pq6_polynomials,
+    "puiseux-rational": st.one_of(
+        _pq6_polynomials,
+        st.tuples(_pq6_binomials, _pq6_binomials.filter(lambda d: not d.is_zero)).map(lambda nd: nd[0] / nd[1]),
+    ),
+}
+CERTIFICATE_SPECS = {"padic": P3, "puiseux-polynomial": PQ6, "puiseux-rational": PQ6}
+
+
+def _log_radius(kind: str, point_type: str):
+    """Log-radii in the value group (type II) or outside it (type III)."""
+    sixths = kind != "padic"
+    if point_type == "II":
+        return st.integers(-24, 12).map(lambda k: Fraction(k, 6)) if sixths else st.integers(-4, 2).map(Fraction)
+    if sixths:
+        return st.integers(-28, 14).filter(lambda k: k % 7).map(lambda k: Fraction(k, 7))
+    return st.integers(-4, 2).map(lambda k: Fraction(2 * k + 1, 2))
+
+
+def _below_one(w: Scalar) -> Scalar:
+    """w times a power of the uniformizer, of magnitude < 1."""
+    return w * w.spec.uniformizer(-max(1, ceil(w.abs().logval) + 1))
+
+
+@st.composite
+def certificate_cases(draw, kind: str):
+    """(construction, P, a, x): a plain P and a point x centred at a.
+
+    Except for "random", P is built so that its initial form at the Gauss
+    point of radius |a| vanishes at a (sigma = 0): a is the leading part of a
+    root b = a (1 + eps), a root itself (planted factor), or two terms of P
+    cancel in their leading parts at a."""
+    spec, scalars = CERTIFICATE_SPECS[kind], CERTIFICATE_SCALARS[kind]
+    nonzero = scalars.filter(lambda c: not c.is_zero)
+    # lazy fractions of rational-function polynomials can reach a slow dense gcd
+    rational = kind == "puiseux-rational"
+    construction = draw(st.sampled_from(["random", "root-lead", "planted", "cancel"]))
+    a = draw(scalars if construction == "random" else nonzero)
+    if construction == "random":
+        coeffs = st.dictionaries(st.integers(0, 4 if rational else 6), scalars, max_size=3 if rational else 5)
+        p = Poly.from_dict(spec, draw(coeffs))
+    elif construction == "cancel":
+        m, gap = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        c = draw(nonzero)
+        lam = spec.one() + _below_one(draw(nonzero))
+        for _ in range(gap):
+            lam = lam * a
+        p = Poly.from_dict(spec, {m: -(c * lam), m + gap: c})
+    else:
+        b = a if construction == "planted" else a * (spec.one() + _below_one(draw(nonzero)))
+        max_exp, max_terms = (2, 2) if rational else (4, 3)
+        small = st.dictionaries(st.integers(0, max_exp), nonzero, min_size=1, max_size=max_terms)
+        p = Poly.from_dict(spec, {0: -b, 1: spec.one()}) * Poly.from_dict(spec, draw(small))
+    point_type = draw(st.sampled_from(["I", "II", "III"]))
+    radius = ABS_ZERO if point_type == "I" else AbsValue(draw(_log_radius(kind, point_type)))
+    x = DiskPoint(a, radius)
+    assert x.point_type() == point_type
+    return construction, p, a, x
+
+
+@pytest.mark.parametrize("kind", sorted(CERTIFICATE_SCALARS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_certified_seminorms_and_images_equal_the_full_shift(kind, data):
+    construction, p, a, x = data.draw(certificate_cases(kind))
+    shifted = binomial_shift_oracle(p, a)
+    r = x.radius
+    if x.is_rigid:
+        expected = shifted.coeff(0).abs()
+    else:
+        expected = abs_max(c.abs() * r**n for n, c in shifted.terms)
+    assert eval_seminorm(p, x) == expected
+    # the witness: U = max_n |c_n| |a|^n, S its argmax, certified iff |P(a)| = U
+    if not a.is_zero and not p.is_zero:
+        reach = {n: c.abs() * a.abs() ** n for n, c in p.terms}
+        top = abs_max(reach.values())
+        witness = initial_form(p, a)
+        assert (witness is not None) == (shifted.coeff(0).abs() == top)
+        if witness is not None:
+            assert witness == (top, tuple(n for n in sorted(reach) if reach[n] == top))
+        if construction != "random":
+            assert witness is None
+    den = data.draw(CERTIFICATE_SCALARS[kind].filter(lambda c: not c.is_zero))
+    f = affine_map(CERTIFICATE_SPECS[kind], den, p)
+    (image,) = apply_map(f, x)
+    g = binomial_shift_oracle(f.coords[1], a)
+    c0 = f.coords[0].coeff(0)
+    radius = ABS_ZERO if x.is_rigid else abs_max(c.abs() * r**n for n, c in g.terms if n >= 1) / c0.abs()
+    assert image == DiskPoint(g.coeff(0) / c0, radius)
+    assert image.radius == radius
+
+
+def test_synthetic_division_recovers_the_polynomial():
+    for spec in (P3, PQ):
+        rng = rng_for(f"divide-linear-{spec.backend}")
+        for _ in range(30):
+            p = random_poly(rng, spec, 6)
+            a = random_scalar(rng, spec)
+            value, q = divide_linear(p, a)
+            assert value == p.evaluate(a)
+            assert Poly.from_dict(spec, {0: -a, 1: spec.one()}) * q + Poly.constant(spec, value) == p
 
 
 # ---------------------------------------------------------------------------
