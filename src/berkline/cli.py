@@ -123,9 +123,9 @@ def _load(args: argparse.Namespace, kinds: tuple[str, ...]) -> Document:
             spec = _parse_field_flag(args.field)
             return Document(spec, "field-only", None, {"field": {"backend": spec.backend}})
         raise SchemaError("an input file (or --field) is required")
-    doc = load_document(args.input)
-    if getattr(args, "field", None):
-        doc.spec = _parse_field_flag(args.field)
+    # an override is parsed first, so that the payload is read under it
+    override = _parse_field_flag(args.field) if getattr(args, "field", None) else None
+    doc = load_document(args.input, override)
     if kinds and doc.kind not in kinds:
         raise SchemaError(f"command needs a payload among {list(kinds)}, got {doc.kind!r}")
     return doc

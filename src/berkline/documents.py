@@ -293,7 +293,10 @@ def parse_sample_function(spec: FieldSpec, node: Any, path: str) -> SampledFunct
         raise _fail(path, str(exc)) from None
 
 
-def parse_document(text: str) -> Document:
+def parse_document(text: str, spec: FieldSpec | None = None) -> Document:
+    """The document in text; with ``spec``, its payload is parsed under that
+    FieldSpec instead of the document's own field block (which must still be
+    valid)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -302,7 +305,8 @@ def parse_document(text: str) -> Document:
         raise SchemaError("top level: expected an object")
     if "field" not in raw:
         raise SchemaError("top level: missing 'field' block")
-    spec = parse_field_spec(raw["field"])
+    own = parse_field_spec(raw["field"])  # validated under an override too
+    spec = own if spec is None else spec
     kinds = [k for k in raw if k in PAYLOAD_KINDS]
     extra = [k for k in raw if k not in PAYLOAD_KINDS and k != "field"]
     if extra:
@@ -356,9 +360,9 @@ def parse_document(text: str) -> Document:
     return Document(spec, kind, payload, raw)
 
 
-def load_document(path: str) -> Document:
+def load_document(path: str, spec: FieldSpec | None = None) -> Document:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+        return parse_document(handle.read(), spec)
 
 
 def canonical_json(raw: dict) -> str:

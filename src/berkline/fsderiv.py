@@ -5,9 +5,11 @@ with no common factor.  Its derivative magnitude at a point z is
 
     max(1, |z|^2) * max_{i<j} |(f_i' f_j - f_j' f_i)(z)| / max_i |f_i(z)|^2,
 
-evaluated exactly through the seminorm of the point.  Wronskian minors are
-computed symbolically; derivative coefficients keep the backend magnitude of
-the integer factors, so residue characteristic p is fully visible.
+evaluated exactly through the seminorm of the point.  The Wronskian minors
+are exact polynomials: the coordinates are cleared over one denominator L
+(points._cleared), the derivative multiplies the int coefficients of T^n by
+n, so the factor n keeps its backend magnitude and residue characteristic p
+is fully visible, and each minor is one difference of int products over L^2.
 
 Disk images of affine polynomial maps are exact.  With a the short centre of
 eta_{a,r}, one synthetic division f = f(a) + (T - a) q gives the image: its
@@ -20,7 +22,9 @@ like any seminorm, so no shift runs unless the certificate is inconclusive.
 Moebius words, composition, rescaling and the chart at infinity are one
 substitution T -> num/den into the homogenized coordinates.  num and den never
 share a zero, so a common zero of the results would be a common zero of the
-original coordinates: reduced maps stay reduced and no gcd follows.
+original coordinates: reduced maps stay reduced and no gcd follows.  The
+substitution, like the word's matrix, runs on cleared int term maps, with no
+Scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -35,11 +39,29 @@ from .errors import (
     PoleHit,
     ZeroTuple,
 )
-from .field import ABS_ONE, ABS_ZERO, AbsValue, FieldSpec, Scalar, abs_max, unit_max
+from .field import (
+    ABS_ONE,
+    ABS_ZERO,
+    AbsValue,
+    FieldSpec,
+    Scalar,
+    _ONE_TERMS,
+    _ZERO_TERMS,
+    _terms_add,
+    abs_max,
+    unit_max,
+)
 from .points import (
     DiskPoint,
     Poly,
     ProjPoint,
+    _ONE_POLY,
+    _clear,
+    _combine,
+    _derived,
+    _num_den,
+    _times,
+    _uncleared,
     coprime_certificate,
     divide_linear,
     divide_out,
@@ -106,13 +128,18 @@ class SeriesMap:
         return len(self.coords) - 1
 
     def proportional_to(self, other: "SeriesMap") -> bool:
-        """Whether the two maps agree as maps into projective space."""
+        """Whether the two maps agree as maps into projective space: every
+        minor a_i b_j - a_j b_i vanishes, which the numerators of the
+        coordinates cleared over one denominator per map decide."""
         if len(self.coords) != len(other.coords):
             return False
-        for i in range(len(self.coords)):
-            for j in range(i + 1, len(self.coords)):
-                m = self.coords[i] * other.coords[j] - self.coords[j] * other.coords[i]
-                if not m.is_zero:
+        if self.spec != other.spec:
+            raise BackendMismatch("polynomials over different backends")
+        _, mine = _clear(self.coords)
+        _, theirs = _clear(other.coords)
+        for i in range(len(mine)):
+            for j in range(i + 1, len(mine)):
+                if _combine([(1, mine[i], theirs[j]), (-1, mine[j], theirs[i])]):
                     return False
         return True
 
@@ -160,11 +187,17 @@ def _require_in_domain(f: SeriesMap, z: DiskPoint) -> None:
 
 
 def wronskian_minors(f: SeriesMap) -> list[Poly]:
-    derivs = [c.derivative() for c in f.coords]
+    """The minors f_i' f_j - f_j' f_i, i < j.  The coordinates are cleared
+    over one L, so both products of a minor are over L^2 and the minor is a
+    difference of numerators."""
+    lcm, coords = _clear(f.coords)
+    derivs = [_derived(c) for c in coords]
+    den = _times(lcm, lcm)
     out = []
-    for i in range(len(f.coords)):
-        for j in range(i + 1, len(f.coords)):
-            out.append(derivs[i] * f.coords[j] - derivs[j] * f.coords[i])
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            minor = _combine([(1, derivs[i], coords[j]), (-1, derivs[j], coords[i])])
+            out.append(_uncleared(f.spec, minor, den))
     return out
 
 
@@ -253,19 +286,36 @@ def _substitute(f: SeriesMap, num: Poly, den: Poly, domain: Domain | None) -> Se
     """f composed with num/den: each coordinate sum_j a_j T^j of f (d the
     largest degree) becomes sum_j a_j num^j den^(d-j).  num and den must have
     no common zero; then coprime coordinates stay coprime and need no gcd."""
+    return _substitute_cleared(f, _clear([num]), _clear([den]), domain)
+
+
+def _substitute_cleared(f: SeriesMap, num: tuple, den: tuple, domain: Domain | None) -> SeriesMap:
+    """_substitute on cleared polynomials: num = N/Ln and den = M/Ld, each
+    given as (L, [cleared list]).  With a coordinate cleared to
+    sum_j A_j T^j / Lc, term j is A_j N^j M^(d-j) / (Lc Ln^j Ld^(d-j)); it is
+    put over Lc Ln^d Ld^d by the factor Ln^(d-j) Ld^j, so each coordinate is
+    one sum of products over that denominator."""
     plain = _common_plain(f.coords)
     d = max(c.degree() for c in plain if not c.is_zero)
-    one = Poly.constant(f.spec, f.spec.one())
-    pow_num, pow_den = [one], [one]
-    for _ in range(d):
-        pow_num.append(pow_num[-1] * num)
-        pow_den.append(pow_den[-1] * den)
+    (ln, (top,)), (ld, (bottom,)) = num, den
+    pow_top, pow_bottom = [_ONE_POLY, top], [_ONE_POLY, bottom]
+    ln_pow, ld_pow = [_ONE_TERMS, ln], [_ONE_TERMS, ld]
+    for _ in range(d - 1):
+        pow_top.append(_combine([(1, pow_top[-1], top)]))
+        pow_bottom.append(_combine([(1, pow_bottom[-1], bottom)]))
+        ln_pow.append(_times(ln_pow[-1], ln))
+        ld_pow.append(_times(ld_pow[-1], ld))
+    # j -> N^j M^(d-j), built once for every coordinate
+    basis: dict[int, list] = {0: pow_bottom[d], d: pow_top[d]}
+    common = _times(ln_pow[d], ld_pow[d])
     coords = []
-    for c in plain:
-        acc = Poly(f.spec, ())
-        for j, a in c.terms:
-            acc = acc + (pow_num[j] * pow_den[d - j]).scale(a)
-        coords.append(acc)
+    for lc, (terms,) in [_clear([c]) for c in plain]:
+        products = []
+        for j, a in terms:
+            if j not in basis:
+                basis[j] = _combine([(1, pow_top[j], pow_bottom[d - j])])
+            products.append((1, [(0, _times(a, _times(ln_pow[d - j], ld_pow[j])))], basis[j]))
+        coords.append(_uncleared(f.spec, _combine(products), _times(lc, common)))
     return SeriesMap(tuple(coords), domain)
 
 
@@ -295,33 +345,41 @@ def _validate_generator(gen: Generator, spec: FieldSpec) -> None:
         raise InvalidGenerator(f"unknown generator {kind!r}")
 
 
-def _word_matrix(word: Iterable[Generator], spec: FieldSpec) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    one, zero = spec.one(), spec.zero()
-    a, b, c, d = one, zero, zero, one
+def _word_matrix(word: Iterable[Generator], spec: FieldSpec) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """(A, B, C, D, L): the word's matrix [[a, b], [c, d]] as int term maps
+    over one denominator L.  A generator x = N/M multiplies L by M: scaling
+    takes (A, B, C, D) to (A N, B M, C N, D M), translation to
+    (A M, A N + B M, C M, C N + D M), and inversion swaps the columns."""
+    a, b, c, d, den = _ONE_TERMS, _ZERO_TERMS, _ZERO_TERMS, _ONE_TERMS, _ONE_TERMS
     for gen in word:
         _validate_generator(gen, spec)
+        if gen[0] == "invert":
+            a, b, c, d = b, a, d, c
+            continue
+        x: Scalar = gen[1]
+        if x.spec is not spec and x.spec != spec:
+            raise BackendMismatch(f"mixed backends: {spec} vs {x.spec}")
+        top, bottom = _num_den(x)
         if gen[0] == "scale":
-            m = (gen[1], zero, zero, one)
-        elif gen[0] == "translate":
-            m = (one, gen[1], zero, one)
+            a, b, c, d = _times(a, top), _times(b, bottom), _times(c, top), _times(d, bottom)
         else:
-            m = (zero, one, one, zero)
-        a, b, c, d = (
-            a * m[0] + b * m[2],
-            a * m[1] + b * m[3],
-            c * m[0] + d * m[2],
-            c * m[1] + d * m[3],
-        )
-    return a, b, c, d
+            a, b, c, d = (
+                _times(a, bottom),
+                _terms_add(_times(a, top), _times(b, bottom)),
+                _times(c, bottom),
+                _terms_add(_times(c, top), _times(d, bottom)),
+            )
+        den = _times(den, bottom)
+    return a, b, c, d, den
 
 
 def pgl_apply(word: Sequence[Generator], f: SeriesMap) -> SeriesMap:
     """f composed with the unit Moebius map of the word (first generator is
     the outermost factor, so the last one acts on the variable first)."""
-    a, b, c, d = _word_matrix(word, f.spec)
-    num = Poly.from_dict(f.spec, {0: b, 1: a})  # a*T + b
-    den = Poly.from_dict(f.spec, {0: d, 1: c})  # c*T + d
-    return _substitute(f, num, den, f.domain)
+    a, b, c, d, common = _word_matrix(word, f.spec)
+    num = [(n, e) for n, e in ((0, b), (1, a)) if e[1]]  # a*T + b
+    den = [(n, e) for n, e in ((0, d), (1, c)) if e[1]]  # c*T + d
+    return _substitute_cleared(f, (common, [num]), (common, [den]), f.domain)
 
 
 def pgl_point(word: Sequence[Generator], x: DiskPoint | ProjPoint) -> ProjPoint:

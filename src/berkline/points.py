@@ -17,13 +17,19 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
   |P(a)| at a rigid point, where Horner's rule is the fallback;
 * only when the leading parts cancel is P shifted to the centre.
 
-The shift itself is the binomial sum c_k = sum_n p_n C(n, k) a^(n-k) over the
-nonzero terms p_n T^n, O(terms * degree) products in one kernel for both
-backends: every value is read as a num/den pair of int term maps (a padic
-rational as two constants), the denominators are cleared into the
-numerators, and each c_k comes back as an unreduced quotient over their
-product.  Polynomial input has nothing to clear.  The synthetic division
-P = P(a) + (T - a) Q that gives disk images runs on the same cleared maps.
+Polynomial algebra runs on one clearing for both backends: every value is
+read as a num/den pair of int term maps (a padic rational as two constants),
+and the coefficients of a polynomial are put over one denominator L, the int
+lcm of the constant dens times the product of the distinct other dens
+(_cleared).  The shift, the synthetic division, the gcd and the products all
+work on those int numerators, with no Scalar arithmetic, and build one
+scalar per output coefficient, left unreduced over its constant den.
+Polynomial input has nothing to clear.  The shift is the binomial sum
+c_k = sum_n p_n C(n, k) a^(n-k) over the nonzero terms p_n T^n,
+O(terms * degree) products; the synthetic division P = P(a) + (T - a) Q
+gives disk images; products, sums and derivatives (the Poly operators, the
+Wronskian minors and the map substitution) accumulate int terms by exponent,
+the denominator of a product being the product of the denominators.
 Laurent polynomials are evaluated multiplicatively through
 |T^{-1}(x)| = 1/max(|a|, r), which is finite at every point except the rigid
 point 0.
@@ -53,7 +59,9 @@ from .field import (
     Scalar,
     _ONE_TERMS,
     _ZERO_TERMS,
+    _constant,
     _expansion,
+    _fast_reduce,
     _padic_valuation,
     _reduced,
     _terms_add,
@@ -134,59 +142,45 @@ class Poly:
         if self.spec != other.spec:
             raise BackendMismatch("polynomials over different backends")
 
+    # +, -, * and the derivative are thin wrappers over the cleared-product
+    # kernel below (_clear, _combine, _uncleared)
+
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        acc = self.as_dict()
-        for n, c in other.terms:
-            s = acc.get(n, self.spec.zero()) + c
-            if s.is_zero:
-                acc.pop(n, None)
-            else:
-                acc[n] = s
-        return Poly(self.spec, tuple(sorted(acc.items())))
+        return self._sum(other, 1)
 
     def __neg__(self) -> "Poly":
         return Poly(self.spec, tuple([(n, -c) for n, c in self.terms]))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def _sum(self, other: "Poly", sign: int) -> "Poly":
+        self._check(other)
+        lcm, (a, b) = _clear([self, other])
+        return _uncleared(self.spec, _combine([(1, a, _ONE_POLY), (sign, b, _ONE_POLY)]), lcm)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        acc: dict[int, Scalar] = {}
-        for n, a in self.terms:
-            for m, b in other.terms:
-                k = n + m
-                prod = a * b
-                if k in acc:
-                    s = acc[k] + prod
-                    if s.is_zero:
-                        del acc[k]
-                    else:
-                        acc[k] = s
-                elif not prod.is_zero:
-                    acc[k] = prod
-        return Poly(self.spec, tuple(sorted(acc.items())))
+        la, (a,) = _clear([self])
+        lb, (b,) = _clear([other])
+        return _uncleared(self.spec, _combine([(1, a, b)]), _times(la, lb))
 
     def scale(self, c: Scalar) -> "Poly":
         if c.is_zero:
             return Poly(self.spec, ())
-        return Poly(self.spec, tuple([(n, a * c) for n, a in self.terms]))
+        if c.spec != self.spec:
+            raise BackendMismatch(f"mixed backends: {self.spec} vs {c.spec}")
+        return self * Poly(self.spec, ((0, c),))
 
     def shift_exp(self, m: int) -> "Poly":
         """Multiply by T^m."""
         return Poly(self.spec, tuple([(n + m, c) for n, c in self.terms]))
 
     def derivative(self) -> "Poly":
-        """Exact formal derivative; the factor n keeps its backend magnitude."""
-        acc = {}
-        for n, c in self.terms:
-            if n == 0:
-                continue
-            d = c * self.spec.from_int(n)
-            if not d.is_zero:
-                acc[n - 1] = d
-        return Poly(self.spec, tuple(sorted(acc.items())))
+        """Exact formal derivative: the ints of each coefficient times n, so
+        the factor n keeps its backend magnitude."""
+        lcm, (a,) = _clear([self])
+        return _uncleared(self.spec, _derived(a), lcm)
 
     def evaluate(self, a: Scalar) -> Scalar:
         """Exact evaluation at a field element (inverts a for Laurent input).
@@ -232,11 +226,11 @@ def taylor_shift(p: Poly, a: Scalar) -> Poly:
     The coefficients are the binomial sums b_k = sum_n c_n C(n, k) a^(n-k)
     over the nonzero terms c_n T^n of P: O(terms * degree) products, so a
     sparse polynomial of large degree stays cheap.  One kernel serves every
-    backend and coefficient kind: with a = A/B and c_n = N_n/M_n read as int
-    term maps (a padic n/d as constants), L the product of the distinct M_n
-    and d the degree, the sums run on Q_n = N_n prod_{M != M_n} M B^(d-n) and
-    the powers of A, and b_k = e_k / (L B^(d-k)) is left unreduced (a
-    magnitude never needs the reduced form).  Nothing is cleared when L = B = 1.
+    backend and coefficient kind: with a = A/B and c_n = N_n/L read as int
+    term maps over the common denominator L of _cleared (a padic n/d as
+    constants) and d the degree, the sums run on N_n B^(d-n) and the powers
+    of A, and b_k = e_k / (L B^(d-k)) is left unreduced (a magnitude never
+    needs the reduced form).  Nothing is cleared when L = B = 1.
     """
     if not p.is_plain:
         raise PoleAtPoint("taylor_shift is defined for plain polynomials")
@@ -312,20 +306,113 @@ def _times(x: tuple, y: tuple) -> tuple:
     return x if y == _ONE_TERMS else _terms_mul(x, y)
 
 
+def _is_constant(den: tuple) -> bool:
+    return len(den[1]) == 1 and not den[1][0][0]
+
+
+def _scaled(num: tuple, m: int) -> tuple:
+    """The term map num times the nonzero int m."""
+    return num if m == 1 else (num[0], tuple([(k, c * m) for k, c in num[1]]))
+
+
 def _cleared(pairs: list[tuple[tuple, tuple]]) -> tuple[list[tuple], tuple]:
-    """(nums, L): num/den pairs of term maps over L, the product of the
-    distinct dens, each num times every other distinct den."""
-    dens = list(dict.fromkeys([d for _, d in pairs if d != _ONE_TERMS]))
+    """(nums, L): num/den pairs of term maps over one L, the int lcm of the
+    constant dens times the product of the distinct other dens; each num is
+    multiplied by L over its own den."""
+    scale, dens = 1, []
+    for _, den in pairs:
+        if _is_constant(den):
+            scale = math.lcm(scale, den[1][0][1])
+        elif den not in dens:
+            dens.append(den)
+    if scale == 1 and not dens:
+        return [num for num, _ in pairs], _ONE_TERMS
     nums = []
     for num, den in pairs:
+        num = _scaled(num, scale // den[1][0][1] if _is_constant(den) else scale)
         for m in dens:
             if m != den:
                 num = _terms_mul(num, m)
         nums.append(num)
-    lcm = _ONE_TERMS
+    lcm = _constant(scale)
     for m in dens:
         lcm = _times(lcm, m)
     return nums, lcm
+
+
+# -- products on cleared polynomials -----------------------------------------
+#
+# A cleared polynomial is a list [(n, num), ...], sorted by n, whose
+# coefficient of T^n is num / L: num an int term map and L one denominator
+# for the whole list (a padic value is a constant map).  Products, sums and
+# derivatives run on the nums alone, with no Scalar arithmetic, and the
+# denominator of a product is the product of the denominators.  Scalars are
+# built once per output coefficient.
+
+_ONE_POLY = [(0, _ONE_TERMS)]  # the cleared constant 1
+
+
+def _clear(polys: Sequence[Poly]) -> tuple[tuple, list[list[tuple[int, tuple]]]]:
+    """(L, cleared lists): the polynomials over one joint L (``_cleared``)."""
+    nums, lcm = _cleared([_num_den(c) for p in polys for _, c in p.terms])
+    out, i = [], 0
+    for p in polys:
+        out.append([(n, nums[i + j]) for j, (n, _) in enumerate(p.terms)])
+        i += len(p.terms)
+    return lcm, out
+
+
+def _combine(products: Sequence[tuple[int, list, list]]) -> list[tuple[int, tuple]]:
+    """The cleared sum of sign * a * b over the (sign, a, b) triples.
+
+    Every num is read over the lcm D of the operands' exponent denominators,
+    and the ints are accumulated by exponent, one dict per power of T
+    (Monagan-Pearce: sparse products accumulate by exponent); each output
+    num is made minimal once at the end, and zero coefficients are dropped.
+    """
+    denom = math.lcm(*[num[0] for _, a, b in products for part in (a, b) for _, num in part])
+
+    def over(num: tuple) -> tuple:
+        m = denom // num[0]
+        return num[1] if m == 1 else [(k * m, c) for k, c in num[1]]
+
+    acc: dict[int, dict[int, int]] = {}
+    for sign, a, b in products:
+        right = [(m, over(y)) for m, y in b]
+        for n, x in a:
+            x = over(x) if sign > 0 else [(k, -c) for k, c in over(x)]
+            for m, y in right:
+                row = acc.get(n + m)
+                if row is None:
+                    row = acc[n + m] = {}
+                get = row.get
+                for kx, cx in x:
+                    for ky, cy in y:
+                        e = kx + ky
+                        row[e] = get(e, 0) + cx * cy
+    out = []
+    for n in sorted(acc):
+        terms = sorted([ec for ec in acc[n].items() if ec[1]])
+        if terms:
+            out.append((n, _reduced(denom, tuple(terms))))
+    return out
+
+
+def _derived(a: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+    """The formal derivative of a cleared polynomial (same denominator): the
+    ints of the coefficient of T^n times n."""
+    return [(n - 1, _scaled(num, n)) for n, num in a if n]
+
+
+def _uncleared(spec: FieldSpec, a: list[tuple[int, tuple]], den: tuple) -> Poly:
+    """The Poly of a cleared polynomial over den, one scalar per coefficient.
+
+    A constant den (always, for padic) is kept as it is, so the quotient may
+    be unreduced; any other den goes through _fast_reduce, whose term
+    threshold bounds growth as in Scalar arithmetic."""
+    if _is_constant(den):
+        return Poly(spec, tuple([(n, _from_num_den(spec, num, den)) for n, num in a]))
+    return Poly(spec, tuple([(n, PuiseuxScalar(spec, *_fast_reduce(num, den))) for n, num in a]))
 
 
 def divide_linear(p: Poly, a: Scalar) -> tuple[Scalar, Poly]:
@@ -466,8 +553,8 @@ def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[int] | None:
 
 def _zbiv(polys: Sequence[Poly]) -> tuple[int, list[dict[int, list[int]]]]:
     """(D, images): the plain polynomials in Z[u][T], u = t^(1/D), all times
-    one common unit, so that the images of a map's coordinates stay
-    proportional."""
+    one common unit (their common denominator L of _cleared, and a power of
+    u), so that the images of a map's coordinates stay proportional."""
     nums, _ = _cleared([_num_den(c) for p in polys for _, c in p.terms])
     if not nums:
         return 1, [{} for _ in polys]

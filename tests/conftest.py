@@ -204,6 +204,114 @@ def horner_shift_oracle(p: Poly, a):
 
 
 # ---------------------------------------------------------------------------
+# Product oracles: the per-coefficient Scalar loops that the cleared-product
+# kernel of points.py replaced
+
+
+def poly_add_oracle(a: Poly, b: Poly) -> Poly:
+    acc = a.as_dict()
+    for n, c in b.terms:
+        s = acc.get(n, a.spec.zero()) + c
+        if s.is_zero:
+            acc.pop(n, None)
+        else:
+            acc[n] = s
+    return Poly(a.spec, tuple(sorted(acc.items())))
+
+
+def poly_sub_oracle(a: Poly, b: Poly) -> Poly:
+    return poly_add_oracle(a, -b)
+
+
+def poly_mul_oracle(a: Poly, b: Poly) -> Poly:
+    acc: dict = {}
+    for n, x in a.terms:
+        for m, y in b.terms:
+            k = n + m
+            prod = x * y
+            if k in acc:
+                s = acc[k] + prod
+                if s.is_zero:
+                    del acc[k]
+                else:
+                    acc[k] = s
+            elif not prod.is_zero:
+                acc[k] = prod
+    return Poly(a.spec, tuple(sorted(acc.items())))
+
+
+def poly_scale_oracle(p: Poly, c) -> Poly:
+    if c.is_zero:
+        return Poly(p.spec, ())
+    return Poly(p.spec, tuple([(n, a * c) for n, a in p.terms]))
+
+
+def poly_derivative_oracle(p: Poly) -> Poly:
+    acc = {}
+    for n, c in p.terms:
+        if n:
+            acc[n - 1] = c * p.spec.from_int(n)
+    return Poly.from_dict(p.spec, acc)
+
+
+def wronskian_oracle(f: SeriesMap) -> list[Poly]:
+    derivs = [poly_derivative_oracle(c) for c in f.coords]
+    out = []
+    for i in range(len(f.coords)):
+        for j in range(i + 1, len(f.coords)):
+            left, right = poly_mul_oracle(derivs[i], f.coords[j]), poly_mul_oracle(derivs[j], f.coords[i])
+            out.append(poly_sub_oracle(left, right))
+    return out
+
+
+def proportional_oracle(f: SeriesMap, g: SeriesMap) -> bool:
+    if len(f.coords) != len(g.coords):
+        return False
+    for i in range(len(f.coords)):
+        for j in range(i + 1, len(f.coords)):
+            left, right = poly_mul_oracle(f.coords[i], g.coords[j]), poly_mul_oracle(f.coords[j], g.coords[i])
+            if not poly_sub_oracle(left, right).is_zero:
+                return False
+    return True
+
+
+def substitute_oracle(f: SeriesMap, num: Poly, den: Poly) -> tuple[Poly, ...]:
+    """The coordinates of f composed with num/den: sum_j a_j num^j den^(d-j)
+    after one common shift to plain coordinates, d the largest degree."""
+    shift = min(min(0, c.min_exp()) for c in f.coords if not c.is_zero)
+    plain = [c.shift_exp(-shift) for c in f.coords]
+    d = max(c.degree() for c in plain if not c.is_zero)
+    one = Poly.constant(f.spec, f.spec.one())
+    pow_num, pow_den = [one], [one]
+    for _ in range(d):
+        pow_num.append(poly_mul_oracle(pow_num[-1], num))
+        pow_den.append(poly_mul_oracle(pow_den[-1], den))
+    coords = []
+    for c in plain:
+        acc = Poly(f.spec, ())
+        for j, a in c.terms:
+            acc = poly_add_oracle(acc, poly_scale_oracle(poly_mul_oracle(pow_num[j], pow_den[d - j]), a))
+        coords.append(acc)
+    return tuple(coords)
+
+
+def pgl_apply_oracle(word, f: SeriesMap) -> tuple[Poly, ...]:
+    """The word's matrix multiplied out in Scalar arithmetic, then substituted."""
+    spec = f.spec
+    one, zero = spec.one(), spec.zero()
+    a, b, c, d = one, zero, zero, one
+    for gen in word:
+        if gen[0] == "scale":
+            m = (gen[1], zero, zero, one)
+        elif gen[0] == "translate":
+            m = (one, gen[1], zero, one)
+        else:
+            m = (zero, one, one, zero)
+        a, b, c, d = a * m[0] + b * m[2], a * m[1] + b * m[3], c * m[0] + d * m[2], c * m[1] + d * m[3]
+    return substitute_oracle(f, Poly.from_dict(spec, {0: b, 1: a}), Poly.from_dict(spec, {0: d, 1: c}))
+
+
+# ---------------------------------------------------------------------------
 # Division oracle: field division on Scalars, independent of the Z[u][T] path
 
 
@@ -217,7 +325,7 @@ def poly_divexact_oracle(a: Poly, b: Poly) -> Poly:
         n, c = a.terms[-1]
         factor = c * lead_inv
         out[n - db] = factor
-        a = a - b.shift_exp(n - db).scale(factor)
+        a = poly_sub_oracle(a, poly_scale_oracle(b.shift_exp(n - db), factor))
     if not a.is_zero:
         raise ValueError("inexact polynomial division")
     return Poly(b.spec, tuple(sorted(out.items())))

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from berkline import AbsValue, Poly, cli
+from berkline import AbsValue, FieldSpec, Poly, cli, eval_seminorm
 from berkline.cli import main
 from berkline.documents import canonical_json, load_document, parse_document
+from berkline.errors import BackendMismatch
 from berkline.field import abs_max
 
 from conftest import binomial_shift_oracle, rng_for, run_cli_full
@@ -459,10 +460,27 @@ def test_sparse_series_value_matches_the_binomial_oracle(tmp_path, p3, point):
 @pytest.mark.parametrize("point", ["t", "t^1/2,-1"])
 def test_padic_series_at_a_puiseux_centre_is_a_backend_mismatch(point):
     # the rigid point always raised; the ball once mixed the padic coefficients
-    # into a puiseux-q shift and printed a value
-    code, out, err = run_cli_full(["eval", str(GOLDEN / "eval_gauss.json"), "--point", point, "--field", "puiseux"])
-    assert (code, out) == (3, "")
-    assert "BackendMismatch" in err
+    # into a puiseux-q shift and printed a value.  --field now parses the
+    # payload under the override, so only the library can still mix them.
+    series = load_document(str(GOLDEN / "eval_gauss.json")).payload
+    with pytest.raises(BackendMismatch):
+        eval_seminorm(series, cli._parse_point(FieldSpec("puiseux-q"), point))
+
+
+@pytest.mark.parametrize("point", ["t", "t,-1", "t^1/2,-1", "0,1/2", "1/3,-2"])
+def test_field_override_parses_the_payload_under_the_override(tmp_path, point):
+    # a padic document under --field puiseux reads as the same document with a
+    # puiseux-q field block (the ball around t once printed beta^(-2) here,
+    # mixing padic coefficient magnitudes with a puiseux-q radius)
+    doc = json.loads((GOLDEN / "eval_gauss.json").read_text())
+    doc["field"] = {"backend": "puiseux-q"}
+    path = tmp_path / "eval_puiseux.json"
+    path.write_text(json.dumps(doc))
+    overridden = run_cli_full(["eval", str(GOLDEN / "eval_gauss.json"), "--point", point, "--field", "puiseux"])
+    assert overridden == run_cli_full(["eval", str(path), "--point", point])
+    assert overridden[0] == 0
+    if point == "t,-1":
+        assert overridden[1] == "β^(-1)\n"
 
 
 def puiseux_series(tmp_path, terms: dict[int, list[tuple[str, str]]]) -> Path:

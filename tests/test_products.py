@@ -1,0 +1,243 @@
+"""Polynomial products on cleared int term maps against the Scalar oracles:
+Poly operators, Wronskian minors, proportionality and the map substitution."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from berkline import (
+    ABS_ONE,
+    FieldSpec,
+    Poly,
+    SeriesMap,
+    compose,
+    pgl_apply,
+    rescale_map,
+    taylor_shift,
+)
+from berkline.field import PadicScalar, PuiseuxScalar, _terms_mul
+from berkline.fsderiv import wronskian_minors
+from berkline.points import _cleared, _num_den, divide_linear, poly_gcd
+
+from conftest import (
+    binomial_shift_oracle,
+    pgl_apply_oracle,
+    poly_add_oracle,
+    poly_derivative_oracle,
+    poly_mul_oracle,
+    poly_scale_oracle,
+    poly_sub_oracle,
+    proportional_oracle,
+    random_pgl_word,
+    random_poly,
+    random_poly_map,
+    rng_for,
+    substitute_oracle,
+    wronskian_oracle,
+)
+
+P3 = FieldSpec("padic", 3)
+PQ = FieldSpec("puiseux-q")
+
+# exponent denominators up to 3 and rational functions of two binomials, the
+# caps of the shift strategies in test_points.py
+padic_scalars = st.fractions(-40, 40, max_denominator=30).map(P3.scalar)
+puiseux_terms = st.tuples(st.fractions(-2, 3, max_denominator=3), st.fractions(-6, 6, max_denominator=3))
+puiseux_polynomials = st.lists(puiseux_terms, max_size=3).map(PQ.from_terms)
+binomials = st.lists(puiseux_terms, max_size=2).map(PQ.from_terms)
+puiseux_rational_functions = st.tuples(binomials, binomials.filter(lambda d: not d.is_zero)).map(
+    lambda nd: nd[0] / nd[1]
+)
+SCALARS = {
+    "padic": padic_scalars,
+    "puiseux-polynomial": puiseux_polynomials,
+    "puiseux-rational": st.one_of(puiseux_polynomials, puiseux_rational_functions),
+}
+SPECS = {"padic": P3, "puiseux-polynomial": PQ, "puiseux-rational": PQ}
+PRODUCT_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def laurent(kind: str, low: int = -2, high: int = 3, max_terms: int = 3):
+    spec = SPECS[kind]
+    return st.dictionaries(st.integers(low, high), SCALARS[kind], max_size=max_terms).map(
+        lambda d: Poly.from_dict(spec, d)
+    )
+
+
+def conjugate(p: Poly) -> Poly:
+    """p(-T): the product p(T) p(-T) loses every odd power of T."""
+    return Poly(p.spec, tuple([(n, -c if n % 2 else c) for n, c in p.terms]))
+
+
+@st.composite
+def operand_pairs(draw, kind: str):
+    """Two Laurent polynomials; the second is often p itself, p(-T) or a
+    multiple of p, so that sums, differences and products cancel."""
+    a = draw(laurent(kind))
+    how = draw(st.sampled_from(["random", "same", "conjugate", "multiple"]))
+    if how == "same":
+        return a, a
+    if how == "conjugate":
+        return a, conjugate(a)
+    if how == "multiple":
+        return a, poly_scale_oracle(a, draw(SCALARS[kind]))
+    return a, draw(laurent(kind))
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@PRODUCT_SETTINGS
+@given(data=st.data())
+def test_poly_operators_equal_the_scalar_oracles(kind, data):
+    a, b = data.draw(operand_pairs(kind))
+    c = data.draw(SCALARS[kind])
+    assert a * b == poly_mul_oracle(a, b)
+    assert a * conjugate(a) == poly_mul_oracle(a, conjugate(a))
+    assert a + b == poly_add_oracle(a, b)
+    assert a - b == poly_sub_oracle(a, b)
+    assert a.derivative() == poly_derivative_oracle(a)
+    assert a.scale(c) == poly_scale_oracle(a, c)
+    assert (a - a).is_zero and (a * b - b * a).is_zero
+
+
+@st.composite
+def maps(draw, kind: str, max_coords: int = 3, low: int = -1, high: int = 3):
+    """SeriesMaps built directly: Laurent or constant coordinates, at least
+    one nonzero, and sometimes a coordinate proportional to another (a
+    vanishing Wronskian minor)."""
+    spec = SPECS[kind]
+    n = draw(st.integers(2, max_coords))
+    coords = []
+    for _ in range(n):
+        shape = draw(st.sampled_from(["laurent", "constant", "proportional"]))
+        if shape == "constant":
+            coords.append(Poly.from_dict(spec, {0: draw(SCALARS[kind])}))
+        elif shape == "proportional" and coords:
+            coords.append(poly_scale_oracle(coords[-1], draw(SCALARS[kind])))
+        else:
+            coords.append(draw(laurent(kind, low, high)))
+    if all(c.is_zero for c in coords):
+        coords[0] = Poly.constant(spec, spec.one())
+    return SeriesMap(tuple(coords))
+
+
+def units(kind: str):
+    spec = SPECS[kind]
+    if kind == "padic":
+        return st.sampled_from([1, 2, -1, Fraction(4, 5), 7, Fraction(-5, 7)]).map(spec.scalar)
+    one_plus = st.tuples(st.sampled_from([1, 2, -1, 3, Fraction(1, 2)]), st.integers(1, 3)).map(
+        lambda ck: spec.from_terms([(0, ck[0]), (ck[1], 1)])
+    )
+    if kind == "puiseux-polynomial":
+        return one_plus
+    return st.one_of(one_plus, st.tuples(one_plus, one_plus).map(lambda uv: uv[0] / uv[1]))
+
+
+def words(kind: str):
+    small = SCALARS[kind].filter(lambda b: b.abs() <= ABS_ONE)
+    gens = st.one_of(
+        units(kind).map(lambda a: ("scale", a)), small.map(lambda b: ("translate", b)), st.just(("invert",))
+    )
+    return st.lists(gens, min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_map_transforms_equal_the_scalar_oracles(kind, data):
+    f = data.draw(maps(kind))
+    assert wronskian_minors(f) == wronskian_oracle(f)
+    # an inner map of degree <= 2 (<= 1 with rational-function coefficients,
+    # whose lazy fractions make the Scalar oracle slow)
+    g = data.draw(maps(kind, max_coords=2, low=0, high=1 if kind == "puiseux-rational" else 2))
+    assert compose(f, g).coords == substitute_oracle(f, g.coords[1], g.coords[0])
+    word = data.draw(words(kind))
+    moved = pgl_apply(word, f)
+    assert moved.coords == pgl_apply_oracle(word, f)
+    assert wronskian_minors(moved) == wronskian_oracle(moved)
+    scale = data.draw(SCALARS[kind].filter(lambda a: not a.is_zero))
+    offset = data.draw(SCALARS[kind])
+    spec = f.spec
+    line = Poly.from_dict(spec, {0: offset, 1: scale})
+    rescaled = rescale_map(f, scale, offset, None)
+    assert rescaled.coords == substitute_oracle(f, line, Poly.constant(spec, spec.one()))
+    # a common multiple is the same map; another map usually is not
+    multiple = SeriesMap(tuple([poly_scale_oracle(c, scale) for c in f.coords]))
+    assert f.proportional_to(multiple) and proportional_oracle(f, multiple)
+    other = data.draw(maps(kind, max_coords=len(f.coords)))
+    assert f.proportional_to(other) == proportional_oracle(f, other)
+
+
+# -- one clearing over the int lcm of the constant dens -------------------------
+
+
+@pytest.mark.parametrize("spec", [P3, PQ], ids=["padic", "puiseux-q"])
+def test_constant_dens_clear_over_their_int_lcm(spec):
+    half, third, sixth = spec.scalar("1/2"), spec.scalar("-1/3"), spec.scalar("5/6")
+    p = Poly.from_dict(spec, {0: half, 1: third, 3: sixth})
+    nums, lcm = _cleared([_num_den(c) for _, c in p.terms])
+    assert lcm == (1, ((0, 6),))  # 36 as the product of the distinct dens
+    assert nums == [(1, ((0, 3),)), (1, ((0, -2),)), (1, ((0, 5),))]
+    a = spec.scalar("2/5")
+    assert taylor_shift(p, a) == binomial_shift_oracle(p, a)
+    value, q = divide_linear(p, a)
+    assert value == p.evaluate(a)
+    t_minus_a = Poly.from_dict(spec, {0: -a, 1: spec.one()})
+    assert poly_add_oracle(poly_mul_oracle(t_minus_a, q), Poly.constant(spec, value)) == p
+    r = Poly.from_dict(spec, {0: spec.scalar("1/4"), 1: spec.one()})
+    s = Poly.from_dict(spec, {0: spec.scalar("-1/9"), 2: spec.scalar("1/2")})
+    assert p * r == poly_mul_oracle(p, r)
+    g = poly_gcd(p * r, p * s)
+    assert g.degree() == p.degree()
+    # g is p up to a unit
+    assert poly_scale_oracle(g, p.terms[-1][1] / g.terms[-1][1]) == p
+
+
+def test_a_nonconstant_den_keeps_the_product():
+    den = PQ.from_terms([(0, 1), (1, 2)])
+    coeffs = [PQ.scalar("1/2"), PQ.scalar("1/3"), PQ.one() / den]
+    nums, lcm = _cleared([_num_den(c) for c in coeffs])
+    assert lcm == _terms_mul((1, ((0, 6),)), den.num_terms)
+    for num, c in zip(nums, coeffs):
+        assert PuiseuxScalar(PQ, num, lcm) == c
+    p = Poly.from_coeffs(PQ, coeffs)
+    a = PQ.from_terms([(0, 1), ("1/2", 1)])
+    assert taylor_shift(p, a) == binomial_shift_oracle(p, a)
+    assert p * p == poly_mul_oracle(p, p)
+
+
+# -- a work gate: no Scalar arithmetic inside the products ----------------------
+
+
+def test_map_transforms_do_no_scalar_arithmetic(monkeypatch):
+    # counts Scalar products and sums, not time, so a loaded host cannot move it
+    calls = {"count": 0, "on": False}
+    for cls in (PuiseuxScalar, PadicScalar):
+        for name in ("__mul__", "__add__"):
+            original = getattr(cls, name)
+
+            def counting(self, other, original=original):
+                if calls["on"]:
+                    calls["count"] += 1
+                return original(self, other)
+
+            monkeypatch.setattr(cls, name, counting)
+    for spec in (P3, PQ):
+        rng = rng_for(f"product-work-gate-{spec.backend}")
+        for _ in range(200):
+            f = random_poly_map(rng, spec, 4)
+            g = random_poly_map(rng, spec, 3)
+            word = random_pgl_word(rng, spec)
+            wide = SeriesMap((f.coords[0], f.coords[1], random_poly(rng, spec, 3)))
+            calls["on"] = True
+            moved = pgl_apply(word, f)
+            composed = compose(f, g)
+            for h in (f, moved, composed, wide):
+                wronskian_minors(h)
+            moved.proportional_to(f)
+            wide.proportional_to(wide)
+            calls["on"] = False
+    assert calls["count"] == 0, calls["count"]
