@@ -342,9 +342,6 @@ class FieldSpec:
             return PuiseuxScalar(self, _ZERO_TERMS)
         return PuiseuxScalar(self, (1, ((0, c.numerator),)), _constant(c.denominator))
 
-    def from_int(self, n: int) -> "Scalar":
-        return self.scalar(n)
-
     def t_power(self, q: RationalInput, coeff: RationalInput = 1) -> "Scalar":
         """The monomial coeff * t^q (puiseux-q only)."""
         if self.backend != PUISEUX:
@@ -608,107 +605,90 @@ def _terms_at(a: Terms, denom: int, sigma: Fraction) -> Fraction:
     return sum((c * sigma ** (k * m) for k, c in a[1]), Fraction(0))
 
 
-# Dense integer polynomials: the one gcd stack of the library.
+# Integer polynomials: the one gcd stack of the library.
 #
-# A Z[u] polynomial is a list of ints, index = degree, with no trailing zeros
-# (the empty list is 0).  Fraction reduction below, the coprimality
+# A term map with no negative exponent is a polynomial of Z[u], u = t^(1/D)
+# for a common D of the operands.  Fraction reduction below, the coprimality
 # certificate, and gcd and exact division in Z[u][T] for both backends in
-# points.py all run the primitive pseudo-remainder sequence of _zgcd.  A
-# Puiseux term map becomes a Z[u] polynomial through u = t^(1/denom) and a
-# shift of exponents.
+# points.py all run the primitive pseudo-remainder sequence of _terms_gcd on
+# term maps, so memory grows with the number of terms, not the exponent span.
 
 
-def _terms_to_zpoly(a: Terms, denom: int, shift: int) -> list[int]:
-    """t^(-shift/denom) * a as a Z[u] polynomial, u = t^(1/denom).
-
-    denom is a multiple of a's D and shift is at most a's lowest exponent (in
-    units of 1/denom).
-    """
-    d, terms = a
-    m = denom // d
-    out = [0] * (terms[-1][0] * m - shift + 1)
-    for k, c in terms:
-        out[k * m - shift] = c
-    return out
+def _scaled(a: Terms, m: int) -> Terms:
+    """The term map a times the nonzero int m."""
+    return a if m == 1 else (a[0], tuple([(k, c * m) for k, c in a[1]]))
 
 
-def _zpoly_to_terms(z: list[int], denom: int, shift: int) -> Terms:
-    """The term map of t^(shift/denom) * z(t^(1/denom))."""
-    return _reduced(denom, tuple([(i + shift, c) for i, c in enumerate(z) if c]))
+def _terms_shift(a: Terms, s: int, denom: int) -> Terms:
+    """a times t^(s/denom), denom a multiple of a's D."""
+    if not s:
+        return a
+    m = denom // a[0]
+    return _reduced(denom, tuple([(k * m + s, c) for k, c in a[1]]))
 
 
-def _zclear(a: list[Fraction]) -> list[int]:
-    """A dense Q[u] polynomial times the lcm of its denominators."""
-    scale = math.lcm(*(c.denominator for c in a))
-    return [c.numerator * (scale // c.denominator) for c in a]
-
-
-def _zprimitive(a: list[int]) -> tuple[int, list[int]]:
-    """(content, primitive part); the content takes the sign of the leading
-    coefficient, so the primitive part leads positively."""
-    if not a:
-        return 0, []
-    g = math.gcd(*a)
-    if a[-1] < 0:
+def _terms_primitive(a: Terms) -> tuple[int, Terms]:
+    """(content, primitive part); the content takes the sign of the top
+    coefficient, so the primitive part leads positively (0 for the zero map)."""
+    g = math.gcd(*[c for _, c in a[1]])
+    if a[1] and a[1][-1][1] < 0:
         g = -g
-    return g, (a if g == 1 else [c // g for c in a])
+    return g, (a if g == 1 else (a[0], tuple([(k, c // g) for k, c in a[1]])))
 
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+def _terms_divide(a: Terms, b: Terms, exact: bool) -> Terms:
+    """Elimination of a by a nonzero b in Z[u], neither with a negative
+    exponent: with ``exact``, the quotient a / b when b divides a there;
+    otherwise the fraction-free pseudo-remainder over the common D (not made
+    minimal), each step multiplying it by b's top coefficient.  Each step pops
+    the remainder's top term and merges in the multiple of b's other terms
+    that cancels it (Monagan-Pearce: sparse division), so a step costs the
+    terms of both, not the exponent span."""
+    denom, r, tb = _common(a, b)
+    kb, lb = tb[-1]
+    rest = [(k - kb, -v) for k, v in tb[:-1]]  # minus b's other terms, over u^kb
+    r, q = list(r), []
+    while r and r[-1][0] >= kb:
+        kr, c = r[-1]
+        r[-1] = (kr, 0)  # a sentinel above every exponent merged below
+        m = 1 if exact else lb
+        if exact:
+            c //= lb
+            q.append((kr - kb, c))
+        # the sorted merge of m * r and c * u^kr * rest
+        out, i = [], 0
+        append = out.append
+        for k, v in rest:
+            e = k + kr
+            ke, ve = r[i]
+            while ke < e:
+                append((ke, ve * m))
+                i += 1
+                ke, ve = r[i]
+            if ke > e:
+                append((e, c * v))
+            else:
+                i += 1
+                x = ve * m + c * v
+                if x:
+                    append((e, x))
+        out.extend([(k, v * m) for k, v in r[i:-1]])
+        r = out
+    return _reduced(denom, tuple(q[::-1])) if exact else (denom, tuple(r))
 
 
-def _zsub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, cb in enumerate(b):
-        out[i] -= cb
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zdivexact(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a / b in Z[u] when b divides a there."""
-    r = list(a)
-    nb, lead = len(b), b[-1]
-    q = [0] * (len(a) - nb + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + nb - 1] // lead
-        if c:
-            q[k] = c
-            for i, cb in enumerate(b):
-                r[k + i] -= c * cb
-    return q
-
-
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
-    """The gcd in Z[u], leading positively, by a primitive pseudo-remainder
-    sequence: each remainder is made primitive, so coefficients stay small."""
-    ca, a = _zprimitive(a)
-    cb, b = _zprimitive(b)
-    content = math.gcd(ca, cb)
-    if len(a) < len(b):
+def _terms_gcd(a: Terms, b: Terms) -> Terms:
+    """The gcd in Z[u] of two term maps with no negative exponent, leading
+    positively, by a primitive pseudo-remainder sequence: each remainder is
+    made primitive, so coefficients stay small.  A zero operand gives the
+    other one."""
+    ca, a = _terms_primitive(a)
+    cb, b = _terms_primitive(b)
+    if a[1] and b[1] and a[1][-1][0] * b[0] < b[1][-1][0] * a[0]:
         a, b = b, a
-    while b:
-        r = list(a)
-        lead, nb = b[-1], len(b)
-        while len(r) >= nb:
-            lr = r.pop()
-            k = len(r) - nb + 1
-            r = [c * lead for c in r]
-            for i in range(nb - 1):
-                r[k + i] -= lr * b[i]
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, _zprimitive(r)[1]
-    return a if content == 1 else [content * c for c in a]
+    while b[1]:
+        a, b = b, _terms_primitive(_terms_divide(a, b, False))[1]
+    return _reduced(*_scaled(a, math.gcd(ca, cb)))
 
 
 def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
@@ -731,24 +711,25 @@ def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
         m = denom // num[0]
         return _reduced(denom, tuple([(k * m - ed, a // g) for k, a in num[1]])), _constant(c // g)
     en = _terms_lowest(num, denom)
-    zn, zd = _terms_to_zpoly(num, denom, en), _terms_to_zpoly(den, denom, ed)
-    g = _zgcd(zn, zd)
-    if (zd[0] < 0) != (g[0] < 0):
-        g = [-c for c in g]
-    if g != [1]:
-        zn, zd = _zdivexact(zn, g), _zdivexact(zd, g)
-    return _zpoly_to_terms(zn, denom, en - ed), _zpoly_to_terms(zd, denom, 0)
+    zn, zd = _terms_shift(num, -en, denom), _terms_shift(den, -ed, denom)
+    g = _terms_gcd(zn, zd)
+    if (zd[1][0][1] < 0) != (g[1][0][1] < 0):
+        g = _terms_neg(g)
+    if g != _ONE_TERMS:
+        zn, zd = _terms_divide(zn, g, True), _terms_divide(zd, g, True)
+    return _terms_shift(zn, en - ed, denom), zd
 
 
 _REDUCE_THRESHOLD = 48  # lazy fractions reduce once this many terms accumulate
-_DENSE_PER_TERM = 8  # ... and their dense Z[u] lists hold at most this many slots per term
+_DENSE_PER_TERM = 8  # ... and their exponent spans, in units of 1/lcm(D), are at most this many per term
 
 
 def _fast_reduce(num: Terms, den: Terms) -> tuple[Terms, Terms]:
     """num/den, reduced where that is cheap (a one-term denominator) or the
     terms have grown past _REDUCE_THRESHOLD, and left lazy otherwise; also
     when the exponent spans of num and den, in units of 1/lcm(D), are long:
-    coprime exponent denominators can make the dense lists outgrow memory."""
+    an elimination can take a step per unit of span, and coprime exponent
+    denominators can make spans huge, so the guard bounds the gcd's time."""
     (dn, tn), (dd, td) = num, den
     if not tn:
         return _ZERO_TERMS, _ONE_TERMS

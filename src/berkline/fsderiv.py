@@ -41,7 +41,6 @@ from .errors import (
 )
 from .field import (
     ABS_ONE,
-    ABS_ZERO,
     AbsValue,
     FieldSpec,
     Scalar,
@@ -70,7 +69,6 @@ from .points import (
     rigid,
     short_centre,
 )
-from .tropic import Interval, TropicalPolygon
 
 # ---------------------------------------------------------------------------
 # Domains and maps
@@ -227,37 +225,28 @@ def fs_derivative_proj(f: SeriesMap, z: ProjPoint) -> AbsValue:
 
 
 def _zero_free_log_bound(g0: Poly, outer: AbsValue) -> bool:
-    """Whether g0 has no zeros on the closed disk of the given radius (so its
-    magnitude is constant there)."""
-    if g0.is_zero:
-        return False
-    if g0.min_exp() > 0:
-        return False
-    if g0.is_constant:
-        return True
-    # Poly keeps nonzero coefficients only, so every magnitude is finite
-    terms = [(n, c.abs().logval) for n, c in g0.terms]
-    polygon = TropicalPolygon(tuple(terms), Interval(None, None))
-    segs = polygon.segments()
-    if outer.logval is None:
-        return True
-    return all(s.left is None or s.left > outer.logval for s in segs[1:])
+    """Whether the plain g0 has no zeros on the closed disk of the given
+    radius, so that its magnitude there is |g0(0)|: its nonzero constant
+    term strictly dominates every other term at the radius."""
+    c0 = g0.coeff(0).abs()
+    return not c0.is_zero and all(c.abs() * outer ** n < c0 for n, c in g0.terms if n)
 
 
 def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
     """Exact composition f(g) for g a map into the line.
 
     Requires the image of g's declared domain to land in f's declared domain
-    (checked exactly when both annotations are present); the composition is
-    rejected with PoleHit when the chart denominator of g vanishes on g's
+    (checked exactly when both annotations are present, on g's coordinates
+    shifted by one common power of T to plain polynomials); the composition
+    is rejected with PoleHit when the chart denominator of g vanishes on g's
     domain, since the image would then not stay in one affine chart.
     """
     if g.target_dim != 1:
         raise DomainViolation("inner map must take values in the line")
     if f.spec != g.spec:
         raise BackendMismatch("composition over different backends")
-    g0, g1 = g.coords
     if f.domain is not None and g.domain is not None:
+        g0, g1 = _common_plain(g.coords)
         if not _zero_free_log_bound(g0, g.domain.outer):
             raise PoleHit("denominator coordinate vanishes on the inner domain")
         g0_mag = g0.coeff(0).abs()
@@ -270,13 +259,13 @@ def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
                 raise PoleHit("image meets the puncture of the outer domain")
             if g1.coeff(0).abs() / g0_mag < f.domain.inner:
                 raise DomainViolation("image dips below the inner radius")
-    return _substitute(f, g1, g0, g.domain)
+    return _substitute(f, g.coords[1], g.coords[0], g.domain)
 
 
 def _common_plain(coords: Sequence[Poly]) -> list[Poly]:
     """Shift all coordinates by one common power of T so every entry is a
     plain polynomial (a projective rescaling away from 0)."""
-    shift = min(min(0, c.min_exp()) for c in coords if not c.is_zero)
+    shift = min([min(0, c.min_exp()) for c in coords if not c.is_zero], default=0)
     if shift == 0:
         return list(coords)
     return [c.shift_exp(-shift) for c in coords]

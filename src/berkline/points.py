@@ -64,17 +64,16 @@ from .field import (
     _fast_reduce,
     _padic_valuation,
     _reduced,
+    _scaled,
     _terms_add,
     _terms_at,
+    _terms_divide,
+    _terms_from_dict,
+    _terms_gcd,
     _terms_lowest,
     _terms_mul,
-    _terms_to_zpoly,
-    _zclear,
-    _zdivexact,
-    _zgcd,
-    _zmul,
-    _zpoly_to_terms,
-    _zsub,
+    _terms_neg,
+    _terms_shift,
     abs_max,
     unit_max,
 )
@@ -134,9 +133,6 @@ class Poly:
             if m == n:
                 return c
         return self.spec.zero()
-
-    def as_dict(self) -> dict[int, Scalar]:
-        return dict(self.terms)
 
     def _check(self, other: "Poly") -> None:
         if self.spec != other.spec:
@@ -308,11 +304,6 @@ def _times(x: tuple, y: tuple) -> tuple:
 
 def _is_constant(den: tuple) -> bool:
     return len(den[1]) == 1 and not den[1][0][0]
-
-
-def _scaled(num: tuple, m: int) -> tuple:
-    """The term map num times the nonzero int m."""
-    return num if m == 1 else (num[0], tuple([(k, c * m) for k, c in num[1]]))
 
 
 def _cleared(pairs: list[tuple[tuple, tuple]]) -> tuple[list[tuple], tuple]:
@@ -520,93 +511,80 @@ def coprime_certificate(polys: Sequence[Poly]) -> bool:
     maps = [m for p in polys for _, c in p.terms for m in (c.num_terms, c.den_terms)]  # type: ignore[attr-defined]
     denom = math.lcm(*(m[0] for m in maps))
     for sigma in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        dense = [_specialize_dense(p, denom, sigma) for p in polys]
-        if None in dense or not any(len(d) == p.degree() + 1 for d, p in zip(dense, polys)):
+        images = [_specialize(p, denom, sigma) for p in polys]
+        if None in images or not any(s[1] and s[1][-1][0] == p.degree() for s, p in zip(images, polys)):
             continue
-        g = dense[0]
-        for d in dense[1:]:
-            g = _zgcd(g, d)
-            if len(g) == 1:
+        g = images[0]
+        for image in images[1:]:
+            g = _terms_gcd(g, image)
+            if _is_constant(g):
                 return True
     return False
 
 
-def _specialize_dense(p: Poly, denom: int, sigma: Fraction) -> list[int] | None:
-    """p at u = sigma, u = t^(1/denom), cleared to Z[T]; None at a pole."""
-    out = [Fraction(0)] * (p.degree() + 1)
+def _specialize(p: Poly, denom: int, sigma: Fraction) -> tuple | None:
+    """p at u = sigma, u = t^(1/denom), cleared to a term map over Z[T] (the
+    zero map when p vanishes there); None at a pole."""
+    values = {}
     for n, c in p.terms:
         den = _terms_at(c.den_terms, denom, sigma)  # type: ignore[attr-defined]
         if den == 0:
             return None
-        out[n] = _terms_at(c.num_terms, denom, sigma) / den  # type: ignore[attr-defined]
-    while out and out[-1] == 0:
-        out.pop()
-    return _zclear(out)
+        values[n] = _terms_at(c.num_terms, denom, sigma) / den  # type: ignore[attr-defined]
+    return _terms_from_dict(values)[0]  # type: ignore[arg-type]
 
 
 # -- gcd and exact division in Z[u][T], u = t^(1/D), for both backends -------
 #
-# A polynomial is a dict degree -> dense Z[u] list (a padic n/d is the
-# constant n, D = 1).  By Gauss's lemma over the UFD Z[u], a primitive gcd
-# divides there every polynomial it divides over the field.
+# A polynomial is a cleared list [(n, num), ...] (_clear) whose term maps have
+# no negative exponent (a padic n/d is the constant n, D = 1).  By Gauss's
+# lemma over the UFD Z[u], a primitive gcd divides there every polynomial it
+# divides over the field.
 
 
-def _zbiv(polys: Sequence[Poly]) -> tuple[int, list[dict[int, list[int]]]]:
-    """(D, images): the plain polynomials in Z[u][T], u = t^(1/D), all times
-    one common unit (their common denominator L of _cleared, and a power of
-    u), so that the images of a map's coordinates stay proportional."""
-    nums, _ = _cleared([_num_den(c) for p in polys for _, c in p.terms])
-    if not nums:
-        return 1, [{} for _ in polys]
-    denom = math.lcm(*(num[0] for num in nums))
-    shift = min(_terms_lowest(num, denom) for num in nums)
-    out, i = [], 0
-    for p in polys:
-        out.append({n: _terms_to_zpoly(nums[i + j], denom, shift) for j, (n, _) in enumerate(p.terms)})
-        i += len(p.terms)
-    return denom, out
+def _biv(polys: Sequence[Poly]) -> list[list[tuple[int, tuple]]]:
+    """The plain polynomials in Z[u][T], all times one common unit (their
+    common denominator L of _cleared, and a power of u that leaves no
+    negative exponent), so that the images of a map's coordinates stay
+    proportional."""
+    _, out = _clear(polys)
+    nums = [num for a in out for _, num in a]
+    denom = math.lcm(*[num[0] for num in nums])
+    shift = min([_terms_lowest(num, denom) for num in nums], default=0)
+    return [[(n, _terms_shift(num, -shift, denom)) for n, num in a] for a in out]
 
 
-def _from_zbiv(spec: FieldSpec, denom: int, a: dict[int, list[int]]) -> Poly:
-    """The Poly of a Z[u][T] element, u = t^(1/denom): polynomial coefficients."""
-    terms = [(n, _from_num_den(spec, _zpoly_to_terms(c, denom, 0), _ONE_TERMS)) for n, c in a.items()]
-    return Poly(spec, tuple(sorted(terms)))
-
-
-def _biv_pp(polys: list[dict[int, list[int]]]) -> list[dict[int, list[int]]]:
+def _biv_pp(polys: list[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple]]]:
     """Divide out the joint content (the Z[u] gcd of every coefficient,
     taken shortest first)."""
-    content: list[int] = []
-    for coeff in sorted([c for a in polys for c in a.values()], key=len):
-        content = _zgcd(content, coeff)
-        if content == [1]:
+    content = _ZERO_TERMS
+    for coeff in sorted([c for a in polys for _, c in a], key=lambda c: len(c[1])):
+        content = _terms_gcd(content, coeff)
+        if content == _ONE_TERMS:
             return polys
-    return [{n: _zdivexact(c, content) for n, c in a.items()} for a in polys]
+    return [[(n, _terms_divide(c, content, True)) for n, c in a] for a in polys]
 
 
-def _biv_divide(a: dict[int, list[int]], b: dict[int, list[int]], exact: bool) -> dict[int, list[int]]:
+def _biv_divide(a: list[tuple[int, tuple]], b: list[tuple[int, tuple]], exact: bool) -> list[tuple[int, tuple]]:
     """Elimination of a by b in Z[u][T]: with ``exact``, the quotient a / b
     when b divides a there (b primitive and dividing a over the field
     suffices, by Gauss's lemma); otherwise the fraction-free pseudo-remainder."""
-    db = max(b)
-    lb = b[db]
+    *rest, (db, lb) = b
     r, q = dict(a), {}
-    while r and max(r) >= db:
-        dr = max(r)
+    while r and (dr := max(r)) >= db:
         c = r.pop(dr)
         if exact:
-            c = q[dr - db] = _zdivexact(c, lb)
+            c = q[dr - db] = _terms_divide(c, lb, True)
         else:
-            r = {n: _zmul(v, lb) for n, v in r.items()}
-        for n, cb in b.items():
-            if n != db:
-                k = n + dr - db
-                val = _zsub(r.get(k, []), _zmul(c, cb))
-                if val:
-                    r[k] = val
-                else:
-                    r.pop(k, None)
-    return q if exact else r
+            r = {n: _terms_mul(v, lb) for n, v in r.items()}
+        for n, cb in rest:
+            k = n + dr - db
+            val = _terms_add(r.get(k, _ZERO_TERMS), _terms_neg(_terms_mul(c, cb)))
+            if val[1]:
+                r[k] = val
+            else:
+                r.pop(k, None)
+    return sorted((q if exact else r).items())
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -616,11 +594,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     blowup), returned primitive there for puiseux-q and monic for padic."""
     if p.spec != q.spec:
         raise BackendMismatch("gcd over different backends")
-    denom, (a, b) = _zbiv([p, q])
+    a, b = _biv([p, q])
     (a,), (b,) = _biv_pp([a]), _biv_pp([b])
     while b:  # a first remainder of lower degree swaps a and b
         a, b = b, _biv_pp([_biv_divide(a, b, False)])[0]
-    g = _from_zbiv(p.spec, denom, a)
+    g = _uncleared(p.spec, a, _ONE_TERMS)
     if p.spec.backend == PUISEUX or g.is_zero:
         return g
     return g.scale(g.terms[-1][1].inv())
@@ -631,10 +609,10 @@ def divide_out(polys: Sequence[Poly], g: Poly) -> list[Poly]:
     one common unit, with polynomial coefficients: their images in Z[u][T]
     are divided by g's primitive part and lose their joint content, and no
     inverse is formed."""
-    denom, (*images, divisor) = _zbiv([*polys, g])
+    *images, divisor = _biv([*polys, g])
     (divisor,) = _biv_pp([divisor])
     quotients = _biv_pp([_biv_divide(a, divisor, True) for a in images])
-    return [_from_zbiv(g.spec, denom, q) for q in quotients]
+    return [_uncleared(g.spec, q, _ONE_TERMS) for q in quotients]
 
 
 # ---------------------------------------------------------------------------

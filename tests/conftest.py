@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -24,7 +25,7 @@ from berkline import (
     tree_of_disks,
 )
 from berkline.cli import main
-from berkline.field import magnitude_le_rational
+from berkline.field import _reduced, magnitude_le_rational
 
 
 @pytest.fixture
@@ -182,7 +183,7 @@ def binomial_shift_oracle(p: Poly, a):
     acc: dict[int, object] = {}
     for n, c in p.terms:
         for k in range(n + 1):
-            term = c * spec.from_int(comb(n, k))
+            term = c * spec.scalar(comb(n, k))
             for _ in range(n - k):
                 term = term * a
             prev = acc.get(k)
@@ -209,7 +210,7 @@ def horner_shift_oracle(p: Poly, a):
 
 
 def poly_add_oracle(a: Poly, b: Poly) -> Poly:
-    acc = a.as_dict()
+    acc = dict(a.terms)
     for n, c in b.terms:
         s = acc.get(n, a.spec.zero()) + c
         if s.is_zero:
@@ -250,7 +251,7 @@ def poly_derivative_oracle(p: Poly) -> Poly:
     acc = {}
     for n, c in p.terms:
         if n:
-            acc[n - 1] = c * p.spec.from_int(n)
+            acc[n - 1] = c * p.spec.scalar(n)
     return Poly.from_dict(p.spec, acc)
 
 
@@ -329,6 +330,71 @@ def poly_divexact_oracle(a: Poly, b: Poly) -> Poly:
     if not a.is_zero:
         raise ValueError("inexact polynomial division")
     return Poly(b.spec, tuple(sorted(out.items())))
+
+
+# ---------------------------------------------------------------------------
+# Dense Z[u] oracles: the gcd and exact division on lists of ints (index =
+# degree, no trailing zeros) that the sparse term-map stack of field.py
+# replaced; a term map with no negative exponent is read over u = t^(1/denom)
+
+
+def terms_to_dense(a: tuple, denom: int) -> list[int]:
+    d, terms = a
+    m = denom // d
+    out = [0] * (terms[-1][0] * m + 1) if terms else []
+    for k, c in terms:
+        out[k * m] = c
+    return out
+
+
+def dense_to_terms(z: list[int], denom: int) -> tuple:
+    return _reduced(denom, tuple([(i, c) for i, c in enumerate(z) if c]))
+
+
+def _dense_primitive(a: list[int]) -> tuple[int, list[int]]:
+    if not a:
+        return 0, []
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return g, (a if g == 1 else [c // g for c in a])
+
+
+def dense_divexact_oracle(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b in Z[u] when b divides a there."""
+    r = list(a)
+    nb, lead = len(b), b[-1]
+    q = [0] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + nb - 1] // lead
+        if c:
+            q[k] = c
+            for i, cb in enumerate(b):
+                r[k + i] -= c * cb
+    return q
+
+
+def dense_gcd_oracle(a: list[int], b: list[int]) -> list[int]:
+    """The gcd in Z[u], leading positively, by a primitive pseudo-remainder
+    sequence on dense lists."""
+    ca, a = _dense_primitive(a)
+    cb, b = _dense_primitive(b)
+    content = math.gcd(ca, cb)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = list(a)
+        lead, nb = b[-1], len(b)
+        while len(r) >= nb:
+            lr = r.pop()
+            k = len(r) - nb + 1
+            r = [c * lead for c in r]
+            for i in range(nb - 1):
+                r[k + i] -= lr * b[i]
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _dense_primitive(r)[1]
+    return a if content == 1 else [content * c for c in a]
 
 
 # ---------------------------------------------------------------------------

@@ -316,8 +316,8 @@ def test_canonical_form_is_unique_and_hash_agrees(a, b, common):
     assert y == x and _normalize_fraction(y.num_terms, y.den_terms) == (num, den) and hash(y) == hash(x)
 
 
-# exponent denominators up to 100: the lcm D, and so the dense length of a
-# Z[u] gcd, runs into the hundreds of thousands
+# exponent denominators up to 100: the lcm D, and so the exponent span of a
+# Z[u] gcd in units of 1/D, runs into the hundreds of thousands
 wide_exponents = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 100))
 wide_polys = st.dictionaries(wide_exponents, oracle_coefficients, max_size=4)
 nonzero_wide_polys = st.dictionaries(wide_exponents, oracle_coefficients, min_size=1, max_size=4)
@@ -393,8 +393,9 @@ print(prod == cross, prod * b.inv() == a, hash(prod) == hash(cross))
 
 def test_threshold_keeps_a_sparse_fraction_lazy_under_a_memory_limit():
     # 50 terms pass the reduction threshold, but the exponent denominators
-    # 16, 19, 37 and 49 give D = 551,152 and dense Z[u] lists of about 1.1e9
-    # ints: the product must stay lazy instead of allocating them
+    # 16, 19, 37 and 49 give D = 551,152 and an exponent span of about 1.1e9
+    # units of 1/D: the product must stay lazy instead of running a gcd
+    # whose eliminations can take a step per unit
     src = str(Path(berkline.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

@@ -18,6 +18,7 @@ from berkline import (
     FieldSpec,
     Poly,
     ProjPoint,
+    SeriesMap,
     UNIT_DISK,
     apply_map,
     compose,
@@ -195,6 +196,17 @@ def test_compose_pole_detection(p3):
     bad = series_map([t - Poly.constant(p3, p3.scalar(3)), t], UNIT_DISK)
     with pytest.raises(PoleHit):
         compose(identity_map(p3, UNIT_DISK), bad)
+
+
+def test_compose_reads_a_laurent_chart_denominator(pq):
+    # g = [1 + T^-1 : 1] is [T + 1 : T], whose image T/(1 + T) of the disk
+    # |T| <= beta^-1 has magnitude at most beta^-1 and meets the puncture 0
+    # of f's annulus; the chart denominator has magnitude beta there, not 1
+    one = pq.one()
+    f = SeriesMap((Poly.constant(pq, one), Poly.coordinate(pq)), Domain.annulus(AbsValue.of(Fraction(-1, 2)), ABS_ONE))
+    g = SeriesMap((Poly.from_dict(pq, {-1: one, 0: one}), Poly.constant(pq, one)), Domain.disk(AbsValue.of(-1)))
+    with pytest.raises(PoleHit):
+        compose(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The integer gcd stack: fraction reduction, poly_gcd on both backends, and
-the coprimality certificate, each against an exact oracle."""
+"""The integer gcd stack: the term-map gcd and exact division, fraction
+reduction, poly_gcd on both backends, and the coprimality certificate, each
+against an exact oracle."""
 
 from __future__ import annotations
 
@@ -11,10 +12,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from berkline import FieldSpec, Poly, SeriesMap, fs_derivative, series_map
-from berkline.field import _normalize_fraction, _terms_from_dict, _terms_mul
+from berkline.field import (
+    _ZERO_TERMS,
+    _normalize_fraction,
+    _scaled,
+    _terms_divide,
+    _terms_from_dict,
+    _terms_gcd,
+    _terms_mul,
+)
 from berkline.points import coprime_certificate, poly_gcd
 
-from conftest import poly_divexact_oracle, random_poly, random_unit_disk_point, rng_for
+from conftest import (
+    dense_divexact_oracle,
+    dense_gcd_oracle,
+    dense_to_terms,
+    poly_divexact_oracle,
+    random_poly,
+    random_unit_disk_point,
+    rng_for,
+    terms_to_dense,
+)
 
 P3 = FieldSpec("padic", 3)
 PQ = FieldSpec("puiseux-q")
@@ -36,6 +54,26 @@ def test_normalize_fraction_is_an_equal_canonical_fraction(a, b, common):
     assert _terms_mul(n, den) == _terms_mul(num, d)
     assert d[1][0][0] == 0 and type(d[1][0][1]) is int and d[1][0][1] > 0
     assert math.gcd(*(c for _, c in n[1] + d[1])) == 1
+
+
+# polynomials in u = t^(1/D): no negative exponent, denominators up to 6
+polynomial_maps = st.dictionaries(
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)), st.integers(-9, 9).filter(bool), min_size=1, max_size=4
+).map(lambda d: _terms_from_dict(d)[0])
+
+
+@given(st.one_of(st.just(_ZERO_TERMS), polynomial_maps), polynomial_maps, polynomial_maps, st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_term_map_gcd_and_exact_division_match_the_dense_oracles(a, b, common, content):
+    # a planted common factor, and integer content on one side
+    x, y = _scaled(_terms_mul(a, common), content), _terms_mul(b, common)
+    denom = math.lcm(x[0], y[0])
+    g = _terms_gcd(x, y)
+    assert g == dense_to_terms(dense_gcd_oracle(terms_to_dense(x, denom), terms_to_dense(y, denom)), denom)
+    for top in (x, y):
+        q = _terms_divide(top, g, True)
+        assert q == dense_to_terms(dense_divexact_oracle(terms_to_dense(top, denom), terms_to_dense(g, denom)), denom)
+        assert _terms_mul(q, g) == top
 
 
 SCALARS = {
@@ -94,6 +132,21 @@ def test_certificate_ignores_specializations_that_drop_every_degree(pq):
     assert f.proportional_to(series_map([t, t + one]))
 
 
+def test_certificate_holds_for_a_constant_specialized_gcd_with_content(pq):
+    t, two = Poly.coordinate(pq), Poly.constant(pq, pq.scalar(2))
+    # the specialized gcd of 2T + 2 and 2T + 4 is the constant 2
+    assert coprime_certificate([two * t + two, two * t + two + two])
+
+
+def test_certificate_skips_a_specialization_that_vanishes(pq):
+    # p = (t - 2)(T + 1) is 0 at t = 2; t = 3 certifies
+    t, one = Poly.coordinate(pq), Poly.constant(pq, pq.one())
+    p = Poly.constant(pq, pq.from_terms([(1, 1), (0, -2)])) * (t + one)
+    q = t + one + one
+    assert coprime_certificate([p, q])
+    assert poly_gcd(p, q).degree() == 0
+
+
 def test_certificate_is_puiseux_only(p3):
     t = Poly.coordinate(p3)
     assert not coprime_certificate([t, t + Poly.constant(p3, p3.one())])
@@ -102,7 +155,8 @@ def test_certificate_is_puiseux_only(p3):
 # -- series_map against the Scalar-division oracle ----------------------------
 
 # exponents over 1 and 2 only: the Scalar oracle's lazy fractions reduce
-# through the dense gcd, which is slow over a larger D
+# through the fraction gcd, whose eliminations grow with the exponent span in
+# units of 1/D, so it is slow over a larger D
 _PQ_POLY_COEFFS = st.lists(
     st.tuples(st.builds(Fraction, st.integers(-2, 4), st.sampled_from([1, 2])), coefficients), min_size=1, max_size=3
 ).map(PQ.from_terms)

@@ -117,7 +117,8 @@ SHIFT_SETTINGS = settings(max_examples=60, deadline=None)
 def polys(kind: str, max_exp: int = 6, max_terms: int = 5):
     spec = SPECS[kind]
     if kind == "puiseux-rational":
-        # lazy fractions of degree-6 shifts can reach a slow dense gcd
+        # lazy fractions of degree-6 shifts can reach the fraction gcd, whose
+        # eliminations grow with the exponent span
         max_exp, max_terms = 4, 3
     return st.dictionaries(st.integers(0, max_exp), SCALARS[kind], max_size=max_terms).map(
         lambda d: Poly.from_dict(spec, d)
@@ -208,8 +209,8 @@ def degree_6_rational_polynomials(rng, count: int):
 
 
 def test_shift_of_degree_6_rational_coefficients_is_fast_and_exact():
-    # these shifts once fell into the dense Z[u] gcd of lazy-fraction
-    # arithmetic, for up to minutes per polynomial
+    # these shifts once fell into the gcd of lazy-fraction arithmetic, for up
+    # to minutes per polynomial; the shift kernel now runs no gcd
     radius = AbsValue.of(Fraction(-1, 2))
     cases = [
         (pairs, Poly.from_dict(PQ, {n: num / den for n, (num, den) in pairs.items()}), DiskPoint(centre, radius))
@@ -330,7 +331,8 @@ def certificate_cases(draw, kind: str):
     cancel in their leading parts at a."""
     spec, scalars = CERTIFICATE_SPECS[kind], CERTIFICATE_SCALARS[kind]
     nonzero = scalars.filter(lambda c: not c.is_zero)
-    # lazy fractions of rational-function polynomials can reach a slow dense gcd
+    # lazy fractions of rational-function polynomials can reach the fraction
+    # gcd, whose eliminations grow with the exponent span
     rational = kind == "puiseux-rational"
     construction = draw(st.sampled_from(["random", "root-lead", "planted", "cancel"]))
     a = draw(scalars if construction == "random" else nonzero)
@@ -607,8 +609,8 @@ def test_a_set_of_distinct_balls_of_one_radius_builds_fast(backend):
 
 
 def test_hashing_a_fraction_with_coprime_exponent_denominators_is_fast():
-    # (1 + t^(1/97) + t^3) / (1 + 2 t^(1/99) + t^3): reducing it over dense
-    # Z[u], u = t^(1/9603), took over 17 s per hash
+    # (1 + t^(1/97) + t^3) / (1 + 2 t^(1/99) + t^3): a gcd over u = t^(1/9603)
+    # took over 17 s per hash; the hash reads the expansion and runs none
     x = PQ.from_terms([(0, 1), ("1/97", 1), (3, 1)]) / PQ.from_terms([(0, 1), ("1/99", 2), (3, 1)])
     g = PQ.from_terms([(0, 1), ("1/7", 3)])
     y = (x * g) * g.inv()  # an equal representative

@@ -1,7 +1,7 @@
 """Source guards: the library contains no floating point at all, its
 runtime checks are explicit raises, never assert statements (which python -O
-strips), every import sits at module level, and no tuple is built from a
-generator expression."""
+strips), every import sits at module level, no tuple is built from a
+generator expression, and the polynomial kernels allocate no dense lists."""
 
 from __future__ import annotations
 
@@ -73,6 +73,24 @@ def _tuple_from_generator(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_tuple_from_generator(path):
     assert _tuple_from_generator(path) == []
+
+
+def _list_multiplications(path: Path) -> list[str]:
+    # [x] * n allocates one slot per unit of n: the dense layout that gave
+    # an integer polynomial one slot per unit of exponent span
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        f"{path.name}:{node.lineno}: list * n"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and (isinstance(node.left, (ast.List, ast.ListComp)) or isinstance(node.right, (ast.List, ast.ListComp)))
+    ]
+
+
+@pytest.mark.parametrize("name", ["field.py", "points.py"])
+def test_polynomial_kernels_build_no_list_by_multiplication(name):
+    assert _list_multiplications(SRC / name) == []
 
 
 def _unreferenced_private_functions() -> list[str]:
