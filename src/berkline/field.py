@@ -22,8 +22,9 @@ Two backends are provided:
 
 Magnitudes are never floats.  An :class:`AbsValue` is either the zero
 magnitude or beta^q for an exact rational q, with beta = p for padic and the
-abstract base for puiseux-q.  All comparisons, products and quotients of
-magnitudes are exact rational arithmetic on the exponents.
+abstract base for puiseux-q.  q is held as a reduced pair of ints (the layout
+of FLINT's fmpq: integer data in lowest terms), and all comparisons, products
+and quotients of magnitudes are exact int arithmetic on reduced pairs.
 
 All values are immutable and all operations are pure functions.
 """
@@ -122,75 +123,99 @@ def _is_prime(n: int) -> bool:
 # Magnitudes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AbsValue:
-    """An exact magnitude: zero, or beta^logval with logval rational.
+    """An exact magnitude: zero, or beta^(n/d) for a rational exponent n/d.
 
-    The total order puts zero below every finite magnitude and orders finite
-    magnitudes by their exponents (beta > 1).  Multiplication adds exponents
-    and zero absorbs.
+    The exponent is a reduced int pair, d > 0 and gcd(n, d) == 1; the zero
+    magnitude is the pair (-1, 0), the exponent -1/0 = minus infinity.  Equal
+    magnitudes are equal pairs, so the generated == and hash read the pair.
+    Order is by exponent (beta > 1) and compares by cross-multiplication;
+    multiplication adds exponents over a common d and zero absorbs.  The same
+    formulas cover the zero pair: it orders below every other, and a sum of
+    exponents with it reduces to it again.  All of it is exact int arithmetic
+    on reduced pairs.  ``logval`` is a read-only view of the exponent as a
+    Fraction, None for zero.  Build values with ``of``, ``zero`` or a
+    scalar's ``abs``.
     """
 
-    logval: Fraction | None  # None encodes the zero magnitude
+    n: int
+    d: int  # 0 only for the zero magnitude
 
     @staticmethod
     def zero() -> "AbsValue":
-        return AbsValue(None)
+        return ABS_ZERO
 
     @staticmethod
     def of(logval: RationalInput) -> "AbsValue":
-        return AbsValue(as_fraction(logval))
+        q = as_fraction(logval)
+        return _magnitude(q.numerator, q.denominator)
+
+    @property
+    def logval(self) -> Fraction | None:
+        return Fraction(self.n, self.d) if self.d else None
 
     @property
     def is_zero(self) -> bool:
-        return self.logval is None
+        return not self.d
 
     def __mul__(self, other: "AbsValue") -> "AbsValue":
-        if self.logval is None or other.logval is None:
-            return ABS_ZERO
-        return AbsValue(self.logval + other.logval)
+        d, e = self.d, other.d
+        if d == e:
+            return _magnitude(self.n + other.n, d)
+        return _magnitude(self.n * e + other.n * d, d * e)
 
     def __truediv__(self, other: "AbsValue") -> "AbsValue":
-        if other.logval is None:
+        d, e = self.d, other.d
+        if not e:
             raise DivisionByZero("division by the zero magnitude")
-        if self.logval is None:
-            return ABS_ZERO
-        return AbsValue(self.logval - other.logval)
+        if d == e:
+            return _magnitude(self.n - other.n, d)
+        return _magnitude(self.n * e - other.n * d, d * e)
 
-    def __pow__(self, n: int) -> "AbsValue":
-        if self.logval is None:
-            if n <= 0:
-                raise DivisionByZero("0 raised to a nonpositive power")
-            return ABS_ZERO
-        return AbsValue(self.logval * n)
-
-    def _cmp(self, other: "AbsValue") -> int:
-        if self.logval is None:
-            return 0 if other.logval is None else -1
-        if other.logval is None:
-            return 1
-        return (self.logval > other.logval) - (self.logval < other.logval)
+    def __pow__(self, k: int) -> "AbsValue":
+        if not self.d and k <= 0:
+            raise DivisionByZero("0 raised to a nonpositive power")
+        return _magnitude(self.n * k, self.d)
 
     def __lt__(self, other: "AbsValue") -> bool:
-        return self._cmp(other) < 0
+        return self.n * other.d < other.n * self.d
 
     def __le__(self, other: "AbsValue") -> bool:
-        return self._cmp(other) <= 0
+        return self.n * other.d <= other.n * self.d
 
     def __gt__(self, other: "AbsValue") -> bool:
-        return self._cmp(other) > 0
+        return self.n * other.d > other.n * self.d
 
     def __ge__(self, other: "AbsValue") -> bool:
-        return self._cmp(other) >= 0
+        return self.n * other.d >= other.n * self.d
 
     def __repr__(self) -> str:
-        if self.logval is None:
+        if not self.d:
             return "AbsValue(0)"
         return f"AbsValue(beta^{self.logval})"
 
 
-ABS_ZERO = AbsValue(None)
-ABS_ONE = AbsValue(Fraction(0))
+_set_n = AbsValue.n.__set__  # type: ignore[attr-defined]
+_set_d = AbsValue.d.__set__  # type: ignore[attr-defined]
+
+
+def _magnitude(n: int, d: int) -> AbsValue:
+    """beta^(n/d) reduced to lowest terms, for d > 0, or the zero magnitude
+    for d = 0 and n < 0; the one constructor of AbsValue (it writes the
+    frozen slots directly, skipping __init__)."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    v = object.__new__(AbsValue)
+    _set_n(v, n)
+    _set_d(v, d)
+    return v
+
+
+ABS_ZERO = _magnitude(-1, 0)
+ABS_ONE = _magnitude(0, 1)
 
 
 def unit_max(v: AbsValue) -> AbsValue:
@@ -206,33 +231,27 @@ def abs_max(values: Iterable[AbsValue]) -> AbsValue:
     return out
 
 
-def _rational_power_le(base: Fraction, q: Fraction, bound: Fraction) -> bool:
-    # base^q <= bound, decided exactly via integer cross powers.
-    b = q.denominator
-    return base ** q.numerator <= bound ** b
-
-
 def magnitude_le_rational(v: AbsValue, bound: Fraction, base: Fraction) -> bool:
-    """Decide beta^q <= bound exactly for a known rational base beta."""
+    """Decide beta^q <= bound exactly for a known rational base beta, via
+    integer cross powers: beta^(n/d) <= bound iff beta^n <= bound^d."""
     if base <= 1:
         raise NumericBaseRequired("numeric base must exceed 1")
-    if v.logval is None:
+    if not v.d:
         return bound >= 0
     if bound <= 0:
         return False
-    return _rational_power_le(base, v.logval, bound)
+    return base**v.n <= bound**v.d
 
 
 def magnitude_ge_rational(v: AbsValue, bound: Fraction, base: Fraction) -> bool:
     """Decide beta^q >= bound exactly for a known rational base beta."""
     if base <= 1:
         raise NumericBaseRequired("numeric base must exceed 1")
-    if v.logval is None:
+    if not v.d:
         return bound <= 0
     if bound <= 0:
         return True
-    b = v.logval.denominator
-    return base ** v.logval.numerator >= bound ** b
+    return base**v.n >= bound**v.d
 
 
 def magnitude_as_rational(v: AbsValue, base: Fraction) -> Fraction:
@@ -243,17 +262,16 @@ def magnitude_as_rational(v: AbsValue, base: Fraction) -> Fraction:
     """
     if base <= 1:
         raise NumericBaseRequired("numeric base must exceed 1")
-    if v.logval is None:
+    n, d = v.n, v.d
+    if not d:
         return Fraction(0)
-    q = v.logval
-    d = q.denominator
     if d == 1:
-        return base ** q.numerator
+        return base**n
     num_root = _iroot_exact(base.numerator, d)
     den_root = _iroot_exact(base.denominator, d)
     if num_root is None or den_root is None:
-        raise ValueError(f"beta^{q} is not rational for beta = {base}")
-    return Fraction(num_root, den_root) ** q.numerator
+        raise ValueError(f"beta^{v.logval} is not rational for beta = {base}")
+    return Fraction(num_root, den_root) ** n
 
 
 def _iroot_exact(n: int, k: int) -> int | None:
@@ -440,25 +458,34 @@ class PadicScalar(Scalar):
         return PadicScalar(self.spec, 1 / self.value)
 
     def abs(self) -> AbsValue:
-        if self.value == 0:
+        if not self.value:
             return ABS_ZERO
-        p = self.spec.p  # FieldSpec requires a prime for padic
-        v = _padic_valuation(self.value.numerator, p) - _padic_valuation(self.value.denominator, p)
-        return AbsValue(Fraction(-v))
+        # |x| = p^(-v_p(x)); FieldSpec requires a prime for padic
+        return _magnitude(-_padic_split(self.value, self.spec.p)[0], 1)
 
     def __repr__(self) -> str:
         return f"{self.value}"
 
 
-def _padic_valuation(n: int, p: int) -> int:
-    if n == 0:
+def _padic_split(x: Fraction, p: int) -> tuple[int, int, int]:
+    """(v, n, d) with a nonzero x = p^v n / d and p dividing neither n nor d.
+    x is in lowest terms, so p divides at most one of its numerator and
+    denominator: one loop divides out the factors of p."""
+    n, d = x.numerator, x.denominator
+    if n % p:
+        v = 0
+        while not d % p:
+            d //= p
+            v -= 1
+        return v, n, d
+    if not n:
         raise ValueError("valuation of 0")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
+    v = 1
+    n //= p
+    while not n % p:
         n //= p
         v += 1
-    return v
+    return v, n, d
 
 
 # -- puiseux term algebra ----------------------------------------------------
@@ -746,10 +773,10 @@ def _fast_reduce(num: Terms, den: Terms) -> tuple[Terms, Terms]:
 _KEY_TERMS = 6  # expansion terms that a hash reads
 
 
-def _expansion(num: Terms, den: Terms, below: Fraction | None = None) -> tuple:
+def _expansion(num: Terms, den: Terms, radius: AbsValue = ABS_ZERO) -> tuple:
     """The lowest terms, at most _KEY_TERMS, of the Puiseux expansion of
-    num/den as (exponent, coefficient) Fraction pairs; with ``below``, only
-    those of exponent < below.
+    num/den as (exponent, coefficient) Fraction pairs; with ``radius``, only
+    those of magnitude > radius.
 
     An invariant of the value, so every num/den pair of it, reduced or not,
     gives the same pairs with no gcd.  Sparse long division: each step divides
@@ -759,9 +786,12 @@ def _expansion(num: Terms, den: Terms, below: Fraction | None = None) -> tuple:
     denom, rem, ((k0, c0), *rest) = _common(num, den)
     rem = dict(rem)
     out = []
+    # |t^((k - k0)/denom)| <= beta^(n/d) iff (k0 - k) d <= n denom; never for
+    # the zero pair (-1, 0)
+    bound = radius.n * denom
     while rem and len(out) < _KEY_TERMS:
         k = min(rem)
-        if below is not None and k - k0 >= below * denom:
+        if (k0 - k) * radius.d <= bound:
             break
         q = Fraction(rem.pop(k), c0)
         out.append((Fraction(k - k0, denom), q))
@@ -838,7 +868,7 @@ class PuiseuxScalar(Scalar):
         (dn, tn), (dd, td) = self.num_terms, self.den_terms
         if not tn:
             return ABS_ZERO
-        return AbsValue(Fraction(td[0][0] * dn - tn[0][0] * dd, dn * dd))
+        return _magnitude(td[0][0] * dn - tn[0][0] * dd, dn * dd)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PuiseuxScalar):

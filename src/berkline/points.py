@@ -62,7 +62,8 @@ from .field import (
     _constant,
     _expansion,
     _fast_reduce,
-    _padic_valuation,
+    _magnitude,
+    _padic_split,
     _reduced,
     _scaled,
     _terms_add,
@@ -482,19 +483,7 @@ def initial_form(p: Poly, a: Scalar) -> tuple[AbsValue, tuple[int, ...]] | None:
             sigma += coeffs[i][1] * (scale // coeffs[i][2]) * alpha**n * beta ** (d - n)
         if not (sigma % prime if prime else sigma):
             return None
-    return AbsValue(Fraction(-best, denom)), tuple([p.terms[i][0] for i in support])
-
-
-def _padic_split(x: Fraction, prime: int) -> tuple[int, int, int]:
-    """(v, n, d) with x = prime^v n / d and prime dividing neither n nor d."""
-    n, d, v = x.numerator, x.denominator, 0
-    while not n % prime:
-        n //= prime
-        v += 1
-    while not d % prime:
-        d //= prime
-        v -= 1
-    return v, n, d
+    return _magnitude(-best, denom), tuple([p.terms[i][0] for i in support])
 
 
 def coprime_certificate(polys: Sequence[Poly]) -> bool:
@@ -640,10 +629,12 @@ class DiskPoint:
         return self.radius.is_zero
 
     def point_type(self) -> str:
-        q = self.radius.logval
-        if q is None:
+        r = self.radius
+        if r.is_zero:
             return "I"
-        return "II" if self.spec.group_contains(q) else "III"
+        # the reduced n/d lies in (1/g)Z iff d divides g
+        group = self.spec.value_group
+        return "II" if group == "Q" or group % r.d == 0 else "III"
 
     def norm(self) -> AbsValue:
         """|T(x)| = max(|a|, r)."""
@@ -677,16 +668,17 @@ def _ball_key(a: Scalar, r: AbsValue) -> object:
     polynomial centre, its short centre's lowest terms).
     """
     if type(a) is PuiseuxScalar:
-        return _expansion(a.num_terms, a.den_terms, None if r.is_zero else -r.logval)  # type: ignore[operator]
+        return _expansion(a.num_terms, a.den_terms, r)
     p, v = a.spec.p, a.value  # type: ignore[attr-defined]
     if r.is_zero or not v:
         return v
-    m = -math.floor(r.logval)  # type: ignore[arg-type]
-    e = _padic_valuation(v.denominator, p)
-    if _padic_valuation(v.numerator, p) - e >= m:
+    m = -(r.n // r.d)
+    val, _, u = _padic_split(v, p)
+    if val >= m:
         return 0
+    e = max(0, -val)
     mod = p ** (m + e)
-    return Fraction(v.numerator * pow(v.denominator // p**e, -1, mod) % mod, p**e)
+    return Fraction(v.numerator * pow(u, -1, mod) % mod, p**e)
 
 
 def rigid(center: Scalar) -> DiskPoint:
@@ -809,10 +801,9 @@ def short_centre(x: DiskPoint) -> Scalar:
         # a padic value or a rational function
         return a if a.abs() > r else a.spec.zero()
     denom, terms = a.num_terms
-    # |c t^(k/D)| = beta^(-k/D) > beta^rho  iff  k < -rho * D, iff k < ceil(-rho * D)
+    # |c t^(k/D)| = beta^(-k/D) > r = beta^(n/d)  iff  k < -nD/d, iff k < ceil(-nD/d)
     # for an int k; terms are sorted by k
-    rho = r.logval
-    bound = -(rho.numerator * denom // rho.denominator)  # type: ignore[union-attr]
+    bound = -(r.n * denom // r.d)
     keep = 0
     while keep < len(terms) and terms[keep][0] < bound:
         keep += 1

@@ -77,15 +77,15 @@ def _check_index(s: SampledFunction, i: int) -> None:
 
 
 def _ball_test(center: Scalar, bound: Fraction, base: Fraction) -> Callable[[Scalar], bool]:
-    """x -> |x - center| <= bound.  The answer depends only on the exponent
-    of the gap, so magnitude_le_rational runs once per distinct exponent."""
+    """x -> |x - center| <= bound.  The answer depends only on the gap's
+    magnitude, so magnitude_le_rational runs once per distinct magnitude."""
     decided: dict = {}
 
     def inside(x: Scalar) -> bool:
         gap = (x - center).abs()
-        answer = decided.get(gap.logval)
+        answer = decided.get(gap)
         if answer is None:
-            answer = decided[gap.logval] = magnitude_le_rational(gap, bound, base)
+            answer = decided[gap] = magnitude_le_rational(gap, bound, base)
         return answer
 
     return inside

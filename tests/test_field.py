@@ -145,6 +145,88 @@ def test_absvalue_total_order_and_arithmetic():
     assert zero * big == zero
 
 
+# -- magnitudes against a Fraction oracle ---------------------------------------
+#
+# A magnitude is drawn with its exponent q (None for zero) and built in one of
+# several ways, so that equal magnitudes reach their reduced int pair by
+# different paths: unreduced products, quotients and powers, and the abs() of
+# both backends, including a num/den pair that is not reduced.
+
+P3 = FieldSpec("padic", 3)
+PQ = FieldSpec("puiseux-q")
+
+magnitude_exponents = st.fractions(-12, 12, max_denominator=12)
+
+
+@st.composite
+def magnitudes(draw) -> tuple[AbsValue, Fraction | None]:
+    q = draw(st.one_of(st.none(), magnitude_exponents, magnitude_exponents, magnitude_exponents))
+    a = draw(magnitude_exponents)
+    k = draw(st.integers(1, 4))
+    y = AbsValue.of(a)
+    if q is None:
+        ways = [ABS_ZERO, AbsValue.zero(), y * ABS_ZERO, ABS_ZERO / y, ABS_ZERO**k, PQ.zero().abs(), P3.zero().abs()]
+        return draw(st.sampled_from(ways)), None
+    x = AbsValue.of(q)
+    ways = [
+        x,
+        AbsValue.of(f"{q.numerator * k}/{q.denominator * k}"),
+        x * y / y,
+        y * AbsValue.of(q - a),
+        AbsValue.of(q + a) / y,
+        AbsValue.of(q / k) ** k,
+        AbsValue.of(-q) ** -1,
+        PQ.t_power(-q, k).abs(),
+        # |t^(a - q) (1 + t)| / |t^a (2 + t)|, a num/den pair with a common factor
+        (PQ.from_terms([(a - q, 1), (a - q + 1, 1)]) / PQ.from_terms([(a, 2), (a + 1, 1)])).abs(),
+    ]
+    if q.denominator == 1:
+        ways.append(P3.scalar(Fraction(2, 5) * Fraction(3) ** -q.numerator).abs())
+    return draw(st.sampled_from(ways)), q
+
+
+def _oracle(q: Fraction | None) -> AbsValue:
+    return ABS_ZERO if q is None else AbsValue.of(q)
+
+
+def _order_key(q: Fraction | None) -> tuple:
+    # zero lies below every finite magnitude
+    return (0, 0) if q is None else (1, q)
+
+
+def _check_magnitude(v: AbsValue, q: Fraction | None) -> None:
+    # equal magnitudes are equal pairs: ==, hash and repr agree with the oracle's
+    expected = _oracle(q)
+    assert v == expected and not v != expected
+    assert hash(v) == hash(expected) and repr(v) == repr(expected)
+    assert v.logval == q and v.is_zero == (q is None)
+
+
+@given(magnitudes(), magnitudes(), st.integers(-4, 4))
+@settings(max_examples=300, deadline=None)
+def test_magnitudes_match_a_fraction_oracle(xq, yq, k):
+    (x, qx), (y, qy) = xq, yq
+    _check_magnitude(x, qx)
+    if qx is not None:
+        assert AbsValue.of(x.logval) == x  # the of/logval round trip
+    kx, ky = _order_key(qx), _order_key(qy)
+    assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+    assert (x == y, x != y) == (kx == ky, kx != ky)
+    if x == y:
+        assert hash(x) == hash(y)
+    _check_magnitude(x * y, None if qx is None or qy is None else qx + qy)
+    if qy is None:
+        with pytest.raises(DivisionByZero):
+            x / y
+    else:
+        _check_magnitude(x / y, None if qx is None else qx - qy)
+    if qx is None and k <= 0:
+        with pytest.raises(DivisionByZero):
+            x**k
+    else:
+        _check_magnitude(x**k, None if qx is None else qx * k)
+
+
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec("padic", 4)
@@ -227,8 +309,6 @@ def test_iroot_exact_is_integer_only():
 
 
 # -- the Puiseux term kernel against a slow dict[Fraction, Fraction] oracle ----
-
-PQ = FieldSpec("puiseux-q")
 
 oracle_exponents = st.builds(Fraction, st.integers(-8, 12), st.sampled_from([1, 2, 3, 4, 6]))
 oracle_coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 1, 2, 3]))

@@ -483,3 +483,34 @@ def test_transport_ops_shift_for_at_most_one_percent_of_seminorms_and_images(mon
         # a seminorm per coordinate and per Wronskian minor, an image per affine coordinate
         calls += len(f.coords) + len(f.coords) * (len(f.coords) - 1) // 2 + len(f.coords) - 1
     assert len(shifts) * 100 <= calls, (len(shifts), calls)
+
+
+# Fraction constructions in the same ops before magnitudes were int pairs
+# (AbsValue held a Fraction, and both abs() methods and initial_form built one)
+_FRACTIONS_WITH_FRACTION_MAGNITUDES = 10_346
+
+
+def test_transport_ops_build_at_most_a_quarter_of_the_fractions_of_fraction_magnitudes(monkeypatch, pq):
+    # a work gate: it counts Fraction constructions, not time, so a loaded
+    # host cannot move it
+    made = {"count": 0, "on": False}
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        if made["on"]:
+            made["count"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    rng = rng_for("transport-fraction-gate")
+    for _ in range(500):
+        f = random_poly_map(rng, pq, 6)
+        z = random_unit_disk_point(rng, pq)
+        while len(z.center.num_terms[1]) < 2:
+            z = random_unit_disk_point(rng, pq)
+        made["on"] = True
+        diam_proj(apply_map(f, z))
+        diam_proj(z)
+        fs_derivative(f, z)
+        made["on"] = False
+    assert made["count"] * 4 <= _FRACTIONS_WITH_FRACTION_MAGNITUDES, made["count"]

@@ -256,7 +256,7 @@ def test_rigid_points_evaluate_as_the_shift_does(kind, data):
 
 # ball points with a puiseux-q polynomial centre and a radius in (1/6)Z
 puiseux_balls = st.builds(
-    DiskPoint, puiseux_polynomials, st.fractions(-4, 3, max_denominator=6).map(AbsValue)
+    DiskPoint, puiseux_polynomials, st.fractions(-4, 3, max_denominator=6).map(AbsValue.of)
 )
 
 
@@ -265,7 +265,7 @@ puiseux_balls = st.builds(
 def test_short_centre_names_the_same_ball_and_seminorm(x, p, den):
     s = short_centre(x)
     assert DiskPoint(s, x.radius) == x
-    assert all(AbsValue(-q) > x.radius for q, _ in s.num)  # no term inside the ball
+    assert all(AbsValue.of(-q) > x.radius for q, _ in s.num)  # no term inside the ball
     assert s.den_terms == x.center.den_terms
     full = binomial_shift_oracle(p, x.center)
     assert eval_seminorm(p, x) == abs_max(c.abs() * x.radius**n for n, c in full.terms)
@@ -352,7 +352,7 @@ def certificate_cases(draw, kind: str):
         small = st.dictionaries(st.integers(0, max_exp), nonzero, min_size=1, max_size=max_terms)
         p = Poly.from_dict(spec, {0: -b, 1: spec.one()}) * Poly.from_dict(spec, draw(small))
     point_type = draw(st.sampled_from(["I", "II", "III"]))
-    radius = ABS_ZERO if point_type == "I" else AbsValue(draw(_log_radius(kind, point_type)))
+    radius = ABS_ZERO if point_type == "I" else AbsValue.of(draw(_log_radius(kind, point_type)))
     x = DiskPoint(a, radius)
     assert x.point_type() == point_type
     return construction, p, a, x
@@ -647,7 +647,7 @@ def puiseux_centre_and_small(draw, radius_logval: Fraction):
 @SHIFT_SETTINGS
 @given(data=st.data(), logval=st.fractions(-5, 2, max_denominator=6))
 def test_a_ball_hashes_as_any_of_its_centres(data, logval):
-    radius = AbsValue(logval)
+    radius = AbsValue.of(logval)
     # padic: a perturbation 3^ceil(-q) * (a 3-integral rational) has magnitude <= 3^q
     centre = data.draw(padic_scalars)
     unit = data.draw(st.fractions(-40, 40, max_denominator=30).filter(lambda f: f.denominator % 3))

@@ -1,7 +1,8 @@
 """Source guards: the library contains no floating point at all, its
 runtime checks are explicit raises, never assert statements (which python -O
 strips), every import sits at module level, no tuple is built from a
-generator expression, and the polynomial kernels allocate no dense lists."""
+generator expression, the polynomial kernels allocate no dense lists, and
+magnitude arithmetic builds no Fraction."""
 
 from __future__ import annotations
 
@@ -117,3 +118,45 @@ def _unreferenced_private_functions() -> list[str]:
 
 def test_every_private_function_is_referenced():
     assert _unreferenced_private_functions() == []
+
+
+# the order and arithmetic of AbsValue, its one constructor and its producers:
+# magnitudes are reduced int pairs, and a Fraction here is one per magnitude
+MAGNITUDE_FUNCTIONS = [
+    ("field.py", "AbsValue.__lt__"),
+    ("field.py", "AbsValue.__le__"),
+    ("field.py", "AbsValue.__gt__"),
+    ("field.py", "AbsValue.__ge__"),
+    ("field.py", "AbsValue.__mul__"),
+    ("field.py", "AbsValue.__truediv__"),
+    ("field.py", "AbsValue.__pow__"),
+    ("field.py", "_magnitude"),
+    ("field.py", "PuiseuxScalar.abs"),
+    ("field.py", "PadicScalar.abs"),
+    ("points.py", "initial_form"),
+]
+
+
+def _fraction_calls(name: str, qualname: str) -> list[str]:
+    path = SRC / name
+    scope: ast.AST = ast.parse(path.read_text(), str(path))
+    for part in qualname.split("."):
+        scope = next(
+            node
+            for node in ast.iter_child_nodes(scope)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == part
+        )
+    return [
+        f"{name}:{node.lineno}: Fraction(...) in {qualname}"
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "Fraction")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction")
+        )
+    ]
+
+
+@pytest.mark.parametrize("name, qualname", MAGNITUDE_FUNCTIONS, ids=lambda x: x)
+def test_magnitude_arithmetic_builds_no_fraction(name, qualname):
+    assert _fraction_calls(name, qualname) == []
