@@ -17,7 +17,8 @@ center is f(a), and its radius is r |q|_{a,r}, because seminorms multiply and
 |T - a|_{a,r} = r.  This equals max_{i>=1} |f_i| r^i over the coefficients f_i
 of f recentred at a, the computational content of the diameter-transport
 identity, and holds in every residue characteristic; |q|_{a,r} is certified
-like any seminorm, so no shift runs unless the certificate is inconclusive.
+like any seminorm, so q deflates further only when the certificate is
+inconclusive.
 
 Moebius words, composition, rescaling and the chart at infinity are one
 substitution T -> num/den into the homogenized coordinates.  num and den never

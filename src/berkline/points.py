@@ -15,21 +15,21 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
   exponents S; when their leading parts do not cancel, |P(a)| = U, and since
   |P(a)| <= |P|_{a,r} <= U the seminorm is exactly U.  The same test gives
   |P(a)| at a rigid point, where Horner's rule is the fallback;
-* only when the leading parts cancel is P shifted to the centre.
+* only when the leading parts cancel does P deflate at a ball, by
+  |P|_{a,r} = max(|P(a)|, r |Q|_{a,r}) for P = P(a) + (T - a) Q.
 
 Polynomial algebra runs on one clearing for both backends: every value is
 read as a num/den pair of int term maps (a padic rational as two constants),
 and the coefficients of a polynomial are put over one denominator L, the int
 lcm of the constant dens times the product of the distinct other dens
-(_cleared).  The shift, the synthetic division, the gcd and the products all
-work on those int numerators, with no Scalar arithmetic, and build one
-scalar per output coefficient, left unreduced over its constant den.
-Polynomial input has nothing to clear.  The shift is the binomial sum
-c_k = sum_n p_n C(n, k) a^(n-k) over the nonzero terms p_n T^n,
-O(terms * degree) products; the synthetic division P = P(a) + (T - a) Q
-gives disk images; products, sums and derivatives (the Poly operators, the
-Wronskian minors and the map substitution) accumulate int terms by exponent,
-the denominator of a product being the product of the denominators.
+(_cleared).  The synthetic division, the gcd and the products all work on
+those int numerators, with no Scalar arithmetic, and build one scalar per
+output coefficient, left unreduced over its constant den.  Polynomial input
+has nothing to clear.  One synthetic-division kernel gives disk images (one
+pass), the deflation (passes until a certificate) and the Taylor shift (all
+passes); products, sums and derivatives (the Poly operators, the Wronskian
+minors and the map substitution) accumulate int terms by exponent, the
+denominator of a product being the product of the denominators.
 Laurent polynomials are evaluated multiplicatively through
 |T^{-1}(x)| = 1/max(|a|, r), which is finite at every point except the rigid
 point 0.
@@ -220,64 +220,67 @@ def _scalar_pow(a: Scalar, k: int) -> Scalar:
 def taylor_shift(p: Poly, a: Scalar) -> Poly:
     """The recentering P(T + a), computed exactly (plain polynomials only).
 
-    The coefficients are the binomial sums b_k = sum_n c_n C(n, k) a^(n-k)
-    over the nonzero terms c_n T^n of P: O(terms * degree) products, so a
-    sparse polynomial of large degree stays cheap.  One kernel serves every
-    backend and coefficient kind: with a = A/B and c_n = N_n/L read as int
-    term maps over the common denominator L of _cleared (a padic n/d as
-    constants) and d the degree, the sums run on N_n B^(d-n) and the powers
-    of A, and b_k = e_k / (L B^(d-k)) is left unreduced (a magnitude never
-    needs the reduced form).  Nothing is cleared when L = B = 1.
+    Its coefficients are the Taylor coefficients b_k = P_k(a) of P at a, read
+    off all d passes of _SyntheticDivision (O(d^2) term-map products, sparse
+    or dense P alike); the last, b_d, is the leading coefficient of P.
     """
     if not p.is_plain:
         raise PoleAtPoint("taylor_shift is defined for plain polynomials")
     if a.is_zero or p.is_constant:
         return p
-    spec = p.spec
-    top, bottom = _num_den(a)
-    nums, lcm = _cleared([_num_den(c) for _, c in p.terms])
-    deg = p.terms[-1][0]
-    b_powers = [_ONE_TERMS]
-    for _ in range(deg):
-        b_powers.append(_times(b_powers[-1], bottom))
-    cleared = [(n, _times(num, b_powers[deg - n])) for (n, _), num in zip(p.terms, nums)]
-    denom = math.lcm(top[0], *(q[0] for _, q in cleared))
+    division = _SyntheticDivision(p, a)
+    return Poly.from_coeffs(p.spec, [division.divide() for _ in range(p.degree())] + [p.terms[-1][1]])
 
-    def over(t: tuple) -> list:
-        m = denom // t[0]
-        return t[1] if m == 1 else [(k * m, c) for k, c in t[1]]
 
-    base = over(top)
-    powers = [[(0, 1)], base]
-    for _ in range(deg - 1):
-        acc: dict[int, int] = {}
-        get = acc.get
-        for ka, ca in powers[-1]:
-            for kb, cb in base:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-        powers.append([kc for kc in acc.items() if kc[1]])
-    sums: list[dict[int, int]] = [{} for _ in range(deg + 1)]
-    for n, q in cleared:
-        cn = over(q)
-        binom = 1  # C(n, k) for k = n, n - 1, ..., 0
-        for k in range(n, -1, -1):
-            acc = sums[k]
-            get = acc.get
-            power = powers[n - k]
-            for ka, ca in cn:
-                ca = ca * binom
-                for kb, cb in power:
-                    e = ka + kb
-                    acc[e] = get(e, 0) + ca * cb
-            binom = binom * k // (n - k + 1)
-    out = []
-    for k, acc in enumerate(sums):
-        terms = sorted([ec for ec in acc.items() if ec[1]])
-        if terms:
-            num = _reduced(denom, tuple(terms))
-            out.append((k, _from_num_den(spec, num, _times(lcm, b_powers[deg - k]))))
-    return Poly(spec, tuple(out))
+class _SyntheticDivision:
+    """Synthetic division of a plain P by T - a, repeated on each quotient:
+    P_0 = P and P_k = P_k(a) + (T - a) P_{k+1}, so that P_k(a) is the k-th
+    Taylor coefficient of P at a.
+
+    With a = A/B and c_n = N_n/L read as int term maps over the common
+    denominator L of _cleared (a padic n/d as constants) and d the degree, P
+    is cleared once, to e_n = N_n B^(d-n).  Pass k is one Horner pass by A,
+    e_n += A e_{n+1} for n = d - 1, ..., k, with no Scalar arithmetic; it
+    leaves P_k(a) = e_k / (L B^(d-k)) and the coefficients
+    e_{k+1+j} / (L B^(d-k-1-j)) of P_{k+1}, so no denominator grows with k.
+    Values are left unreduced (a magnitude never needs the reduced form).
+    """
+
+    __slots__ = ("spec", "top", "lcm", "b_powers", "deg", "e", "k")
+
+    def __init__(self, p: Poly, a: Scalar) -> None:
+        self.spec, self.deg, self.k = p.spec, p.degree(), 0
+        self.top, bottom = _num_den(a)
+        nums, self.lcm = _cleared([_num_den(c) for _, c in p.terms])
+        self.b_powers = [_ONE_TERMS]
+        for _ in range(self.deg):
+            self.b_powers.append(_times(self.b_powers[-1], bottom))
+        self.e = {n: _times(num, self.b_powers[self.deg - n]) for (n, _), num in zip(p.terms, nums)}
+
+    def divide(self) -> Scalar:
+        """Pass k: P_k(a), leaving P_{k+1}."""
+        e, top, k = self.e, self.top, self.k
+        acc = e.get(self.deg, _ZERO_TERMS)
+        for n in range(self.deg - 1, k - 1, -1):
+            acc = _terms_mul(top, acc)
+            if n in e:
+                acc = _terms_add(e[n], acc)
+            if acc[1]:
+                e[n] = acc
+            else:
+                e.pop(n, None)
+        self.k = k + 1
+        if not acc[1]:
+            return self.spec.zero()
+        return _from_num_den(self.spec, acc, _times(self.lcm, self.b_powers[self.deg - k]))
+
+    def quotient(self) -> Poly:
+        """P_k after k passes, over the one denominator L B^(d-k), so that a
+        later clearing of it has nothing to do."""
+        e, b, k = self.e, self.b_powers, self.k
+        spec, den = self.spec, _times(self.lcm, b[self.deg - k])
+        terms = [(n - k, _from_num_den(spec, _times(e[n], b[n - k]), den)) for n in range(k, self.deg + 1) if n in e]
+        return Poly(spec, tuple(terms))
 
 
 def _num_den(c: Scalar) -> tuple[tuple, tuple]:
@@ -408,37 +411,16 @@ def _uncleared(spec: FieldSpec, a: list[tuple[int, tuple]], den: tuple) -> Poly:
 
 
 def divide_linear(p: Poly, a: Scalar) -> tuple[Scalar, Poly]:
-    """(P(a), Q) with P = P(a) + (T - a) Q, for a plain polynomial.
-
-    One Horner pass (synthetic division) on taylor_shift's cleared term maps,
-    with no Scalar arithmetic: with a = A/B, c_n = N_n/L and d the degree,
-    e_{d-1} = N_d and e_{j-1} = N_j B^(d-j) + A e_j, so that
-    q_j = e_j B^j / (L B^(d-1)) and P(a) = e_{-1} / (L B^d), left unreduced.
-    Q's coefficients share one denominator, so a shift of Q clears nothing.
+    """(P(a), Q) with P = P(a) + (T - a) Q, for a plain polynomial: one pass
+    of _SyntheticDivision.  Q's coefficients share one denominator, so a
+    seminorm of Q that falls back to deflation clears nothing.
     """
     if not p.is_plain:
         raise PoleAtPoint("divide_linear is defined for plain polynomials")
-    spec = p.spec
     if a.is_zero:
-        return p.coeff(0), Poly(spec, tuple([(n - 1, c) for n, c in p.terms if n]))
-    top, bottom = _num_den(a)
-    nums, lcm = _cleared([_num_den(c) for _, c in p.terms])
-    cleared = {n: num for (n, _), num in zip(p.terms, nums)}
-    deg = p.degree()
-    b_powers = [_ONE_TERMS]
-    for _ in range(deg):
-        b_powers.append(_times(b_powers[-1], bottom))
-    q_den = _times(lcm, b_powers[deg - 1])
-    acc, out = _ZERO_TERMS, []
-    for j in range(deg, -1, -1):  # acc = e_j on entry, e_{j-1} on exit
-        if acc[1]:
-            acc = _terms_mul(top, acc)
-        if j in cleared:
-            acc = _terms_add(acc, _times(cleared[j], b_powers[deg - j]))
-        if j and acc[1]:
-            out.append((j - 1, _from_num_den(spec, _times(acc, b_powers[j - 1]), q_den)))
-    value = _from_num_den(spec, acc, _times(lcm, b_powers[deg])) if acc[1] else spec.zero()
-    return value, Poly(spec, tuple(out[::-1]))
+        return p.coeff(0), Poly(p.spec, tuple([(n - 1, c) for n, c in p.terms if n]))
+    division = _SyntheticDivision(p, a)
+    return division.divide(), division.quotient()
 
 
 def initial_form(p: Poly, a: Scalar) -> tuple[AbsValue, tuple[int, ...]] | None:
@@ -753,13 +735,15 @@ def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
 
     For a plain polynomial this is max_i |c_i| r^i over the coefficients
     recentred at the short centre a: read off P itself when a = 0, certified
-    by initial_form when a != 0, and computed by taylor_shift only when the
-    certificate is inconclusive.  At a rigid point the certificate gives
-    |P(a)|, with Horner's rule as the fallback.  A Laurent polynomial is
-    written T^{-m} Q with Q plain and evaluated multiplicatively; this is
-    exact at every point other than the rigid point 0, where T has seminorm
-    zero.  A nonzero centre over another FieldSpec than P raises
-    BackendMismatch, as scalar arithmetic does.
+    by initial_form when a != 0, and only when the certificate is
+    inconclusive found by deflation: passes of _SyntheticDivision give
+    c_j = P_j(a) until initial_form certifies a quotient P_k, and the value
+    is the max of |c_j| r^j over j < k and r^k |P_k(a)|.  At a rigid point
+    the certificate gives |P(a)|, with Horner's rule as the fallback.  A
+    Laurent polynomial is written T^{-m} Q with Q plain and evaluated
+    multiplicatively; this is exact at every point other than the rigid
+    point 0, where T has seminorm zero.  A nonzero centre over another
+    FieldSpec than P raises BackendMismatch, as scalar arithmetic does.
     """
     if p.is_zero:
         return ABS_ZERO
@@ -779,9 +763,16 @@ def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
             return certificate[0]
     if x.radius.is_zero:
         return p.evaluate(a).abs()
-    if not a.is_zero:
-        p = taylor_shift(p, a)
-    return abs_max(c.abs() * x.radius ** n for n, c in p.terms)
+    r = x.radius
+    if a.is_zero:
+        return abs_max(c.abs() * r**n for n, c in p.terms)
+    # sigma = 0: deflate until a quotient is certified (a constant one always is)
+    division, value, k, certificate = _SyntheticDivision(p, a), ABS_ZERO, 0, None
+    while certificate is None:
+        value = max(value, division.divide().abs() * r**k)
+        k += 1
+        certificate = initial_form(division.quotient(), a)
+    return max(value, certificate[0] * r**k)
 
 
 def short_centre(x: DiskPoint) -> Scalar:

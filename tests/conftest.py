@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
@@ -24,6 +25,7 @@ from berkline import (
     taylor_shift,
     tree_of_disks,
 )
+from berkline import points
 from berkline.cli import main
 from berkline.field import _reduced, magnitude_le_rational
 
@@ -52,6 +54,22 @@ def run_cli_full(argv: list[str]) -> tuple[object, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def count_deflation_passes(monkeypatch) -> list[int]:
+    """The passes of points._SyntheticDivision that eval_seminorm's sigma = 0
+    fallback runs, one entry (the pass index) per pass; the one division of
+    a disk image and the passes of taylor_shift are not counted."""
+    passes: list[int] = []
+    divide = points._SyntheticDivision.divide
+
+    def counting(division):
+        if sys._getframe(1).f_code.co_name == "eval_seminorm":
+            passes.append(division.k)
+        return divide(division)
+
+    monkeypatch.setattr(points._SyntheticDivision, "divide", counting)
+    return passes
 
 
 def rng_for(name: str) -> random.Random:

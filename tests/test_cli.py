@@ -13,13 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from berkline import AbsValue, FieldSpec, Poly, cli, eval_seminorm
+from berkline import AbsValue, DiskPoint, FieldSpec, Poly, cli, eval_seminorm
 from berkline.cli import main
 from berkline.documents import canonical_json, load_document, parse_document
 from berkline.errors import BackendMismatch
 from berkline.field import abs_max
 
-from conftest import binomial_shift_oracle, rng_for, run_cli_full
+from conftest import binomial_shift_oracle, count_deflation_passes, rng_for, run_cli_full
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -505,6 +505,54 @@ def test_dense_puiseux_series_at_a_ball_evaluates_in_bounded_time(tmp_path):
     assert (code, err) == (0, "")
     assert elapsed < 1
     assert json.loads(out)["result"] == "-200"
+
+
+def planted_root_cofactor(rng, degree: int) -> list[int]:
+    """Dense small int coefficients of a Q of the given degree whose sum Q(1)
+    is nonzero, so that Q's initial form at a = 1 + t^(1/2) + t^(1/3) (its
+    value at in(a) = 1) does not vanish."""
+    coeffs = [rng.randint(-3, 3) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+    if not sum(coeffs):
+        coeffs[0] += 1
+    return coeffs
+
+
+def test_puiseux_series_with_a_root_at_the_ball_centre_evaluates_in_bounded_time(tmp_path):
+    # (T - a) Q at degree 401, a = 1 + t^(1/2) + t^(1/3): sigma = 0 at the
+    # ball around a, once took 27 s as a full shift; one deflation pass leaves
+    # Q, certified, and by multiplicativity the seminorm is r |Q|_{a,r} = beta^-2
+    q = planted_root_cofactor(rng_for("planted-root-cli"), 400)
+    terms = {}
+    for n in range(402):
+        below, here = (q[n - 1] if n else 0), (q[n] if n <= 400 else 0)
+        pairs = [(e, str(c)) for e, c in (("0", below - here), ("1/2", -here), ("1/3", -here)) if c]
+        if pairs:
+            terms[n] = pairs
+    path = puiseux_series(tmp_path, terms)
+    start = time.perf_counter()
+    code, out, err = run_cli_full(["eval", str(path), "--point", "1+t^1/2+t^1/3,-2", "--json"])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert elapsed < 1
+    assert json.loads(out)["result"] == "-2"
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2, 3])
+def test_a_root_of_multiplicity_m_at_the_ball_centre_deflates_m_times_at_every_degree(monkeypatch, pq, multiplicity):
+    # a work gate: the passes do not grow with the degree, where the full
+    # shift's work grew about tenfold per doubling
+    a = pq.from_terms([(0, 1), ("1/2", 1), ("1/3", 1)])
+    t_minus_a = Poly.from_dict(pq, {0: -a, 1: pq.one()})
+    x = DiskPoint(a, AbsValue.of(-2))
+    passes = count_deflation_passes(monkeypatch)
+    for degree in (100, 200, 400):
+        q = planted_root_cofactor(rng_for(f"planted-root-{degree}"), degree - multiplicity)
+        p = Poly.from_coeffs(pq, [pq.scalar(c) for c in q])
+        for _ in range(multiplicity):
+            p = t_minus_a * p
+        passes.clear()
+        assert eval_seminorm(p, x) == AbsValue.of(-2 * multiplicity)
+        assert passes == list(range(multiplicity)), (degree, passes)
 
 
 @pytest.mark.parametrize(

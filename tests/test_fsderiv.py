@@ -37,10 +37,10 @@ from berkline import (
 )
 from berkline.errors import DomainViolation, InvalidGenerator, PoleHit, ZeroTuple
 from berkline.field import abs_max, unit_max
-from berkline import points
 from berkline.fsderiv import _substitute
 
 from conftest import (
+    count_deflation_passes,
     eager_pgl_point,
     random_pgl_word,
     random_poly,
@@ -462,15 +462,9 @@ def test_sample_max_stable_under_rigid_refinement(p3):
 
 
 def test_transport_ops_shift_for_at_most_one_percent_of_seminorms_and_images(monkeypatch, pq):
-    # a work gate: it counts Taylor shifts, not time, so a loaded host cannot move it
-    shifts = []
-    shift = points.taylor_shift
-
-    def counting(p, a):
-        shifts.append(a)
-        return shift(p, a)
-
-    monkeypatch.setattr(points, "taylor_shift", counting)
+    # a work gate: it counts the passes of the sigma = 0 fallback, not time,
+    # so a loaded host cannot move it
+    passes = count_deflation_passes(monkeypatch)
     rng = rng_for("transport-shift-gate")
     calls = 0
     for _ in range(500):
@@ -482,7 +476,7 @@ def test_transport_ops_shift_for_at_most_one_percent_of_seminorms_and_images(mon
         fs_derivative(f, z)
         # a seminorm per coordinate and per Wronskian minor, an image per affine coordinate
         calls += len(f.coords) + len(f.coords) * (len(f.coords) - 1) // 2 + len(f.coords) - 1
-    assert len(shifts) * 100 <= calls, (len(shifts), calls)
+    assert len(passes) * 100 <= calls, (len(passes), calls)
 
 
 # Fraction constructions in the same ops before magnitudes were int pairs

@@ -169,18 +169,40 @@ def rational_shift_inputs():
 
 def test_taylor_shift_does_no_scalar_arithmetic(monkeypatch):
     cases = rational_shift_inputs()
+    # planted double roots: eval_seminorm at a ball around the root deflates
+    planted = []
+    for p, a, _ in cases[:2]:
+        t_minus_a = Poly.from_dict(p.spec, {0: -a, 1: p.spec.one()})
+        planted.append((t_minus_a * t_minus_a * p, DiskPoint(a, AbsValue.of(-3))))
 
     def refuse(*args):
-        raise AssertionError("taylor_shift called Scalar arithmetic")
+        raise AssertionError("a recentering called Scalar arithmetic")
 
     for cls in (PuiseuxScalar, PadicScalar):
         for name in ("__add__", "__mul__", "inv"):
             monkeypatch.setattr(cls, name, refuse)
     shifted = [taylor_shift(p, a) for p, a, _ in cases]
+    seminorms = [eval_seminorm(p, x) for p, x in planted]
     monkeypatch.undo()
     for out, (_, _, expected) in zip(shifted, cases):
         assert out == expected
         assert_minimal_layout(out)
+    for value, (p, x) in zip(seminorms, planted):
+        assert initial_form(p, x.center) is None
+        assert value == abs_max(c.abs() * x.radius**n for n, c in binomial_shift_oracle(p, x.center).terms)
+
+
+def test_taylor_shift_at_a_rational_function_centre_clears_once():
+    # a shift as d synthetic divisions of Poly quotients would clear each
+    # quotient again, and its denominators would grow like B^(d(d-1)/2): 834
+    # num + den terms at this input, against 97 when P is cleared once
+    rng = rng_for("shift-growth")
+    coeffs = [PQ.scalar(rng.randint(-3, 3)) for _ in range(24)] + [PQ.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))]
+    p = Poly.from_coeffs(PQ, coeffs)
+    a = PQ.from_terms([(0, 1), ("1/2", 2)]) / PQ.from_terms([(0, 3), ("1/3", 1)])
+    shifted = taylor_shift(p, a)
+    assert max(len(c.num_terms[1]) + len(c.den_terms[1]) for _, c in shifted.terms) <= 97
+    assert shifted.coeff(0) == p.evaluate(a)
 
 
 def degree_6_rational_polynomials(rng, count: int):
@@ -327,7 +349,8 @@ def certificate_cases(draw, kind: str):
 
     Except for "random", P is built so that its initial form at the Gauss
     point of radius |a| vanishes at a (sigma = 0): a is the leading part of a
-    root b = a (1 + eps), a root itself (planted factor), or two terms of P
+    root b = a (1 + eps), a root itself (a planted factor of multiplicity 1
+    to 3, so that a ball deflates for up to three passes), or two terms of P
     cancel in their leading parts at a."""
     spec, scalars = CERTIFICATE_SPECS[kind], CERTIFICATE_SCALARS[kind]
     nonzero = scalars.filter(lambda c: not c.is_zero)
@@ -348,9 +371,12 @@ def certificate_cases(draw, kind: str):
         p = Poly.from_dict(spec, {m: -(c * lam), m + gap: c})
     else:
         b = a if construction == "planted" else a * (spec.one() + _below_one(draw(nonzero)))
+        multiplicity = draw(st.integers(1, 3)) if construction == "planted" else 1
         max_exp, max_terms = (2, 2) if rational else (4, 3)
         small = st.dictionaries(st.integers(0, max_exp), nonzero, min_size=1, max_size=max_terms)
-        p = Poly.from_dict(spec, {0: -b, 1: spec.one()}) * Poly.from_dict(spec, draw(small))
+        p = Poly.from_dict(spec, draw(small))
+        for _ in range(multiplicity):
+            p = Poly.from_dict(spec, {0: -b, 1: spec.one()}) * p
     point_type = draw(st.sampled_from(["I", "II", "III"]))
     radius = ABS_ZERO if point_type == "I" else AbsValue.of(draw(_log_radius(kind, point_type)))
     x = DiskPoint(a, radius)
