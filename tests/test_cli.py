@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -31,47 +32,76 @@ def run_cli(*args: str) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+# (argv, exact text output, exact "result" of the --json line)
 GOLDEN_RUNS = [
-    (("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0"), "1\n"),
-    (("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--multiplicative"), "1\n"),
-    (("fsderiv", str(GOLDEN / "fsderiv_identity.json"), "--point", "0,1"), "1\n"),
-    (("dck", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"), "1\n"),
-    (("dtree", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"), "1/5\n"),
-    (("classify", str(GOLDEN / "tate.json")), "tate-curve\n"),
-    (("genus", str(GOLDEN / "tate.json")), "1\n"),
-    (("chi", "--genus", "0", "--punctures", "3"), "-1\n"),
-    (("chi", "--genus", "2"), "-2\n"),
+    (("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0"), "1\n", '"0"'),
+    (("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--multiplicative"), "1\n", '"0"'),
+    (("fsderiv", str(GOLDEN / "fsderiv_identity.json"), "--point", "0,1"), "1\n", '"0"'),
+    (("diam", "--field", "padic:3", "--point", "0,-1", "--point", "1/3,0"), "β^(-2)\n", '"-2"'),
+    (("dck", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"), "1\n", '"1"'),
+    (("dtree", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"), "1/5\n", '"1/5"'),
+    (("classify", str(GOLDEN / "tate.json")), "tate-curve\n", '{"genus": 1, "kind": "tate-curve"}'),
+    (("genus", str(GOLDEN / "tate.json")), "1\n", "1"),
+    (("chi", "--genus", "0", "--punctures", "3"), "-1\n", "-1"),
+    (("chi", "--genus", "2"), "-2\n", "-2"),
     (
         ("segments", str(GOLDEN / "tropical_two_lines.json")),
         "[-2, -1)  slope -1  intercept -2\n[-1, 0)  slope 1  intercept 0\n",
+        '[{"intercept": "-2", "left": "-2", "right": "-1", "slope": -1}, '
+        '{"intercept": "0", "left": "-1", "right": "0", "slope": 1}]',
     ),
-    (("theta", str(GOLDEN / "tropical_two_lines.json"), "--at", "-1"), "-1\n"),
-    (("zeros", str(GOLDEN / "laurent_series.json"), "--window=-2,1"), "2\n"),
+    (("theta", str(GOLDEN / "tropical_two_lines.json"), "--at", "-1"), "-1\n", '"-1"'),
+    (
+        ("theta", str(GOLDEN / "tropical_two_lines.json"), "--plot"),
+        "[-2, -1)  slope -1  intercept -2\n[-1, 0)  slope 1  intercept 0\n",
+        '[{"intercept": "-2", "left": "-2", "right": "-1", "slope": -1}, '
+        '{"intercept": "0", "left": "-1", "right": "0", "slope": 1}]',
+    ),
+    (("zeros", str(GOLDEN / "laurent_series.json"), "--window=-2,1"), "2\n", "2"),
     (
         ("pieces", str(GOLDEN / "eval_gauss.json"), "--window=-2,0"),
         "[-2, -1)  exponent 1  logcoeff -1\n[-1, 0)  exponent 2  logcoeff 0\n",
+        '[{"exponent": 1, "left": "-2", "logcoeff": "-1", "right": "-1"}, '
+        '{"exponent": 2, "left": "-1", "logcoeff": "0", "right": "0"}]',
     ),
-    (("dproj", str(GOLDEN / "dproj_units.json")), "1\n"),
+    (("dproj", str(GOLDEN / "dproj_units.json")), "1\n", '"0"'),
     (
         ("gromov", str(GOLDEN / "squares_sample.json"), "--start", "0", "--epsilon", "1", "--tau", "3/2"),
         "selected index 1  conditions i=True ii=True iii=True\n",
+        '{"conditions": [true, true, true], "selected": 1}',
     ),
     (
         ("zalcman", str(GOLDEN / "zalcman_family.json")),
         "n=1  z=0  |rho|=β^(-1)  |g'(0)|=1\nn=2  z=0  |rho|=β^(-2)  |g'(0)|=1\n",
+        '[{"derivative_at_zero": "1", "n": 1, "rho_logval": "-1", "z": "0"}, '
+        '{"derivative_at_zero": "1", "n": 2, "rho_logval": "-2", "z": "0"}]',
     ),
 ]
 
 
-@pytest.mark.parametrize("args,expected", GOLDEN_RUNS, ids=lambda v: v[0] if isinstance(v, tuple) else "out")
+def golden_id(value) -> str:
+    return value[0] if isinstance(value, tuple) else "out"
+
+
+@pytest.mark.parametrize("args,expected", [(args, text) for args, text, _ in GOLDEN_RUNS], ids=golden_id)
 def test_golden_outputs(args, expected):
     code, out = run_cli(*args)
     assert code == 0
     assert out == expected
 
 
+@pytest.mark.parametrize("args,result", [(args, result) for args, _, result in GOLDEN_RUNS], ids=golden_id)
+def test_golden_json_outputs(args, result):
+    assert run_cli_full([*args, "--json"]) == (0, f'{{"command": "{args[0]}", "result": {result}}}\n', "")
+
+
+def test_every_subcommand_has_a_golden_run():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {args[0] for args, _, _ in GOLDEN_RUNS}
+
+
 def test_outputs_are_deterministic():
-    for args, _ in GOLDEN_RUNS:
+    for args, _, _ in GOLDEN_RUNS:
         first = run_cli(*args)
         second = run_cli(*args)
         assert first == second
@@ -274,7 +304,7 @@ def test_main_builds_the_parser_once(monkeypatch):
         ["eval", str(GOLDEN / "eval_gauss.json")],  # --point missing: argparse exits 2
         ["eval", str(GOLDEN / "laurent_series.json"), "--point", "0,zero"],  # domain error
         ["dtree", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y", "--json"],
-    ] + [list(args) for args, _ in GOLDEN_RUNS]
+    ] + [list(args) for args, _, _ in GOLDEN_RUNS]
 
     monkeypatch.setattr(cli, "_parser", fresh)  # a freshly built parser for every call
     reference = [run_cli_full(argv) for argv in sequence]
@@ -298,7 +328,7 @@ def test_main_builds_the_parser_once(monkeypatch):
     assert [code for code, _, _ in reused[:3]] == [2, 3, 0]
     assert "the following arguments are required: --point" in reused[0][2]
     assert json.loads(reused[2][1]) == {"command": "dtree", "result": "1/5"}
-    assert [(code, out) for code, out, _ in reused[3:]] == [(0, expected) for _, expected in GOLDEN_RUNS]
+    assert [(code, out) for code, out, _ in reused[3:]] == [(0, text) for _, text, _ in GOLDEN_RUNS]
 
 
 def test_build_parser_returns_a_fresh_parser():
