@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .curves import CurveModel, TreeOfDisks, curve_model, tree_of_disks, ultra
 from .errors import InconsistentModel, SchemaError
@@ -61,6 +61,25 @@ def _int(node: Any, path: str) -> int:
     return node
 
 
+def _list(node: Any, path: str) -> list:
+    if not isinstance(node, list):
+        raise _fail(path, f"expected a list, got {node!r}")
+    return node
+
+
+def _entries(node: Any, path: str, sizes: tuple[int, ...], expected: str) -> Iterator[tuple[str, list]]:
+    """(path, entry) for each entry of the list ``node``, failing with
+    ``expected`` at the first entry that is not a list of one of ``sizes`` items."""
+    for i, entry in enumerate(_list(node, path)):
+        if not isinstance(entry, list) or len(entry) not in sizes:
+            raise _fail(f"{path}[{i}]", expected)
+        yield f"{path}[{i}]", entry
+
+
+def _rational_pairs(node: Any, path: str, expected: str) -> list[tuple[Fraction, Fraction]]:
+    return [(_rational(a, f"{at}[0]"), _rational(b, f"{at}[1]")) for at, (a, b) in _entries(node, path, (2,), expected)]
+
+
 def parse_field_spec(node: Any, path: str = "field") -> FieldSpec:
     if not isinstance(node, dict):
         raise _fail(path, "expected an object")
@@ -91,12 +110,7 @@ def parse_scalar(spec: FieldSpec, node: Any, path: str) -> Scalar:
     if isinstance(node, (int, str)):
         return spec.scalar(_rational(node, path))
     if isinstance(node, list):
-        terms = []
-        for i, pair in enumerate(node):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise _fail(f"{path}[{i}]", "expected an [exponent, coefficient] pair")
-            terms.append((_rational(pair[0], f"{path}[{i}][0]"), _rational(pair[1], f"{path}[{i}][1]")))
-        return spec.from_terms(terms)
+        return spec.from_terms(_rational_pairs(node, path, "expected an [exponent, coefficient] pair"))
     raise _fail(path, f"expected a rational or a term list, got {node!r}")
 
 
@@ -104,13 +118,11 @@ def parse_poly(spec: FieldSpec, node: Any, path: str) -> Poly:
     if not isinstance(node, list):
         raise _fail(path, "expected a list of [exponent, coefficient] pairs")
     coeffs: dict[int, Scalar] = {}
-    for i, pair in enumerate(node):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise _fail(f"{path}[{i}]", "expected an [exponent, coefficient] pair")
-        n = _int(pair[0], f"{path}[{i}][0]")
+    for at, (n, c) in _entries(node, path, (2,), "expected an [exponent, coefficient] pair"):
+        n = _int(n, f"{at}[0]")
         if n in coeffs:
-            raise _fail(f"{path}[{i}]", f"duplicate exponent {n}")
-        c = parse_scalar(spec, pair[1], f"{path}[{i}][1]")
+            raise _fail(at, f"duplicate exponent {n}")
+        c = parse_scalar(spec, c, f"{at}[1]")
         if not c.is_zero:
             coeffs[n] = c
     return Poly.from_dict(spec, coeffs)
@@ -158,11 +170,10 @@ def parse_tropical(node: Any, path: str) -> TropicalPolygon:
     terms_node = node.get("terms")
     if not isinstance(terms_node, list) or not terms_node:
         raise _fail(f"{path}.terms", "expected a nonempty list of [exponent, logval] pairs")
-    terms = []
-    for i, pair in enumerate(terms_node):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise _fail(f"{path}.terms[{i}]", "expected an [exponent, logval] pair")
-        terms.append((_int(pair[0], f"{path}.terms[{i}][0]"), _rational(pair[1], f"{path}.terms[{i}][1]")))
+    terms = [
+        (_int(n, f"{at}[0]"), _rational(v, f"{at}[1]"))
+        for at, (n, v) in _entries(terms_node, f"{path}.terms", (2,), "expected an [exponent, logval] pair")
+    ]
     dom = node.get("domain")
     if not isinstance(dom, list) or len(dom) != 2:
         raise _fail(f"{path}.domain", "expected [lo, hi] with null for an infinite endpoint")
@@ -177,19 +188,8 @@ def _parse_ultra(node: Any, path: str):
     if isinstance(node, (int, str)):
         return ultra(_rational(node, path))
     if isinstance(node, list):
-        pairs = []
-        for i, pair in enumerate(node):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise _fail(f"{path}[{i}]", "expected a [magnitude, coefficient] pair")
-            pairs.append((_rational(pair[0], f"{path}[{i}][0]"), _rational(pair[1], f"{path}[{i}][1]")))
-        return ultra(pairs)
+        return ultra(_rational_pairs(node, path, "expected a [magnitude, coefficient] pair"))
     raise _fail(path, f"expected a rational or [magnitude, coefficient] pairs, got {node!r}")
-
-
-def _list(node: Any, path: str) -> list:
-    if not isinstance(node, list):
-        raise _fail(path, f"expected a list, got {node!r}")
-    return node
 
 
 def _name(node: Any, path: str, kind: str) -> str:
@@ -205,10 +205,7 @@ def parse_tree(node: Any, path: str) -> TreeOfDisks:
     if not isinstance(disks, list) or not all(isinstance(d, str) for d in disks):
         raise _fail(f"{path}.disks", "expected a list of disk names")
     edges = []
-    for i, e in enumerate(_list(node.get("edges", []), f"{path}.edges")):
-        if not isinstance(e, list) or len(e) != 4:
-            raise _fail(f"{path}.edges[{i}]", "expected [diskA, coordA, diskB, coordB]")
-        at = f"{path}.edges[{i}]"
+    for at, e in _entries(node.get("edges", []), f"{path}.edges", (4,), "expected [diskA, coordA, diskB, coordB]"):
         a, b = _name(e[0], f"{at}[0]", "disk"), _name(e[2], f"{at}[2]", "disk")
         edges.append((a, _parse_ultra(e[1], f"{at}[1]"), b, _parse_ultra(e[3], f"{at}[3]")))
     marks_node = node.get("marks", {})
@@ -244,30 +241,21 @@ def parse_curve_model(node: Any, path: str) -> CurveModel:
     if unknown:
         raise _fail(path, f"unknown keys {sorted(unknown)}")
     vertices = []
-    for i, v in enumerate(_list(node.get("vertices", []), f"{path}.vertices")):
-        if not isinstance(v, list) or not 1 <= len(v) <= 3:
-            raise _fail(f"{path}.vertices[{i}]", "expected [name, genus?, extra?]")
-        name = _name(v[0], f"{path}.vertices[{i}][0]", "vertex")
-        genus = _int(v[1], f"{path}.vertices[{i}][1]") if len(v) > 1 else 0
-        extra = _int(v[2], f"{path}.vertices[{i}][2]") if len(v) > 2 else 0
-        vertices.append((name, genus, extra))
+    for at, v in _entries(node.get("vertices", []), f"{path}.vertices", (1, 2, 3), "expected [name, genus?, extra?]"):
+        name, genus, extra = (v + [0, 0])[:3]  # genus and extra default to 0
+        vertices.append((_name(name, f"{at}[0]", "vertex"), _int(genus, f"{at}[1]"), _int(extra, f"{at}[2]")))
     edges = []
-    for i, e in enumerate(_list(node.get("edges", []), f"{path}.edges")):
-        if not isinstance(e, list) or len(e) != 3:
-            raise _fail(f"{path}.edges[{i}]", "expected [u, v, length]")
-        at = f"{path}.edges[{i}]"
+    for at, e in _entries(node.get("edges", []), f"{path}.edges", (3,), "expected [u, v, length]"):
         u, v = _name(e[0], f"{at}[0]", "vertex"), _name(e[1], f"{at}[1]", "vertex")
         edges.append((u, v, _rational(e[2], f"{at}[2]")))
     punctures = [
         _parse_attachment(a, f"{path}.punctures[{i}]")
         for i, a in enumerate(_list(node.get("punctures", []), f"{path}.punctures"))
     ]
-    disks = []
-    for i, d in enumerate(_list(node.get("disks", []), f"{path}.disks")):
-        if not isinstance(d, list) or len(d) != 2:
-            raise _fail(f"{path}.disks[{i}]", "expected [tag, attachment]")
-        tag = _name(d[0], f"{path}.disks[{i}][0]", "tag")
-        disks.append((tag, _parse_attachment(d[1], f"{path}.disks[{i}][1]")))
+    disks = [
+        (_name(tag, f"{at}[0]", "tag"), _parse_attachment(a, f"{at}[1]"))
+        for at, (tag, a) in _entries(node.get("disks", []), f"{path}.disks", (2,), "expected [tag, attachment]")
+    ]
     boundary = [
         _name(b, f"{path}.boundary[{i}]", "vertex")
         for i, b in enumerate(_list(node.get("boundary", []), f"{path}.boundary"))

@@ -230,7 +230,6 @@ def monomial_pieces(f: Poly, radii: Interval) -> list[MonomialPiece]:
     The input must map its domain into the unit disk: every term must have
     magnitude at most 1 on the relevant boundary radius.
     """
-    terms = []
     # Poly keeps nonzero coefficients only, so every magnitude is finite
     terms = [(n, c.abs().logval) for n, c in f.terms if n != 0]
     if not terms:

@@ -408,6 +408,24 @@ def test_gromov_start_outside_the_sample_is_an_input_error(start):
     assert "outside 0..1" in err
 
 
+@pytest.mark.parametrize("window", ["1,-1", "0,0"])
+@pytest.mark.parametrize("command,document", [("zeros", "laurent_series.json"), ("pieces", "eval_gauss.json")])
+def test_an_empty_window_is_an_input_error(command, document, window):
+    code, out, err = run_cli_full([command, str(GOLDEN / document), f"--window={window}"])
+    assert (code, out) == (2, "")
+    assert err == f"berkline: input error: empty interval ({window.replace(',', ', ')})\n"
+
+
+@pytest.mark.parametrize("nmax", ["0", "-1", "-5"])
+def test_zalcman_needs_at_least_one_step(nmax):
+    code, out, err = run_cli_full(["zalcman", str(GOLDEN / "zalcman_family.json"), "--nmax", nmax])
+    assert (code, out) == (2, "")
+    assert err == f"berkline: input error: --nmax must be at least 1, got {nmax}\n"
+    assert run_cli_full(["zalcman", str(GOLDEN / "zalcman_family.json"), "--nmax", "3"])[0] == 2  # two maps
+    one_step = run_cli("zalcman", str(GOLDEN / "zalcman_family.json"), "--nmax", "1")
+    assert one_step == (0, "n=1  z=0  |rho|=β^(-1)  |g'(0)|=1\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
