@@ -154,7 +154,7 @@ def _magnitude(v: AbsValue, doc: Document, args: argparse.Namespace) -> tuple[st
 
 
 def _bounds(left, right) -> tuple[str, dict]:
-    """"[left, right)" with -inf/+inf for open ends, and the JSON ends (null when open)."""
+    """The text "[left, right)", with -inf/+inf for open ends, and the JSON ends (null when open)."""
     text = f"[{'-inf' if left is None else left}, {'+inf' if right is None else right})"
     return text, {"left": None if left is None else str(left), "right": None if right is None else str(right)}
 
