@@ -41,6 +41,7 @@ from .field import (
     PUISEUX,
     Scalar,
     as_fraction,
+    rational_pair,
 )
 from .fsderiv import (
     Domain,

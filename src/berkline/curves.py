@@ -11,10 +11,14 @@ Tree-of-disks spaces are unit-disk components glued at rigid points.  The
 in-disk coordinates are finite rational combinations of abstract unit-disk
 elements carrying *declared positive rational magnitudes*; differences are
 measured by the largest surviving magnitude, which is an ultrametric.  A
-coordinate is held in one normal form, its terms sorted by strictly
-increasing magnitude with nonzero coefficients, so equal coordinates are
-equal tuples.  The two Kobayashi-type semi-distances are computed over
-chains through the attachment graph:
+coordinate is held in one normal form of ints (the layout of FLINT's fmpq:
+integer data in lowest terms): the least common denominator D of its
+magnitudes, and its terms from the largest magnitude down as triples
+(magnitude * D, coefficient numerator, coefficient denominator), every
+coefficient nonzero and reduced.  So equal coordinates are equal int
+tuples, document rationals go to that form without a Fraction, and a
+difference is one merge of two top-down lists.  The two Kobayashi-type
+semi-distances are computed over chains through the attachment graph:
 
     dck: minimize the sum of the in-disk step sizes,
     d:   minimize the largest in-disk step size.
@@ -30,11 +34,11 @@ lower cost and with no fewer visits, is dominated: without a budget each
 state is expanded once, and under a visit budget again only with strictly
 fewer visits than at its last expansion.
 
-Step costs are integers over one common denominator: before a search, every
-magnitude of the tree and both marks is scaled by the lcm L of their
-denominators, each coordinate becomes a list of int terms from the largest
-magnitude down, and a step is the first term, from the top, that two such
-lists do not share.  The search adds or compares ints only, and the
+Step costs are integers over one common denominator: before a search, the
+lcm L of the coordinates' denominators D is taken over the tree and both
+marks, each coordinate's top-down triples are rescaled by L/D (and used as
+they are when D = L), and a step is the first term, from the top, that two
+such lists do not share.  The search adds or compares ints only, and the
 distance is cost/L.  Because the steps are summed, the distances are exact
 nonnegative rationals (math.inf when no chain exists) rather than symbolic
 magnitudes.
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -57,7 +60,7 @@ from .errors import (
     NotProjective,
     UnknownMark,
 )
-from .field import as_fraction
+from .field import as_fraction, rational_pair
 
 # ---------------------------------------------------------------------------
 # Euler characteristic
@@ -77,7 +80,7 @@ def euler_characteristic(genus: int, punctures: int) -> int:
 _RATIONAL_TYPES = (int, Fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class UltraScalar:
     """A finite rational combination of abstract unit-disk elements, each
     carrying a declared magnitude in (0, 1] cap Q.
@@ -87,17 +90,26 @@ class UltraScalar:
     |x - y| is an exact rational ultrametric.  Plain rationals embed with
     magnitude 1.
 
-    Normal form: the terms are sorted by strictly increasing magnitude and
-    every coefficient is nonzero, so equal values are equal tuples (and hash
-    alike).  Magnitudes and coefficients are ints or Fractions, never floats
-    or bools.
+    Layout: ``den`` is the least common denominator of the magnitudes (1 for
+    zero), and ``top`` holds the terms from the largest magnitude down as
+    int triples (M, coefficient numerator, coefficient denominator): the
+    magnitude is M/den, every coefficient is nonzero and in lowest terms
+    with a positive denominator.  Equal values are equal (den, top) pairs,
+    so the generated == and hash read them.  ``terms`` (sorted by increasing
+    magnitude) and ``magnitude()`` are read-only Fraction views.
+
+    ``UltraScalar(terms)`` takes (magnitude, coefficient) pairs, ints or
+    Fractions (never floats or bools), in normal form: strictly increasing
+    positive magnitudes and nonzero coefficients.  ``ultra`` builds values
+    from any rationals.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...]  # (magnitude, coefficient)
+    den: int
+    top: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: Sequence[tuple[Fraction, Fraction]]) -> None:
         prev = 0  # one pass: each magnitude exceeds the last, the first exceeds 0
-        for m, c in self.terms:
+        for m, c in terms:
             if type(m) not in _RATIONAL_TYPES or type(c) not in _RATIONAL_TYPES:
                 raise ValueError(f"magnitudes and coefficients must be ints or Fractions, not {m!r}, {c!r}")
             if m <= prev:
@@ -107,19 +119,99 @@ class UltraScalar:
             if not c:
                 raise ValueError("zero coefficients are not stored")
             prev = m
+        den = math.lcm(*[m.denominator for m, _ in terms])
+        _set_den(self, den)
+        _set_top(self, tuple([(m.numerator * (den // m.denominator), c.numerator, c.denominator) for m, c in reversed(terms)]))
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(magnitude, coefficient) pairs by increasing magnitude."""
+        den = self.den
+        return tuple([(Fraction(m, den), Fraction(n, d)) for m, n, d in reversed(self.top)])
 
     def __sub__(self, other: "UltraScalar") -> "UltraScalar":
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            s = acc.get(m, Fraction(0)) - c
-            if s == 0:
-                acc.pop(m, None)
+        # one merge of the two top-down lists over their common denominator
+        den = self.den if self.den == other.den else math.lcm(self.den, other.den)
+        a, b = _top_down(self, den), _top_down(other, den)
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            s, t = a[i], b[j]
+            if s[0] > t[0]:
+                out.append(s)
+                i += 1
+            elif s[0] < t[0]:
+                out.append((t[0], -t[1], t[2]))
+                j += 1
             else:
-                acc[m] = s
-        return UltraScalar(tuple(sorted(acc.items())))
+                n, d = s[1] * t[2] - t[1] * s[2], s[2] * t[2]
+                if n:
+                    g = math.gcd(n, d)
+                    out.append((s[0], n // g, d // g))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend([(m, -n, d) for m, n, d in b[j:]])
+        # cancellation may leave magnitudes over a smaller common denominator
+        g = math.gcd(den, *[m for m, _, _ in out])
+        if g != 1:
+            den //= g
+            out = [(m // g, n, d) for m, n, d in out]
+        return _ultra(den, tuple(out)) if out else ULTRA_ZERO
 
     def magnitude(self) -> Fraction:
-        return self.terms[-1][0] if self.terms else Fraction(0)
+        return Fraction(self.top[0][0], self.den) if self.top else Fraction(0)
+
+    def __repr__(self) -> str:
+        return f"UltraScalar(terms={self.terms!r})"
+
+
+_set_den = UltraScalar.den.__set__  # type: ignore[attr-defined]
+_set_top = UltraScalar.top.__set__  # type: ignore[attr-defined]
+
+
+def _ultra(den: int, top: tuple) -> UltraScalar:
+    """The UltraScalar with an already normal (den, top); it writes the
+    frozen slots directly, skipping __init__'s checks."""
+    u = object.__new__(UltraScalar)
+    _set_den(u, den)
+    _set_top(u, top)
+    return u
+
+
+ULTRA_ZERO = _ultra(1, ())
+
+
+def ultra_from_pairs(pairs: Sequence[tuple[int, int, int, int]]) -> UltraScalar:
+    """The in-disk coordinate with terms (m_num, m_den, c_num, c_den): the
+    coefficient c_num/c_den on the element of magnitude m_num/m_den, each
+    pair in lowest terms with a positive denominator (as
+    field.rational_pair returns them).  Repeated magnitudes are merged, and
+    terms whose coefficients cancel are dropped before the magnitudes are
+    checked."""
+    if len(pairs) == 1:  # most document coordinates: nothing to merge or sort
+        mn, md, cn, cd = pairs[0]
+        if not cn:
+            return ULTRA_ZERO
+        if mn <= 0:
+            raise ValueError("magnitudes must be positive rationals")
+        return _ultra(md, ((mn, cn, cd),))
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
+    for mn, md, cn, cd in pairs:
+        prev = acc.get((mn, md))
+        if prev is not None:
+            n, d = prev[0] * cd + cn * prev[1], prev[1] * cd
+            g = math.gcd(n, d)
+            cn, cd = n // g, d // g
+        acc[mn, md] = (cn, cd)
+    live = [(mn, md, cn, cd) for (mn, md), (cn, cd) in acc.items() if cn]
+    if not live:
+        return ULTRA_ZERO
+    den = math.lcm(*[md for _, md, _, _ in live])
+    top = sorted([(mn * (den // md), cn, cd) for mn, md, cn, cd in live], reverse=True)
+    if top[-1][0] <= 0:
+        raise ValueError("magnitudes must be positive rationals")
+    return _ultra(den, tuple(top))
 
 
 UltraLike = Union["UltraScalar", int, str, Fraction, Sequence]
@@ -135,18 +227,8 @@ def ultra(value: UltraLike) -> UltraScalar:
     if isinstance(value, UltraScalar):
         return value
     if isinstance(value, (int, str, Fraction)):
-        c = as_fraction(value)
-        if c == 0:
-            return UltraScalar(())
-        return UltraScalar(((Fraction(1), c),))
-    pairs = sorted([(as_fraction(m), as_fraction(c)) for m, c in value], key=operator.itemgetter(0))
-    merged: list[list] = []
-    for m, c in pairs:
-        if merged and merged[-1][0] == m:
-            merged[-1][1] += c
-        else:
-            merged.append([m, c])
-    return UltraScalar(tuple([(m, c) for m, c in merged if c]))
+        return ultra_from_pairs([(1, 1, *rational_pair(value))])
+    return ultra_from_pairs([rational_pair(m) + rational_pair(c) for m, c in value])
 
 
 def ultra_distance(x: UltraLike, y: UltraLike) -> Fraction:
@@ -172,12 +254,12 @@ class TreeOfDisks:
         for a, ca, b, cb in self.edges:
             if a not in names or b not in names:
                 raise ValueError(f"attachment between unknown disks {a!r}, {b!r}")
-            if ca.magnitude() > 1 or cb.magnitude() > 1:
+            if _beyond_unit(ca) or _beyond_unit(cb):
                 raise ValueError("attachment coordinates must have magnitude <= 1")
         for mark, disk, coord in self.marks:
             if disk not in names:
                 raise ValueError(f"mark {mark!r} on unknown disk {disk!r}")
-            if coord.magnitude() > 1:
+            if _beyond_unit(coord):
                 raise ValueError("marked coordinates must have magnitude <= 1")
 
     def mark(self, name: str) -> tuple[str, UltraScalar]:
@@ -204,10 +286,19 @@ Cost = Union[Fraction, float]  # exact rational, or math.inf for "no chain"
 INFINITE: float = math.inf
 
 
-def _top_down(c: UltraScalar, scale: int) -> list[tuple[int, int, int]]:
+def _beyond_unit(c: UltraScalar) -> bool:
+    """|c| > 1: the largest magnitude exceeds 1."""
+    return bool(c.top) and c.top[0][0] > c.den
+
+
+def _top_down(c: UltraScalar, scale: int) -> Sequence[tuple[int, int, int]]:
     """The terms of c from the largest magnitude down, as int triples
-    (magnitude * scale, coefficient numerator, coefficient denominator)."""
-    return [(m.numerator * (scale // m.denominator), v.numerator, v.denominator) for m, v in reversed(c.terms)]
+    (magnitude * scale, coefficient numerator, coefficient denominator);
+    scale is a multiple of c.den."""
+    k = scale // c.den
+    if k == 1:
+        return c.top
+    return [(m * k, n, d) for m, n, d in c.top]
 
 
 def _step(a: list, b: list) -> int:
@@ -233,7 +324,7 @@ def _chain_extremum(t: TreeOfDisks, x: str, y: str, budget: int | None, mode: st
     for _, ca, _, cb in t.edges:
         coords.append(ca)
         coords.append(cb)
-    scale = math.lcm(*[m.denominator for c in coords for m, _ in c.terms])
+    scale = math.lcm(*[c.den for c in coords])
     target = _top_down(coord_y, scale)
     # state 0 is the mark x; states 2k+1 and 2k+2 enter edge k's second and first disk
     entries = [(disk_x, _top_down(coord_x, scale))]

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .curves import CurveModel, TreeOfDisks, curve_model, tree_of_disks, ultra
+from .curves import CurveModel, TreeOfDisks, UltraScalar, curve_model, tree_of_disks, ultra_from_pairs
 from .errors import InconsistentModel, SchemaError
-from .field import PADIC, PUISEUX, AbsValue, FieldSpec, Scalar, as_fraction
+from .field import PADIC, PUISEUX, AbsValue, FieldSpec, PadicScalar, Scalar, rational_pair
 from .fsderiv import Domain, SeriesMap, series_map
 from .points import Poly
 from .tropic import Interval, TropicalPolygon
@@ -46,13 +46,19 @@ def _fail(path: str, message: str) -> SchemaError:
     return SchemaError(f"{path}: {message}")
 
 
-def _rational(node: Any, path: str) -> Fraction:
-    if isinstance(node, bool) or not isinstance(node, (int, str)):
+def _pair(node: Any, path: str) -> tuple[int, int]:
+    """The document rational at path as a reduced int pair (n, d)."""
+    # exact types: json.loads makes no other int or str, and bool is rejected
+    if type(node) is not str and type(node) is not int:
         raise _fail(path, f"expected a rational as int or 'num/den' string, got {node!r}")
     try:
-        return as_fraction(node)
+        return rational_pair(node)
     except ValueError as exc:
         raise _fail(path, f"bad rational {node!r}: {exc}") from None
+
+
+def _rational(node: Any, path: str) -> Fraction:
+    return Fraction(*_pair(node, path))
 
 
 def _int(node: Any, path: str) -> int:
@@ -106,7 +112,7 @@ def parse_field_spec(node: Any, path: str = "field") -> FieldSpec:
 
 def parse_scalar(spec: FieldSpec, node: Any, path: str) -> Scalar:
     if spec.backend == PADIC:
-        return spec.scalar(_rational(node, path))
+        return PadicScalar(spec, _rational(node, path))
     if isinstance(node, (int, str)):
         return spec.scalar(_rational(node, path))
     if isinstance(node, list):
@@ -118,10 +124,12 @@ def parse_poly(spec: FieldSpec, node: Any, path: str) -> Poly:
     if not isinstance(node, list):
         raise _fail(path, "expected a list of [exponent, coefficient] pairs")
     coeffs: dict[int, Scalar] = {}
+    seen: set[int] = set()  # coeffs keeps nonzero terms only
     for at, (n, c) in _entries(node, path, (2,), "expected an [exponent, coefficient] pair"):
         n = _int(n, f"{at}[0]")
-        if n in coeffs:
+        if n in seen:
             raise _fail(at, f"duplicate exponent {n}")
+        seen.add(n)
         c = parse_scalar(spec, c, f"{at}[1]")
         if not c.is_zero:
             coeffs[n] = c
@@ -184,11 +192,16 @@ def parse_tropical(node: Any, path: str) -> TropicalPolygon:
         raise _fail(path, str(exc)) from None
 
 
-def _parse_ultra(node: Any, path: str):
+def _parse_ultra(node: Any, path: str) -> UltraScalar:
     if isinstance(node, (int, str)):
-        return ultra(_rational(node, path))
+        return ultra_from_pairs([(1, 1, *_pair(node, path))])
     if isinstance(node, list):
-        return ultra(_rational_pairs(node, path, "expected a [magnitude, coefficient] pair"))
+        return ultra_from_pairs(
+            [
+                _pair(m, f"{at}[0]") + _pair(c, f"{at}[1]")
+                for at, (m, c) in _entries(node, path, (2,), "expected a [magnitude, coefficient] pair")
+            ]
+        )
     raise _fail(path, f"expected a rational or [magnitude, coefficient] pairs, got {node!r}")
 
 

@@ -48,44 +48,59 @@ PUISEUX = "puiseux-q"
 _RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-def as_fraction(x: RationalInput) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to an exact Fraction.
+def rational_pair(x: RationalInput) -> tuple[int, int]:
+    """The rational x as (n, d) in lowest terms, d > 0: the one parser of
+    exact rationals.
 
-    Strings are an optionally signed integer, optionally followed by "/" and
-    a positive integer denominator, with surrounding whitespace allowed; any
-    other string (decimals, exponents, a zero denominator) raises ValueError.
+    x is an int, a Fraction or a string: an optionally signed integer,
+    optionally followed by "/" and a positive integer denominator, with
+    surrounding whitespace allowed; any other string (decimals, exponents,
+    digit separators, non-ASCII digits, a zero denominator) raises
+    ValueError.  The regex, not int(), decides the grammar: int() alone
+    accepts "1_0" and non-ASCII digits.
     """
-    # an exact type check first: Fraction's metaclass is ABCMeta, so
-    # isinstance(x, Fraction) runs the slow ABC instance check
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         m = _RATIONAL.fullmatch(x)
         if m is None:
             raise ValueError(f"not an integer or 'num/den' rational: {x!r}")
         num, den = m.groups()
         if den is None:
-            return Fraction(int(num))
-        d = int(den)
-        if d == 0:
+            return int(num), 1
+        n, d = int(num), int(den)
+        if not d:
             raise ValueError(f"zero denominator in {x!r}")
-        return Fraction(int(num), d)
+        g = math.gcd(n, d)
+        return (n // g, d // g) if g != 1 else (n, d)
+    if isinstance(x, int):
+        return int(x), 1
+    # isinstance(x, Fraction) last: Fraction's metaclass is ABCMeta, so the
+    # check is a slow ABC instance check
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def as_fraction(x: RationalInput) -> Fraction:
+    """Coerce ints, Fractions and "num/den" strings (the grammar of
+    rational_pair) to an exact Fraction."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    return Fraction(*rational_pair(x))
+
+
 def as_integer(text: str) -> int:
-    """An integer string in the grammar of as_fraction without the "/den":
+    """An integer string in the grammar of rational_pair without the "/den":
     an optional sign and ASCII digits, surrounding whitespace allowed.
     Digit separators and non-ASCII digits, which int() accepts, raise
     ValueError."""
-    m = _RATIONAL.fullmatch(text)
-    if m is None or m.group(2) is not None:
-        raise ValueError(f"not an integer: {text!r}")
-    return int(m.group(1))
+    if "/" not in text:
+        try:
+            return rational_pair(text)[0]
+        except ValueError:
+            pass
+    raise ValueError(f"not an integer: {text!r}")
 
 
 def _is_prime(n: int) -> bool:
@@ -231,27 +246,39 @@ def abs_max(values: Iterable[AbsValue]) -> AbsValue:
     return out
 
 
+def _cross_powers(v: AbsValue, bound: Fraction, base: Fraction) -> tuple[int, int]:
+    """(l, r) with beta^(n/d) <= bound iff l <= r (and likewise for >=),
+    for a nonzero v and bound > 0: beta^n against bound^d as ints."""
+    n, d = v.n, v.d
+    bn, bd = base.numerator, base.denominator
+    if n < 0:
+        bn, bd, n = bd, bn, -n
+    return bn**n * bound.denominator**d, bound.numerator**d * bd**n
+
+
 def magnitude_le_rational(v: AbsValue, bound: Fraction, base: Fraction) -> bool:
     """Decide beta^q <= bound exactly for a known rational base beta, via
     integer cross powers: beta^(n/d) <= bound iff beta^n <= bound^d."""
-    if base <= 1:
+    if base.numerator <= base.denominator:
         raise NumericBaseRequired("numeric base must exceed 1")
     if not v.d:
-        return bound >= 0
-    if bound <= 0:
+        return bound.numerator >= 0
+    if bound.numerator <= 0:
         return False
-    return base**v.n <= bound**v.d
+    left, right = _cross_powers(v, bound, base)
+    return left <= right
 
 
 def magnitude_ge_rational(v: AbsValue, bound: Fraction, base: Fraction) -> bool:
     """Decide beta^q >= bound exactly for a known rational base beta."""
-    if base <= 1:
+    if base.numerator <= base.denominator:
         raise NumericBaseRequired("numeric base must exceed 1")
     if not v.d:
-        return bound <= 0
-    if bound <= 0:
+        return bound.numerator <= 0
+    if bound.numerator <= 0:
         return True
-    return base**v.n >= bound**v.d
+    left, right = _cross_powers(v, bound, base)
+    return left >= right
 
 
 def magnitude_as_rational(v: AbsValue, base: Fraction) -> Fraction:
@@ -415,6 +442,10 @@ class Scalar:
     def inv(self) -> "Scalar":
         raise NotImplementedError
 
+    def dist(self, other: "Scalar") -> AbsValue:
+        """|self - other|."""
+        return (self - other).abs()
+
     def _check(self, other: "Scalar") -> None:
         if self.spec is not other.spec and self.spec != other.spec:
             raise BackendMismatch(f"mixed backends: {self.spec} vs {other.spec}")
@@ -463,8 +494,29 @@ class PadicScalar(Scalar):
         # |x| = p^(-v_p(x)); FieldSpec requires a prime for padic
         return _magnitude(-_padic_split(self.value, self.spec.p)[0], 1)
 
+    def dist(self, other: Scalar) -> AbsValue:
+        """|self - other| = p^(v_p(xd) + v_p(yd) - v_p(xn yd - yn xd)) for
+        self = xn/xd and other = yn/yd, read off the ints: no Fraction is built."""
+        self._check(other)
+        x, y = self.value, other.value  # type: ignore[attr-defined]
+        xd, yd = x.denominator, y.denominator
+        n = x.numerator * yd - y.numerator * xd
+        if not n:
+            return ABS_ZERO
+        p = self.spec.p
+        return _magnitude(_int_valuation(xd, p) + _int_valuation(yd, p) - _int_valuation(n, p), 1)
+
     def __repr__(self) -> str:
         return f"{self.value}"
+
+
+def _int_valuation(n: int, p: int) -> int:
+    """v_p(n) for a nonzero int n."""
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+    return v
 
 
 def _padic_split(x: Fraction, p: int) -> tuple[int, int, int]:

@@ -56,7 +56,7 @@ class SampledFunction:
             raise ValueError("empty sample")
         if len(self.points) != len(self.values):
             raise ValueError("one value per sample point")
-        if any(v <= 0 for v in self.values):
+        if any(v.numerator <= 0 for v in self.values):  # an int comparison, not a Fraction one
             raise ValueError("sampled values must be positive rationals")
         spec = self.points[0].spec
         if any(p.spec != spec for p in self.points):
@@ -82,13 +82,21 @@ def _ball_test(center: Scalar, bound: Fraction, base: Fraction) -> Callable[[Sca
     decided: dict = {}
 
     def inside(x: Scalar) -> bool:
-        gap = (x - center).abs()
+        gap = x.dist(center)
         answer = decided.get(gap)
         if answer is None:
             answer = decided[gap] = magnitude_le_rational(gap, bound, base)
         return answer
 
     return inside
+
+
+def _pairs(values: Sequence[Fraction]) -> list[tuple[int, int]]:
+    """The sampled values as (numerator, denominator) ints: phi is compared
+    by cross-multiplication, each comparison on the two values' own
+    denominators (one common denominator would grow with every coprime
+    denominator of the sample)."""
+    return [(v.numerator, v.denominator) for v in values]
 
 
 def gromov_select(s: SampledFunction, a_index: int, epsilon, tau) -> int:
@@ -99,14 +107,20 @@ def gromov_select(s: SampledFunction, a_index: int, epsilon, tau) -> int:
     if eps <= 0 or t <= 1:
         raise ValueError("need epsilon > 0 and tau > 1")
     base = s.spec.base()
+    phi = _pairs(s.values)
+    tn, td = t.numerator, t.denominator
     b = a_index
     while True:
-        ceiling = t * s.values[b]
+        # phi(x) > tau phi(b) iff xn (td bd) > (tn bn) xd
+        bn, bd = phi[b]
+        cn, cd = tn * bn, td * bd
         inside = _ball_test(s.points[b], 1 / (eps * s.values[b]), base)
         witness = None
-        for i, (x, phi_x) in enumerate(zip(s.points, s.values)):
-            if phi_x > ceiling and inside(x) and (witness is None or phi_x > s.values[witness]):
-                witness = i
+        wn, wd = 0, 1  # phi(witness); every phi is positive
+        for i, x in enumerate(s.points):
+            xn, xd = phi[i]
+            if xn * cd > cn * xd and xn * wd > wn * xd and inside(x):
+                witness, wn, wd = i, xn, xd
         if witness is None:
             return b
         b = witness
@@ -119,12 +133,12 @@ def gromov_conditions(s: SampledFunction, a_index: int, b_index: int, epsilon, t
     eps, t = as_fraction(epsilon), as_fraction(tau)
     base = s.spec.base()
     phi_a, phi_b = s.values[a_index], s.values[b_index]
-    gap = (s.points[a_index] - s.points[b_index]).abs()
+    gap = s.points[a_index].dist(s.points[b_index])
     cond_i = magnitude_le_rational(gap, t / (eps * (t - 1) * phi_a), base)
     cond_ii = phi_b >= phi_a
-    ceiling = t * phi_b
+    cn, cd = t.numerator * phi_b.numerator, t.denominator * phi_b.denominator  # tau phi(b)
     inside = _ball_test(s.points[b_index], 1 / (eps * phi_b), base)
-    cond_iii = not any(phi_x > ceiling and inside(x) for x, phi_x in zip(s.points, s.values))
+    cond_iii = not any(xn * cd > cn * xd and inside(x) for x, (xn, xd) in zip(s.points, _pairs(s.values)))
     return cond_i, cond_ii, cond_iii
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import random
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -27,7 +30,8 @@ from berkline import (
 )
 from berkline import points
 from berkline.cli import main
-from berkline.field import _reduced, magnitude_le_rational
+from berkline.errors import NumericBaseRequired
+from berkline.field import _reduced
 
 
 @pytest.fixture
@@ -467,6 +471,23 @@ def eager_pgl_point(word, x) -> ProjPoint:
 # Selection oracles: slow, exact, one magnitude decision for every point
 
 
+def magnitude_le_rational_oracle(v: AbsValue, bound: Fraction, base: Fraction) -> bool:
+    """beta^q <= bound by Fraction powers: beta^(n/d) <= bound iff beta^n <= bound^d."""
+    if base <= 1:
+        raise NumericBaseRequired("numeric base must exceed 1")
+    if v.is_zero:
+        return bound >= 0
+    return bound > 0 and base**v.n <= bound**v.d
+
+
+def magnitude_ge_rational_oracle(v: AbsValue, bound: Fraction, base: Fraction) -> bool:
+    if base <= 1:
+        raise NumericBaseRequired("numeric base must exceed 1")
+    if v.is_zero:
+        return bound <= 0
+    return bound <= 0 or base**v.n >= bound**v.d
+
+
 def gromov_select_oracle(s, a_index: int, eps: Fraction, tau: Fraction) -> int:
     """zalcman.gromov_select as an exhaustive loop: from b, jump to the
     largest phi above tau phi(b) in the ball of radius 1/(eps phi(b))."""
@@ -478,7 +499,7 @@ def gromov_select_oracle(s, a_index: int, eps: Fraction, tau: Fraction) -> int:
         for i, (x, phi_x) in enumerate(zip(s.points, s.values)):
             if phi_x <= tau * s.values[b]:
                 continue
-            if magnitude_le_rational((x - s.points[b]).abs(), bound, base):
+            if magnitude_le_rational_oracle((x - s.points[b]).abs(), bound, base):
                 if witness is None or phi_x > s.values[witness]:
                     witness = i
         if witness is None:
@@ -491,13 +512,107 @@ def gromov_conditions_oracle(s, a_index: int, b_index: int, eps: Fraction, tau: 
     base = s.spec.base()
     phi_a, phi_b = s.values[a_index], s.values[b_index]
     gap = (s.points[a_index] - s.points[b_index]).abs()
-    cond_i = magnitude_le_rational(gap, tau / (eps * (tau - 1) * phi_a), base)
+    cond_i = magnitude_le_rational_oracle(gap, tau / (eps * (tau - 1) * phi_a), base)
     cond_ii = phi_b >= phi_a
     cond_iii = True
     bound = 1 / (eps * phi_b)
     for x, phi_x in zip(s.points, s.values):
-        if magnitude_le_rational((x - s.points[b_index]).abs(), bound, base):
+        if magnitude_le_rational_oracle((x - s.points[b_index]).abs(), bound, base):
             if phi_x > tau * phi_b:
                 cond_iii = False
                 break
     return cond_i, cond_ii, cond_iii
+
+
+# ---------------------------------------------------------------------------
+# Rational and in-disk coordinate oracles: the regex-plus-Fraction parser
+# and the Fraction-pair UltraScalar that field.rational_pair and the int
+# layout of curves.UltraScalar replaced
+
+
+_RATIONAL_ORACLE = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def as_fraction_oracle(x) -> Fraction:
+    """Ints, Fractions and "num/den" strings as a Fraction, one regex match
+    and one Fraction per string."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        m = _RATIONAL_ORACLE.fullmatch(x)
+        if m is None:
+            raise ValueError(f"not an integer or 'num/den' rational: {x!r}")
+        num, den = m.groups()
+        if den is None:
+            return Fraction(int(num))
+        d = int(den)
+        if d == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+        return Fraction(int(num), d)
+    if isinstance(x, Fraction):
+        return x
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def as_integer_oracle(text: str) -> int:
+    m = _RATIONAL_ORACLE.fullmatch(text)
+    if m is None or m.group(2) is not None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(m.group(1))
+
+
+@dataclass(frozen=True)
+class UltraOracle:
+    """An in-disk coordinate as (magnitude, coefficient) Fraction pairs by
+    strictly increasing magnitude, every coefficient nonzero."""
+
+    terms: tuple
+
+    def __post_init__(self) -> None:
+        prev = 0
+        for m, c in self.terms:
+            if type(m) not in (int, Fraction) or type(c) not in (int, Fraction):
+                raise ValueError(f"magnitudes and coefficients must be ints or Fractions, not {m!r}, {c!r}")
+            if m <= prev:
+                if prev == 0:
+                    raise ValueError("magnitudes must be positive rationals")
+                raise ValueError("magnitudes must be strictly increasing")
+            if not c:
+                raise ValueError("zero coefficients are not stored")
+            prev = m
+
+    def __sub__(self, other: "UltraOracle") -> "UltraOracle":
+        acc = dict(self.terms)
+        for m, c in other.terms:
+            s = acc.get(m, Fraction(0)) - c
+            if s == 0:
+                acc.pop(m, None)
+            else:
+                acc[m] = s
+        return UltraOracle(tuple(sorted(acc.items())))
+
+    def magnitude(self) -> Fraction:
+        return self.terms[-1][0] if self.terms else Fraction(0)
+
+
+def ultra_oracle(value) -> UltraOracle:
+    """curves.ultra on Fraction pairs: sort, merge repeated magnitudes, drop
+    zero coefficients, then check the magnitudes."""
+    if isinstance(value, (int, str, Fraction)):
+        c = as_fraction_oracle(value)
+        return UltraOracle(()) if c == 0 else UltraOracle(((Fraction(1), c),))
+    pairs = sorted([(as_fraction_oracle(m), as_fraction_oracle(c)) for m, c in value], key=operator.itemgetter(0))
+    merged: list[list] = []
+    for m, c in pairs:
+        if merged and merged[-1][0] == m:
+            merged[-1][1] += c
+        else:
+            merged.append([m, c])
+    return UltraOracle(tuple([(m, c) for m, c in merged if c]))
+
+
+def ultra_distance_oracle(x, y) -> Fraction:
+    return (ultra_oracle(x) - ultra_oracle(y)).magnitude()
+

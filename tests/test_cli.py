@@ -378,6 +378,14 @@ def test_malformed_rationals_in_documents_are_schema_errors(tmp_path, bad):
     assert err.startswith("berkline: input error: series.terms[0][1]: bad rational")
 
 
+@pytest.mark.parametrize("terms", [[[1, "0"], [1, "5"]], [[1, "5"], [1, "0"]]], ids=["zero-first", "zero-second"])
+def test_a_duplicate_exponent_is_a_schema_error_in_either_order(tmp_path, terms):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"field": {"backend": "padic", "p": 3}, "series": {"terms": terms}}))
+    code, out, err = run_cli_full(["eval", str(path), "--point", "0,0"])
+    assert (code, out, err) == (2, "", "berkline: input error: series.terms[1]: duplicate exponent 1\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

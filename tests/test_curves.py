@@ -39,7 +39,7 @@ from berkline.errors import (
     UnknownMark,
 )
 
-from conftest import random_tree_of_disks, rng_for
+from conftest import random_tree_of_disks, rng_for, ultra_distance_oracle, ultra_oracle
 
 INF = math.inf
 
@@ -317,6 +317,56 @@ def test_ultra_matches_dict_oracle(u, v, rnd):
     rnd.shuffle(shuffled)
     assert ultra(shuffled) == x and hash(ultra(shuffled)) == hash(x)
     assert ultra_distance(x, y) == raw_step(x, y) == ultra_distance(y, x)
+
+
+# Magnitudes that may be zero or negative, in every input spelling, and small
+# coefficients so that repeated magnitudes cancel often.
+ANY_MAGNITUDES = st.one_of(
+    st.integers(-1, 2),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-1, 2), "1/2", "2/4", " 1/3", "-1/6"]),
+    st.integers(1, 30).flatmap(lambda b: st.integers(-1, b).map(lambda a: Fraction(a, b))),
+)
+ANY_COEFFS = st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-1, 2), "3/6", "-1/3"]))
+ANY_COORDS = st.one_of(
+    st.lists(st.tuples(ANY_MAGNITUDES, ANY_COEFFS), max_size=5),
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "0/7", Fraction(-2, 3)]),
+)
+
+
+def _built(build, value):
+    try:
+        return build(value)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ANY_COORDS, ANY_COORDS)
+def test_ultra_matches_the_fraction_pair_oracle(u, v):
+    x, ox = _built(ultra, u), _built(ultra_oracle, u)
+    y, oy = _built(ultra, v), _built(ultra_oracle, v)
+    if isinstance(ox, str):
+        assert x == ox  # the same error message
+        return
+    assert x.terms == ox.terms and x.magnitude() == ox.magnitude()
+    assert UltraScalar(ox.terms) == x and hash(UltraScalar(ox.terms)) == hash(x)
+    if isinstance(oy, str):
+        return
+    diff = x - y
+    assert diff.terms == (ox - oy).terms
+    assert diff == ultra(diff.terms) and hash(diff) == hash(ultra(diff.terms))  # a difference is in normal form
+    assert (x == y) == (ox == oy) and (x != y or hash(x) == hash(y))
+    assert ultra_distance(u, v) == ultra_distance_oracle(u, v)
+
+
+def test_cancelled_terms_are_dropped_before_the_magnitude_check():
+    # as the oracle does: a non-positive magnitude whose coefficients cancel is no term
+    for pairs in ([(-1, 1), (-1, -1)], [(0, 2), (0, -2), ("1/2", 1)], [("-1/2", "1/2"), (Fraction(-1, 2), Fraction(-1, 2))]):
+        assert ultra(pairs).terms == ultra_oracle(pairs).terms
+    for pairs in ([(0, 1)], [(-1, 1), ("1/2", 1)]):
+        with pytest.raises(ValueError, match="magnitudes must be positive rationals"):
+            ultra(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import berkline
 from berkline import ABS_ONE, ABS_ZERO, AbsValue, FieldSpec
-from berkline.errors import BackendMismatch, DivisionByZero, RadiusNotInValueGroup
+from berkline.errors import BackendMismatch, DivisionByZero, NumericBaseRequired, RadiusNotInValueGroup
 from berkline.field import (
     _KEY_TERMS,
     _ONE_TERMS,
@@ -24,12 +24,22 @@ from berkline.field import (
     _is_prime,
     _normalize_fraction,
     as_fraction,
+    as_integer,
     magnitude_as_rational,
     magnitude_ge_rational,
     magnitude_le_rational,
+    rational_pair,
 )
 
-from conftest import random_nonzero_scalar, random_scalar, rng_for
+from conftest import (
+    as_fraction_oracle,
+    as_integer_oracle,
+    magnitude_ge_rational_oracle,
+    magnitude_le_rational_oracle,
+    random_nonzero_scalar,
+    random_scalar,
+    rng_for,
+)
 
 
 def test_padic_addition_of_thirds():
@@ -271,6 +281,22 @@ def test_rational_comparisons_of_magnitudes():
         magnitude_as_rational(AbsValue.of("1/2"), Fraction(3))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.just(None), st.fractions(-6, 6, max_denominator=7)),
+    st.one_of(st.fractions(-3, 10**4, max_denominator=10**4), st.integers(-2, 30)),
+    st.sampled_from([Fraction(2), Fraction(3), Fraction(9, 4), Fraction(5, 3), Fraction(1), Fraction(1, 2)]),
+)
+def test_rational_comparisons_of_magnitudes_match_the_fraction_oracle(q, bound, base):
+    v = ABS_ZERO if q is None else AbsValue.of(q)
+    for decide, oracle in ((magnitude_le_rational, magnitude_le_rational_oracle), (magnitude_ge_rational, magnitude_ge_rational_oracle)):
+        if base <= 1:
+            with pytest.raises(NumericBaseRequired):
+                decide(v, bound, base)
+        else:
+            assert decide(v, bound, base) == oracle(v, bound, base)
+
+
 def _trial_division(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
@@ -500,3 +526,53 @@ def test_as_fraction_reads_integers_and_num_den(text, value):
 def test_as_fraction_rejects_everything_else(text):
     with pytest.raises(ValueError):
         as_fraction(text)
+
+
+def _outcome(fn, x):
+    """fn(x), or the type and message of the exception it raised."""
+    try:
+        return fn(x)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+RATIONAL_TEXTS = st.one_of(
+    st.text(alphabet="0123456789/-+ _.e\t\u0661\u0662\u00a0", max_size=9),
+    st.from_regex(r"\s*[-+]?[0-9]{1,30}(/[0-9]{1,30})?\s*", fullmatch=True),
+    st.sampled_from(["1_0", "\u0661\u0662", "1.5", "1e3", "1/0", "-0/4", " 3/4 ", "+6/4", "0/0", "3/-4", "", "7"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(RATIONAL_TEXTS, st.integers(), st.fractions(), st.booleans(), st.floats(allow_nan=False), st.none()))
+def test_rational_pair_matches_the_regex_fraction_oracle(x):
+    want = _outcome(as_fraction_oracle, x)
+    got = _outcome(rational_pair, x)
+    if isinstance(want, Fraction):
+        assert got == (want.numerator, want.denominator) and type(got[0]) is int and type(got[1]) is int
+        assert as_fraction(x) == want
+    else:
+        assert got == want and _outcome(as_fraction, x) == want
+    if isinstance(x, str):
+        assert _outcome(as_integer, x) == _outcome(as_integer_oracle, x)
+
+
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_dist_matches_the_absolute_difference(backend, seed):
+    rng = rng_for(f"dist-{backend}-{seed}")
+    spec = FieldSpec(backend, rng.choice([2, 3, 5]) if backend == "padic" else None)
+    x, y = random_scalar(rng, spec), random_scalar(rng, spec)
+    if rng.random() < 0.2:
+        y = x
+    assert x.dist(y) == (x - y).abs() == y.dist(x)
+
+
+@given(st.sampled_from([2, 3, 7]), st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6), st.integers(-4, 4))
+@settings(max_examples=200, deadline=None)
+def test_padic_dist_on_large_denominators(p, a, b, k):
+    spec = FieldSpec("padic", p)
+    x, y = spec.scalar(a * Fraction(p) ** k), spec.scalar(b)
+    assert x.dist(y) == (x - y).abs()
+    assert x.dist(x) == ABS_ZERO

@@ -1,17 +1,21 @@
 """Source guards: the library contains no floating point at all, its
 runtime checks are explicit raises, never assert statements (which python -O
 strips), every import sits at module level, no tuple is built from a
-generator expression, the polynomial kernels allocate no dense lists, and
-magnitude arithmetic builds no Fraction."""
+generator expression, the polynomial kernels allocate no dense lists,
+magnitude arithmetic builds no Fraction, the int paths of document
+rationals and in-disk coordinates build none either, and every benchmark
+trace target names a library function."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "berkline"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "berkline"
 
 
 def _float_uses(path: Path) -> list[str]:
@@ -137,7 +141,20 @@ MAGNITUDE_FUNCTIONS = [
 ]
 
 
-def _fraction_calls(name: str, qualname: str) -> list[str]:
+# the parser of document rationals, the int layout of in-disk coordinates and
+# the chain search's steps: ints from the document to the distance, so a
+# Fraction (or an as_fraction, which builds one) here is one per coordinate
+INT_PATH_FUNCTIONS = [
+    ("field.py", "rational_pair"),
+    ("field.py", "PadicScalar.dist"),
+    ("curves.py", "UltraScalar.__sub__"),
+    ("curves.py", "ultra_from_pairs"),
+    ("curves.py", "_top_down"),
+    ("curves.py", "_step"),
+]
+
+
+def _fraction_calls(name: str, qualname: str, callees: tuple[str, ...] = ("Fraction",)) -> list[str]:
     path = SRC / name
     scope: ast.AST = ast.parse(path.read_text(), str(path))
     for part in qualname.split("."):
@@ -147,12 +164,12 @@ def _fraction_calls(name: str, qualname: str) -> list[str]:
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == part
         )
     return [
-        f"{name}:{node.lineno}: Fraction(...) in {qualname}"
+        f"{name}:{node.lineno}: {ast.unparse(node.func)}(...) in {qualname}"
         for node in ast.walk(scope)
         if isinstance(node, ast.Call)
         and (
-            (isinstance(node.func, ast.Name) and node.func.id == "Fraction")
-            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction")
+            (isinstance(node.func, ast.Name) and node.func.id in callees)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in callees)
         )
     ]
 
@@ -160,3 +177,31 @@ def _fraction_calls(name: str, qualname: str) -> list[str]:
 @pytest.mark.parametrize("name, qualname", MAGNITUDE_FUNCTIONS, ids=lambda x: x)
 def test_magnitude_arithmetic_builds_no_fraction(name, qualname):
     assert _fraction_calls(name, qualname) == []
+
+
+@pytest.mark.parametrize("name, qualname", INT_PATH_FUNCTIONS, ids=lambda x: x)
+def test_int_paths_build_no_fraction(name, qualname):
+    assert _fraction_calls(name, qualname, ("Fraction", "as_fraction")) == []
+
+
+def _trace_targets() -> list[tuple[str, str, str, str]]:
+    # read, not imported: the TARGETS literal of benchmarks/spans.py
+    tree = ast.parse((ROOT / "benchmarks" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmarks/spans.py defines no TARGETS list")
+
+
+def test_every_benchmark_trace_target_resolves_in_the_library():
+    # the tracer wraps (layer, name, owner, attribute) through getattr, so a
+    # renamed or deleted function breaks --trace 1; name it here instead
+    targets = _trace_targets()
+    assert targets
+    missing = []
+    for layer, name, owner, attr in targets:
+        module = importlib.import_module(f"berkline.{layer}")
+        holder = module if owner == "module" else getattr(module, owner, None)
+        if not callable(getattr(holder, attr, None)):
+            missing.append(f"{layer}.{name}: {owner}.{attr}")
+    assert missing == []

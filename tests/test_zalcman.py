@@ -143,6 +143,33 @@ def test_selection_matches_exhaustive_oracle(sample, data):
         assert gromov_conditions(s, a, index, eps, tau) == gromov_conditions_oracle(s, a, index, eps, tau)
 
 
+# Values and points over many coprime denominators, some of them multiples
+# of p: the int comparisons of phi and the p-adic dist must agree with the
+# Fraction oracles however the denominators mix.
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_selection_on_coprime_denominators_matches_the_fraction_oracles(p, data):
+    spec = FieldSpec("padic", p)
+    size = data.draw(st.integers(1, 16))
+    dens = st.tuples(st.sampled_from(PRIMES), st.sampled_from([1, 1, p, p * p])).map(lambda qk: qk[0] * qk[1])
+    points = [spec.scalar(Fraction(data.draw(st.integers(-400, 400)), data.draw(dens))) for _ in range(size)]
+    # and a few values whose ratios are tau, so that phi(x) = tau phi(b) ties occur
+    ties = st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(4, 3), Fraction(3), Fraction(9, 4)])
+    spread = st.builds(Fraction, st.integers(1, 10**4), st.sampled_from(PRIMES))
+    values = [data.draw(st.one_of(spread, ties)) for _ in range(size)]
+    s = sampled_function(points, values)
+    a = data.draw(st.integers(0, size - 1))
+    eps = Fraction(data.draw(st.integers(1, 50)), data.draw(st.sampled_from(PRIMES)))
+    tau = 1 + Fraction(1, data.draw(st.integers(1, 3)))
+    b = gromov_select(s, a, eps, tau)
+    assert b == gromov_select_oracle(s, a, eps, tau)
+    for index in (b, data.draw(st.integers(0, size - 1))):
+        assert gromov_conditions(s, a, index, eps, tau) == gromov_conditions_oracle(s, a, index, eps, tau)
+
+
 def test_selection_is_deterministic(p3):
     pts = [p3.scalar(k) for k in range(8)]
     values = [Fraction(1), Fraction(9), Fraction(9), Fraction(2), Fraction(5), Fraction(1), Fraction(7), Fraction(3)]
