@@ -56,7 +56,7 @@ class SampledFunction:
             raise ValueError("empty sample")
         if len(self.points) != len(self.values):
             raise ValueError("one value per sample point")
-        if any(v.numerator <= 0 for v in self.values):  # an int comparison, not a Fraction one
+        if any(v.numerator <= 0 for v in self.values):  # a rational has its numerator's sign
             raise ValueError("sampled values must be positive rationals")
         spec = self.points[0].spec
         if any(p.spec != spec for p in self.points):

@@ -2,9 +2,9 @@
 runtime checks are explicit raises, never assert statements (which python -O
 strips), every import sits at module level, no tuple is built from a
 generator expression, the polynomial kernels allocate no dense lists,
-magnitude arithmetic builds no Fraction, the int paths of document
-rationals and in-disk coordinates build none either, and every benchmark
-trace target names a library function."""
+magnitude arithmetic builds no Fraction, nor do the int paths of document
+rationals, in-disk coordinates and the p-adic selection gap, and every
+benchmark trace target names a library function."""
 
 from __future__ import annotations
 
@@ -141,9 +141,10 @@ MAGNITUDE_FUNCTIONS = [
 ]
 
 
-# the parser of document rationals, the int layout of in-disk coordinates and
-# the chain search's steps: ints from the document to the distance, so a
-# Fraction (or an as_fraction, which builds one) here is one per coordinate
+# the parser of document rationals, the int layout of in-disk coordinates,
+# the chain search's steps and the p-adic gap of the selection step: ints
+# from the document to the result, so a Fraction here is one per coordinate
+# or sample point
 INT_PATH_FUNCTIONS = [
     ("field.py", "rational_pair"),
     ("field.py", "PadicScalar.dist"),
@@ -154,7 +155,11 @@ INT_PATH_FUNCTIONS = [
 ]
 
 
-def _fraction_calls(name: str, qualname: str, callees: tuple[str, ...] = ("Fraction",)) -> list[str]:
+# a call of either builds a Fraction
+FRACTION_BUILDERS = ("Fraction", "as_fraction")
+
+
+def _fraction_calls(name: str, qualname: str) -> list[str]:
     path = SRC / name
     scope: ast.AST = ast.parse(path.read_text(), str(path))
     for part in qualname.split("."):
@@ -168,8 +173,8 @@ def _fraction_calls(name: str, qualname: str, callees: tuple[str, ...] = ("Fract
         for node in ast.walk(scope)
         if isinstance(node, ast.Call)
         and (
-            (isinstance(node.func, ast.Name) and node.func.id in callees)
-            or (isinstance(node.func, ast.Attribute) and node.func.attr in callees)
+            (isinstance(node.func, ast.Name) and node.func.id in FRACTION_BUILDERS)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in FRACTION_BUILDERS)
         )
     ]
 
@@ -181,7 +186,7 @@ def test_magnitude_arithmetic_builds_no_fraction(name, qualname):
 
 @pytest.mark.parametrize("name, qualname", INT_PATH_FUNCTIONS, ids=lambda x: x)
 def test_int_paths_build_no_fraction(name, qualname):
-    assert _fraction_calls(name, qualname, ("Fraction", "as_fraction")) == []
+    assert _fraction_calls(name, qualname) == []
 
 
 def _trace_targets() -> list[tuple[str, str, str, str]]:
