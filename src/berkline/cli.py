@@ -100,7 +100,7 @@ def _load(args: argparse.Namespace, kinds: tuple[str, ...]) -> Document:
             raise SchemaError(f"an input file with a payload among {list(kinds)} is required")
         if args.field:
             spec = _parse_field_flag(args.field)
-            return Document(spec, "field-only", None, {"field": {"backend": spec.backend}})
+            return Document(spec, "field-only", None)
         raise SchemaError("an input file (or --field) is required")
     # an override is parsed first, so that the payload is read under it
     override = _parse_field_flag(args.field) if args.field else None

@@ -1,10 +1,12 @@
-"""Parsing and serialization of berkline input documents.
+"""Parsing of berkline input documents.
 
-A document is a JSON object with a ``field`` block and exactly one payload
+A document is a JSON object with a ``field`` block and at most one payload
 block.  All rationals travel as "num/den" strings (plain integers are also
 accepted) so no float ever enters the toolchain; see docs/formats.md for the
-full schema.  Parsing is strict: unknown keys, wrong shapes and inexact
-numbers raise :class:`SchemaError` with the offending path.
+full schema.  ``PAYLOADS`` maps each payload kind to its parser
+``parse(spec, node, path)``, and every object block, the top level included,
+is read by ``_object``, so parsing is strict in one place: unknown keys, wrong
+shapes and inexact numbers raise :class:`SchemaError` with the offending path.
 """
 
 from __future__ import annotations
@@ -22,28 +24,25 @@ from .points import Poly
 from .tropic import Interval, TropicalPolygon
 from .zalcman import SampledFunction, sampled_function
 
-PAYLOAD_KINDS = (
-    "series",
-    "map",
-    "tropical",
-    "tree-of-disks",
-    "curve-model",
-    "sample-function",
-    "map-family",
-    "tuples",
-)
-
 
 @dataclass
 class Document:
     spec: FieldSpec
     kind: str
     payload: Any
-    raw: dict
 
 
 def _fail(path: str, message: str) -> SchemaError:
     return SchemaError(f"{path}: {message}")
+
+
+def _object(node: Any, path: str, keys: set[str]) -> dict:
+    """The object block node at path, checked to hold no key outside keys."""
+    if not isinstance(node, dict):
+        raise _fail(path, "expected an object")
+    if not keys.issuperset(node):
+        raise _fail(path, f"unknown keys {sorted(set(node) - keys)}")
+    return node
 
 
 def _pair(node: Any, path: str) -> tuple[int, int]:
@@ -87,11 +86,7 @@ def _rational_pairs(node: Any, path: str, expected: str) -> list[tuple[Fraction,
 
 
 def parse_field_spec(node: Any, path: str = "field") -> FieldSpec:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
-    unknown = set(node) - {"backend", "p", "value_group", "numeric_base"}
-    if unknown:
-        raise _fail(path, f"unknown keys {sorted(unknown)}")
+    node = _object(node, path, {"backend", "p", "value_group", "numeric_base"})
     backend = node.get("backend")
     if backend not in (PADIC, PUISEUX):
         raise _fail(f"{path}.backend", f"expected 'padic' or 'puiseux-q', got {backend!r}")
@@ -153,17 +148,40 @@ def _parse_domain(node: Any, path: str) -> Domain | None:
     raise _fail(path, "expected {'disk': ...} or {'annulus': ...}")
 
 
+def _series(spec: FieldSpec, node: Any, path: str) -> Poly:
+    return parse_poly(spec, _object(node, path, {"terms"}).get("terms"), f"{path}.terms")
+
+
 def parse_map(spec: FieldSpec, node: Any, path: str) -> SeriesMap:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
-    unknown = set(node) - {"coordinates", "domain"}
-    if unknown:
-        raise _fail(path, f"unknown keys {sorted(unknown)}")
+    node = _object(node, path, {"coordinates", "domain"})
     coords_node = node.get("coordinates")
     if not isinstance(coords_node, list) or len(coords_node) < 2:
         raise _fail(f"{path}.coordinates", "expected at least two coordinate polynomials")
     coords = [parse_poly(spec, c, f"{path}.coordinates[{i}]") for i, c in enumerate(coords_node)]
     return series_map(coords, _parse_domain(node.get("domain"), f"{path}.domain"))
+
+
+def _map_family(spec: FieldSpec, node: Any, path: str) -> tuple[list[SeriesMap], list[Scalar] | None]:
+    node = _object(node, path, {"maps", "witnesses"})
+    maps_node = node.get("maps")
+    if not isinstance(maps_node, list) or not maps_node:
+        raise _fail(f"{path}.maps", "expected a nonempty list")
+    maps = [parse_map(spec, m, f"{path}.maps[{i}]") for i, m in enumerate(maps_node)]
+    wit_node = node.get("witnesses")
+    if wit_node is None:
+        return maps, None
+    if not isinstance(wit_node, list) or len(wit_node) != len(maps):
+        raise _fail(f"{path}.witnesses", "one witness per map")
+    return maps, [parse_scalar(spec, w, f"{path}.witnesses[{i}]") for i, w in enumerate(wit_node)]
+
+
+def _tuples(spec: FieldSpec, node: Any, path: str) -> tuple[list[Scalar], list[Scalar]]:
+    node = _object(node, path, {"x", "y"})
+    xs, ys = node.get("x"), node.get("y")
+    if not isinstance(xs, list) or not isinstance(ys, list):
+        raise _fail(path, "'x' and 'y' must be coordinate lists")
+    x = [parse_scalar(spec, c, f"{path}.x[{i}]") for i, c in enumerate(xs)]
+    return x, [parse_scalar(spec, c, f"{path}.y[{i}]") for i, c in enumerate(ys)]
 
 
 def _parse_bound(node: Any, path: str) -> Fraction | None:
@@ -172,9 +190,8 @@ def _parse_bound(node: Any, path: str) -> Fraction | None:
     return _rational(node, path)
 
 
-def parse_tropical(node: Any, path: str) -> TropicalPolygon:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
+def parse_tropical(spec: FieldSpec, node: Any, path: str) -> TropicalPolygon:
+    node = _object(node, path, {"terms", "domain"})
     terms_node = node.get("terms")
     if not isinstance(terms_node, list) or not terms_node:
         raise _fail(f"{path}.terms", "expected a nonempty list of [exponent, logval] pairs")
@@ -211,9 +228,8 @@ def _name(node: Any, path: str, kind: str) -> str:
     return node
 
 
-def parse_tree(node: Any, path: str) -> TreeOfDisks:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
+def parse_tree(spec: FieldSpec, node: Any, path: str) -> TreeOfDisks:
+    node = _object(node, path, {"disks", "edges", "marks"})
     disks = node.get("disks")
     if not isinstance(disks, list) or not all(isinstance(d, str) for d in disks):
         raise _fail(f"{path}.disks", "expected a list of disk names")
@@ -247,12 +263,8 @@ def _parse_attachment(node: Any, path: str):
     raise _fail(path, f"bad attachment {node!r}")
 
 
-def parse_curve_model(node: Any, path: str) -> CurveModel:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
-    unknown = set(node) - {"vertices", "edges", "punctures", "boundary", "disks"}
-    if unknown:
-        raise _fail(path, f"unknown keys {sorted(unknown)}")
+def parse_curve_model(spec: FieldSpec, node: Any, path: str) -> CurveModel:
+    node = _object(node, path, {"vertices", "edges", "punctures", "boundary", "disks"})
     vertices = []
     for at, v in _entries(node.get("vertices", []), f"{path}.vertices", (1, 2, 3), "expected [name, genus?, extra?]"):
         name, genus, extra = (v + [0, 0])[:3]  # genus and extra default to 0
@@ -280,8 +292,7 @@ def parse_curve_model(node: Any, path: str) -> CurveModel:
 
 
 def parse_sample_function(spec: FieldSpec, node: Any, path: str) -> SampledFunction:
-    if not isinstance(node, dict):
-        raise _fail(path, "expected an object")
+    node = _object(node, path, {"points", "values"})
     pts = node.get("points")
     vals = node.get("values")
     if not isinstance(pts, list) or not isinstance(vals, list) or len(pts) != len(vals):
@@ -294,6 +305,20 @@ def parse_sample_function(spec: FieldSpec, node: Any, path: str) -> SampledFunct
         raise _fail(path, str(exc)) from None
 
 
+# payload kind -> parse(spec, node, path)
+PAYLOADS = {
+    "series": _series,
+    "map": parse_map,
+    "tropical": parse_tropical,
+    "tree-of-disks": parse_tree,
+    "curve-model": parse_curve_model,
+    "sample-function": parse_sample_function,
+    "map-family": _map_family,
+    "tuples": _tuples,
+}
+_TOP_LEVEL = {"field", *PAYLOADS}
+
+
 def parse_document(text: str, spec: FieldSpec | None = None) -> Document:
     """The document in text; with ``spec``, its payload is parsed under that
     FieldSpec instead of the document's own field block (which must still be
@@ -302,70 +327,20 @@ def parse_document(text: str, spec: FieldSpec | None = None) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise SchemaError("top level: expected an object")
+    raw = _object(raw, "top level", _TOP_LEVEL)
     if "field" not in raw:
-        raise SchemaError("top level: missing 'field' block")
+        raise _fail("top level", "missing 'field' block")
     own = parse_field_spec(raw["field"])  # validated under an override too
     spec = own if spec is None else spec
-    kinds = [k for k in raw if k in PAYLOAD_KINDS]
-    extra = [k for k in raw if k not in PAYLOAD_KINDS and k != "field"]
-    if extra:
-        raise SchemaError(f"top level: unknown keys {sorted(extra)}")
+    kinds = [k for k in raw if k != "field"]
     if len(kinds) > 1:
-        raise SchemaError(f"top level: more than one payload block {sorted(kinds)}")
+        raise _fail("top level", f"more than one payload block {sorted(kinds)}")
     if not kinds:
-        return Document(spec, "field-only", None, raw)
+        return Document(spec, "field-only", None)
     kind = kinds[0]
-    node = raw[kind]
-    if kind == "series":
-        if not isinstance(node, dict) or set(node) - {"terms"}:
-            raise SchemaError("series: expected {'terms': [[n, coeff], ...]}")
-        payload: Any = parse_poly(spec, node.get("terms"), "series.terms")
-    elif kind == "map":
-        payload = parse_map(spec, node, "map")
-    elif kind == "tropical":
-        payload = parse_tropical(node, "tropical")
-    elif kind == "tree-of-disks":
-        payload = parse_tree(node, "tree-of-disks")
-    elif kind == "curve-model":
-        payload = parse_curve_model(node, "curve-model")
-    elif kind == "sample-function":
-        payload = parse_sample_function(spec, node, "sample-function")
-    elif kind == "map-family":
-        if not isinstance(node, dict) or set(node) - {"maps", "witnesses"}:
-            raise SchemaError("map-family: expected {'maps': [...], 'witnesses': [...]}")
-        maps_node = node.get("maps")
-        if not isinstance(maps_node, list) or not maps_node:
-            raise SchemaError("map-family.maps: expected a nonempty list")
-        maps = [parse_map(spec, m, f"map-family.maps[{i}]") for i, m in enumerate(maps_node)]
-        wit_node = node.get("witnesses")
-        witnesses = None
-        if wit_node is not None:
-            if not isinstance(wit_node, list) or len(wit_node) != len(maps):
-                raise SchemaError("map-family.witnesses: one witness per map")
-            witnesses = [
-                parse_scalar(spec, w, f"map-family.witnesses[{i}]") for i, w in enumerate(wit_node)
-            ]
-        payload = (maps, witnesses)
-    else:  # tuples
-        if not isinstance(node, dict) or set(node) - {"x", "y"}:
-            raise SchemaError("tuples: expected {'x': [...], 'y': [...]}")
-        xs = node.get("x")
-        ys = node.get("y")
-        if not isinstance(xs, list) or not isinstance(ys, list):
-            raise SchemaError("tuples: 'x' and 'y' must be coordinate lists")
-        x = [parse_scalar(spec, c, f"tuples.x[{i}]") for i, c in enumerate(xs)]
-        y = [parse_scalar(spec, c, f"tuples.y[{i}]") for i, c in enumerate(ys)]
-        payload = (x, y)
-    return Document(spec, kind, payload, raw)
+    return Document(spec, kind, PAYLOADS[kind](spec, raw[kind], kind))
 
 
 def load_document(path: str, spec: FieldSpec | None = None) -> Document:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_document(handle.read(), spec)
-
-
-def canonical_json(raw: dict) -> str:
-    """Byte-stable serialization used for round-trip checks."""
-    return json.dumps(raw, sort_keys=True, separators=(",", ":")) + "\n"

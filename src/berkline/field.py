@@ -57,7 +57,8 @@ def rational_pair(x: RationalInput) -> tuple[int, int]:
     surrounding whitespace allowed; any other string (decimals, exponents,
     digit separators, non-ASCII digits, a zero denominator) raises
     ValueError.  The regex, not int(), decides the grammar: int() alone
-    accepts "1_0" and non-ASCII digits.
+    accepts "1_0" and non-ASCII digits.  A bool is not a rational and raises
+    TypeError, like any other type.
     """
     if isinstance(x, str):
         m = _RATIONAL.fullmatch(x)
@@ -71,7 +72,7 @@ def rational_pair(x: RationalInput) -> tuple[int, int]:
             raise ValueError(f"zero denominator in {x!r}")
         g = math.gcd(n, d)
         return (n // g, d // g) if g != 1 else (n, d)
-    if isinstance(x, int):
+    if isinstance(x, int) and type(x) is not bool:
         return int(x), 1
     # isinstance(x, Fraction) last: Fraction's metaclass is ABCMeta, so the
     # check is a slow ABC instance check
@@ -330,7 +331,8 @@ class FieldSpec:
     is used only to classify type II versus type III radii.  ``numeric_base``
     optionally pins the abstract base beta of the puiseux-q backend to a
     rational > 1, which is needed whenever magnitudes must be compared with
-    plain rationals; for padic the base is always p.
+    plain rationals; for padic the base is always p, and a numeric_base is
+    rejected.
     """
 
     backend: str
@@ -344,6 +346,8 @@ class FieldSpec:
         if self.backend == PADIC:
             if self.p is None or not _is_prime(self.p):
                 raise ValueError("padic backend needs a prime p")
+            if self.numeric_base is not None:
+                raise ValueError("padic backend takes no numeric_base (its base is p)")
         elif self.p is not None:
             raise ValueError("puiseux-q backend takes no prime")
         vg = self.value_group

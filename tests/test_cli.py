@@ -16,7 +16,7 @@ import pytest
 
 from berkline import AbsValue, DiskPoint, FieldSpec, Poly, cli, eval_seminorm
 from berkline.cli import main
-from berkline.documents import canonical_json, load_document, parse_document
+from berkline.documents import load_document, parse_document
 from berkline.errors import BackendMismatch
 from berkline.field import abs_max
 
@@ -291,11 +291,53 @@ def test_round_trip_documents():
         if not name.endswith(".json"):
             continue
         doc = load_document(str(GOLDEN / name))
-        text = canonical_json(doc.raw)
-        again = parse_document(text)
-        assert canonical_json(again.raw) == text
+        with open(GOLDEN / name, encoding="utf-8") as handle:
+            again = parse_document(json.dumps(json.load(handle), sort_keys=True))
         assert again.kind == doc.kind
         assert again.spec == doc.spec
+
+
+# payload kind -> (a command that reads it and its flags, a minimal valid block)
+MINIMAL_PAYLOADS = {
+    "series": (["eval", "--point", "0,0"], {"terms": [[1, "1"]]}),
+    "map": (["fsderiv", "--point", "0,0"], {"coordinates": [[[0, "1"]], [[1, "1"]]]}),
+    "tropical": (["segments"], {"terms": [[1, "0"]], "domain": ["-1", "0"]}),
+    "tree-of-disks": (["dck", "--from", "x", "--to", "y"], {"disks": ["A"], "marks": {"x": ["A", "0"], "y": ["A", "1"]}}),
+    "curve-model": (["genus"], {"vertices": [["a", 1]]}),
+    "sample-function": (["gromov", "--start", "0", "--epsilon", "1", "--tau", "2"], {"points": ["0"], "values": ["1"]}),
+    "map-family": (["zalcman"], {"maps": [{"coordinates": [[[0, "3"]], [[1, "1"]]], "domain": {"disk": "0"}}]}),
+    "tuples": (["dproj"], {"x": ["1", "0"], "y": ["0", "1"]}),
+}
+
+
+@pytest.mark.parametrize("block", ["field", *MINIMAL_PAYLOADS])
+def test_every_object_block_rejects_unknown_keys_and_non_objects(tmp_path, block):
+    kind = "series" if block == "field" else block
+    (command, *flags), payload = MINIMAL_PAYLOADS[kind]
+    doc = {"field": {"backend": "padic", "p": 3}, kind: payload}
+    path = tmp_path / "doc.json"
+
+    def run(document):
+        path.write_text(json.dumps(document))
+        return run_cli_full([command, str(path), *flags])
+
+    assert run(doc)[0] == 0
+    error = f"berkline: input error: {block}: "
+    assert run({**doc, block: {**doc[block], "bogus": 1}}) == (2, "", error + "unknown keys ['bogus']\n")
+    assert run({**doc, block: [doc[block]]}) == (2, "", error + "expected an object\n")
+
+
+@pytest.mark.parametrize("override", [[], ["--field", "padic:3"], ["--field", "puiseux:5"]], ids=lambda o: "-".join(o))
+def test_numeric_base_on_a_padic_field_is_a_schema_error(tmp_path, override):
+    # the padic base is p, so a declared numeric_base would go unread
+    path = tmp_path / "doc.json"
+    field = {"backend": "padic", "p": 3, "numeric_base": "5"}
+    path.write_text(json.dumps({"field": field, "series": {"terms": [[1, "1"]]}}))
+    code, out, err = run_cli_full(["eval", str(path), "--point", "1/3", "--multiplicative", *override])
+    assert (code, out) == (2, "")
+    assert err == "berkline: input error: field: padic backend takes no numeric_base (its base is p)\n"
+    with pytest.raises(ValueError, match="numeric_base"):
+        FieldSpec("padic", 3, numeric_base=Fraction(5))
 
 
 def test_main_builds_the_parser_once(monkeypatch):

@@ -3,8 +3,9 @@ runtime checks are explicit raises, never assert statements (which python -O
 strips), every import sits at module level, no tuple is built from a
 generator expression, the polynomial kernels allocate no dense lists,
 magnitude arithmetic builds no Fraction, nor do the int paths of document
-rationals, in-disk coordinates and the p-adic selection gap, and every
-benchmark trace target names a library function."""
+rationals, in-disk coordinates and the p-adic selection gap, every
+benchmark trace target names a library function, and the CLI's command table
+and the document reader's payload table name the same payload kinds."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from berkline import cli, documents
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "berkline"
@@ -210,3 +213,17 @@ def test_every_benchmark_trace_target_resolves_in_the_library():
         if not callable(getattr(holder, attr, None)):
             missing.append(f"{layer}.{name}: {owner}.{attr}")
     assert missing == []
+
+
+def _command_payload_kinds() -> set[str]:
+    return {kind for _, kinds, _, _ in cli.COMMANDS.values() for kind in kinds or ()}
+
+
+def test_every_command_payload_kind_has_a_parser():
+    # a kind no parser reads would turn every input of that command into a schema error
+    assert sorted(_command_payload_kinds() - documents.PAYLOADS.keys()) == []
+
+
+def test_every_payload_kind_is_read_by_a_command():
+    # a kind no command takes is parsed only to be refused
+    assert sorted(documents.PAYLOADS.keys() - _command_payload_kinds()) == []
