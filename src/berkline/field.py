@@ -496,7 +496,8 @@ class PadicScalar(Scalar):
         if not self.value:
             return ABS_ZERO
         # |x| = p^(-v_p(x)); FieldSpec requires a prime for padic
-        return _magnitude(-_padic_split(self.value, self.spec.p)[0], 1)
+        x = self.value
+        return _magnitude(-_padic_split(x.numerator, x.denominator, self.spec.p)[0], 1)
 
     def dist(self, other: Scalar) -> AbsValue:
         """|self - other| = p^(v_p(xd) + v_p(yd) - v_p(xn yd - yn xd)) for
@@ -523,24 +524,18 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def _padic_split(x: Fraction, p: int) -> tuple[int, int, int]:
-    """(v, n, d) with a nonzero x = p^v n / d and p dividing neither n nor d.
-    x is in lowest terms, so p divides at most one of its numerator and
-    denominator: one loop divides out the factors of p."""
-    n, d = x.numerator, x.denominator
-    if n % p:
-        v = 0
-        while not d % p:
-            d //= p
-            v -= 1
-        return v, n, d
+def _padic_split(n: int, d: int, p: int) -> tuple[int, int, int]:
+    """(v, n', d') with a nonzero n/d = p^v n' / d' and p dividing neither
+    n' nor d', read off the ints; n/d need not be in lowest terms."""
     if not n:
         raise ValueError("valuation of 0")
-    v = 1
-    n //= p
+    v = 0
     while not n % p:
         n //= p
         v += 1
+    while not d % p:
+        d //= p
+        v -= 1
     return v, n, d
 
 
@@ -570,8 +565,8 @@ def _terms_from_dict(d: dict[Fraction, Fraction]) -> tuple[Terms, Terms]:
     items = [(q, c) for q, c in d.items() if c]
     if not items:
         return _ZERO_TERMS, _ONE_TERMS
-    denom = math.lcm(*(q.denominator for q, _ in items))
-    scale = math.lcm(*(c.denominator for _, c in items))
+    denom = math.lcm(*[q.denominator for q, _ in items])
+    scale = math.lcm(*[c.denominator for _, c in items])
     num = [(q.numerator * (denom // q.denominator), c.numerator * (scale // c.denominator)) for q, c in items]
     return (denom, tuple(sorted(num))), _constant(scale)
 
@@ -592,7 +587,7 @@ def _reduced(denom: int, terms: tuple) -> Terms:
     if not terms:
         return _ZERO_TERMS
     if denom > 1:
-        g = math.gcd(denom, *(k for k, _ in terms))
+        g = math.gcd(denom, *[k for k, _ in terms])
         if g > 1:
             return denom // g, tuple([(k // g, c) for k, c in terms])
     return denom, terms
@@ -789,7 +784,7 @@ def _normalize_fraction(num: Terms, den: Terms) -> tuple[Terms, Terms]:
     ed = _terms_lowest(den, denom)
     if len(den[1]) == 1:
         c = den[1][0][1]
-        g = math.gcd(c, *(a for _, a in num[1]))
+        g = math.gcd(c, *[a for _, a in num[1]])
         g = g if c > 0 else -g
         m = denom // num[0]
         return _reduced(denom, tuple([(k * m - ed, a // g) for k, a in num[1]])), _constant(c // g)
@@ -831,13 +826,17 @@ _KEY_TERMS = 6  # expansion terms that a hash reads
 
 def _expansion(num: Terms, den: Terms, radius: AbsValue = ABS_ZERO) -> tuple:
     """The lowest terms, at most _KEY_TERMS, of the Puiseux expansion of
-    num/den as (exponent, coefficient) Fraction pairs; with ``radius``, only
-    those of magnitude > radius.
+    num/den as (exponent numerator, exponent denominator, coefficient
+    numerator, coefficient denominator) reduced int quadruples, denominators
+    positive; with ``radius``, only those of magnitude > radius.
 
     An invariant of the value, so every num/den pair of it, reduced or not,
-    gives the same pairs with no gcd.  Sparse long division: each step divides
-    the remainder's lowest term by den's lowest term.  The cap holds for
-    polynomials too, so a polynomial and a fraction equal to it agree.
+    gives the same quadruples with no gcd of term maps.  Sparse long
+    division: each step divides the remainder's lowest term by den's lowest
+    term c0.  The remainder is kept as ints times c0^j after j steps, so the
+    step's coefficient is its lowest int over c0^(j+1) and no Fraction is
+    built.  The cap holds for polynomials too, so a polynomial and a fraction
+    equal to it agree.
     """
     denom, rem, ((k0, c0), *rest) = _common(num, den)
     rem = dict(rem)
@@ -845,15 +844,22 @@ def _expansion(num: Terms, den: Terms, radius: AbsValue = ABS_ZERO) -> tuple:
     # |t^((k - k0)/denom)| <= beta^(n/d) iff (k0 - k) d <= n denom; never for
     # the zero pair (-1, 0)
     bound = radius.n * denom
+    scale = c0  # c0^(j+1) at step j
     while rem and len(out) < _KEY_TERMS:
         k = min(rem)
         if (k0 - k) * radius.d <= bound:
             break
-        q = Fraction(rem.pop(k), c0)
-        out.append((Fraction(k - k0, denom), q))
+        x = rem.pop(k)
+        g, h = math.gcd(k - k0, denom), math.gcd(x, scale)
+        if scale < 0:
+            h = -h
+        out.append(((k - k0) // g, denom // g, x // h, scale // h))
+        if c0 != 1:
+            rem = {e: c * c0 for e, c in rem.items()}
+            scale *= c0
         for kd, cd in rest:
             e = k - k0 + kd
-            c = rem.pop(e, 0) - q * cd
+            c = rem.pop(e, 0) - x * cd
             if c:
                 rem[e] = c
     return tuple(out)

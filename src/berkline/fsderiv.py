@@ -7,18 +7,22 @@ with no common factor.  Its derivative magnitude at a point z is
 
 evaluated exactly through the seminorm of the point.  The Wronskian minors
 are exact polynomials: the coordinates are cleared over one denominator L
-(points._cleared), the derivative multiplies the int coefficients of T^n by
-n, so the factor n keeps its backend magnitude and residue characteristic p
-is fully visible, and each minor is one difference of int products over L^2.
+(points._cleared), to f_i = C_i / L, and the derivative multiplies the int
+coefficients of T^n by n, so the factor n keeps its backend magnitude and
+residue characteristic p is fully visible.  Each minor is W_ij / L^2, W_ij
+one difference of int products.  Seminorms multiply, so L cancels from the
+quotient, max |W_ij| / max |C_i|^2: every seminorm of the derivative is taken
+on the int numerators at one point context (points._seminorm), and no minor
+is built as a Poly.
 
 Disk images of affine polynomial maps are exact.  With a the short centre of
 eta_{a,r}, one synthetic division f = f(a) + (T - a) q gives the image: its
 center is f(a), and its radius is r |q|_{a,r}, because seminorms multiply and
 |T - a|_{a,r} = r.  This equals max_{i>=1} |f_i| r^i over the coefficients f_i
 of f recentred at a, the computational content of the diameter-transport
-identity, and holds in every residue characteristic; |q|_{a,r} is certified
-like any seminorm, so q deflates further only when the certificate is
-inconclusive.
+identity, and holds in every residue characteristic; |q|_{a,r} is read off
+the numerators of the cleared quotient and certified like any seminorm, so q
+deflates further only when the certificate is inconclusive.
 
 Moebius words, composition, rescaling and the chart at infinity are one
 substitution T -> num/den into the homogenized coordinates.  num and den never
@@ -56,19 +60,21 @@ from .points import (
     Poly,
     ProjPoint,
     _ONE_POLY,
+    _Point,
     _clear,
     _combine,
     _derived,
+    _disk_image,
     _num_den,
+    _over_one,
+    _seminorm,
     _times,
     _uncleared,
     coprime_certificate,
-    divide_linear,
     divide_out,
     eval_seminorm,
     poly_gcd,
     rigid,
-    short_centre,
 )
 
 # ---------------------------------------------------------------------------
@@ -188,25 +194,39 @@ def _require_in_domain(f: SeriesMap, z: DiskPoint) -> None:
 def wronskian_minors(f: SeriesMap) -> list[Poly]:
     """The minors f_i' f_j - f_j' f_i, i < j.  The coordinates are cleared
     over one L, so both products of a minor are over L^2 and the minor is a
-    difference of numerators."""
+    difference of numerators (_minors; fs_derivative reads those numerators
+    and builds no minor)."""
     lcm, coords = _clear(f.coords)
-    derivs = [_derived(c) for c in coords]
     den = _times(lcm, lcm)
-    out = []
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            minor = _combine([(1, derivs[i], coords[j]), (-1, derivs[j], coords[i])])
-            out.append(_uncleared(f.spec, minor, den))
-    return out
+    return [_uncleared(f.spec, minor, den) for minor in _minors(coords)]
+
+
+def _minors(coords: list[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple]]]:
+    """The cleared minors C_i' C_j - C_j' C_i, i < j, of cleared coordinates."""
+    derivs = [_derived(c) for c in coords]
+    n = len(coords)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [_combine([(1, derivs[i], coords[j]), (-1, derivs[j], coords[i])]) for i, j in pairs]
 
 
 def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
-    """Exact Fubini-Study derivative magnitude at a point of the line."""
+    """Exact Fubini-Study derivative magnitude at a point of the line.
+
+    The coordinates are cleared once, to C_i / L, and the minors are the
+    numerators W_ij of wronskian_minors, over L^2.  |f_i| = |C_i| / |L| and
+    |W_ij / L^2| = |W_ij| / |L|^2, so L cancels: every seminorm is taken on
+    the numerators at one point context, and no Scalar is built per
+    coefficient.  A point over another FieldSpec than f raises
+    BackendMismatch."""
     _require_in_domain(f, z)
-    den = abs_max(eval_seminorm(c, z) for c in f.coords)
+    if f.spec is not z.spec and f.spec != z.spec:
+        raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
+    point = _Point(z)
+    _, coords = _clear(f.coords)
+    den = abs_max([_seminorm(_over_one(c), point) for c in coords])
     if den.is_zero:
         raise DomainViolation("all homogeneous coordinates vanish at the point")
-    num = abs_max(eval_seminorm(w, z) for w in wronskian_minors(f))
+    num = abs_max([_seminorm(_over_one(w), point) for w in _minors(coords)])
     zn = z.norm()
     return unit_max(zn * zn) * num / (den * den)
 
@@ -424,15 +444,14 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
         raise PoleHit("chart denominator must be a nonzero constant")
     c_inv = den.coeff(0).inv()
     c_abs = den.coeff(0).abs()
+    point = None if z.is_rigid else _Point(z)
     out = []
     for p in f.coords[1:]:
         if not p.is_plain:
             raise DomainViolation("affine coordinates must be plain polynomials")
-        if z.is_rigid:
+        if point is None:
             out.append(DiskPoint(p.evaluate(z.center) * c_inv, z.radius))
             continue
-        a = short_centre(z)
-        value, q = divide_linear(p, a)
-        radius = z.radius * eval_seminorm(q, DiskPoint(a, z.radius)) / c_abs
-        out.append(DiskPoint(value * c_inv, radius))
+        value, q = _disk_image(p, point)
+        out.append(DiskPoint(value * c_inv, z.radius * q / c_abs))
     return out

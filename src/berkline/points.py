@@ -18,18 +18,27 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
 * only when the leading parts cancel does P deflate at a ball, by
   |P|_{a,r} = max(|P(a)|, r |Q|_{a,r}) for P = P(a) + (T - a) Q.
 
+The seminorm kernel (_seminorm, _certificate) reads a polynomial as
+(n, num, den) triples of int term maps and the point as a context built
+once per call (_Point: the short centre, its initial triple, and p).
+eval_seminorm passes each coefficient's own num/den; the derivative and disk
+images of fsderiv pass cleared numerators over den 1, since a common
+denominator only scales a seminorm by its magnitude.  No Scalar is built on
+the certified or deflation paths.
+
 Polynomial algebra runs on one clearing for both backends: every value is
 read as a num/den pair of int term maps (a padic rational as two constants),
 and the coefficients of a polynomial are put over one denominator L, the int
 lcm of the constant dens times the product of the distinct other dens
 (_cleared).  The synthetic division, the gcd and the products all work on
-those int numerators, with no Scalar arithmetic, and build one scalar per
-output coefficient, left unreduced over its constant den.  Polynomial input
-has nothing to clear.  One synthetic-division kernel gives disk images (one
-pass), the deflation (passes until a certificate) and the Taylor shift (all
-passes); products, sums and derivatives (the Poly operators, the Wronskian
-minors and the map substitution) accumulate int terms by exponent, the
-denominator of a product being the product of the denominators.
+those int numerators, with no Scalar arithmetic; a Poly result gets one
+scalar per output coefficient, left unreduced over its constant den.
+Polynomial input has nothing to clear.  One synthetic-division kernel gives
+disk images (one pass), the deflation (passes until a certificate) and the
+Taylor shift (all passes); products, sums and derivatives (the Poly
+operators, the Wronskian minors and the map substitution) accumulate int
+terms by exponent, the denominator of a product being the product of the
+denominators.
 Laurent polynomials are evaluated multiplicatively through
 |T^{-1}(x)| = 1/max(|a|, r), which is finite at every point except the rigid
 point 0.
@@ -228,8 +237,9 @@ def taylor_shift(p: Poly, a: Scalar) -> Poly:
         raise PoleAtPoint("taylor_shift is defined for plain polynomials")
     if a.is_zero or p.is_constant:
         return p
-    division = _SyntheticDivision(p, a)
-    return Poly.from_coeffs(p.spec, [division.divide() for _ in range(p.degree())] + [p.terms[-1][1]])
+    division = _SyntheticDivision(_triples(p), *_num_den(a))
+    values = [_from_num_den(p.spec, *division.divide()) for _ in range(p.degree())]
+    return Poly.from_coeffs(p.spec, values + [p.terms[-1][1]])
 
 
 class _SyntheticDivision:
@@ -237,28 +247,29 @@ class _SyntheticDivision:
     P_0 = P and P_k = P_k(a) + (T - a) P_{k+1}, so that P_k(a) is the k-th
     Taylor coefficient of P at a.
 
-    With a = A/B and c_n = N_n/L read as int term maps over the common
-    denominator L of _cleared (a padic n/d as constants) and d the degree, P
-    is cleared once, to e_n = N_n B^(d-n).  Pass k is one Horner pass by A,
+    P is given as (n, num, den) triples of int term maps (_triples) and a as
+    the pair A/B.  With c_n = N_n/L over the common denominator L of _cleared
+    (a padic n/d as constants) and d the degree, P is cleared once, to
+    e_n = N_n B^(d-n).  Pass k is one Horner pass by A,
     e_n += A e_{n+1} for n = d - 1, ..., k, with no Scalar arithmetic; it
     leaves P_k(a) = e_k / (L B^(d-k)) and the coefficients
     e_{k+1+j} / (L B^(d-k-1-j)) of P_{k+1}, so no denominator grows with k.
-    Values are left unreduced (a magnitude never needs the reduced form).
+    Both are returned as term maps, left unreduced (a magnitude never needs
+    the reduced form); callers that need a Scalar build it once.
     """
 
-    __slots__ = ("spec", "top", "lcm", "b_powers", "deg", "e", "k")
+    __slots__ = ("top", "lcm", "b_powers", "deg", "e", "k")
 
-    def __init__(self, p: Poly, a: Scalar) -> None:
-        self.spec, self.deg, self.k = p.spec, p.degree(), 0
-        self.top, bottom = _num_den(a)
-        nums, self.lcm = _cleared([_num_den(c) for _, c in p.terms])
+    def __init__(self, terms: list[tuple[int, tuple, tuple]], top: tuple, bottom: tuple) -> None:
+        self.top, self.deg, self.k = top, terms[-1][0], 0
+        nums, self.lcm = _cleared([(num, den) for _, num, den in terms])
         self.b_powers = [_ONE_TERMS]
         for _ in range(self.deg):
             self.b_powers.append(_times(self.b_powers[-1], bottom))
-        self.e = {n: _times(num, self.b_powers[self.deg - n]) for (n, _), num in zip(p.terms, nums)}
+        self.e = {n: _times(num, self.b_powers[self.deg - n]) for (n, _, _), num in zip(terms, nums)}
 
-    def divide(self) -> Scalar:
-        """Pass k: P_k(a), leaving P_{k+1}."""
+    def divide(self) -> tuple[tuple, tuple]:
+        """Pass k: P_k(a) as a num/den pair of term maps, leaving P_{k+1}."""
         e, top, k = self.e, self.top, self.k
         acc = e.get(self.deg, _ZERO_TERMS)
         for n in range(self.deg - 1, k - 1, -1):
@@ -270,17 +281,14 @@ class _SyntheticDivision:
             else:
                 e.pop(n, None)
         self.k = k + 1
-        if not acc[1]:
-            return self.spec.zero()
-        return _from_num_den(self.spec, acc, _times(self.lcm, self.b_powers[self.deg - k]))
+        return acc, _times(self.lcm, self.b_powers[self.deg - k])
 
-    def quotient(self) -> Poly:
-        """P_k after k passes, over the one denominator L B^(d-k), so that a
-        later clearing of it has nothing to do."""
+    def quotient(self) -> tuple[list[tuple[int, tuple]], tuple]:
+        """P_k after k passes as a cleared list (nums e_n B^(n-k)) and its one
+        denominator L B^(d-k)."""
         e, b, k = self.e, self.b_powers, self.k
-        spec, den = self.spec, _times(self.lcm, b[self.deg - k])
-        terms = [(n - k, _from_num_den(spec, _times(e[n], b[n - k]), den)) for n in range(k, self.deg + 1) if n in e]
-        return Poly(spec, tuple(terms))
+        nums = [(n - k, _times(e[n], b[n - k])) for n in range(k, self.deg + 1) if n in e]
+        return nums, _times(self.lcm, b[self.deg - k])
 
 
 def _num_den(c: Scalar) -> tuple[tuple, tuple]:
@@ -292,8 +300,15 @@ def _num_den(c: Scalar) -> tuple[tuple, tuple]:
     return (1, ((0, v.numerator),)), (1, ((0, v.denominator),))
 
 
+def _triples(p: Poly) -> list[tuple[int, tuple, tuple]]:
+    """The (n, num, den) triples of P's coefficients, each over its own den."""
+    return [(n, *_num_den(c)) for n, c in p.terms]
+
+
 def _from_num_den(spec: FieldSpec, num: tuple, den: tuple) -> Scalar:
     """The scalar num/den of two term maps, unreduced (the inverse of _num_den)."""
+    if not num[1]:
+        return spec.zero()
     if spec.backend == PUISEUX:
         return PuiseuxScalar(spec, num, den)
     return PadicScalar(spec, Fraction(num[1][0][1], den[1][0][1]))
@@ -417,55 +432,18 @@ def divide_linear(p: Poly, a: Scalar) -> tuple[Scalar, Poly]:
     """
     if not p.is_plain:
         raise PoleAtPoint("divide_linear is defined for plain polynomials")
-    if a.is_zero:
+    if a.is_zero or p.is_zero:
         return p.coeff(0), Poly(p.spec, tuple([(n - 1, c) for n, c in p.terms if n]))
-    division = _SyntheticDivision(p, a)
-    return division.divide(), division.quotient()
+    division = _SyntheticDivision(_triples(p), *_num_den(a))
+    value = _from_num_den(p.spec, *division.divide())
+    nums, den = division.quotient()
+    return value, Poly(p.spec, tuple([(n, _from_num_den(p.spec, num, den)) for n, num in nums]))
 
 
 def initial_form(p: Poly, a: Scalar) -> tuple[AbsValue, tuple[int, ...]] | None:
-    """The certificate |P(a)| = |P|_{0,|a|} for a nonzero plain P and a != 0.
-
-    U = |P|_{0,|a|} = max_n |c_n| |a|^n needs no shift, and S lists the
-    exponents n whose terms attain it.  Their leading parts sum to
-    sigma = sum_{n in S} in(c_n) in(a)^n, in(x) being the lowest num
-    coefficient over the lowest den coefficient for puiseux-q and the unit
-    part of x mod p for padic.  When sigma != 0 the terms of S do not cancel,
-    so |P(a)| = U, and the witness (U, S) is returned; None when sigma = 0.
-    A single attaining term never cancels, so sigma is formed only for two or
-    more.  Valuations are ints over one common denominator (puiseux-q) or
-    p-adic valuations, and sigma is one int over the cleared leading
-    denominators, read mod p for padic.
-    """
-    values = [c for _, c in p.terms] + [a]
-    if type(a) is PuiseuxScalar:
-        maps = [(c.num_terms, c.den_terms) for c in values]  # type: ignore[attr-defined]
-        denom = math.lcm(*[m[0] for pair in maps for m in pair])
-        prime = 0
-        # (valuation in units of 1/denom, lowest num coefficient, lowest den coefficient)
-        initials = [
-            (num[1][0][0] * (denom // num[0]) - den[1][0][0] * (denom // den[0]), num[1][0][1], den[1][0][1])
-            for num, den in maps
-        ]
-    else:
-        prime, denom = a.spec.p, 1
-        initials = [_padic_split(c.value, prime) for c in values]  # type: ignore[attr-defined]
-    *coeffs, (step, alpha, beta) = initials
-    weights = [v + n * step for (n, _), (v, _, _) in zip(p.terms, coeffs)]
-    best = min(weights)
-    support = [i for i, w in enumerate(weights) if w == best]
-    if len(support) > 1:
-        # sigma times beta^d and the lcm of the in(c_n) denominators: an int,
-        # and for padic a residue of the same class, since p divides neither
-        d = p.terms[support[-1]][0]
-        scale = math.lcm(*[coeffs[i][2] for i in support])
-        sigma = 0
-        for i in support:
-            n = p.terms[i][0]
-            sigma += coeffs[i][1] * (scale // coeffs[i][2]) * alpha**n * beta ** (d - n)
-        if not (sigma % prime if prime else sigma):
-            return None
-    return _magnitude(-best, denom), tuple([p.terms[i][0] for i in support])
+    """The certificate |P(a)| = |P|_{0,|a|} for a nonzero plain P and a != 0
+    (_certificate on P's own num/den pairs)."""
+    return _certificate(_triples(p), _Point(rigid(a)))
 
 
 def coprime_certificate(polys: Sequence[Poly]) -> bool:
@@ -480,7 +458,7 @@ def coprime_certificate(polys: Sequence[Poly]) -> bool:
         return False
     # u = t^(1/denom) makes every coefficient a Laurent polynomial over its den
     maps = [m for p in polys for _, c in p.terms for m in (c.num_terms, c.den_terms)]  # type: ignore[attr-defined]
-    denom = math.lcm(*(m[0] for m in maps))
+    denom = math.lcm(*[m[0] for m in maps])
     for sigma in (Fraction(2), Fraction(3), Fraction(5, 2)):
         images = [_specialize(p, denom, sigma) for p in polys]
         if None in images or not any(s[1] and s[1][-1][0] == p.degree() for s, p in zip(images, polys)):
@@ -655,7 +633,7 @@ def _ball_key(a: Scalar, r: AbsValue) -> object:
     if r.is_zero or not v:
         return v
     m = -(r.n // r.d)
-    val, _, u = _padic_split(v, p)
+    val, _, u = _padic_split(v.numerator, v.denominator, p)
     if val >= m:
         return 0
     e = max(0, -val)
@@ -731,48 +709,161 @@ class ProjPoint:
 
 
 def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
-    """|P(x)| for the multiplicative seminorm of the point x.
+    """|P(x)| for the multiplicative seminorm of the point x: _seminorm on
+    each coefficient's own num/den term maps, with nothing cleared.  A point
+    over another FieldSpec than P raises BackendMismatch, as scalar
+    arithmetic does."""
+    if p.spec is not x.spec and p.spec != x.spec:
+        raise BackendMismatch(f"mixed backends: {p.spec} vs {x.spec}")
+    return _seminorm(_triples(p), _Point(x))
+
+
+class _Point:
+    """The context of seminorms at one point x = eta_{a,r}, built once per
+    call: the short centre a (the centre itself at a rigid point), its num/den
+    term maps A/B, the residue characteristic p (0 for puiseux-q), and for
+    a != 0 the initial triple of a as ``initial`` = (v, D, alpha, beta): the
+    valuation v/D of a, and the lowest num and den coefficients (puiseux-q)
+    or the p-free parts of a's numerator and denominator (padic, D = 1)."""
+
+    __slots__ = ("point", "centre", "prime", "top", "bottom", "initial")
+
+    def __init__(self, x: DiskPoint) -> None:
+        a = self.centre = x.center if x.radius.is_zero else short_centre(x)
+        self.point = x
+        self.prime = a.spec.p or 0
+        if a.is_zero:
+            return
+        top, bottom = self.top, self.bottom = _num_den(a)
+        if self.prime:
+            v, alpha, beta = _padic_split(top[1][0][1], bottom[1][0][1], self.prime)
+            self.initial = (v, 1, alpha, beta)
+        else:
+            (dn, tn), (dd, td) = top, bottom
+            denom = math.lcm(dn, dd)
+            self.initial = (tn[0][0] * (denom // dn) - td[0][0] * (denom // dd), denom, tn[0][1], td[0][1])
+
+
+def _term_abs(num: tuple, den: tuple, prime: int) -> AbsValue:
+    """|num/den| for int term maps (padic: constants over the prime p)."""
+    if not num[1]:
+        return ABS_ZERO
+    if prime:
+        return _magnitude(-_padic_split(num[1][0][1], den[1][0][1], prime)[0], 1)
+    (dn, tn), (dd, td) = num, den
+    return _magnitude(td[0][0] * dn - tn[0][0] * dd, dn * dd)
+
+
+def _certificate(terms: list[tuple[int, tuple, tuple]], x: _Point) -> tuple[AbsValue, tuple[int, ...]] | None:
+    """The certificate |P(a)| = |P|_{0,|a|} for a nonzero plain P, given as
+    sorted (n, num, den) triples, and the nonzero centre a of x.
+
+    U = |P|_{0,|a|} = max_n |c_n| |a|^n needs no shift, and S lists the
+    exponents n whose terms attain it.  Their leading parts sum to
+    sigma = sum_{n in S} in(c_n) in(a)^n, in(x) being the lowest num
+    coefficient over the lowest den coefficient for puiseux-q and the unit
+    part of x mod p for padic.  When sigma != 0 the terms of S do not cancel,
+    so |P(a)| = U, and the witness (U, S) is returned; None when sigma = 0.
+    A single attaining term never cancels, so sigma is formed only for two or
+    more.  Valuations are ints over one common denominator (puiseux-q) or
+    p-adic valuations of the ints, and sigma is one int over the cleared
+    leading denominators, read mod p for padic.  A common factor of every
+    coefficient (one den for all) scales U by its magnitude and sigma by a
+    unit, so the certificate of the nums holds for the quotients too.
+    """
+    step, denom, alpha, beta = x.initial
+    prime = x.prime
+    if prime:
+        coeffs = [_padic_split(num[1][0][1], den[1][0][1], prime) for _, num, den in terms]
+    else:
+        common = math.lcm(denom, *[m[0] for _, num, den in terms for m in (num, den)])
+        step, denom = step * (common // denom), common
+        # (valuation in units of 1/denom, lowest num coefficient, lowest den coefficient)
+        coeffs = [
+            (num[1][0][0] * (denom // num[0]) - den[1][0][0] * (denom // den[0]), num[1][0][1], den[1][0][1])
+            for _, num, den in terms
+        ]
+    weights = [v + n * step for (n, _, _), (v, _, _) in zip(terms, coeffs)]
+    best = min(weights)
+    support = [i for i, w in enumerate(weights) if w == best]
+    if len(support) > 1:
+        # sigma times beta^d and the lcm of the in(c_n) denominators: an int,
+        # and for padic a residue of the same class, since p divides neither
+        d = terms[support[-1]][0]
+        scale = math.lcm(*[coeffs[i][2] for i in support])
+        sigma = 0
+        for i in support:
+            n = terms[i][0]
+            sigma += coeffs[i][1] * (scale // coeffs[i][2]) * alpha**n * beta ** (d - n)
+        if not (sigma % prime if prime else sigma):
+            return None
+    return _magnitude(-best, denom), tuple([terms[i][0] for i in support])
+
+
+def _seminorm(terms: list[tuple[int, tuple, tuple]], x: _Point) -> AbsValue:
+    """|P(x)| for P given as sorted (n, num, den) triples of int term maps.
 
     For a plain polynomial this is max_i |c_i| r^i over the coefficients
     recentred at the short centre a: read off P itself when a = 0, certified
-    by initial_form when a != 0, and only when the certificate is
+    by _certificate when a != 0, and only when the certificate is
     inconclusive found by deflation: passes of _SyntheticDivision give
-    c_j = P_j(a) until initial_form certifies a quotient P_k, and the value
-    is the max of |c_j| r^j over j < k and r^k |P_k(a)|.  At a rigid point
-    the certificate gives |P(a)|, with Horner's rule as the fallback.  A
-    Laurent polynomial is written T^{-m} Q with Q plain and evaluated
-    multiplicatively; this is exact at every point other than the rigid
-    point 0, where T has seminorm zero.  A nonzero centre over another
-    FieldSpec than P raises BackendMismatch, as scalar arithmetic does.
+    c_j = P_j(a) until _certificate holds for the cleared nums of a quotient
+    P_k (over one den, whose magnitude divides once), and the value is the
+    max of |c_j| r^j over j < k and r^k |P_k(a)|.  No Scalar is built on
+    these paths.  At a rigid point the certificate gives |P(a)|, with
+    Horner's rule on Scalars as the fallback.  A Laurent polynomial is
+    written T^{-m} Q with Q plain and evaluated multiplicatively; this is
+    exact at every point other than the rigid point 0, where T has seminorm
+    zero.
     """
-    if p.is_zero:
+    if not terms:
         return ABS_ZERO
-    neg = -min(0, p.min_exp())
-    if neg:
-        t_norm = x.norm()
+    neg = -terms[0][0]
+    if neg > 0:
+        t_norm = x.point.norm()
         if t_norm.is_zero:
             raise PoleAtPoint("Laurent polynomial at the rigid point 0")
-        plain_val = eval_seminorm(p.shift_exp(neg), x)
-        return plain_val / t_norm ** neg
-    a = x.center if x.radius.is_zero else short_centre(x)
-    if not a.is_zero:
-        if p.spec is not a.spec and p.spec != a.spec:
-            raise BackendMismatch(f"mixed backends: {p.spec} vs {a.spec}")
-        certificate = initial_form(p, a)
-        if certificate is not None:
-            return certificate[0]
-    if x.radius.is_zero:
-        return p.evaluate(a).abs()
-    r = x.radius
+        return _seminorm([(n + neg, num, den) for n, num, den in terms], x) / t_norm**neg
+    a, r, prime = x.centre, x.point.radius, x.prime
     if a.is_zero:
-        return abs_max(c.abs() * r**n for n, c in p.terms)
+        if r.is_zero:
+            n, num, den = terms[0]
+            return ABS_ZERO if n else _term_abs(num, den, prime)
+        return abs_max([_term_abs(num, den, prime) * r**n for n, num, den in terms])
+    certificate = _certificate(terms, x)
+    if certificate is not None:
+        return certificate[0]
+    if r.is_zero:
+        spec = a.spec
+        return Poly(spec, tuple([(n, _from_num_den(spec, num, den)) for n, num, den in terms])).evaluate(a).abs()
     # sigma = 0: deflate until a quotient is certified (a constant one always is)
-    division, value, k, certificate = _SyntheticDivision(p, a), ABS_ZERO, 0, None
+    division, value, k = _SyntheticDivision(terms, x.top, x.bottom), ABS_ZERO, 0
     while certificate is None:
-        value = max(value, division.divide().abs() * r**k)
+        value = max(value, _term_abs(*division.divide(), prime) * r**k)
         k += 1
-        certificate = initial_form(division.quotient(), a)
-    return max(value, certificate[0] * r**k)
+        nums, den = division.quotient()
+        certificate = _certificate(_over_one(nums), x)
+    return max(value, certificate[0] / _term_abs(den, _ONE_TERMS, prime) * r**k)
+
+
+def _over_one(nums: list[tuple[int, tuple]]) -> list[tuple[int, tuple, tuple]]:
+    """The triples of a cleared list's nums, each over den 1: the seminorm
+    of the list times |L|, for its denominator L."""
+    return [(n, num, _ONE_TERMS) for n, num in nums]
+
+
+def _disk_image(p: Poly, x: _Point) -> tuple[Scalar, AbsValue]:
+    """(P(a), |Q|_{a,r}) for a plain P = P(a) + (T - a) Q at the ball x with
+    short centre a: one pass of _SyntheticDivision, and the seminorm of the
+    cleared quotient's nums divided once by the magnitude of its one den
+    L B^(d-1).  Only P(a) is built as a Scalar."""
+    terms = _triples(p)
+    if x.centre.is_zero or not terms:
+        return p.coeff(0), _seminorm([(n - 1, num, den) for n, num, den in terms if n], x)
+    division = _SyntheticDivision(terms, x.top, x.bottom)
+    value = _from_num_den(p.spec, *division.divide())
+    nums, den = division.quotient()
+    return value, _seminorm(_over_one(nums), x) / _term_abs(den, _ONE_TERMS, x.prime)
 
 
 def short_centre(x: DiskPoint) -> Scalar:

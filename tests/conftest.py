@@ -17,6 +17,7 @@ import pytest
 
 from berkline import (
     ABS_ONE,
+    ABS_ZERO,
     AbsValue,
     DiskPoint,
     FieldSpec,
@@ -30,8 +31,8 @@ from berkline import (
 )
 from berkline import points
 from berkline.cli import main
-from berkline.errors import NumericBaseRequired
-from berkline.field import _reduced
+from berkline.errors import DomainViolation, NumericBaseRequired, PoleAtPoint
+from berkline.field import _KEY_TERMS, _reduced, abs_max, unit_max
 
 
 @pytest.fixture
@@ -61,14 +62,15 @@ def run_cli_full(argv: list[str]) -> tuple[object, str, str]:
 
 
 def count_deflation_passes(monkeypatch) -> list[int]:
-    """The passes of points._SyntheticDivision that eval_seminorm's sigma = 0
-    fallback runs, one entry (the pass index) per pass; the one division of
-    a disk image and the passes of taylor_shift are not counted."""
+    """The passes of points._SyntheticDivision that the sigma = 0 fallback of
+    the seminorm kernel (points._seminorm, under eval_seminorm, fs_derivative
+    and apply_map) runs, one entry (the pass index) per pass; the one
+    division of a disk image and the passes of taylor_shift are not counted."""
     passes: list[int] = []
     divide = points._SyntheticDivision.divide
 
     def counting(division):
-        if sys._getframe(1).f_code.co_name == "eval_seminorm":
+        if sys._getframe(1).f_code.co_name == "_seminorm":
             passes.append(division.k)
         return divide(division)
 
@@ -465,6 +467,147 @@ def eager_pgl_point(word, x) -> ProjPoint:
             else:
                 current = ProjPoint.infinity(spec)
     return current
+
+
+# ---------------------------------------------------------------------------
+# Seminorm oracles: the initial-form certificate, the seminorm, the derivative
+# and the disk image as they ran on Scalars (a Poly per minor and quotient),
+# and the Puiseux expansion behind the hash as it ran on Fractions
+
+
+def padic_split_oracle(x: Fraction, p: int) -> tuple[int, int, int]:
+    """(v, n, d) with a nonzero x = p^v n / d and p dividing neither n nor d."""
+    n, d = x.numerator, x.denominator
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+    while not d % p:
+        d //= p
+        v -= 1
+    return v, n, d
+
+
+def initial_form_oracle(p: Poly, a):
+    """The witness (U, S) of |P(a)| = |P|_{0,|a|}, or None when the leading
+    parts of the attaining terms cancel, read off each coefficient's value."""
+    values = [c for _, c in p.terms] + [a]
+    if a.spec.backend == "puiseux-q":
+        maps = [(c.num_terms, c.den_terms) for c in values]
+        denom = math.lcm(*[m[0] for pair in maps for m in pair])
+        prime = 0
+        initials = [
+            (num[1][0][0] * (denom // num[0]) - den[1][0][0] * (denom // den[0]), num[1][0][1], den[1][0][1])
+            for num, den in maps
+        ]
+    else:
+        prime, denom = a.spec.p, 1
+        initials = [padic_split_oracle(c.value, prime) for c in values]
+    *coeffs, (step, alpha, beta) = initials
+    weights = [v + n * step for (n, _), (v, _, _) in zip(p.terms, coeffs)]
+    best = min(weights)
+    support = [i for i, w in enumerate(weights) if w == best]
+    if len(support) > 1:
+        d = p.terms[support[-1]][0]
+        scale = math.lcm(*[coeffs[i][2] for i in support])
+        sigma = sum(
+            coeffs[i][1] * (scale // coeffs[i][2]) * alpha ** p.terms[i][0] * beta ** (d - p.terms[i][0])
+            for i in support
+        )
+        if not (sigma % prime if prime else sigma):
+            return None
+    return AbsValue.of(Fraction(-best, denom)), tuple(p.terms[i][0] for i in support)
+
+
+def divide_linear_oracle(p: Poly, a):
+    """(P(a), Q) with P = P(a) + (T - a) Q: dense Horner on Scalars."""
+    spec = p.spec
+    coeffs = [p.coeff(n) for n in range(p.degree() + 1)]
+    acc, quotient = coeffs[-1], []
+    for c in reversed(coeffs[:-1]):
+        quotient.append(acc)
+        acc = c + a * acc
+    return acc, Poly.from_coeffs(spec, quotient[::-1])
+
+
+def eval_seminorm_oracle(p: Poly, x: DiskPoint) -> AbsValue:
+    """|P(x)|: the certificate at the short centre, Horner at a rigid point,
+    and deflation by Scalar synthetic division at a ball."""
+    if p.is_zero:
+        return ABS_ZERO
+    neg = -min(0, p.min_exp())
+    if neg:
+        t_norm = x.norm()
+        if t_norm.is_zero:
+            raise PoleAtPoint("Laurent polynomial at the rigid point 0")
+        return eval_seminorm_oracle(p.shift_exp(neg), x) / t_norm**neg
+    a = x.center if x.is_rigid else points.short_centre(x)
+    if not a.is_zero:
+        certificate = initial_form_oracle(p, a)
+        if certificate is not None:
+            return certificate[0]
+    if x.is_rigid:
+        return p.evaluate(a).abs()
+    r = x.radius
+    if a.is_zero:
+        return abs_max(c.abs() * r**n for n, c in p.terms)
+    value, k, certificate = ABS_ZERO, 0, None
+    while certificate is None:
+        c, p = divide_linear_oracle(p, a)
+        value = max(value, c.abs() * r**k)
+        k += 1
+        certificate = initial_form_oracle(p, a)
+    return max(value, certificate[0] * r**k)
+
+
+def fs_derivative_oracle(f: SeriesMap, z: DiskPoint) -> AbsValue:
+    """max(1, |z|^2) max |W_ij(z)| / max |f_i(z)|^2 over Scalar minors."""
+    den = abs_max(eval_seminorm_oracle(c, z) for c in f.coords)
+    if den.is_zero:
+        raise DomainViolation("all homogeneous coordinates vanish at the point")
+    num = abs_max(eval_seminorm_oracle(w, z) for w in wronskian_oracle(f))
+    zn = z.norm()
+    return unit_max(zn * zn) * num / (den * den)
+
+
+def apply_map_oracle(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
+    """The image balls: centre f(a) / c and radius r |q|_{a,r} / |c| for
+    f = f(a) + (T - a) q, c the constant chart denominator."""
+    c = f.coords[0].coeff(0)
+    out = []
+    for p in f.coords[1:]:
+        if z.is_rigid:
+            out.append(DiskPoint(p.evaluate(z.center) / c, z.radius))
+            continue
+        a = points.short_centre(z)
+        if a.is_zero:
+            value, q = p.coeff(0), Poly(p.spec, tuple([(n - 1, b) for n, b in p.terms if n]))
+        else:
+            value, q = divide_linear_oracle(p, a)
+        out.append(DiskPoint(value / c, z.radius * eval_seminorm_oracle(q, DiskPoint(a, z.radius)) / c.abs()))
+    return out
+
+
+def expansion_oracle(num: tuple, den: tuple, radius: AbsValue = ABS_ZERO) -> tuple:
+    """The lowest terms, at most _KEY_TERMS, of the Puiseux expansion of
+    num/den of magnitude > radius, as (exponent, coefficient) Fractions."""
+    denom = math.lcm(num[0], den[0])
+    rem = {k * (denom // num[0]): c for k, c in num[1]}
+    (k0, c0), *rest = [(k * (denom // den[0]), c) for k, c in den[1]]
+    out = []
+    bound = radius.n * denom
+    while rem and len(out) < _KEY_TERMS:
+        k = min(rem)
+        if (k0 - k) * radius.d <= bound:
+            break
+        q = Fraction(rem.pop(k), c0)
+        out.append((Fraction(k - k0, denom), q))
+        for kd, cd in rest:
+            e = k - k0 + kd
+            c = rem.pop(e, 0) - q * cd
+            if c:
+                rem[e] = c
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

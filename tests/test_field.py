@@ -22,7 +22,10 @@ from berkline.field import (
     PuiseuxScalar,
     _iroot_exact,
     _is_prime,
+    _expansion,
     _normalize_fraction,
+    _scaled,
+    _terms_mul,
     as_fraction,
     as_integer,
     magnitude_as_rational,
@@ -31,9 +34,12 @@ from berkline.field import (
     rational_pair,
 )
 
+from berkline.points import _ball_key
+
 from conftest import (
     as_fraction_oracle,
     as_integer_oracle,
+    expansion_oracle,
     magnitude_ge_rational_oracle,
     magnitude_le_rational_oracle,
     random_nonzero_scalar,
@@ -446,6 +452,30 @@ def test_hash_agrees_with_eq_across_representatives(a, b, common, e, extra):
     assert len(poly.num_terms[1]) == n and len(frac.den_terms[1]) == 2
     for scale in (one, g):
         assert frac * scale == poly * scale and hash(frac * scale) == hash(poly * scale)
+
+
+@given(
+    oracle_polys,
+    nonzero_oracle_polys,
+    nonzero_oracle_polys,
+    st.integers(-4, 4).filter(bool),
+    st.fractions(-4, 4, max_denominator=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_expansion_keys_of_unreduced_pairs_match_the_fraction_oracle(a, b, common, k, logval):
+    x = PQ.from_terms(a.items()) * PQ.from_terms(b.items()).inv()
+    # the same value over an unreduced pair: num and den times a Puiseux
+    # polynomial and a signed int, so den's lowest coefficient is rarely 1
+    g = PQ.from_terms(common.items()).num_terms
+    y = PuiseuxScalar(PQ, _scaled(_terms_mul(x.num_terms, g), k), _scaled(_terms_mul(x.den_terms, g), k))
+    assert y == x and hash(y) == hash(x)
+    for radius in (ABS_ZERO, AbsValue.of(logval)):
+        expected = tuple(
+            (q.numerator, q.denominator, c.numerator, c.denominator)
+            for q, c in expansion_oracle(y.num_terms, y.den_terms, radius)
+        )
+        assert _expansion(y.num_terms, y.den_terms, radius) == _expansion(x.num_terms, x.den_terms, radius)
+        assert _ball_key(y, radius) == _ball_key(x, radius) == expected
 
 
 @given(oracle_polys, nonzero_oracle_polys)

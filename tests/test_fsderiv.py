@@ -35,8 +35,8 @@ from berkline import (
     rigid,
     series_map,
 )
-from berkline.errors import DomainViolation, InvalidGenerator, PoleHit, ZeroTuple
-from berkline.field import abs_max, unit_max
+from berkline.errors import BackendMismatch, DomainViolation, InvalidGenerator, PoleHit, ZeroTuple
+from berkline.field import PadicScalar, PuiseuxScalar, abs_max, unit_max
 from berkline.fsderiv import _substitute
 
 from conftest import (
@@ -411,6 +411,19 @@ def test_residue_char_p_breaks_transport_by_factor_p_to_n(p, n):
         assert lhs > rhs
 
 
+@pytest.mark.parametrize("centre, logval", [(0, None), (0, -1), (3, -1), (1, -2)])
+def test_a_point_over_another_field_is_a_backend_mismatch(p3, pq, centre, logval):
+    # t^3 lies in the ball of radius beta^-1 around 0, so that ball's short
+    # centre is 0 and no arithmetic with the centre runs: the spec check
+    # decides, as it does at a nonzero centre
+    a = pq.zero() if not centre else pq.t_power(centre)
+    x = DiskPoint(a, ABS_ZERO if logval is None else AbsValue.of(logval))
+    f = series_map([Poly.constant(p3, p3.one()), Poly.from_dict(p3, {0: p3.scalar(2), 2: p3.scalar(3)})])
+    for fn, arg in ((eval_seminorm, f.coords[1]), (fs_derivative, f), (apply_map, f)):
+        with pytest.raises(BackendMismatch):
+            fn(arg, x)
+
+
 def test_apply_map_requires_constant_denominator(p3):
     t = Poly.coordinate(p3)
     f = series_map([t, Poly.constant(p3, p3.one())])
@@ -508,3 +521,37 @@ def test_transport_ops_build_at_most_a_quarter_of_the_fractions_of_fraction_magn
         fs_derivative(f, z)
         made["on"] = False
     assert made["count"] * 4 <= _FRACTIONS_WITH_FRACTION_MAGNITUDES, made["count"]
+
+
+def test_ball_derivatives_and_images_build_no_scalar_per_minor_or_quotient_coefficient(monkeypatch):
+    # a work gate: it counts Scalar constructions, not time, so a loaded host
+    # cannot move it.  At a ball fs_derivative builds at most the short
+    # centre, and apply_map that, 1/c and two scalars per image centre,
+    # whatever the degree: every seminorm, the sigma = 0 deflation included,
+    # runs on term maps
+    made = {"count": 0, "on": False}
+    for cls in (PuiseuxScalar, PadicScalar):
+
+        def counting(self, *args, init=cls.__init__):
+            if made["on"]:
+                made["count"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for spec in (FieldSpec("padic", 3), FieldSpec("puiseux-q")):
+        rng = rng_for(f"scalar-work-gate-{spec.backend}")
+        over, balls = [], 0
+        for _ in range(300):
+            f = random_poly_map(rng, spec, 6)
+            z = random_unit_disk_point(rng, spec)
+            if z.is_rigid:
+                continue
+            balls += 1
+            for fn, bound in ((fs_derivative, 1), (apply_map, 2 + 2 * (len(f.coords) - 1))):
+                made["on"], made["count"] = True, 0
+                fn(f, z)
+                made["on"] = False
+                if made["count"] > bound:
+                    over.append((fn.__name__, f.coords[1].degree(), made["count"]))
+        assert balls >= 150
+        assert over == []

@@ -19,24 +19,30 @@ from berkline import (
     Poly,
     ProjPoint,
     Scalar,
+    SeriesMap,
     apply_map,
     diam_affine,
     diam_proj,
     diam_proj_point,
     eval_seminorm,
+    fs_derivative,
     gauss_point,
     join,
     rigid,
     series_map,
     taylor_shift,
 )
-from berkline.errors import PoleAtPoint
+from berkline.errors import DomainViolation, PoleAtPoint
 from berkline.field import PadicScalar, PuiseuxScalar, abs_max
 from berkline.points import divide_linear, initial_form, short_centre
 
 from conftest import (
+    apply_map_oracle,
     binomial_shift_oracle,
+    eval_seminorm_oracle,
+    fs_derivative_oracle,
     horner_shift_oracle,
+    initial_form_oracle,
     random_nonzero_scalar,
     random_poly,
     random_radius,
@@ -416,6 +422,42 @@ def test_certified_seminorms_and_images_equal_the_full_shift(kind, data):
     assert image.radius == radius
 
 
+def _result(fn, *args):
+    """fn(*args), or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (DomainViolation, PoleAtPoint) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", sorted(CERTIFICATE_SCALARS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_seminorm_kernel_matches_the_scalar_oracles(kind, data):
+    # the kernel on num/den term maps (eval_seminorm), on cleared nums
+    # (fs_derivative) and on the cleared quotient (apply_map) against the
+    # Scalar paths they replaced: planted sigma = 0 roots, rational-function
+    # coefficients, rigid points, Laurent coordinates and a short centre 0
+    construction, p, a, x = data.draw(certificate_cases(kind))
+    spec, scalars = CERTIFICATE_SPECS[kind], CERTIFICATE_SCALARS[kind]
+    nonzero = scalars.filter(lambda c: not c.is_zero)
+    if not x.is_rigid and data.draw(st.booleans()):
+        # a centre inside the ball names the ball around 0
+        w = data.draw(nonzero)
+        x = DiskPoint(w * spec.uniformizer(-ceil(w.abs().logval - x.radius.logval)), x.radius)
+        assert short_centre(x).is_zero
+    if not a.is_zero and not p.is_zero:
+        assert initial_form(p, a) == initial_form_oracle(p, a)
+    laurent = p.shift_exp(-data.draw(st.integers(0, 2)))
+    assert _result(eval_seminorm, laurent, x) == _result(eval_seminorm_oracle, laurent, x)
+    other = Poly.from_dict(spec, data.draw(st.dictionaries(st.integers(0, 3), scalars, max_size=2)))
+    f = SeriesMap((other.shift_exp(-data.draw(st.integers(0, 2))), laurent))
+    assert _result(fs_derivative, f, x) == _result(fs_derivative_oracle, f, x)
+    g = affine_map(spec, data.draw(nonzero), p)
+    images, expected = apply_map(g, x), apply_map_oracle(g, x)
+    assert images == expected and [y.radius for y in images] == [y.radius for y in expected]
+
+
 def test_synthetic_division_recovers_the_polynomial():
     for spec in (P3, PQ):
         rng = rng_for(f"divide-linear-{spec.backend}")
@@ -425,6 +467,8 @@ def test_synthetic_division_recovers_the_polynomial():
             value, q = divide_linear(p, a)
             assert value == p.evaluate(a)
             assert Poly.from_dict(spec, {0: -a, 1: spec.one()}) * q + Poly.constant(spec, value) == p
+        value, q = divide_linear(Poly(spec, ()), random_nonzero_scalar(rng, spec))
+        assert value.is_zero and q.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,8 @@ def test_every_private_function_is_referenced():
     assert _unreferenced_private_functions() == []
 
 
-# the order and arithmetic of AbsValue, its one constructor and its producers:
+# the order and arithmetic of AbsValue, its one constructor and its producers
+# (the seminorm kernel among them), and the int keys of the Puiseux hash:
 # magnitudes are reduced int pairs, and a Fraction here is one per magnitude
 MAGNITUDE_FUNCTIONS = [
     ("field.py", "AbsValue.__lt__"),
@@ -140,7 +141,14 @@ MAGNITUDE_FUNCTIONS = [
     ("field.py", "_magnitude"),
     ("field.py", "PuiseuxScalar.abs"),
     ("field.py", "PadicScalar.abs"),
+    ("field.py", "_padic_split"),
+    ("field.py", "_expansion"),
     ("points.py", "initial_form"),
+    ("points.py", "_Point.__init__"),
+    ("points.py", "_term_abs"),
+    ("points.py", "_certificate"),
+    ("points.py", "_seminorm"),
+    ("points.py", "_disk_image"),
 ]
 
 
