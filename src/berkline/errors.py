@@ -19,6 +19,11 @@ class DivisionByZero(BerklineError, ZeroDivisionError):
     """Inversion or division by the zero element."""
 
 
+class ReductionTooLong(BerklineError):
+    """A lazy fraction whose reduced form is out of bounded reach: the
+    exponent spans of its num and den are too long for the gcd."""
+
+
 class NumericBaseRequired(BerklineError):
     """A magnitude had to be compared with a rational but the base is abstract."""
 

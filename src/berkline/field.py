@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import BackendMismatch, DivisionByZero, NumericBaseRequired, RadiusNotInValueGroup
+from .errors import BackendMismatch, DivisionByZero, NumericBaseRequired, RadiusNotInValueGroup, ReductionTooLong
 
 RationalInput = Union[int, str, Fraction]
 
@@ -802,22 +802,28 @@ _REDUCE_THRESHOLD = 48  # lazy fractions reduce once this many terms accumulate
 _DENSE_PER_TERM = 8  # ... and their exponent spans, in units of 1/lcm(D), are at most this many per term
 
 
+def _short_span(num: Terms, den: Terms, terms: int) -> bool:
+    """Whether the exponent spans of the nonzero num and den, in units of
+    1/lcm(D), total at most _DENSE_PER_TERM per term for ``terms`` terms.
+    The guard that bounds a gcd's time: an elimination can take a step per
+    unit of span, and coprime exponent denominators can make spans huge."""
+    (dn, tn), (dd, td) = num, den
+    d = math.lcm(dn, dd)
+    return (tn[-1][0] - tn[0][0]) * (d // dn) + (td[-1][0] - td[0][0]) * (d // dd) <= _DENSE_PER_TERM * terms
+
+
 def _fast_reduce(num: Terms, den: Terms) -> tuple[Terms, Terms]:
     """num/den, reduced where that is cheap (a one-term denominator) or the
-    terms have grown past _REDUCE_THRESHOLD, and left lazy otherwise; also
-    when the exponent spans of num and den, in units of 1/lcm(D), are long:
-    an elimination can take a step per unit of span, and coprime exponent
-    denominators can make spans huge, so the guard bounds the gcd's time."""
-    (dn, tn), (dd, td) = num, den
+    terms have grown past _REDUCE_THRESHOLD over a short span (_short_span),
+    and left lazy otherwise."""
+    tn, td = num[1], den[1]
     if not tn:
         return _ZERO_TERMS, _ONE_TERMS
     if len(td) == 1:
         return _normalize_fraction(num, den)
     terms = len(tn) + len(td)
-    if terms > _REDUCE_THRESHOLD:
-        d = math.lcm(dn, dd)
-        if (tn[-1][0] - tn[0][0]) * (d // dn) + (td[-1][0] - td[0][0]) * (d // dd) <= _DENSE_PER_TERM * terms:
-            return _normalize_fraction(num, den)
+    if terms > _REDUCE_THRESHOLD and _short_span(num, den, terms):
+        return _normalize_fraction(num, den)
     return num, den
 
 
@@ -945,8 +951,17 @@ class PuiseuxScalar(Scalar):
         return hash((self.spec, _expansion(self.num_terms, self.den_terms)))
 
     def __repr__(self) -> str:
-        # the reduced form, printed with den's lowest term scaled to 1
-        num, den = _normalize_fraction(self.num_terms, self.den_terms)
+        # the reduced form, printed with den's lowest term scaled to 1.  A
+        # gcd runs only over a short span (_short_span, with at least
+        # _REDUCE_THRESHOLD terms' worth of span); past it an unreduced pair
+        # would print equal values differently, so ReductionTooLong is raised
+        num, den = self.num_terms, self.den_terms
+        terms = len(num[1]) + len(den[1])
+        if num[1] and len(den[1]) > 1 and not _short_span(num, den, max(terms, _REDUCE_THRESHOLD)):
+            raise ReductionTooLong(
+                f"a fraction of {terms} terms spans too many exponent units to print in reduced form"
+            )
+        num, den = _normalize_fraction(num, den)
         scale = den[1][0][1]
 
         def fmt(terms: Terms) -> str:

@@ -5,9 +5,13 @@ with no common factor.  Its derivative magnitude at a point z is
 
     max(1, |z|^2) * max_{i<j} |(f_i' f_j - f_j' f_i)(z)| / max_i |f_i(z)|^2,
 
-evaluated exactly through the seminorm of the point.  The Wronskian minors
-are exact polynomials: the coordinates are cleared over one denominator L
-(points._cleared), to f_i = C_i / L, and the derivative multiplies the int
+evaluated exactly through the seminorm of the point.
+
+A map (SeriesMap) stores its coordinates cleared over one denominator L
+(points._cleared), to f_i = C_i / L with C_i lists of int term maps, the
+layout of FLINT's fmpq_poly; they are cleared once, when the map is made, and
+the Polys of ``coords`` are a view built only when read.  The Wronskian
+minors are exact polynomials: the derivative multiplies the int
 coefficients of T^n by n, so the factor n keeps its backend magnitude and
 residue characteristic p is fully visible.  Each minor is W_ij / L^2, W_ij
 one difference of int products.  Seminorms multiply, so L cancels from the
@@ -28,13 +32,14 @@ Moebius words, composition, rescaling and the chart at infinity are one
 substitution T -> num/den into the homogenized coordinates.  num and den never
 share a zero, so a common zero of the results would be a common zero of the
 original coordinates: reduced maps stay reduced and no gcd follows.  The
-substitution, like the word's matrix, runs on cleared int term maps, with no
-Scalar arithmetic.
+substitution, like the word's matrix, reads the map's cleared lists and
+returns a map of cleared lists, with no Scalar built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -65,14 +70,15 @@ from .points import (
     _combine,
     _derived,
     _disk_image,
+    _from_num_den,
     _num_den,
     _over_one,
     _seminorm,
+    _term_abs,
     _times,
     _uncleared,
     coprime_certificate,
     divide_out,
-    eval_seminorm,
     poly_gcd,
     rigid,
 )
@@ -109,10 +115,23 @@ class Domain:
 
 UNIT_DISK = Domain.disk(ABS_ONE)
 
+_T_POLY = [(1, _ONE_TERMS)]  # the cleared coordinate T
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SeriesMap:
     """Homogeneous coordinates of a map into projective space.
+
+    A map stores its coordinates cleared over one denominator L, as in
+    FLINT's fmpq_poly: ``den`` is L as an int term map, and ``cleared`` holds
+    one cleared list [(n, num), ...] per coordinate, the coefficient of T^n
+    being num / L (points._clear).  ``spec`` and ``domain`` are kept beside
+    them.  The cleared form is built once, when the map is made; the
+    transforms, the derivative and disk images read it and build no Scalar.
+    ``coords`` is a read-only view of the coordinates as Polys, one Scalar
+    per coefficient over L (points._uncleared), built at its first read and
+    kept; the Polys a map is made from are not kept.  ``==`` and ``hash``
+    read the coordinates' values and the domain, not the denominator chosen.
 
     Construct through :func:`series_map`, which normalizes Laurent content
     and removes the common polynomial factor, so that vanishing of minors is
@@ -121,32 +140,62 @@ class SeriesMap:
     given.
     """
 
-    coords: tuple[Poly, ...]
-    domain: Domain | None = None
+    spec: FieldSpec
+    den: tuple
+    cleared: tuple[list[tuple[int, tuple]], ...]
+    domain: Domain | None
 
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
+    def __init__(self, coords: Sequence[Poly], domain: Domain | None = None) -> None:
+        coords = tuple(coords)
+        den, cleared = _clear(coords)
+        _fill(self, coords[0].spec, den, cleared, domain)
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, den: tuple, cleared: list, domain: Domain | None) -> "SeriesMap":
+        """The map of cleared lists over den, with no Poly built."""
+        f = object.__new__(cls)
+        _fill(f, spec, den, cleared, domain)
+        return f
+
+    @cached_property
+    def coords(self) -> tuple[Poly, ...]:
+        return tuple([_uncleared(self.spec, c, self.den) for c in self.cleared])
 
     @property
     def target_dim(self) -> int:
-        return len(self.coords) - 1
+        return len(self.cleared) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SeriesMap):
+            return NotImplemented
+        return self.coords == other.coords and self.domain == other.domain
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.domain))
+
+    def __repr__(self) -> str:
+        return f"SeriesMap(coords={self.coords!r}, domain={self.domain!r})"
 
     def proportional_to(self, other: "SeriesMap") -> bool:
         """Whether the two maps agree as maps into projective space: every
         minor a_i b_j - a_j b_i vanishes, which the numerators of the
-        coordinates cleared over one denominator per map decide."""
-        if len(self.coords) != len(other.coords):
+        coordinates over each map's one denominator decide."""
+        mine, theirs = self.cleared, other.cleared
+        if len(mine) != len(theirs):
             return False
         if self.spec != other.spec:
             raise BackendMismatch("polynomials over different backends")
-        _, mine = _clear(self.coords)
-        _, theirs = _clear(other.coords)
         for i in range(len(mine)):
             for j in range(i + 1, len(mine)):
                 if _combine([(1, mine[i], theirs[j]), (-1, mine[j], theirs[i])]):
                     return False
         return True
+
+
+def _fill(f: SeriesMap, spec: FieldSpec, den: tuple, cleared: list, domain: Domain | None) -> None:
+    # the fields of a frozen instance, set once
+    for name, value in (("spec", spec), ("den", den), ("cleared", tuple(cleared)), ("domain", domain)):
+        object.__setattr__(f, name, value)
 
 
 def series_map(coords: Sequence[Poly], domain: Domain | None = None) -> SeriesMap:
@@ -196,12 +245,11 @@ def wronskian_minors(f: SeriesMap) -> list[Poly]:
     over one L, so both products of a minor are over L^2 and the minor is a
     difference of numerators (_minors; fs_derivative reads those numerators
     and builds no minor)."""
-    lcm, coords = _clear(f.coords)
-    den = _times(lcm, lcm)
-    return [_uncleared(f.spec, minor, den) for minor in _minors(coords)]
+    den = _times(f.den, f.den)
+    return [_uncleared(f.spec, minor, den) for minor in _minors(f.cleared)]
 
 
-def _minors(coords: list[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple]]]:
+def _minors(coords: Sequence[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple]]]:
     """The cleared minors C_i' C_j - C_j' C_i, i < j, of cleared coordinates."""
     derivs = [_derived(c) for c in coords]
     n = len(coords)
@@ -212,7 +260,7 @@ def _minors(coords: list[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple
 def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     """Exact Fubini-Study derivative magnitude at a point of the line.
 
-    The coordinates are cleared once, to C_i / L, and the minors are the
+    The map holds its coordinates as C_i / L, and the minors are the
     numerators W_ij of wronskian_minors, over L^2.  |f_i| = |C_i| / |L| and
     |W_ij / L^2| = |W_ij| / |L|^2, so L cancels: every seminorm is taken on
     the numerators at one point context, and no Scalar is built per
@@ -222,7 +270,7 @@ def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     if f.spec is not z.spec and f.spec != z.spec:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
     point = _Point(z)
-    _, coords = _clear(f.coords)
+    coords = f.cleared
     den = abs_max([_seminorm(_over_one(c), point) for c in coords])
     if den.is_zero:
         raise DomainViolation("all homogeneous coordinates vanish at the point")
@@ -237,7 +285,7 @@ def fs_derivative_proj(f: SeriesMap, z: ProjPoint) -> AbsValue:
     aff = z.to_affine()
     if aff is not None:
         return fs_derivative(f, aff)
-    flipped = _substitute(f, Poly.constant(f.spec, f.spec.one()), Poly.coordinate(f.spec), None)
+    flipped = _substitute_cleared(f, _ONE_POLY, _T_POLY, _ONE_TERMS, None)
     return fs_derivative(flipped, rigid(f.spec.zero()))
 
 
@@ -245,88 +293,95 @@ def fs_derivative_proj(f: SeriesMap, z: ProjPoint) -> AbsValue:
 # Composition
 
 
-def _zero_free_log_bound(g0: Poly, outer: AbsValue) -> bool:
-    """Whether the plain g0 has no zeros on the closed disk of the given
-    radius, so that its magnitude there is |g0(0)|: its nonzero constant
-    term strictly dominates every other term at the radius."""
-    c0 = g0.coeff(0).abs()
-    return not c0.is_zero and all(c.abs() * outer ** n < c0 for n, c in g0.terms if n)
+def _zero_free_log_bound(g0: list[tuple[int, tuple]], outer: AbsValue, prime: int) -> bool:
+    """Whether the plain cleared g0 has no zeros on the closed disk of the
+    given radius, so that its magnitude there is |g0(0)|: its nonzero
+    constant term strictly dominates every other term at the radius (a
+    common denominator scales every term alike)."""
+    if not g0 or g0[0][0]:
+        return False
+    c0 = _term_abs(g0[0][1], _ONE_TERMS, prime)
+    return all(_term_abs(num, _ONE_TERMS, prime) * outer**n < c0 for n, num in g0[1:])
 
 
 def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
     """Exact composition f(g) for g a map into the line.
 
     Requires the image of g's declared domain to land in f's declared domain
-    (checked exactly when both annotations are present, on g's coordinates
-    shifted by one common power of T to plain polynomials); the composition
-    is rejected with PoleHit when the chart denominator of g vanishes on g's
-    domain, since the image would then not stay in one affine chart.
+    (checked exactly when both annotations are present, on g's cleared
+    coordinates shifted by one common power of T to plain polynomials; their
+    one denominator cancels from every ratio); the composition is rejected
+    with PoleHit when the chart denominator of g vanishes on g's domain,
+    since the image would then not stay in one affine chart.  g's
+    coordinates G0 / L and G1 / L give the substitution T -> G1 / G0 over L.
     """
     if g.target_dim != 1:
         raise DomainViolation("inner map must take values in the line")
     if f.spec != g.spec:
         raise BackendMismatch("composition over different backends")
+    g0, g1 = g.cleared
     if f.domain is not None and g.domain is not None:
-        g0, g1 = _common_plain(g.coords)
-        if not _zero_free_log_bound(g0, g.domain.outer):
+        prime, outer = f.spec.p or 0, g.domain.outer
+        shift = _plain_shift(g.cleared)
+        plain0, plain1 = [[(n + shift, num) for n, num in c] for c in g.cleared]
+        if not _zero_free_log_bound(plain0, outer, prime):
             raise PoleHit("denominator coordinate vanishes on the inner domain")
-        g0_mag = g0.coeff(0).abs()
-        shilov = DiskPoint(f.spec.zero(), g.domain.outer)
-        image_sup = eval_seminorm(g1, shilov) / g0_mag
+        g0_mag = _term_abs(plain0[0][1], _ONE_TERMS, prime)
+        # the seminorm at the Shilov point eta_{0,outer}: max |c_n| outer^n
+        image_sup = abs_max([_term_abs(num, _ONE_TERMS, prime) * outer**n for n, num in plain1]) / g0_mag
         if image_sup > f.domain.outer:
             raise DomainViolation("image leaves the outer domain")
         if f.domain.inner is not None:
-            if not _zero_free_log_bound(g1, g.domain.outer):
+            if not _zero_free_log_bound(plain1, outer, prime):
                 raise PoleHit("image meets the puncture of the outer domain")
-            if g1.coeff(0).abs() / g0_mag < f.domain.inner:
+            if _term_abs(plain1[0][1], _ONE_TERMS, prime) / g0_mag < f.domain.inner:
                 raise DomainViolation("image dips below the inner radius")
-    return _substitute(f, g.coords[1], g.coords[0], g.domain)
+    return _substitute_cleared(f, g1, g0, g.den, g.domain)
 
 
-def _common_plain(coords: Sequence[Poly]) -> list[Poly]:
-    """Shift all coordinates by one common power of T so every entry is a
-    plain polynomial (a projective rescaling away from 0)."""
-    shift = min([min(0, c.min_exp()) for c in coords if not c.is_zero], default=0)
-    if shift == 0:
-        return list(coords)
-    return [c.shift_exp(-shift) for c in coords]
+def _plain_shift(coords: Sequence[list[tuple[int, tuple]]]) -> int:
+    """The power of T, one for all cleared coordinates, that makes every
+    entry a plain polynomial (a projective rescaling away from 0)."""
+    return -min([min(0, c[0][0]) for c in coords if c], default=0)
 
 
 def _substitute(f: SeriesMap, num: Poly, den: Poly, domain: Domain | None) -> SeriesMap:
-    """f composed with num/den: each coordinate sum_j a_j T^j of f (d the
-    largest degree) becomes sum_j a_j num^j den^(d-j).  num and den must have
-    no common zero; then coprime coordinates stay coprime and need no gcd."""
-    return _substitute_cleared(f, _clear([num]), _clear([den]), domain)
+    """f composed with num/den, given as Polys (rescale_map): both are
+    cleared over one joint denominator for _substitute_cleared."""
+    common, (top, bottom) = _clear([num, den])
+    return _substitute_cleared(f, top, bottom, common, domain)
 
 
-def _substitute_cleared(f: SeriesMap, num: tuple, den: tuple, domain: Domain | None) -> SeriesMap:
-    """_substitute on cleared polynomials: num = N/Ln and den = M/Ld, each
-    given as (L, [cleared list]).  With a coordinate cleared to
-    sum_j A_j T^j / Lc, term j is A_j N^j M^(d-j) / (Lc Ln^j Ld^(d-j)); it is
-    put over Lc Ln^d Ld^d by the factor Ln^(d-j) Ld^j, so each coordinate is
-    one sum of products over that denominator."""
-    plain = _common_plain(f.coords)
-    d = max(c.degree() for c in plain if not c.is_zero)
-    (ln, (top,)), (ld, (bottom,)) = num, den
-    pow_top, pow_bottom = [_ONE_POLY, top], [_ONE_POLY, bottom]
-    ln_pow, ld_pow = [_ONE_TERMS, ln], [_ONE_TERMS, ld]
+def _substitute_cleared(f: SeriesMap, top: list, bottom: list, den: tuple, domain: Domain | None) -> SeriesMap:
+    """f composed with num/den, num = N / L' and den = M / L' given as the
+    cleared lists N and M over one denominator L'.
+
+    f's coordinates are shifted by one common power of T to plain ones (an
+    exponent offset on the cleared lists), d the largest degree.  Each
+    coordinate sum_j A_j T^j / L of f becomes sum_j a_j num^j den^(d-j) =
+    sum_j A_j N^j M^(d-j) / (L L'^d): one sum of products over one
+    denominator, with no Scalar built.  num and den must have no common
+    zero; then coprime coordinates stay coprime and need no gcd."""
+    shift = _plain_shift(f.cleared)
+    d = max([c[-1][0] for c in f.cleared if c]) + shift
+    pow_top, pow_bottom, common = [_ONE_POLY, top], [_ONE_POLY, bottom], f.den
     for _ in range(d - 1):
         pow_top.append(_combine([(1, pow_top[-1], top)]))
         pow_bottom.append(_combine([(1, pow_bottom[-1], bottom)]))
-        ln_pow.append(_times(ln_pow[-1], ln))
-        ld_pow.append(_times(ld_pow[-1], ld))
+    for _ in range(d):
+        common = _times(common, den)
     # j -> N^j M^(d-j), built once for every coordinate
     basis: dict[int, list] = {0: pow_bottom[d], d: pow_top[d]}
-    common = _times(ln_pow[d], ld_pow[d])
     coords = []
-    for lc, (terms,) in [_clear([c]) for c in plain]:
+    for terms in f.cleared:
         products = []
         for j, a in terms:
+            j += shift
             if j not in basis:
                 basis[j] = _combine([(1, pow_top[j], pow_bottom[d - j])])
-            products.append((1, [(0, _times(a, _times(ln_pow[d - j], ld_pow[j])))], basis[j]))
-        coords.append(_uncleared(f.spec, _combine(products), _times(lc, common)))
-    return SeriesMap(tuple(coords), domain)
+            products.append((1, [(0, a)], basis[j]))
+        coords.append(_combine(products))
+    return SeriesMap._of(f.spec, common, coords, domain)
 
 
 def rescale_map(f: SeriesMap, scale: Scalar, offset: Scalar, domain: Domain | None) -> SeriesMap:
@@ -389,7 +444,7 @@ def pgl_apply(word: Sequence[Generator], f: SeriesMap) -> SeriesMap:
     a, b, c, d, common = _word_matrix(word, f.spec)
     num = [(n, e) for n, e in ((0, b), (1, a)) if e[1]]  # a*T + b
     den = [(n, e) for n, e in ((0, d), (1, c)) if e[1]]  # c*T + d
-    return _substitute_cleared(f, (common, [num]), (common, [den]), f.domain)
+    return _substitute_cleared(f, num, den, common, f.domain)
 
 
 def pgl_point(word: Sequence[Generator], x: DiskPoint | ProjPoint) -> ProjPoint:
@@ -434,24 +489,27 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
 
     The chart denominator (coordinate 0) must be a nonzero constant, so the
     map is polynomial on the whole chart and images of balls are balls with
-    exactly computable center and radius.
+    exactly computable center and radius.  At a ball every coordinate is read
+    off the map's cleared lists: |c_0| and 1/c_0 come from its cleared pair,
+    and _disk_image takes each affine coordinate over the map's denominator.
     """
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
-    den = f.coords[0]
-    if den.is_zero or not den.is_constant:
+    chart, *affine = f.cleared
+    if len(chart) != 1 or chart[0][0]:
         raise PoleHit("chart denominator must be a nonzero constant")
-    c_inv = den.coeff(0).inv()
-    c_abs = den.coeff(0).abs()
+    c0 = chart[0][1]
+    c_inv = _from_num_den(f.spec, f.den, c0)
+    c_abs = _term_abs(c0, f.den, f.spec.p or 0)
     point = None if z.is_rigid else _Point(z)
     out = []
-    for p in f.coords[1:]:
-        if not p.is_plain:
+    for i, p in enumerate(affine, 1):
+        if p and p[0][0] < 0:
             raise DomainViolation("affine coordinates must be plain polynomials")
         if point is None:
-            out.append(DiskPoint(p.evaluate(z.center) * c_inv, z.radius))
+            out.append(DiskPoint(f.coords[i].evaluate(z.center) * c_inv, z.radius))
             continue
-        value, q = _disk_image(p, point)
+        value, q = _disk_image(p, f.den, point)
         out.append(DiskPoint(value * c_inv, z.radius * q / c_abs))
     return out

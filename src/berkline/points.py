@@ -21,10 +21,11 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
 The seminorm kernel (_seminorm, _certificate) reads a polynomial as
 (n, num, den) triples of int term maps and the point as a context built
 once per call (_Point: the short centre, its initial triple, and p).
-eval_seminorm passes each coefficient's own num/den; the derivative and disk
-images of fsderiv pass cleared numerators over den 1, since a common
-denominator only scales a seminorm by its magnitude.  No Scalar is built on
-the certified or deflation paths.
+eval_seminorm passes each coefficient's own num/den; the derivative of
+fsderiv passes a map's cleared numerators over den 1, since a common
+denominator only scales a seminorm by its magnitude, and disk images pass
+them over the map's one den.  No Scalar is built on the certified or
+deflation paths.
 
 Polynomial algebra runs on one clearing for both backends: every value is
 read as a num/den pair of int term maps (a padic rational as two constants),
@@ -852,18 +853,21 @@ def _over_one(nums: list[tuple[int, tuple]]) -> list[tuple[int, tuple, tuple]]:
     return [(n, num, _ONE_TERMS) for n, num in nums]
 
 
-def _disk_image(p: Poly, x: _Point) -> tuple[Scalar, AbsValue]:
-    """(P(a), |Q|_{a,r}) for a plain P = P(a) + (T - a) Q at the ball x with
-    short centre a: one pass of _SyntheticDivision, and the seminorm of the
-    cleared quotient's nums divided once by the magnitude of its one den
-    L B^(d-1).  Only P(a) is built as a Scalar."""
-    terms = _triples(p)
+def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[Scalar, AbsValue]:
+    """(P(a), |Q|_{a,r}) for a plain P = P(a) + (T - a) Q, given as a cleared
+    list over den, at the ball x with short centre a: one pass of
+    _SyntheticDivision on the (n, num, den) triples, which share their den
+    and so clear nothing, and the seminorm of the cleared quotient's nums
+    divided once by the magnitude of its one den, den B^(d-1).  Only P(a)
+    is built as a Scalar."""
+    terms = [(n, num, den) for n, num in nums]
     if x.centre.is_zero or not terms:
-        return p.coeff(0), _seminorm([(n - 1, num, den) for n, num, den in terms if n], x)
+        c0 = nums[0][1] if nums and not nums[0][0] else _ZERO_TERMS
+        return _from_num_den(x.centre.spec, c0, den), _seminorm([(n - 1, num, den) for n, num, den in terms if n], x)
     division = _SyntheticDivision(terms, x.top, x.bottom)
-    value = _from_num_den(p.spec, *division.divide())
-    nums, den = division.quotient()
-    return value, _seminorm(_over_one(nums), x) / _term_abs(den, _ONE_TERMS, x.prime)
+    value = _from_num_den(x.centre.spec, *division.divide())
+    quotient, qden = division.quotient()
+    return value, _seminorm(_over_one(quotient), x) / _term_abs(qden, _ONE_TERMS, x.prime)
 
 
 def short_centre(x: DiskPoint) -> Scalar:

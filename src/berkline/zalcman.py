@@ -91,6 +91,15 @@ def _ball_test(center: Scalar, bound: Fraction, base: Fraction) -> Callable[[Sca
     return inside
 
 
+def _selection_parameters(epsilon, tau) -> tuple[Fraction, Fraction]:
+    """epsilon and tau as Fractions, checked: the lemma needs epsilon > 0
+    and tau > 1 (condition (i) divides by epsilon (tau - 1))."""
+    eps, t = as_fraction(epsilon), as_fraction(tau)
+    if eps <= 0 or t <= 1:
+        raise ValueError("need epsilon > 0 and tau > 1")
+    return eps, t
+
+
 def _pairs(values: Sequence[Fraction]) -> list[tuple[int, int]]:
     """The sampled values as (numerator, denominator) ints: phi is compared
     by cross-multiplication, each comparison on the two values' own
@@ -103,9 +112,7 @@ def gromov_select(s: SampledFunction, a_index: int, epsilon, tau) -> int:
     """Index of a point satisfying the three selection conditions for the
     start index ``a_index``.  Always succeeds on a finite sample."""
     _check_index(s, a_index)
-    eps, t = as_fraction(epsilon), as_fraction(tau)
-    if eps <= 0 or t <= 1:
-        raise ValueError("need epsilon > 0 and tau > 1")
+    eps, t = _selection_parameters(epsilon, tau)
     base = s.spec.base()
     phi = _pairs(s.values)
     tn, td = t.numerator, t.denominator
@@ -130,7 +137,7 @@ def gromov_conditions(s: SampledFunction, a_index: int, b_index: int, epsilon, t
     """Exhaustive post-hoc check of the three selection conditions."""
     _check_index(s, a_index)
     _check_index(s, b_index)
-    eps, t = as_fraction(epsilon), as_fraction(tau)
+    eps, t = _selection_parameters(epsilon, tau)
     base = s.spec.base()
     phi_a, phi_b = s.values[a_index], s.values[b_index]
     gap = s.points[a_index].dist(s.points[b_index])

@@ -7,6 +7,7 @@ import math
 import operator
 import random
 import re
+import signal
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -33,6 +34,35 @@ from berkline import points
 from berkline.cli import main
 from berkline.errors import DomainViolation, NumericBaseRequired, PoleAtPoint
 from berkline.field import _KEY_TERMS, _reduced, abs_max, unit_max
+
+
+# Process CPU seconds (user time, ITIMER_VIRTUAL) that one test may use; the
+# slowest test takes about 4 s, so only a hang reaches the limit.
+CPU_SECONDS_PER_TEST = 300
+
+
+class CpuLimitExceeded(BaseException):
+    """A test used more than CPU_SECONDS_PER_TEST of CPU.  Not an Exception,
+    so hypothesis reports it at once instead of shrinking through it."""
+
+
+@pytest.fixture(autouse=True)
+def cpu_limit():
+    """Turn a hang into a failure: a virtual-time timer, armed for each test
+    and disarmed after it.  It counts CPU time, not wall time, so a loaded
+    host cannot trip it, and it leaves SIGALRM and ITIMER_REAL to the tests'
+    own wall-clock deadlines."""
+
+    def expire(signum, frame):
+        raise CpuLimitExceeded(f"the test used more than {CPU_SECONDS_PER_TEST} s of CPU")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, CPU_SECONDS_PER_TEST)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
 
 
 @pytest.fixture

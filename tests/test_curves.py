@@ -56,8 +56,12 @@ def test_euler_characteristic_values():
         euler_characteristic(-1, 0)
 
 
+def circle_model_data():
+    return [("a", 0), ("b", 0)], [("a", "b", 1), ("a", "b", 2)]
+
+
 def circle_model():
-    return curve_model([("a", 0), ("b", 0)], [("a", "b", 1), ("a", "b", 2)])
+    return curve_model(*circle_model_data())
 
 
 def test_total_genus_circle_is_one():
@@ -103,6 +107,12 @@ def test_branch_vertex_is_node():
 def test_boundary_vertex_is_node():
     m = curve_model([("v", 0), ("w", 0)], [("v", "w", 1), ("v", "w", 1)], boundary=["v"])
     assert "v" in nodes(m)
+
+
+def test_puncture_at_a_vertex_counts_toward_its_directions():
+    # each circle vertex has two directions; a puncture at a makes three
+    assert nodes(curve_model(*circle_model_data(), punctures=[("vertex", "a")])) == {"a"}
+    assert nodes(curve_model(*circle_model_data())) == set()
 
 
 def test_puncture_on_edge_creates_node():

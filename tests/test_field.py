@@ -541,6 +541,32 @@ def test_threshold_keeps_a_sparse_fraction_lazy_under_a_memory_limit():
     assert out.stdout.split() == ["True", "True", "True"]
 
 
+_SPARSE_REPR = (
+    _SPARSE_PRODUCT
+    + """
+from berkline.errors import BerklineError, ReductionTooLong
+for value in (b, prod):
+    try:
+        print(repr(value))
+    except ReductionTooLong as exc:
+        print(isinstance(exc, BerklineError))
+print(repr(pq.one() / pq.from_terms([(0, 1), (30, 1)])))
+"""
+)
+
+
+def test_repr_of_a_sparse_fraction_past_the_span_guard_raises_under_a_memory_limit():
+    # repr prints the reduced form; the gcd of b's num and den would take a
+    # step per unit of a span of about 1e8 units of 1/D, so repr raises a
+    # BerklineError (exit 3 in the CLI) instead, and never prints the
+    # unreduced pair.  A short span still prints, with a gcd
+    src = str(Path(berkline.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _SPARSE_REPR], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[1:] == ["True", "True", "(1)/(1 + t^30)", ""]
+
+
 @pytest.mark.parametrize(
     "text,value",
     [("7", Fraction(7)), (" -3/4 ", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)), ("0/5", Fraction(0)), ("-0", Fraction(0))],

@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 
 from berkline import (
     ABS_ONE,
+    UNIT_DISK,
     FieldSpec,
     Poly,
     SeriesMap,
     compose,
+    fs_derivative,
+    identity_map,
     pgl_apply,
     rescale_map,
+    series_map,
     taylor_shift,
 )
+from berkline import fsderiv, points
 from berkline.field import PadicScalar, PuiseuxScalar, _terms_mul
-from berkline.fsderiv import wronskian_minors
-from berkline.points import _cleared, _num_den, divide_linear, poly_gcd
+from berkline.fsderiv import _substitute, wronskian_minors
+from berkline.points import _cleared, _num_den, divide_linear, poly_gcd, short_centre
 
 from conftest import (
     binomial_shift_oracle,
@@ -35,6 +40,7 @@ from conftest import (
     random_pgl_word,
     random_poly,
     random_poly_map,
+    random_unit_disk_point,
     rng_for,
     substitute_oracle,
     wronskian_oracle,
@@ -241,3 +247,109 @@ def test_map_transforms_do_no_scalar_arithmetic(monkeypatch):
             wide.proportional_to(wide)
             calls["on"] = False
     assert calls["count"] == 0, calls["count"]
+
+
+# -- one layout: maps hold their coordinates cleared over one denominator -------
+
+
+@st.composite
+def chart_maps(draw, kind: str):
+    """Coordinates [c : P_1 (: P_2)] with c a nonzero constant and plain P_i:
+    series_map keeps them as they are (no monomial content, no common
+    factor), and every identity transform below gives them back exactly."""
+    spec = SPECS[kind]
+    c = draw(SCALARS[kind].filter(lambda a: not a.is_zero))
+    return (Poly.constant(spec, c), *draw(st.lists(laurent(kind, 0, 3), min_size=1, max_size=2)))
+
+
+def identity_words(kind: str):
+    """Words whose Moebius map is the identity, over different matrices."""
+    spec = SPECS[kind]
+    small = SCALARS[kind].filter(lambda b: b.abs() <= ABS_ONE)
+    return st.one_of(
+        st.just([("scale", spec.one())]),
+        st.just([("invert",), ("invert",)]),
+        units(kind).map(lambda u: [("scale", u), ("scale", u.inv())]),
+        small.map(lambda b: [("translate", b), ("translate", -b)]),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_maps_built_along_different_paths_are_equal_and_hash_equal(kind, data):
+    coords = data.draw(chart_maps(kind))
+    spec = coords[0].spec
+    one, t = Poly.constant(spec, spec.one()), Poly.coordinate(spec)
+    direct = SeriesMap(coords)
+    word = data.draw(identity_words(kind))
+    paths = {
+        "series_map": series_map(coords),
+        "direct": direct,
+        "pgl_apply": pgl_apply(word, direct),
+        "compose": compose(direct, identity_map(spec)),
+        "flip twice": _substitute(_substitute(direct, one, t, None), one, t, None),
+    }
+    for name, f in paths.items():
+        assert f == direct, name
+        assert hash(f) == hash(direct), name
+        assert f.coords == coords, name
+        assert f.spec == spec and f.target_dim == len(coords) - 1 and f.domain is None, name
+    assert paths["pgl_apply"].coords == pgl_apply_oracle(word, direct)
+    assert paths["compose"].coords == substitute_oracle(direct, t, one)
+    # the view is read-only and built once
+    with pytest.raises(AttributeError):
+        direct.coords = ()  # type: ignore[misc]
+    assert direct.coords is direct.coords
+    # another domain is another map
+    assert SeriesMap(coords, UNIT_DISK) != direct
+
+
+def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_scalar(monkeypatch):
+    # a work gate: it counts calls and Scalar constructions, not time, so a
+    # loaded host cannot move it.  A map from pgl_apply or compose holds its
+    # cleared lists, so fs_derivative reads no coefficient through _num_den
+    # (its one _num_den call is the point's own short centre, in _Point) and
+    # clears nothing; the transforms themselves build no Scalar
+    calls = {"num_den": 0, "clear": 0, "scalars": 0, "on": False}
+
+    def counting(name, original):
+        def wrapper(*args):
+            if calls["on"]:
+                calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(points, "_num_den", counting("num_den", points._num_den))
+    for module in (points, fsderiv):
+        monkeypatch.setattr(module, "_clear", counting("clear", points._clear))
+    for cls in (PuiseuxScalar, PadicScalar):
+
+        def constructing(self, *args, init=cls.__init__):
+            if calls["on"]:
+                calls["scalars"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", constructing)
+    for spec in (P3, PQ):
+        rng = rng_for(f"cleared-map-work-gate-{spec.backend}")
+        for _ in range(150):
+            f = random_poly_map(rng, spec, 4)
+            g = random_poly_map(rng, spec, 3)
+            word = random_pgl_word(rng, spec)
+            z = random_unit_disk_point(rng, spec)
+            on_disk, unit_identity = series_map(f.coords, UNIT_DISK), identity_map(spec, UNIT_DISK)
+            calls["on"] = True
+            moved = pgl_apply(word, f)
+            composed = compose(f, g)
+            inside = compose(on_disk, unit_identity)
+            assert calls["scalars"] == 0 and calls["clear"] == 0 and calls["num_den"] == 0, calls
+            calls["on"] = False
+            centre_reads = 0 if short_centre(z).is_zero else 1
+            for h in (moved, composed, inside):
+                calls["on"] = True
+                fs_derivative(h, z)
+                calls["on"] = False
+                assert calls["clear"] == 0 and calls["num_den"] == centre_reads, calls
+                calls["num_den"] = calls["scalars"] = 0

@@ -50,6 +50,14 @@ def segment_value(segs, r: Fraction):
 # construction and evaluation
 
 
+def test_interval_is_open_and_its_closure_is_closed():
+    unit = Interval(Fraction(0), Fraction(1))
+    assert not unit.contains(Fraction(0)) and not unit.contains(Fraction(1))
+    assert unit.contains(Fraction(1, 2))
+    assert unit.contains_closure(Fraction(0)) and unit.contains_closure(Fraction(1))
+    assert not unit.contains_closure(Fraction(-1, 2)) and not unit.contains_closure(Fraction(3, 2))
+
+
 def test_from_series_examples(p3):
     cube = Poly.from_dict(p3, {3: p3.one()})
     assert from_series(cube, Interval(None, None)).terms == ((3, Fraction(0)),)

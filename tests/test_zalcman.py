@@ -69,6 +69,21 @@ def test_selection_rejects_indices_outside_the_sample(p3, index):
         gromov_conditions(s, 0, index, Fraction(1), Fraction(3, 2))
 
 
+@pytest.mark.parametrize(
+    "eps, tau",
+    [(0, Fraction(3, 2)), (1, 1), (-1, Fraction(3, 2)), (1, Fraction(1, 2))],
+    ids=["eps=0", "tau=1", "eps<0", "tau<1"],
+)
+def test_selection_and_its_check_reject_epsilon_at_most_0_and_tau_at_most_1(p3, eps, tau):
+    # one shared precondition: before it, gromov_conditions divided by zero at
+    # eps = 0 or tau = 1 and returned a triple for eps < 0 or tau < 1
+    s = sampled_function([p3.zero(), p3.one()], [1, 10])
+    with pytest.raises(ValueError, match="need epsilon > 0 and tau > 1"):
+        gromov_select(s, 0, eps, tau)
+    with pytest.raises(ValueError, match="need epsilon > 0 and tau > 1"):
+        gromov_conditions(s, 0, 1, eps, tau)
+
+
 def test_isolated_ball_selects_start(p3):
     # 1/(eps phi(a)) is far below every pairwise distance
     pts = [p3.zero(), p3.one(), p3.scalar(2)]
