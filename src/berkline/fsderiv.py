@@ -285,8 +285,12 @@ def fs_derivative_proj(f: SeriesMap, z: ProjPoint) -> AbsValue:
     aff = z.to_affine()
     if aff is not None:
         return fs_derivative(f, aff)
-    flipped = _substitute_cleared(f, _ONE_POLY, _T_POLY, _ONE_TERMS, None)
-    return fs_derivative(flipped, rigid(f.spec.zero()))
+    return fs_derivative(_at_infinity(f), rigid(f.spec.zero()))
+
+
+def _at_infinity(f: SeriesMap) -> SeriesMap:
+    """f in the reciprocal chart: the substitution T -> 1/T."""
+    return _substitute_cleared(f, _ONE_POLY, _T_POLY, _ONE_TERMS, None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +349,6 @@ def _plain_shift(coords: Sequence[list[tuple[int, tuple]]]) -> int:
     return -min([min(0, c[0][0]) for c in coords if c], default=0)
 
 
-def _substitute(f: SeriesMap, num: Poly, den: Poly, domain: Domain | None) -> SeriesMap:
-    """f composed with num/den, given as Polys (rescale_map): both are
-    cleared over one joint denominator for _substitute_cleared."""
-    common, (top, bottom) = _clear([num, den])
-    return _substitute_cleared(f, top, bottom, common, domain)
-
-
 def _substitute_cleared(f: SeriesMap, top: list, bottom: list, den: tuple, domain: Domain | None) -> SeriesMap:
     """f composed with num/den, num = N / L' and den = M / L' given as the
     cleared lists N and M over one denominator L'.
@@ -385,9 +382,10 @@ def _substitute_cleared(f: SeriesMap, top: list, bottom: list, den: tuple, domai
 
 
 def rescale_map(f: SeriesMap, scale: Scalar, offset: Scalar, domain: Domain | None) -> SeriesMap:
-    """The reparametrized map z -> f(offset + scale*z); scale must be nonzero."""
-    one = Poly.constant(f.spec, f.spec.one())
-    return _substitute(f, Poly.from_dict(f.spec, {0: offset, 1: scale}), one, domain)
+    """The reparametrized map z -> f(offset + scale*z); scale must be nonzero.
+    offset + scale*T is cleared to N / L, and 1 is L / L."""
+    den, (top,) = _clear([Poly.from_dict(f.spec, {0: offset, 1: scale})])
+    return _substitute_cleared(f, top, [(0, den)], den, domain)
 
 
 # ---------------------------------------------------------------------------

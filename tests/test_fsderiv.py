@@ -37,7 +37,7 @@ from berkline import (
 )
 from berkline.errors import BackendMismatch, DomainViolation, InvalidGenerator, PoleHit, ZeroTuple
 from berkline.field import PadicScalar, PuiseuxScalar, abs_max, unit_max
-from berkline.fsderiv import _substitute
+from berkline.fsderiv import _at_infinity
 
 from conftest import (
     count_deflation_passes,
@@ -358,8 +358,7 @@ def test_rescale_map_keeps_maps_reduced_and_matches_sub_linear(backend, data):
 @given(data=st.data())
 def test_flip_at_infinity_keeps_maps_reduced(backend, data):
     f = data.draw(reduced_maps(backend))
-    spec = f.spec
-    flipped = _substitute(f, Poly.constant(spec, spec.one()), Poly.coordinate(spec), None)
+    flipped = _at_infinity(f)
     assert flipped.coords == pgl_apply([("invert",)], f).coords
     assert_reduced(flipped)
 

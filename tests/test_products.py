@@ -25,7 +25,7 @@ from berkline import (
 )
 from berkline import fsderiv, points
 from berkline.field import PadicScalar, PuiseuxScalar, _terms_mul
-from berkline.fsderiv import _substitute, wronskian_minors
+from berkline.fsderiv import _at_infinity, wronskian_minors
 from berkline.points import _cleared, _num_den, divide_linear, poly_gcd, short_centre
 
 from conftest import (
@@ -40,6 +40,8 @@ from conftest import (
     random_pgl_word,
     random_poly,
     random_poly_map,
+    random_nonzero_scalar,
+    random_scalar,
     random_unit_disk_point,
     rng_for,
     substitute_oracle,
@@ -288,7 +290,7 @@ def test_maps_built_along_different_paths_are_equal_and_hash_equal(kind, data):
         "direct": direct,
         "pgl_apply": pgl_apply(word, direct),
         "compose": compose(direct, identity_map(spec)),
-        "flip twice": _substitute(_substitute(direct, one, t, None), one, t, None),
+        "flip twice": _at_infinity(_at_infinity(direct)),
     }
     for name, f in paths.items():
         assert f == direct, name
@@ -307,10 +309,11 @@ def test_maps_built_along_different_paths_are_equal_and_hash_equal(kind, data):
 
 def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_scalar(monkeypatch):
     # a work gate: it counts calls and Scalar constructions, not time, so a
-    # loaded host cannot move it.  A map from pgl_apply or compose holds its
-    # cleared lists, so fs_derivative reads no coefficient through _num_den
-    # (its one _num_den call is the point's own short centre, in _Point) and
-    # clears nothing; the transforms themselves build no Scalar
+    # loaded host cannot move it.  A map from pgl_apply, compose or
+    # rescale_map holds its cleared lists, so fs_derivative reads no
+    # coefficient through _num_den (its one _num_den call is the point's own
+    # short centre, in _Point) and clears nothing; the transforms themselves
+    # build no Scalar
     calls = {"num_den": 0, "clear": 0, "scalars": 0, "on": False}
 
     def counting(name, original):
@@ -322,8 +325,9 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
         return wrapper
 
     monkeypatch.setattr(points, "_num_den", counting("num_den", points._num_den))
+    clear = counting("clear", points._clear)
     for module in (points, fsderiv):
-        monkeypatch.setattr(module, "_clear", counting("clear", points._clear))
+        monkeypatch.setattr(module, "_clear", clear)
     for cls in (PuiseuxScalar, PadicScalar):
 
         def constructing(self, *args, init=cls.__init__):
@@ -340,14 +344,19 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
             word = random_pgl_word(rng, spec)
             z = random_unit_disk_point(rng, spec)
             on_disk, unit_identity = series_map(f.coords, UNIT_DISK), identity_map(spec, UNIT_DISK)
+            scale, offset = random_nonzero_scalar(rng, spec), random_scalar(rng, spec)
             calls["on"] = True
             moved = pgl_apply(word, f)
             composed = compose(f, g)
             inside = compose(on_disk, unit_identity)
             assert calls["scalars"] == 0 and calls["clear"] == 0 and calls["num_den"] == 0, calls
+            # rescale_map clears its own two parameters, not the map
+            rescaled = rescale_map(f, scale, offset, None)
             calls["on"] = False
+            assert calls["scalars"] == 0 and calls["clear"] == 1, calls
+            calls["clear"] = calls["num_den"] = 0
             centre_reads = 0 if short_centre(z).is_zero else 1
-            for h in (moved, composed, inside):
+            for h in (moved, composed, inside, rescaled):
                 calls["on"] = True
                 fs_derivative(h, z)
                 calls["on"] = False
