@@ -693,8 +693,14 @@ def _terms_at(a: Terms, denom: int, sigma: Fraction) -> Fraction:
 
 
 def _scaled(a: Terms, m: int) -> Terms:
-    """The term map a times the nonzero int m."""
-    return a if m == 1 else (a[0], tuple([(k, c * m) for k, c in a[1]]))
+    """The term map a times the nonzero int m (a one-term map, such as a
+    padic value, without a list)."""
+    terms = a[1]
+    if m == 1:
+        return a
+    if len(terms) == 1:
+        return a[0], ((terms[0][0], terms[0][1] * m),)
+    return a[0], tuple([(k, c * m) for k, c in terms])
 
 
 def _terms_shift(a: Terms, s: int, denom: int) -> Terms:

@@ -26,7 +26,8 @@ center is f(a), and its radius is r |q|_{a,r}, because seminorms multiply and
 of f recentred at a, the computational content of the diameter-transport
 identity, and holds in every residue characteristic; |q|_{a,r} is read off
 the numerators of the cleared quotient and certified like any seminorm, so q
-deflates further only when the certificate is inconclusive.
+deflates further only when the certificate is inconclusive.  At a rigid
+point the same division's value f(a) is the image.
 
 Moebius words, composition, rescaling and the chart at infinity are one
 substitution T -> num/den into the homogenized coordinates.  num and den never
@@ -72,7 +73,6 @@ from .points import (
     _disk_image,
     _from_num_den,
     _num_den,
-    _over_one,
     _seminorm,
     _term_abs,
     _times,
@@ -271,10 +271,10 @@ def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
     point = _Point(z)
     coords = f.cleared
-    den = abs_max([_seminorm(_over_one(c), point) for c in coords])
+    den = abs_max([_seminorm(c, point) for c in coords])
     if den.is_zero:
         raise DomainViolation("all homogeneous coordinates vanish at the point")
-    num = abs_max([_seminorm(_over_one(w), point) for w in _minors(coords)])
+    num = abs_max([_seminorm(w, point) for w in _minors(coords)])
     zn = z.norm()
     return unit_max(zn * zn) * num / (den * den)
 
@@ -304,8 +304,8 @@ def _zero_free_log_bound(g0: list[tuple[int, tuple]], outer: AbsValue, prime: in
     common denominator scales every term alike)."""
     if not g0 or g0[0][0]:
         return False
-    c0 = _term_abs(g0[0][1], _ONE_TERMS, prime)
-    return all(_term_abs(num, _ONE_TERMS, prime) * outer**n < c0 for n, num in g0[1:])
+    c0 = _term_abs(g0[0][1], prime)
+    return all(_term_abs(num, prime) * outer**n < c0 for n, num in g0[1:])
 
 
 def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
@@ -330,15 +330,15 @@ def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
         plain0, plain1 = [[(n + shift, num) for n, num in c] for c in g.cleared]
         if not _zero_free_log_bound(plain0, outer, prime):
             raise PoleHit("denominator coordinate vanishes on the inner domain")
-        g0_mag = _term_abs(plain0[0][1], _ONE_TERMS, prime)
+        g0_mag = _term_abs(plain0[0][1], prime)
         # the seminorm at the Shilov point eta_{0,outer}: max |c_n| outer^n
-        image_sup = abs_max([_term_abs(num, _ONE_TERMS, prime) * outer**n for n, num in plain1]) / g0_mag
+        image_sup = abs_max([_term_abs(num, prime) * outer**n for n, num in plain1]) / g0_mag
         if image_sup > f.domain.outer:
             raise DomainViolation("image leaves the outer domain")
         if f.domain.inner is not None:
             if not _zero_free_log_bound(plain1, outer, prime):
                 raise PoleHit("image meets the puncture of the outer domain")
-            if _term_abs(plain1[0][1], _ONE_TERMS, prime) / g0_mag < f.domain.inner:
+            if _term_abs(plain1[0][1], prime) / g0_mag < f.domain.inner:
                 raise DomainViolation("image dips below the inner radius")
     return _substitute_cleared(f, g1, g0, g.den, g.domain)
 
@@ -487,9 +487,10 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
 
     The chart denominator (coordinate 0) must be a nonzero constant, so the
     map is polynomial on the whole chart and images of balls are balls with
-    exactly computable center and radius.  At a ball every coordinate is read
-    off the map's cleared lists: |c_0| and 1/c_0 come from its cleared pair,
-    and _disk_image takes each affine coordinate over the map's denominator.
+    exactly computable center and radius.  Every coordinate is read off the
+    map's cleared lists: |c_0| and 1/c_0 come from its cleared pair, and
+    _disk_image takes each affine coordinate over the map's denominator, at
+    a rigid point as at a ball.
     """
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:
@@ -497,17 +498,13 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     chart, *affine = f.cleared
     if len(chart) != 1 or chart[0][0]:
         raise PoleHit("chart denominator must be a nonzero constant")
-    c0 = chart[0][1]
+    c0, point = chart[0][1], _Point(z)
     c_inv = _from_num_den(f.spec, f.den, c0)
-    c_abs = _term_abs(c0, f.den, f.spec.p or 0)
-    point = None if z.is_rigid else _Point(z)
+    c_abs = _term_abs(c0, point.prime) / _term_abs(f.den, point.prime)
     out = []
-    for i, p in enumerate(affine, 1):
+    for p in affine:
         if p and p[0][0] < 0:
             raise DomainViolation("affine coordinates must be plain polynomials")
-        if point is None:
-            out.append(DiskPoint(f.coords[i].evaluate(z.center) * c_inv, z.radius))
-            continue
-        value, q = _disk_image(p, f.den, point)
-        out.append(DiskPoint(value * c_inv, z.radius * q / c_abs))
+        value, radius = _disk_image(p, f.den, point)
+        out.append(DiskPoint(value * c_inv, radius / c_abs))
     return out

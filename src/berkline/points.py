@@ -14,18 +14,19 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
   in the direction of a).  U = |P|_{0,R} = max_n |c_n| R^n is attained by the
   exponents S; when their leading parts do not cancel, |P(a)| = U, and since
   |P(a)| <= |P|_{a,r} <= U the seminorm is exactly U.  The same test gives
-  |P(a)| at a rigid point, where Horner's rule is the fallback;
-* only when the leading parts cancel does P deflate at a ball, by
+  |P(a)| at a rigid point;
+* only when the leading parts cancel does P divide by T - a: one pass gives
+  P(a) at a rigid point, and at a ball P deflates, by
   |P|_{a,r} = max(|P(a)|, r |Q|_{a,r}) for P = P(a) + (T - a) Q.
 
-The seminorm kernel (_seminorm, _certificate) reads a polynomial as
-(n, num, den) triples of int term maps and the point as a context built
-once per call (_Point: the short centre, its initial triple, and p).
-eval_seminorm passes each coefficient's own num/den; the derivative of
-fsderiv passes a map's cleared numerators over den 1, since a common
-denominator only scales a seminorm by its magnitude, and disk images pass
-them over the map's one den.  No Scalar is built on the certified or
-deflation paths.
+The seminorm kernel (_seminorm, _certificate) reads a polynomial as a cleared
+list [(n, num), ...] of int term maps over one denominator L and the point as
+a context built once per call (_Point: the short centre, its initial triple,
+and p).  Seminorms are multiplicative, so L only scales the value by |L|:
+the kernel never sees L, and each caller divides its magnitude out once
+(eval_seminorm clears P through _clear; the derivative of fsderiv reads a
+map's cleared lists, where L cancels; disk images divide by the quotient's
+one den).  No Scalar is built at any point type.
 
 Polynomial algebra runs on one clearing for both backends: every value is
 read as a num/den pair of int term maps (a padic rational as two constants),
@@ -35,11 +36,11 @@ lcm of the constant dens times the product of the distinct other dens
 those int numerators, with no Scalar arithmetic; a Poly result gets one
 scalar per output coefficient, left unreduced over its constant den.
 Polynomial input has nothing to clear.  One synthetic-division kernel gives
-disk images (one pass), the deflation (passes until a certificate) and the
-Taylor shift (all passes); products, sums and derivatives (the Poly
-operators, the Wronskian minors and the map substitution) accumulate int
-terms by exponent, the denominator of a product being the product of the
-denominators.
+disk images and P(a) at a rigid point (one pass), the deflation (passes until
+a certificate) and the Taylor shift (all passes); products, sums and
+derivatives (the Poly operators, the Wronskian minors and the map
+substitution) accumulate int terms by exponent, the denominator of a product
+being the product of the denominators.
 Laurent polynomials are evaluated multiplicatively through
 |T^{-1}(x)| = 1/max(|a|, r), which is finite at every point except the rigid
 point 0.
@@ -173,10 +174,10 @@ class Poly:
         return _uncleared(self.spec, _combine([(1, a, b)]), _times(la, lb))
 
     def scale(self, c: Scalar) -> "Poly":
-        if c.is_zero:
-            return Poly(self.spec, ())
         if c.spec != self.spec:
             raise BackendMismatch(f"mixed backends: {self.spec} vs {c.spec}")
+        if c.is_zero:
+            return Poly(self.spec, ())
         return self * Poly(self.spec, ((0, c),))
 
     def shift_exp(self, m: int) -> "Poly":
@@ -196,6 +197,8 @@ class Poly:
         multiplies by a^g once, so sparse input costs O(terms * log degree)
         products.
         """
+        if a.spec is not self.spec and a.spec != self.spec:
+            raise BackendMismatch(f"mixed backends: {self.spec} vs {a.spec}")
         if not self.terms:
             return self.spec.zero()
         if self.terms[0][0] < 0 and a.is_zero:
@@ -238,7 +241,8 @@ def taylor_shift(p: Poly, a: Scalar) -> Poly:
         raise PoleAtPoint("taylor_shift is defined for plain polynomials")
     if a.is_zero or p.is_constant:
         return p
-    division = _SyntheticDivision(_triples(p), *_num_den(a))
+    lcm, (nums,) = _clear([p])
+    division = _SyntheticDivision(nums, lcm, *_num_den(a))
     values = [_from_num_den(p.spec, *division.divide()) for _ in range(p.degree())]
     return Poly.from_coeffs(p.spec, values + [p.terms[-1][1]])
 
@@ -248,10 +252,9 @@ class _SyntheticDivision:
     P_0 = P and P_k = P_k(a) + (T - a) P_{k+1}, so that P_k(a) is the k-th
     Taylor coefficient of P at a.
 
-    P is given as (n, num, den) triples of int term maps (_triples) and a as
-    the pair A/B.  With c_n = N_n/L over the common denominator L of _cleared
-    (a padic n/d as constants) and d the degree, P is cleared once, to
-    e_n = N_n B^(d-n).  Pass k is one Horner pass by A,
+    P is given as a cleared list [(n, N_n), ...] over its one denominator L,
+    so c_n = N_n/L, and a as the pair A/B.  With d the degree, P is put over
+    B^d once, to e_n = N_n B^(d-n).  Pass k is one Horner pass by A,
     e_n += A e_{n+1} for n = d - 1, ..., k, with no Scalar arithmetic; it
     leaves P_k(a) = e_k / (L B^(d-k)) and the coefficients
     e_{k+1+j} / (L B^(d-k-1-j)) of P_{k+1}, so no denominator grows with k.
@@ -261,13 +264,12 @@ class _SyntheticDivision:
 
     __slots__ = ("top", "lcm", "b_powers", "deg", "e", "k")
 
-    def __init__(self, terms: list[tuple[int, tuple, tuple]], top: tuple, bottom: tuple) -> None:
-        self.top, self.deg, self.k = top, terms[-1][0], 0
-        nums, self.lcm = _cleared([(num, den) for _, num, den in terms])
+    def __init__(self, nums: list[tuple[int, tuple]], lcm: tuple, top: tuple, bottom: tuple) -> None:
+        self.top, self.lcm, self.deg, self.k = top, lcm, nums[-1][0], 0
         self.b_powers = [_ONE_TERMS]
         for _ in range(self.deg):
             self.b_powers.append(_times(self.b_powers[-1], bottom))
-        self.e = {n: _times(num, self.b_powers[self.deg - n]) for (n, _, _), num in zip(terms, nums)}
+        self.e = {n: _times(num, self.b_powers[self.deg - n]) for n, num in nums}
 
     def divide(self) -> tuple[tuple, tuple]:
         """Pass k: P_k(a) as a num/den pair of term maps, leaving P_{k+1}."""
@@ -301,11 +303,6 @@ def _num_den(c: Scalar) -> tuple[tuple, tuple]:
     return (1, ((0, v.numerator),)), (1, ((0, v.denominator),))
 
 
-def _triples(p: Poly) -> list[tuple[int, tuple, tuple]]:
-    """The (n, num, den) triples of P's coefficients, each over its own den."""
-    return [(n, *_num_den(c)) for n, c in p.terms]
-
-
 def _from_num_den(spec: FieldSpec, num: tuple, den: tuple) -> Scalar:
     """The scalar num/den of two term maps, unreduced (the inverse of _num_den)."""
     if not num[1]:
@@ -330,19 +327,21 @@ def _cleared(pairs: list[tuple[tuple, tuple]]) -> tuple[list[tuple], tuple]:
     """(nums, L): num/den pairs of term maps over one L, the int lcm of the
     constant dens times the product of the distinct other dens; each num is
     multiplied by L over its own den."""
-    scale, dens = 1, []
+    scale, dens, ints = 1, [], []  # ints: each constant den, 0 for the others
     for _, den in pairs:
-        if _is_constant(den):
-            scale = math.lcm(scale, den[1][0][1])
-        elif den not in dens:
+        d = den[1][0][1] if _is_constant(den) else 0
+        if d and scale % d:
+            scale = math.lcm(scale, d)
+        elif not d and den not in dens:
             dens.append(den)
+        ints.append(d)
     if scale == 1 and not dens:
         return [num for num, _ in pairs], _ONE_TERMS
     nums = []
-    for num, den in pairs:
-        num = _scaled(num, scale // den[1][0][1] if _is_constant(den) else scale)
+    for (num, den), d in zip(pairs, ints):
+        num = _scaled(num, scale // d if d else scale)
         for m in dens:
-            if m != den:
+            if d or m != den:
                 num = _terms_mul(num, m)
         nums.append(num)
     lcm = _constant(scale)
@@ -366,11 +365,8 @@ _ONE_POLY = [(0, _ONE_TERMS)]  # the cleared constant 1
 def _clear(polys: Sequence[Poly]) -> tuple[tuple, list[list[tuple[int, tuple]]]]:
     """(L, cleared lists): the polynomials over one joint L (``_cleared``)."""
     nums, lcm = _cleared([_num_den(c) for p in polys for _, c in p.terms])
-    out, i = [], 0
-    for p in polys:
-        out.append([(n, nums[i + j]) for j, (n, _) in enumerate(p.terms)])
-        i += len(p.terms)
-    return lcm, out
+    it = iter(nums)  # zip stops at the end of p.terms before it reads ahead
+    return lcm, [[(n, num) for (n, _), num in zip(p.terms, it)] for p in polys]
 
 
 def _combine(products: Sequence[tuple[int, list, list]]) -> list[tuple[int, tuple]]:
@@ -435,7 +431,8 @@ def divide_linear(p: Poly, a: Scalar) -> tuple[Scalar, Poly]:
         raise PoleAtPoint("divide_linear is defined for plain polynomials")
     if a.is_zero or p.is_zero:
         return p.coeff(0), Poly(p.spec, tuple([(n - 1, c) for n, c in p.terms if n]))
-    division = _SyntheticDivision(_triples(p), *_num_den(a))
+    lcm, (nums,) = _clear([p])
+    division = _SyntheticDivision(nums, lcm, *_num_den(a))
     value = _from_num_den(p.spec, *division.divide())
     nums, den = division.quotient()
     return value, Poly(p.spec, tuple([(n, _from_num_den(p.spec, num, den)) for n, num in nums]))
@@ -443,8 +440,11 @@ def divide_linear(p: Poly, a: Scalar) -> tuple[Scalar, Poly]:
 
 def initial_form(p: Poly, a: Scalar) -> tuple[AbsValue, tuple[int, ...]] | None:
     """The certificate |P(a)| = |P|_{0,|a|} for a nonzero plain P and a != 0
-    (_certificate on P's own num/den pairs)."""
-    return _certificate(_triples(p), _Point(rigid(a)))
+    (_certificate on P cleared over L, whose U divides by |L| once)."""
+    lcm, (nums,) = _clear([p])
+    point = _Point(rigid(a))
+    certificate = _certificate(nums, point)
+    return certificate and (certificate[0] / _term_abs(lcm, point.prime), certificate[1])
 
 
 def coprime_certificate(polys: Sequence[Poly]) -> bool:
@@ -710,13 +710,15 @@ class ProjPoint:
 
 
 def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
-    """|P(x)| for the multiplicative seminorm of the point x: _seminorm on
-    each coefficient's own num/den term maps, with nothing cleared.  A point
-    over another FieldSpec than P raises BackendMismatch, as scalar
-    arithmetic does."""
+    """|P(x)| for the multiplicative seminorm of the point x: _seminorm on P
+    cleared once over L (_clear), divided by |L|.  A point over another
+    FieldSpec than P raises BackendMismatch, as scalar arithmetic does."""
     if p.spec is not x.spec and p.spec != x.spec:
         raise BackendMismatch(f"mixed backends: {p.spec} vs {x.spec}")
-    return _seminorm(_triples(p), _Point(x))
+    lcm, (nums,) = _clear([p])
+    point = _Point(x)
+    value = _seminorm(nums, point)
+    return value if lcm == _ONE_TERMS else value / _term_abs(lcm, point.prime)
 
 
 class _Point:
@@ -745,19 +747,32 @@ class _Point:
             self.initial = (tn[0][0] * (denom // dn) - td[0][0] * (denom // dd), denom, tn[0][1], td[0][1])
 
 
-def _term_abs(num: tuple, den: tuple, prime: int) -> AbsValue:
-    """|num/den| for int term maps (padic: constants over the prime p)."""
+def _term_abs(num: tuple, prime: int) -> AbsValue:
+    """|num| for an int term map (padic: a constant, over the prime p)."""
     if not num[1]:
         return ABS_ZERO
     if prime:
-        return _magnitude(-_padic_split(num[1][0][1], den[1][0][1], prime)[0], 1)
-    (dn, tn), (dd, td) = num, den
-    return _magnitude(td[0][0] * dn - tn[0][0] * dd, dn * dd)
+        return _magnitude(-_padic_split(num[1][0][1], 1, prime)[0], 1)
+    return _magnitude(-num[1][0][0], num[0])
 
 
-def _certificate(terms: list[tuple[int, tuple, tuple]], x: _Point) -> tuple[AbsValue, tuple[int, ...]] | None:
+def _weights(nums: list[tuple[int, tuple]], step: int, denom: int, prime: int) -> tuple[list[int], int, list[int]]:
+    """(weights, denom, leads) of a cleared list at valuation step/denom: the
+    valuation of each term num T^n there as ints over one common denom, and
+    the leading coefficient of each num (puiseux-q: its lowest coefficient;
+    padic: its p-free part)."""
+    if prime:
+        splits = [_padic_split(num[1][0][1], 1, prime) for _, num in nums]
+        return [v * denom + n * step for (n, _), (v, _, _) in zip(nums, splits)], denom, [u for _, u, _ in splits]
+    common = math.lcm(denom, *[num[0] for _, num in nums])
+    step *= common // denom
+    weights = [num[1][0][0] * (common // num[0]) + n * step for n, num in nums]
+    return weights, common, [num[1][0][1] for _, num in nums]
+
+
+def _certificate(nums: list[tuple[int, tuple]], x: _Point) -> tuple[AbsValue, tuple[int, ...]] | None:
     """The certificate |P(a)| = |P|_{0,|a|} for a nonzero plain P, given as
-    sorted (n, num, den) triples, and the nonzero centre a of x.
+    a cleared list, and the nonzero centre a of x.
 
     U = |P|_{0,|a|} = max_n |c_n| |a|^n needs no shift, and S lists the
     exponents n whose terms attain it.  Their leading parts sum to
@@ -767,107 +782,89 @@ def _certificate(terms: list[tuple[int, tuple, tuple]], x: _Point) -> tuple[AbsV
     so |P(a)| = U, and the witness (U, S) is returned; None when sigma = 0.
     A single attaining term never cancels, so sigma is formed only for two or
     more.  Valuations are ints over one common denominator (puiseux-q) or
-    p-adic valuations of the ints, and sigma is one int over the cleared
-    leading denominators, read mod p for padic.  A common factor of every
-    coefficient (one den for all) scales U by its magnitude and sigma by a
-    unit, so the certificate of the nums holds for the quotients too.
+    p-adic valuations of the ints, and sigma is one int over the leading
+    denominator of a, read mod p for padic.  The list's one denominator
+    scales U by its magnitude and sigma by a unit, so the certificate of the
+    nums holds for the coefficients too.
     """
     step, denom, alpha, beta = x.initial
     prime = x.prime
-    if prime:
-        coeffs = [_padic_split(num[1][0][1], den[1][0][1], prime) for _, num, den in terms]
-    else:
-        common = math.lcm(denom, *[m[0] for _, num, den in terms for m in (num, den)])
-        step, denom = step * (common // denom), common
-        # (valuation in units of 1/denom, lowest num coefficient, lowest den coefficient)
-        coeffs = [
-            (num[1][0][0] * (denom // num[0]) - den[1][0][0] * (denom // den[0]), num[1][0][1], den[1][0][1])
-            for _, num, den in terms
-        ]
-    weights = [v + n * step for (n, _, _), (v, _, _) in zip(terms, coeffs)]
+    weights, denom, leads = _weights(nums, step, denom, prime)
     best = min(weights)
     support = [i for i, w in enumerate(weights) if w == best]
     if len(support) > 1:
-        # sigma times beta^d and the lcm of the in(c_n) denominators: an int,
-        # and for padic a residue of the same class, since p divides neither
-        d = terms[support[-1]][0]
-        scale = math.lcm(*[coeffs[i][2] for i in support])
+        # sigma times beta^d: an int, and for padic a residue of the same
+        # class, since p does not divide beta
+        d = nums[support[-1]][0]
         sigma = 0
         for i in support:
-            n = terms[i][0]
-            sigma += coeffs[i][1] * (scale // coeffs[i][2]) * alpha**n * beta ** (d - n)
+            n = nums[i][0]
+            sigma += leads[i] * alpha**n * beta ** (d - n)
         if not (sigma % prime if prime else sigma):
             return None
-    return _magnitude(-best, denom), tuple([terms[i][0] for i in support])
+    return _magnitude(-best, denom), tuple([nums[i][0] for i in support])
 
 
-def _seminorm(terms: list[tuple[int, tuple, tuple]], x: _Point) -> AbsValue:
-    """|P(x)| for P given as sorted (n, num, den) triples of int term maps.
+def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> AbsValue:
+    """|P(x)| |L| for P given as a cleared list over one denominator L.
 
     For a plain polynomial this is max_i |c_i| r^i over the coefficients
     recentred at the short centre a: read off P itself when a = 0, certified
-    by _certificate when a != 0, and only when the certificate is
-    inconclusive found by deflation: passes of _SyntheticDivision give
-    c_j = P_j(a) until _certificate holds for the cleared nums of a quotient
-    P_k (over one den, whose magnitude divides once), and the value is the
-    max of |c_j| r^j over j < k and r^k |P_k(a)|.  No Scalar is built on
-    these paths.  At a rigid point the certificate gives |P(a)|, with
-    Horner's rule on Scalars as the fallback.  A Laurent polynomial is
-    written T^{-m} Q with Q plain and evaluated multiplicatively; this is
-    exact at every point other than the rigid point 0, where T has seminorm
-    zero.
+    by _certificate when a != 0, and otherwise found by passes of
+    _SyntheticDivision.  The first gives P(a), the value at a rigid point; at
+    a ball they give c_j = P_j(a) until _certificate holds for the nums of a
+    quotient P_k over its one den, and the value is the max of |c_j| r^j over
+    j < k and r^k |P_k(a)|.  A Laurent polynomial is written T^{-m} Q with Q
+    plain and evaluated multiplicatively; this is exact at every point other
+    than the rigid point 0, where T has seminorm zero.
     """
-    if not terms:
+    if not nums:
         return ABS_ZERO
-    neg = -terms[0][0]
+    neg = -nums[0][0]
     if neg > 0:
         t_norm = x.point.norm()
         if t_norm.is_zero:
             raise PoleAtPoint("Laurent polynomial at the rigid point 0")
-        return _seminorm([(n + neg, num, den) for n, num, den in terms], x) / t_norm**neg
+        return _seminorm([(n + neg, num) for n, num in nums], x) / t_norm**neg
     a, r, prime = x.centre, x.point.radius, x.prime
     if a.is_zero:
         if r.is_zero:
-            n, num, den = terms[0]
-            return ABS_ZERO if n else _term_abs(num, den, prime)
-        return abs_max([_term_abs(num, den, prime) * r**n for n, num, den in terms])
-    certificate = _certificate(terms, x)
+            n, num = nums[0]
+            return ABS_ZERO if n else _term_abs(num, prime)
+        weights, denom, _ = _weights(nums, -r.n, r.d, prime)
+        return _magnitude(-min(weights), denom)
+    certificate = _certificate(nums, x)
     if certificate is not None:
         return certificate[0]
-    if r.is_zero:
-        spec = a.spec
-        return Poly(spec, tuple([(n, _from_num_den(spec, num, den)) for n, num, den in terms])).evaluate(a).abs()
-    # sigma = 0: deflate until a quotient is certified (a constant one always is)
-    division, value, k = _SyntheticDivision(terms, x.top, x.bottom), ABS_ZERO, 0
+    # sigma = 0: divide until a quotient is certified (a constant one always is)
+    division, value, k = _SyntheticDivision(nums, _ONE_TERMS, x.top, x.bottom), ABS_ZERO, 0
     while certificate is None:
-        value = max(value, _term_abs(*division.divide(), prime) * r**k)
+        num, den = division.divide()
+        if r.is_zero:  # P(a), the value at a rigid point
+            return _term_abs(num, prime) / _term_abs(den, prime)
+        value = max(value, _term_abs(num, prime) / _term_abs(den, prime) * r**k)
         k += 1
         nums, den = division.quotient()
-        certificate = _certificate(_over_one(nums), x)
-    return max(value, certificate[0] / _term_abs(den, _ONE_TERMS, prime) * r**k)
-
-
-def _over_one(nums: list[tuple[int, tuple]]) -> list[tuple[int, tuple, tuple]]:
-    """The triples of a cleared list's nums, each over den 1: the seminorm
-    of the list times |L|, for its denominator L."""
-    return [(n, num, _ONE_TERMS) for n, num in nums]
+        certificate = _certificate(nums, x)
+    return max(value, certificate[0] / _term_abs(den, prime) * r**k)
 
 
 def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[Scalar, AbsValue]:
-    """(P(a), |Q|_{a,r}) for a plain P = P(a) + (T - a) Q, given as a cleared
-    list over den, at the ball x with short centre a: one pass of
-    _SyntheticDivision on the (n, num, den) triples, which share their den
-    and so clear nothing, and the seminorm of the cleared quotient's nums
-    divided once by the magnitude of its one den, den B^(d-1).  Only P(a)
-    is built as a Scalar."""
-    terms = [(n, num, den) for n, num in nums]
-    if x.centre.is_zero or not terms:
+    """(P(a), r |Q|_{a,r}): the image of x under a plain P = P(a) + (T - a) Q,
+    a cleared list over den, with a the short centre of x.  One pass of
+    _SyntheticDivision; at a ball, the seminorm of the quotient's nums over
+    its one den, den B^(d-1).  Only P(a) is built as a Scalar."""
+    spec, r = x.centre.spec, x.point.radius
+    if x.centre.is_zero or not nums:
         c0 = nums[0][1] if nums and not nums[0][0] else _ZERO_TERMS
-        return _from_num_den(x.centre.spec, c0, den), _seminorm([(n - 1, num, den) for n, num, den in terms if n], x)
-    division = _SyntheticDivision(terms, x.top, x.bottom)
-    value = _from_num_den(x.centre.spec, *division.divide())
-    quotient, qden = division.quotient()
-    return value, _seminorm(_over_one(quotient), x) / _term_abs(qden, _ONE_TERMS, x.prime)
+        value, quotient, qden = _from_num_den(spec, c0, den), [(n - 1, num) for n, num in nums if n], den
+    else:
+        division = _SyntheticDivision(nums, den, x.top, x.bottom)
+        value = _from_num_den(spec, *division.divide())
+        if r.is_zero:
+            return value, r
+        quotient, qden = division.quotient()
+    return value, r * _seminorm(quotient, x) / _term_abs(qden, x.prime)
 
 
 def short_centre(x: DiskPoint) -> Scalar:

@@ -94,7 +94,8 @@ def run_cli_full(argv: list[str]) -> tuple[object, str, str]:
 def count_deflation_passes(monkeypatch) -> list[int]:
     """The passes of points._SyntheticDivision that the sigma = 0 fallback of
     the seminorm kernel (points._seminorm, under eval_seminorm, fs_derivative
-    and apply_map) runs, one entry (the pass index) per pass; the one
+    and apply_map) runs, one entry (the pass index) per pass: the deflation
+    at a ball, and the one pass that gives P(a) at a rigid point.  The one
     division of a disk image and the passes of taylor_shift are not counted."""
     passes: list[int] = []
     divide = points._SyntheticDivision.divide

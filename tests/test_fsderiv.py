@@ -524,10 +524,11 @@ def test_transport_ops_build_at_most_a_quarter_of_the_fractions_of_fraction_magn
 
 def test_ball_derivatives_and_images_build_no_scalar_per_minor_or_quotient_coefficient(monkeypatch):
     # a work gate: it counts Scalar constructions, not time, so a loaded host
-    # cannot move it.  At a ball fs_derivative builds at most the short
-    # centre, and apply_map that, 1/c and two scalars per image centre,
-    # whatever the degree: every seminorm, the sigma = 0 deflation included,
-    # runs on term maps
+    # cannot move it.  At a ball or a rigid point fs_derivative builds at most
+    # the short centre, and apply_map that, 1/c and two scalars per image
+    # centre, whatever the degree: every seminorm, the sigma = 0 pass and
+    # deflation included, runs on term maps, and neither reads the map's
+    # Poly view.  A rigid seminorm at a planted root builds no Scalar at all
     made = {"count": 0, "on": False}
     for cls in (PuiseuxScalar, PadicScalar):
 
@@ -539,18 +540,25 @@ def test_ball_derivatives_and_images_build_no_scalar_per_minor_or_quotient_coeff
         monkeypatch.setattr(cls, "__init__", counting)
     for spec in (FieldSpec("padic", 3), FieldSpec("puiseux-q")):
         rng = rng_for(f"scalar-work-gate-{spec.backend}")
-        over, balls = [], 0
+        over, balls, rigids = [], 0, 0
         for _ in range(300):
             f = random_poly_map(rng, spec, 6)
             z = random_unit_disk_point(rng, spec)
-            if z.is_rigid:
-                continue
-            balls += 1
-            for fn, bound in ((fs_derivative, 1), (apply_map, 2 + 2 * (len(f.coords) - 1))):
+            rigids += z.is_rigid
+            balls += not z.is_rigid
+            for fn, bound in ((fs_derivative, 1), (apply_map, 2 + 2 * (len(f.cleared) - 1))):
                 made["on"], made["count"] = True, 0
                 fn(f, z)
                 made["on"] = False
+                assert "coords" not in vars(f), fn.__name__
                 if made["count"] > bound:
-                    over.append((fn.__name__, f.coords[1].degree(), made["count"]))
-        assert balls >= 150
+                    over.append((fn.__name__, z.is_rigid, f.cleared[1][-1][0], made["count"]))
+        assert balls >= 150 and rigids >= 50
         assert over == []
+        a = random_scalar(rng, spec, unit_ball=True)
+        t_minus_a = Poly.from_dict(spec, {0: -a, 1: spec.one()})
+        planted, x = t_minus_a * t_minus_a * random_poly(rng, spec, 4), rigid(a)
+        made["on"], made["count"] = True, 0
+        assert eval_seminorm(planted, x) == ABS_ZERO
+        made["on"] = False
+        assert made["count"] == 0

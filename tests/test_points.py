@@ -26,13 +26,14 @@ from berkline import (
     diam_proj_point,
     eval_seminorm,
     fs_derivative,
+    fs_ratio,
     gauss_point,
     join,
     rigid,
     series_map,
     taylor_shift,
 )
-from berkline.errors import DomainViolation, PoleAtPoint
+from berkline.errors import BackendMismatch, DomainViolation, PoleAtPoint
 from berkline.field import PadicScalar, PuiseuxScalar, abs_max
 from berkline.points import divide_linear, initial_form, short_centre
 
@@ -434,10 +435,11 @@ def _result(fn, *args):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_seminorm_kernel_matches_the_scalar_oracles(kind, data):
-    # the kernel on num/den term maps (eval_seminorm), on cleared nums
-    # (fs_derivative) and on the cleared quotient (apply_map) against the
-    # Scalar paths they replaced: planted sigma = 0 roots, rational-function
-    # coefficients, rigid points, Laurent coordinates and a short centre 0
+    # the kernel on P cleared once (eval_seminorm), on a map's cleared lists
+    # (fs_derivative) and on the cleared quotient (apply_map, at balls and
+    # rigid points) against the Scalar paths they replaced: planted
+    # sigma = 0 roots, rational-function coefficients, rigid points, Laurent
+    # coordinates and a short centre 0
     construction, p, a, x = data.draw(certificate_cases(kind))
     spec, scalars = CERTIFICATE_SPECS[kind], CERTIFICATE_SCALARS[kind]
     nonzero = scalars.filter(lambda c: not c.is_zero)
@@ -537,6 +539,23 @@ def test_laurent_at_rigid_zero_raises(p3):
     inv_t = Poly.from_dict(p3, {-1: p3.one()})
     with pytest.raises(PoleAtPoint):
         eval_seminorm(inv_t, rigid(p3.zero()))
+
+
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+def test_evaluate_and_scale_reject_a_scalar_of_another_backend(p3, pq, backend):
+    # a constant or zero polynomial runs no arithmetic with the scalar, so
+    # only a spec check can catch the mix; before it, evaluate returned the
+    # constant, scale by another backend's zero returned the zero
+    # polynomial, and fs_ratio of constant coordinates read AbsValue(0)
+    spec, other = (p3, pq) if backend == "padic" else (pq, p3)
+    for p in (Poly.constant(spec, spec.scalar(2)), Poly(spec, ()), Poly.coordinate(spec)):
+        for c in (other.one(), other.zero()):
+            with pytest.raises(BackendMismatch):
+                p.evaluate(c)
+            with pytest.raises(BackendMismatch):
+                p.scale(c)
+    with pytest.raises(BackendMismatch):
+        fs_ratio([Poly.constant(spec, spec.one()), Poly.constant(spec, spec.scalar(2))], other.one(), other.scalar(2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ runtime checks are explicit raises, never assert statements (which python -O
 strips), every import sits at module level, no tuple is built from a
 generator expression, the polynomial kernels allocate no dense lists,
 magnitude arithmetic builds no Fraction, nor do the int paths of document
-rationals, in-disk coordinates and the p-adic selection gap, every
-benchmark trace target names a library function, and the CLI's command table
-and the document reader's payload table name the same payload kinds."""
+rationals, in-disk coordinates and the p-adic selection gap, the seminorm
+kernel builds no Poly and evaluates no Scalar, every benchmark trace target
+names a library function, and the CLI's command table and the document
+reader's payload table name the same payload kinds."""
 
 from __future__ import annotations
 
@@ -146,6 +147,7 @@ MAGNITUDE_FUNCTIONS = [
     ("points.py", "initial_form"),
     ("points.py", "_Point.__init__"),
     ("points.py", "_term_abs"),
+    ("points.py", "_weights"),
     ("points.py", "_certificate"),
     ("points.py", "_seminorm"),
     ("points.py", "_disk_image"),
@@ -170,7 +172,7 @@ INT_PATH_FUNCTIONS = [
 FRACTION_BUILDERS = ("Fraction", "as_fraction")
 
 
-def _fraction_calls(name: str, qualname: str) -> list[str]:
+def _scope(name: str, qualname: str) -> ast.AST:
     path = SRC / name
     scope: ast.AST = ast.parse(path.read_text(), str(path))
     for part in qualname.split("."):
@@ -179,9 +181,13 @@ def _fraction_calls(name: str, qualname: str) -> list[str]:
             for node in ast.iter_child_nodes(scope)
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == part
         )
+    return scope
+
+
+def _fraction_calls(name: str, qualname: str) -> list[str]:
     return [
         f"{name}:{node.lineno}: {ast.unparse(node.func)}(...) in {qualname}"
-        for node in ast.walk(scope)
+        for node in ast.walk(_scope(name, qualname))
         if isinstance(node, ast.Call)
         and (
             (isinstance(node.func, ast.Name) and node.func.id in FRACTION_BUILDERS)
@@ -198,6 +204,31 @@ def test_magnitude_arithmetic_builds_no_fraction(name, qualname):
 @pytest.mark.parametrize("name, qualname", INT_PATH_FUNCTIONS, ids=lambda x: x)
 def test_int_paths_build_no_fraction(name, qualname):
     assert _fraction_calls(name, qualname) == []
+
+
+# the seminorm kernel reads cleared lists of int term maps at every point
+# type, the rigid point included: no Poly is built there and no Horner's rule
+# on Scalars runs
+KERNEL_FUNCTIONS = [
+    ("points.py", "_seminorm"),
+    ("points.py", "_certificate"),
+    ("points.py", "_disk_image"),
+    ("points.py", "_SyntheticDivision"),
+]
+
+
+def _poly_uses(name: str, qualname: str) -> list[str]:
+    return [
+        f"{name}:{node.lineno}: {ast.unparse(node)} in {qualname}"
+        for node in ast.walk(_scope(name, qualname))
+        if (isinstance(node, ast.Name) and node.id == "Poly")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "evaluate")
+    ]
+
+
+@pytest.mark.parametrize("name, qualname", KERNEL_FUNCTIONS, ids=lambda x: x)
+def test_seminorm_kernel_names_no_poly_and_evaluates_no_scalar(name, qualname):
+    assert _poly_uses(name, qualname) == []
 
 
 def _trace_targets() -> list[tuple[str, str, str, str]]:
