@@ -17,7 +17,9 @@ residue characteristic p is fully visible.  Each minor is W_ij / L^2, W_ij
 one difference of int products.  Seminorms multiply, so L cancels from the
 quotient, max |W_ij| / max |C_i|^2: every seminorm of the derivative is taken
 on the int numerators at one point context (points._seminorm), and no minor
-is built as a Poly.
+is built as a Poly.  The minors depend on the map alone, so a map builds its
+numerators W_ij once, at its first derivative, and keeps them (``minors``);
+every later derivative of the same map, at any point, takes seminorms only.
 
 Disk images of affine polynomial maps are exact.  With a the short centre of
 eta_{a,r}, one synthetic division f = f(a) + (T - a) q gives the image: its
@@ -27,7 +29,8 @@ of f recentred at a, the computational content of the diameter-transport
 identity, and holds in every residue characteristic; |q|_{a,r} is read off
 the numerators of the cleared quotient and certified like any seminorm, so q
 deflates further only when the certificate is inconclusive.  At a rigid
-point the same division's value f(a) is the image.
+point the image is the value f(a) alone, one Horner pass over the present
+terms (points._value_at).
 
 Moebius words, composition, rescaling and the chart at infinity are one
 substitution T -> num/den into the homogenized coordinates.  num and den never
@@ -130,8 +133,12 @@ class SeriesMap:
     transforms, the derivative and disk images read it and build no Scalar.
     ``coords`` is a read-only view of the coordinates as Polys, one Scalar
     per coefficient over L (points._uncleared), built at its first read and
-    kept; the Polys a map is made from are not kept.  ``==`` and ``hash``
-    read the coordinates' values and the domain, not the denominator chosen.
+    kept; the Polys a map is made from are not kept.  ``minors`` holds the
+    cleared Wronskian minors C_i' C_j - C_j' C_i, i < j, over L^2 as tuples,
+    built at their first read (the first derivative of the map) and kept, so
+    every later derivative of the map takes seminorms only; making or
+    transforming a map never builds them.  ``==`` and ``hash`` read the
+    coordinates' values and the domain, not the denominator chosen.
 
     Construct through :func:`series_map`, which normalizes Laurent content
     and removes the common polynomial factor, so that vanishing of minors is
@@ -160,6 +167,10 @@ class SeriesMap:
     @cached_property
     def coords(self) -> tuple[Poly, ...]:
         return tuple([_uncleared(self.spec, c, self.den) for c in self.cleared])
+
+    @cached_property
+    def minors(self) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+        return tuple([tuple(minor) for minor in _minors(self.cleared)])
 
     @property
     def target_dim(self) -> int:
@@ -243,10 +254,10 @@ def _require_in_domain(f: SeriesMap, z: DiskPoint) -> None:
 def wronskian_minors(f: SeriesMap) -> list[Poly]:
     """The minors f_i' f_j - f_j' f_i, i < j.  The coordinates are cleared
     over one L, so both products of a minor are over L^2 and the minor is a
-    difference of numerators (_minors; fs_derivative reads those numerators
-    and builds no minor)."""
+    difference of numerators (the map's ``minors``; fs_derivative reads
+    those numerators and builds no minor)."""
     den = _times(f.den, f.den)
-    return [_uncleared(f.spec, minor, den) for minor in _minors(f.cleared)]
+    return [_uncleared(f.spec, minor, den) for minor in f.minors]
 
 
 def _minors(coords: Sequence[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple]]]:
@@ -261,7 +272,8 @@ def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     """Exact Fubini-Study derivative magnitude at a point of the line.
 
     The map holds its coordinates as C_i / L, and the minors are the
-    numerators W_ij of wronskian_minors, over L^2.  |f_i| = |C_i| / |L| and
+    numerators W_ij of wronskian_minors, over L^2, built at the map's first
+    derivative and kept (``f.minors``).  |f_i| = |C_i| / |L| and
     |W_ij / L^2| = |W_ij| / |L|^2, so L cancels: every seminorm is taken on
     the numerators at one point context, and no Scalar is built per
     coefficient.  A point over another FieldSpec than f raises
@@ -270,11 +282,10 @@ def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     if f.spec is not z.spec and f.spec != z.spec:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
     point = _Point(z)
-    coords = f.cleared
-    den = abs_max([_seminorm(c, point) for c in coords])
+    den = abs_max([_seminorm(c, point) for c in f.cleared])
     if den.is_zero:
         raise DomainViolation("all homogeneous coordinates vanish at the point")
-    num = abs_max([_seminorm(w, point) for w in _minors(coords)])
+    num = abs_max([_seminorm(w, point) for w in f.minors])
     zn = z.norm()
     return unit_max(zn * zn) * num / (den * den)
 
@@ -489,8 +500,8 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     map is polynomial on the whole chart and images of balls are balls with
     exactly computable center and radius.  Every coordinate is read off the
     map's cleared lists: |c_0| and 1/c_0 come from its cleared pair, and
-    _disk_image takes each affine coordinate over the map's denominator, at
-    a rigid point as at a ball.
+    _disk_image takes each affine coordinate over the map's denominator: at
+    a ball its value and radius, at a rigid point its value alone.
     """
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:

@@ -15,8 +15,9 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
   exponents S; when their leading parts do not cancel, |P(a)| = U, and since
   |P(a)| <= |P|_{a,r} <= U the seminorm is exactly U.  The same test gives
   |P(a)| at a rigid point;
-* only when the leading parts cancel does P divide by T - a: one pass gives
-  P(a) at a rigid point, and at a ball P deflates, by
+* only when the leading parts cancel is P evaluated at a: at a rigid point
+  by one Horner pass over its present terms, whose cost follows the number
+  of terms and log d, and at a ball P divides by T - a and deflates, by
   |P|_{a,r} = max(|P(a)|, r |Q|_{a,r}) for P = P(a) + (T - a) Q.
 
 The seminorm kernel (_seminorm, _certificate) reads a polynomial as a cleared
@@ -36,8 +37,9 @@ lcm of the constant dens times the product of the distinct other dens
 those int numerators, with no Scalar arithmetic; a Poly result gets one
 scalar per output coefficient, left unreduced over its constant den.
 Polynomial input has nothing to clear.  One synthetic-division kernel gives
-disk images and P(a) at a rigid point (one pass), the deflation (passes until
-a certificate) and the Taylor shift (all passes); products, sums and
+disk images at a ball (one pass), the deflation (passes until a certificate)
+and the Taylor shift (all passes), and a value-only pass over the present
+terms gives P(a) at a rigid point (_value_at); products, sums and
 derivatives (the Poly operators, the Wronskian minors and the map
 substitution) accumulate int terms by exponent, the denominator of a product
 being the product of the denominators.
@@ -292,6 +294,37 @@ class _SyntheticDivision:
         e, b, k = self.e, self.b_powers, self.k
         nums = [(n - k, _times(e[n], b[n - k])) for n in range(k, self.deg + 1) if n in e]
         return nums, _times(self.lcm, b[self.deg - k])
+
+
+def _value_at(nums: list[tuple[int, tuple]], lcm: tuple, top: tuple, bottom: tuple) -> tuple[tuple, tuple]:
+    """P(a) as a num/den pair of term maps, for a plain P given as a cleared
+    list over lcm and a = A/B: sum_n N_n A^n B^(d-n) over lcm B^d, the value
+    of _SyntheticDivision's first pass, term map for term map.
+
+    One Horner pass over the present terms only, with the running power
+    B^(d-n) beside the accumulator: a gap of g exponents costs one A^g and
+    one B^g by squaring, and each present term one product by B^(d-n).  So
+    the pass takes O(terms log d) term-map products, where a full pass takes
+    d, and it keeps no quotient."""
+    n, acc = nums[-1]
+    scale = _ONE_TERMS  # B^(d-n)
+    for m, num in reversed(nums[:-1]):
+        acc = _times(acc, _power(top, n - m))
+        scale = _times(scale, _power(bottom, n - m))
+        acc, n = _terms_add(acc, _times(num, scale)), m
+    return _times(acc, _power(top, n)), _times(lcm, _times(scale, _power(bottom, n)))
+
+
+def _power(x: tuple, k: int) -> tuple:
+    """x^k for a term map and k >= 0, by repeated squaring."""
+    out = _ONE_TERMS
+    while k:
+        if k & 1:
+            out = _times(out, x)
+        k >>= 1
+        if k:
+            x = _times(x, x)
+    return out
 
 
 def _num_den(c: Scalar) -> tuple[tuple, tuple]:
@@ -810,11 +843,11 @@ def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> AbsValue:
 
     For a plain polynomial this is max_i |c_i| r^i over the coefficients
     recentred at the short centre a: read off P itself when a = 0, certified
-    by _certificate when a != 0, and otherwise found by passes of
-    _SyntheticDivision.  The first gives P(a), the value at a rigid point; at
-    a ball they give c_j = P_j(a) until _certificate holds for the nums of a
-    quotient P_k over its one den, and the value is the max of |c_j| r^j over
-    j < k and r^k |P_k(a)|.  A Laurent polynomial is written T^{-m} Q with Q
+    by _certificate when a != 0, and otherwise found by evaluation.  At a
+    rigid point that is P(a), one value-only pass over the present terms
+    (_value_at); at a ball, passes of _SyntheticDivision give c_j = P_j(a)
+    until _certificate holds for the nums of a quotient P_k over its one den,
+    and the value is the max of |c_j| r^j over j < k and r^k |P_k(a)|.  A Laurent polynomial is written T^{-m} Q with Q
     plain and evaluated multiplicatively; this is exact at every point other
     than the rigid point 0, where T has seminorm zero.
     """
@@ -836,12 +869,14 @@ def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> AbsValue:
     certificate = _certificate(nums, x)
     if certificate is not None:
         return certificate[0]
-    # sigma = 0: divide until a quotient is certified (a constant one always is)
+    if r.is_zero:  # sigma = 0 at a rigid point: P(a) itself
+        num, den = _value_at(nums, _ONE_TERMS, x.top, x.bottom)
+        return _term_abs(num, prime) / _term_abs(den, prime)
+    # sigma = 0 at a ball: divide until a quotient is certified (a constant
+    # one always is)
     division, value, k = _SyntheticDivision(nums, _ONE_TERMS, x.top, x.bottom), ABS_ZERO, 0
     while certificate is None:
         num, den = division.divide()
-        if r.is_zero:  # P(a), the value at a rigid point
-            return _term_abs(num, prime) / _term_abs(den, prime)
         value = max(value, _term_abs(num, prime) / _term_abs(den, prime) * r**k)
         k += 1
         nums, den = division.quotient()
@@ -851,18 +886,19 @@ def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> AbsValue:
 
 def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[Scalar, AbsValue]:
     """(P(a), r |Q|_{a,r}): the image of x under a plain P = P(a) + (T - a) Q,
-    a cleared list over den, with a the short centre of x.  One pass of
-    _SyntheticDivision; at a ball, the seminorm of the quotient's nums over
-    its one den, den B^(d-1).  Only P(a) is built as a Scalar."""
+    a cleared list over den, with a the short centre of x.  At a ball, one
+    pass of _SyntheticDivision and the seminorm of the quotient's nums over
+    its one den, den B^(d-1); at a rigid point, P(a) alone (_value_at).
+    Only P(a) is built as a Scalar."""
     spec, r = x.centre.spec, x.point.radius
     if x.centre.is_zero or not nums:
         c0 = nums[0][1] if nums and not nums[0][0] else _ZERO_TERMS
         value, quotient, qden = _from_num_den(spec, c0, den), [(n - 1, num) for n, num in nums if n], den
+    elif r.is_zero:
+        return _from_num_den(spec, *_value_at(nums, den, x.top, x.bottom)), r
     else:
         division = _SyntheticDivision(nums, den, x.top, x.bottom)
         value = _from_num_den(spec, *division.divide())
-        if r.is_zero:
-            return value, r
         quotient, qden = division.quotient()
     return value, r * _seminorm(quotient, x) / _term_abs(qden, x.prime)
 

@@ -195,21 +195,15 @@ def zalcman_rescale(
         phi_a = _fs_at(f, a)
         if not magnitude_ge_rational(phi_a, Fraction(n**3), spec.base()):
             raise NoExplosion(f"witness derivative below {n}^3 at index {n}")
-        pts = [a]
+        kept, mags = [a], [phi_a]  # the witness first; mags nonzero only
         if samples is not None:
             for x in samples(n):
                 if x != a:
-                    pts.append(x)
-        values = []
-        kept = []
-        mags = []  # nonzero only
-        for x in pts:
-            v = _fs_at(f, x)
-            if v.is_zero:
-                continue  # carries no information for the selection
-            kept.append(x)
-            values.append(magnitude_as_rational(v, spec.base()))
-            mags.append(v)
+                    v = _fs_at(f, x)
+                    if not v.is_zero:  # a zero carries no information for the selection
+                        kept.append(x)
+                        mags.append(v)
+        values = [magnitude_as_rational(v, spec.base()) for v in mags]
         sample = SampledFunction(tuple(kept), tuple(values))
         b_index = gromov_select(sample, 0, Fraction(1, n), 1 + Fraction(1, n))
         z = sample.points[b_index]

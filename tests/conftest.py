@@ -92,20 +92,27 @@ def run_cli_full(argv: list[str]) -> tuple[object, str, str]:
 
 
 def count_deflation_passes(monkeypatch) -> list[int]:
-    """The passes of points._SyntheticDivision that the sigma = 0 fallback of
-    the seminorm kernel (points._seminorm, under eval_seminorm, fs_derivative
-    and apply_map) runs, one entry (the pass index) per pass: the deflation
-    at a ball, and the one pass that gives P(a) at a rigid point.  The one
-    division of a disk image and the passes of taylor_shift are not counted."""
+    """The passes that the sigma = 0 fallback of the seminorm kernel
+    (points._seminorm, under eval_seminorm, fs_derivative and apply_map)
+    runs, one entry (the pass index) per pass: the passes of
+    points._SyntheticDivision that deflate at a ball, and the one value-only
+    pass (points._value_at, entry 0) that gives P(a) at a rigid point.  The
+    one pass of a disk image and the passes of taylor_shift are not counted."""
     passes: list[int] = []
-    divide = points._SyntheticDivision.divide
+    divide, value_at = points._SyntheticDivision.divide, points._value_at
 
     def counting(division):
         if sys._getframe(1).f_code.co_name == "_seminorm":
             passes.append(division.k)
         return divide(division)
 
+    def evaluating(*args):
+        if sys._getframe(1).f_code.co_name == "_seminorm":
+            passes.append(0)
+        return value_at(*args)
+
     monkeypatch.setattr(points._SyntheticDivision, "divide", counting)
+    monkeypatch.setattr(points, "_value_at", evaluating)
     return passes
 
 

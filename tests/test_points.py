@@ -35,11 +35,13 @@ from berkline import (
 )
 from berkline.errors import BackendMismatch, DomainViolation, PoleAtPoint
 from berkline.field import PadicScalar, PuiseuxScalar, abs_max
-from berkline.points import divide_linear, initial_form, short_centre
+from berkline import points
+from berkline.points import _SyntheticDivision, _clear, _num_den, _value_at, divide_linear, initial_form, short_centre
 
 from conftest import (
     apply_map_oracle,
     binomial_shift_oracle,
+    count_deflation_passes,
     eval_seminorm_oracle,
     fs_derivative_oracle,
     horner_shift_oracle,
@@ -281,6 +283,64 @@ def test_rigid_points_evaluate_as_the_shift_does(kind, data):
     (image,) = apply_map(f, rigid(a))
     expected = binomial_shift_oracle(f.coords[1], a).coeff(0) / f.coords[0].coeff(0)
     assert image.is_rigid and image.center == expected
+
+
+# the degree of Q in the near-root property below: the Scalar oracle
+# Q.evaluate(a) grows with the terms of a^d over puiseux-q
+NEAR_ROOT_DEGREES = {"padic": 60, "puiseux-polynomial": 16, "puiseux-rational": 6}
+SMALL = {"padic": P3.scalar(3**20), "puiseux-polynomial": PQ.t_power(20), "puiseux-rational": PQ.t_power(20)}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@SHIFT_SETTINGS
+@given(data=st.data())
+def test_a_near_root_at_a_rigid_point_evaluates_as_a_full_pass(kind, data):
+    # P = Q - Q(a) + e with Q sparse and e small, so P(a) = e and the leading
+    # parts at a cancel (sigma = 0) whenever |e| is below |P|_{0,|a|}: the
+    # value-only pass gives the first pass's term maps, and P(a) itself
+    spec = SPECS[kind]
+    nonzero = SCALARS[kind].filter(lambda c: not c.is_zero)
+    a = data.draw(nonzero)
+    exponents = data.draw(st.lists(st.integers(1, NEAR_ROOT_DEGREES[kind]), min_size=1, max_size=3, unique=True))
+    q = Poly.from_dict(spec, {n: data.draw(nonzero) for n in exponents})
+    e = data.draw(SCALARS[kind]) * SMALL[kind]
+    p = Poly.from_dict(spec, {**dict(q.terms), 0: e - q.evaluate(a)})
+    lcm, (nums,) = _clear([p])
+    top, bottom = _num_den(a)
+    assert _value_at(nums, lcm, top, bottom) == _SyntheticDivision(nums, lcm, top, bottom).divide()
+    assert eval_seminorm(p, rigid(a)) == e.abs()
+    (image,) = apply_map(affine_map(spec, spec.one(), p), rigid(a))
+    assert image.is_rigid and image.center == e
+
+
+@pytest.mark.parametrize(
+    ("backend", "centre"), [("padic", [(0, "7/5")]), ("puiseux-q", [(0, 1), ("1/2", 1)])], ids=["padic", "puiseux-q"]
+)
+def test_a_sparse_root_at_a_rigid_point_costs_log_d_products_per_term(monkeypatch, backend, centre):
+    # a work gate: it counts term-map products, not time, so a loaded host
+    # cannot move it.  P = T^d + T - a^d - a has a root at a, and sigma = 0
+    # there; a full pass took d products, sparse P or not
+    spec = FieldSpec(backend, 3 if backend == "padic" else None)
+    a = spec.from_terms(centre) if backend == "puiseux-q" else spec.scalar(centre[0][1])
+    products = {"count": 0}
+    mul = points._terms_mul
+
+    def counting(x, y):
+        products["count"] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(points, "_terms_mul", counting)
+    passes = count_deflation_passes(monkeypatch)
+    for degree in (100, 200, 400):
+        power = a
+        for _ in range(degree - 1):
+            power = power * a
+        p = Poly.from_dict(spec, {degree: spec.one(), 1: spec.one(), 0: -power - a})
+        products["count"] = 0
+        passes.clear()
+        assert eval_seminorm(p, rigid(a)) == ABS_ZERO
+        assert passes == [0], (degree, passes)
+        assert products["count"] <= 3 * len(p.terms) * degree.bit_length(), (degree, products)
 
 
 # ball points with a puiseux-q polynomial centre and a radius in (1/6)Z

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from berkline import (
     ABS_ONE,
     UNIT_DISK,
+    AbsValue,
+    DiskPoint,
     FieldSpec,
     Poly,
     SeriesMap,
@@ -24,12 +26,14 @@ from berkline import (
     taylor_shift,
 )
 from berkline import fsderiv, points
+from berkline.errors import DomainViolation, PoleAtPoint
 from berkline.field import PadicScalar, PuiseuxScalar, _terms_mul
 from berkline.fsderiv import _at_infinity, wronskian_minors
 from berkline.points import _cleared, _num_den, divide_linear, poly_gcd, short_centre
 
 from conftest import (
     binomial_shift_oracle,
+    fs_derivative_oracle,
     pgl_apply_oracle,
     poly_add_oracle,
     poly_derivative_oracle,
@@ -41,6 +45,7 @@ from conftest import (
     random_poly,
     random_poly_map,
     random_nonzero_scalar,
+    random_radius,
     random_scalar,
     random_unit_disk_point,
     rng_for,
@@ -362,3 +367,77 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
                 calls["on"] = False
                 assert calls["clear"] == 0 and calls["num_den"] == centre_reads, calls
                 calls["num_den"] = calls["scalars"] = 0
+
+
+# -- a map's Wronskian minors: built at its first derivative, then kept --------
+
+
+def test_a_map_builds_its_minors_at_its_first_derivative_and_never_again(monkeypatch):
+    # a work gate: it counts calls, not time, so a loaded host cannot move it.
+    # Making or transforming a map builds no minors; its first derivative
+    # builds them once, and a derivative at another point reads them
+    calls = {"minors": 0}
+    minors = fsderiv._minors
+
+    def counting(coords):
+        calls["minors"] += 1
+        return minors(coords)
+
+    monkeypatch.setattr(fsderiv, "_minors", counting)
+    for spec in (P3, PQ):
+        rng = rng_for(f"minors-cache-gate-{spec.backend}")
+        for _ in range(40):
+            f = random_poly_map(rng, spec, 4)
+            g = random_poly_map(rng, spec, 3)
+            made = {
+                "series_map": f,
+                "SeriesMap": SeriesMap(f.coords),
+                "pgl_apply": pgl_apply(random_pgl_word(rng, spec), f),
+                "compose": compose(f, g),
+                "rescale_map": rescale_map(f, random_nonzero_scalar(rng, spec), random_scalar(rng, spec), None),
+                "_at_infinity": _at_infinity(f),
+            }
+            assert calls["minors"] == 0, calls
+            for name, h in made.items():
+                assert "minors" not in vars(h), name
+            z, w = [DiskPoint(random_scalar(rng, spec, True), random_radius(rng, False)) for _ in range(2)]
+            for name, h in made.items():
+                fs_derivative(h, z)
+                assert calls["minors"] == 1, (name, calls)
+                fs_derivative(h, w)
+                assert calls["minors"] == 1, (name, calls)
+                calls["minors"] = 0
+
+
+def points_of(kind: str):
+    """Balls and rigid points; a rigid point may be a common zero of the
+    coordinates, or the pole of a Laurent coordinate."""
+    radii = st.one_of(st.just(AbsValue.zero()), st.fractions(-3, 1, max_denominator=3).map(AbsValue.of))
+    return st.builds(DiskPoint, SCALARS[kind], radii)
+
+
+def outcome(derivative, f: SeriesMap, z: DiskPoint):
+    """The derivative's value, or the class of the error it raises."""
+    try:
+        return derivative(f, z)
+    except (DomainViolation, PoleAtPoint) as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cached_minors_give_the_derivatives_of_a_fresh_map_and_the_oracles(kind, data):
+    f = data.draw(maps(kind, high=2))
+    assert "minors" not in vars(f)
+    expected = wronskian_oracle(f)
+    assert wronskian_minors(f) == expected  # builds the cache
+    assert "minors" in vars(f)
+    assert wronskian_minors(f) == expected  # reads it
+    # read-only: tuples all the way down to the term maps
+    assert type(f.minors) is tuple and all(type(m) is tuple for m in f.minors)
+    for z in data.draw(st.lists(points_of(kind), min_size=1, max_size=3)):
+        fresh = SeriesMap(f.coords)
+        assert fresh == f and "minors" not in vars(fresh)
+        assert outcome(fs_derivative, f, z) == outcome(fs_derivative, fresh, z) == outcome(fs_derivative_oracle, f, z)
+    assert wronskian_minors(f) == expected

@@ -24,6 +24,7 @@ from berkline import (
     series_map,
     zalcman_rescale,
 )
+from berkline import zalcman
 from berkline.errors import NoExplosion, RadiusNotInValueGroup
 from berkline.field import magnitude_le_rational
 
@@ -240,6 +241,25 @@ def test_rescale_with_explicit_samples(p3):
     steps = zalcman_rescale(family, lambda n: p3.zero(), 5, samples)
     for s in steps:
         assert fs_derivative(s.map, rigid(p3.zero())) == ABS_ONE
+
+
+def test_rescale_takes_each_sample_derivative_once(monkeypatch, p3):
+    # a work gate: it counts derivatives, not time.  The witness leads the
+    # sample, so its derivative, taken for the explosion check, is reused
+    taken = []
+    derivative = zalcman.fs_derivative
+
+    def counting(f, z):
+        taken.append(z)
+        return derivative(f, z)
+
+    monkeypatch.setattr(zalcman, "fs_derivative", counting)
+    family = scaled_identity_family(p3)
+    steps = zalcman_rescale(family, lambda n: p3.zero(), 5, lambda n: [p3.zero(), p3.scalar(3), p3.scalar(1 + n)])
+    # per index: the witness, the two other samples, and the rescaled map at 0
+    assert len(taken) == 5 * 4
+    assert [s.derivative_at_center for s in steps] == [AbsValue.of(n) for n in range(1, 6)]
+    assert [s.center for s in steps] == [p3.zero()] * 5
 
 
 def test_constant_family_has_no_explosion(p3):
