@@ -847,9 +847,10 @@ def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> AbsValue:
     rigid point that is P(a), one value-only pass over the present terms
     (_value_at); at a ball, passes of _SyntheticDivision give c_j = P_j(a)
     until _certificate holds for the nums of a quotient P_k over its one den,
-    and the value is the max of |c_j| r^j over j < k and r^k |P_k(a)|.  A Laurent polynomial is written T^{-m} Q with Q
-    plain and evaluated multiplicatively; this is exact at every point other
-    than the rigid point 0, where T has seminorm zero.
+    and the value is the max of |c_j| r^j over j < k and r^k |P_k(a)|.  A
+    Laurent polynomial is written T^{-m} Q with Q plain and evaluated
+    multiplicatively; this is exact at every point other than the rigid
+    point 0, where T has seminorm zero.
     """
     if not nums:
         return ABS_ZERO
