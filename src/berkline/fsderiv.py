@@ -17,9 +17,10 @@ residue characteristic p is fully visible.  Each minor is W_ij / L^2, W_ij
 one difference of int products.  Seminorms multiply, so L cancels from the
 quotient, max |W_ij| / max |C_i|^2: every seminorm of the derivative is taken
 on the int numerators at one point context (points._seminorm), and no minor
-is built as a Poly.  The minors depend on the map alone, so a map builds its
-numerators W_ij once, at its first derivative, and keeps them (``minors``);
-every later derivative of the same map, at any point, takes seminorms only.
+is built as a Poly.  Each W_ij is one product pass over the pairs of terms
+of C_i and C_j (points._wronskian): the coefficient of T^(n+m-1) gathers
+(n - m) c_{i,n} c_{j,m}, so every pair is multiplied once and no derivative
+is built.
 
 Disk images of affine polynomial maps are exact.  With a the short centre of
 eta_{a,r}, one synthetic division f = f(a) + (T - a) q gives the image: its
@@ -72,7 +73,6 @@ from .points import (
     _Point,
     _clear,
     _combine,
-    _derived,
     _disk_image,
     _from_num_den,
     _num_den,
@@ -80,6 +80,7 @@ from .points import (
     _term_abs,
     _times,
     _uncleared,
+    _wronskian,
     coprime_certificate,
     divide_out,
     poly_gcd,
@@ -133,12 +134,8 @@ class SeriesMap:
     transforms, the derivative and disk images read it and build no Scalar.
     ``coords`` is a read-only view of the coordinates as Polys, one Scalar
     per coefficient over L (points._uncleared), built at its first read and
-    kept; the Polys a map is made from are not kept.  ``minors`` holds the
-    cleared Wronskian minors C_i' C_j - C_j' C_i, i < j, over L^2 as tuples,
-    built at their first read (the first derivative of the map) and kept, so
-    every later derivative of the map takes seminorms only; making or
-    transforming a map never builds them.  ``==`` and ``hash`` read the
-    coordinates' values and the domain, not the denominator chosen.
+    kept; the Polys a map is made from are not kept.  ``==`` and ``hash``
+    read the coordinates' values and the domain, not the denominator chosen.
 
     Construct through :func:`series_map`, which normalizes Laurent content
     and removes the common polynomial factor, so that vanishing of minors is
@@ -167,10 +164,6 @@ class SeriesMap:
     @cached_property
     def coords(self) -> tuple[Poly, ...]:
         return tuple([_uncleared(self.spec, c, self.den) for c in self.cleared])
-
-    @cached_property
-    def minors(self) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-        return tuple([tuple(minor) for minor in _minors(self.cleared)])
 
     @property
     def target_dim(self) -> int:
@@ -254,26 +247,24 @@ def _require_in_domain(f: SeriesMap, z: DiskPoint) -> None:
 def wronskian_minors(f: SeriesMap) -> list[Poly]:
     """The minors f_i' f_j - f_j' f_i, i < j.  The coordinates are cleared
     over one L, so both products of a minor are over L^2 and the minor is a
-    difference of numerators (the map's ``minors``; fs_derivative reads
-    those numerators and builds no minor)."""
+    difference of numerators (_minors; fs_derivative reads those numerators
+    and builds no minor as a Poly)."""
     den = _times(f.den, f.den)
-    return [_uncleared(f.spec, minor, den) for minor in f.minors]
+    return [_uncleared(f.spec, minor, den) for minor in _minors(f.cleared)]
 
 
 def _minors(coords: Sequence[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple]]]:
-    """The cleared minors C_i' C_j - C_j' C_i, i < j, of cleared coordinates."""
-    derivs = [_derived(c) for c in coords]
+    """The cleared minors C_i' C_j - C_j' C_i, i < j, of cleared coordinates,
+    each one product pass (points._wronskian)."""
     n = len(coords)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [_combine([(1, derivs[i], coords[j]), (-1, derivs[j], coords[i])]) for i, j in pairs]
+    return [_wronskian(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n)]
 
 
 def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     """Exact Fubini-Study derivative magnitude at a point of the line.
 
     The map holds its coordinates as C_i / L, and the minors are the
-    numerators W_ij of wronskian_minors, over L^2, built at the map's first
-    derivative and kept (``f.minors``).  |f_i| = |C_i| / |L| and
+    numerators W_ij of wronskian_minors, over L^2.  |f_i| = |C_i| / |L| and
     |W_ij / L^2| = |W_ij| / |L|^2, so L cancels: every seminorm is taken on
     the numerators at one point context, and no Scalar is built per
     coefficient.  A point over another FieldSpec than f raises
@@ -282,10 +273,11 @@ def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     if f.spec is not z.spec and f.spec != z.spec:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
     point = _Point(z)
-    den = abs_max([_seminorm(c, point) for c in f.cleared])
+    coords = f.cleared
+    den = abs_max([_seminorm(c, point) for c in coords])
     if den.is_zero:
         raise DomainViolation("all homogeneous coordinates vanish at the point")
-    num = abs_max([_seminorm(w, point) for w in f.minors])
+    num = abs_max([_seminorm(w, point) for w in _minors(coords)])
     zn = z.norm()
     return unit_max(zn * zn) * num / (den * den)
 

@@ -410,12 +410,7 @@ def _combine(products: Sequence[tuple[int, list, list]]) -> list[tuple[int, tupl
     (Monagan-Pearce: sparse products accumulate by exponent); each output
     num is made minimal once at the end, and zero coefficients are dropped.
     """
-    denom = math.lcm(*[num[0] for _, a, b in products for part in (a, b) for _, num in part])
-
-    def over(num: tuple) -> tuple:
-        m = denom // num[0]
-        return num[1] if m == 1 else [(k * m, c) for k, c in num[1]]
-
+    denom, over = _over_lcm([part for _, a, b in products for part in (a, b)])
     acc: dict[int, dict[int, int]] = {}
     for sign, a, b in products:
         right = [(m, over(y)) for m, y in b]
@@ -430,6 +425,54 @@ def _combine(products: Sequence[tuple[int, list, list]]) -> list[tuple[int, tupl
                     for ky, cy in y:
                         e = kx + ky
                         row[e] = get(e, 0) + cx * cy
+    return _collected(acc, denom)
+
+
+def _wronskian(a: list[tuple[int, tuple]], b: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+    """The cleared a' b - b' a of two cleared lists, in one product pass.
+
+    With a = sum A_n T^n and b = sum B_m T^m, the minor is
+    sum (n - m) A_n B_m T^(n+m-1): each pair of terms is multiplied once,
+    by the int n - m, and the pairs with n = m drop out.  Two products of a
+    derivative (as _combine would take them) multiply every pair twice.
+    The result is the same cleared list, accumulated as in _combine.
+    """
+    denom, over = _over_lcm((a, b))
+    acc: dict[int, dict[int, int]] = {}
+    right = [(m, over(y)) for m, y in b]
+    for n, x in a:
+        x = over(x)
+        for m, y in right:
+            w = n - m
+            if not w:
+                continue
+            row = acc.get(n + m - 1)
+            if row is None:
+                row = acc[n + m - 1] = {}
+            get = row.get
+            for kx, cx in x:
+                cx *= w
+                for ky, cy in y:
+                    e = kx + ky
+                    row[e] = get(e, 0) + cx * cy
+    return _collected(acc, denom)
+
+
+def _over_lcm(parts: Sequence[list[tuple[int, tuple]]]):
+    """(D, over): the lcm D of the exponent denominators of the nums of the
+    cleared lists, and the map from a num to its (k, c) terms over D."""
+    denom = math.lcm(*[num[0] for part in parts for _, num in part])
+
+    def over(num: tuple) -> tuple:
+        m = denom // num[0]
+        return num[1] if m == 1 else [(k * m, c) for k, c in num[1]]
+
+    return denom, over
+
+
+def _collected(acc: dict[int, dict[int, int]], denom: int) -> list[tuple[int, tuple]]:
+    """The cleared list of ints accumulated by power of T and exponent over
+    denom: each num made minimal, zero coefficients dropped."""
     out = []
     for n in sorted(acc):
         terms = sorted([ec for ec in acc[n].items() if ec[1]])

@@ -369,23 +369,28 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
                 calls["num_den"] = calls["scalars"] = 0
 
 
-# -- a map's Wronskian minors: built at its first derivative, then kept --------
+# -- Wronskian minors: one product pass per minor ------------------------------
 
 
-def test_a_map_builds_its_minors_at_its_first_derivative_and_never_again(monkeypatch):
+def test_a_derivative_takes_one_product_pass_per_minor_and_no_transform_builds_one(monkeypatch):
     # a work gate: it counts calls, not time, so a loaded host cannot move it.
-    # Making or transforming a map builds no minors; its first derivative
-    # builds them once, and a derivative at another point reads them
-    calls = {"minors": 0}
-    minors = fsderiv._minors
+    # Making or transforming a map builds no minors; a derivative builds each
+    # minor C_i' C_j - C_j' C_i in one pass of points._wronskian, with no
+    # derivative list and no two-product _combine
+    calls = {"wronskian": 0, "combine": 0, "derived": 0}
 
-    def counting(coords):
-        calls["minors"] += 1
-        return minors(coords)
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(fsderiv, "_minors", counting)
+        return wrapped
+
+    monkeypatch.setattr(fsderiv, "_wronskian", counting("wronskian", fsderiv._wronskian))
+    monkeypatch.setattr(fsderiv, "_combine", counting("combine", fsderiv._combine))
+    monkeypatch.setattr(points, "_derived", counting("derived", points._derived))
     for spec in (P3, PQ):
-        rng = rng_for(f"minors-cache-gate-{spec.backend}")
+        rng = rng_for(f"minors-gate-{spec.backend}")
         for _ in range(40):
             f = random_poly_map(rng, spec, 4)
             g = random_poly_map(rng, spec, 3)
@@ -397,16 +402,28 @@ def test_a_map_builds_its_minors_at_its_first_derivative_and_never_again(monkeyp
                 "rescale_map": rescale_map(f, random_nonzero_scalar(rng, spec), random_scalar(rng, spec), None),
                 "_at_infinity": _at_infinity(f),
             }
-            assert calls["minors"] == 0, calls
+            assert calls["wronskian"] == calls["derived"] == 0, calls
+            z = DiskPoint(random_scalar(rng, spec, True), random_radius(rng, False))
             for name, h in made.items():
-                assert "minors" not in vars(h), name
-            z, w = [DiskPoint(random_scalar(rng, spec, True), random_radius(rng, False)) for _ in range(2)]
-            for name, h in made.items():
+                calls["combine"] = 0
                 fs_derivative(h, z)
-                assert calls["minors"] == 1, (name, calls)
-                fs_derivative(h, w)
-                assert calls["minors"] == 1, (name, calls)
-                calls["minors"] = 0
+                n = len(h.cleared)
+                assert calls == {"wronskian": n * (n - 1) // 2, "combine": 0, "derived": 0}, (name, calls)
+                calls["wronskian"] = 0
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@PRODUCT_SETTINGS
+@given(data=st.data())
+def test_one_pass_minors_equal_the_two_products_of_a_derivative(kind, data):
+    # the same cleared list, term map for term map: pairs with n = m drop out,
+    # and same, conjugate and proportional operands cancel terms or vanish
+    a, b = data.draw(operand_pairs(kind))
+    _, (x, y) = points._clear([a, b])
+    expected = points._combine([(1, points._derived(x), y), (-1, points._derived(y), x)])
+    assert points._wronskian(x, y) == expected
+    assert points._wronskian(y, x) == points._combine([(1, points._derived(y), x), (-1, points._derived(x), y)])
+    assert points._wronskian(x, x) == []
 
 
 def points_of(kind: str):
@@ -427,17 +444,8 @@ def outcome(derivative, f: SeriesMap, z: DiskPoint):
 @pytest.mark.parametrize("kind", sorted(SCALARS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_cached_minors_give_the_derivatives_of_a_fresh_map_and_the_oracles(kind, data):
+def test_one_pass_minors_give_the_oracle_minors_and_derivatives(kind, data):
     f = data.draw(maps(kind, high=2))
-    assert "minors" not in vars(f)
-    expected = wronskian_oracle(f)
-    assert wronskian_minors(f) == expected  # builds the cache
-    assert "minors" in vars(f)
-    assert wronskian_minors(f) == expected  # reads it
-    # read-only: tuples all the way down to the term maps
-    assert type(f.minors) is tuple and all(type(m) is tuple for m in f.minors)
+    assert wronskian_minors(f) == wronskian_oracle(f)
     for z in data.draw(st.lists(points_of(kind), min_size=1, max_size=3)):
-        fresh = SeriesMap(f.coords)
-        assert fresh == f and "minors" not in vars(fresh)
-        assert outcome(fs_derivative, f, z) == outcome(fs_derivative, fresh, z) == outcome(fs_derivative_oracle, f, z)
-    assert wronskian_minors(f) == expected
+        assert outcome(fs_derivative, f, z) == outcome(fs_derivative_oracle, f, z)
