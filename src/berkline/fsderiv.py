@@ -20,7 +20,10 @@ on the int numerators at one point context (points._seminorm), and no minor
 is built as a Poly.  Each W_ij is one product pass over the pairs of terms
 of C_i and C_j (points._wronskian): the coefficient of T^(n+m-1) gathers
 (n - m) c_{i,n} c_{j,m}, so every pair is multiplied once and no derivative
-is built.
+is built.  A constant coordinate C_i = c is the exception: C_i' = 0, so
+W_ij = -c C_j' and |W_ij| = |c| |C_j'|, and the derivative of a map [c : P]
+reads |c| off c, takes P' and its one seminorm, and forms no product; two
+constant coordinates give the zero minor.
 
 Disk images of affine polynomial maps are exact.  With a the short centre of
 eta_{a,r}, one synthetic division f = f(a) + (T - a) q gives the image: its
@@ -73,6 +76,7 @@ from .points import (
     _Point,
     _clear,
     _combine,
+    _derived,
     _disk_image,
     _from_num_den,
     _num_den,
@@ -129,8 +133,9 @@ class SeriesMap:
     A map stores its coordinates cleared over one denominator L, as in
     FLINT's fmpq_poly: ``den`` is L as an int term map, and ``cleared`` holds
     one cleared list [(n, num), ...] per coordinate, the coefficient of T^n
-    being num / L (points._clear).  ``spec`` and ``domain`` are kept beside
-    them.  The cleared form is built once, when the map is made; the
+    being num / L (points._clear), each held as a tuple so that the frozen
+    map cannot be changed through it.  ``spec`` and ``domain`` are kept
+    beside them.  The cleared form is built once, when the map is made; the
     transforms, the derivative and disk images read it and build no Scalar.
     ``coords`` is a read-only view of the coordinates as Polys, one Scalar
     per coefficient over L (points._uncleared), built at its first read and
@@ -146,7 +151,7 @@ class SeriesMap:
 
     spec: FieldSpec
     den: tuple
-    cleared: tuple[list[tuple[int, tuple]], ...]
+    cleared: tuple[tuple[tuple[int, tuple], ...], ...]
     domain: Domain | None
 
     def __init__(self, coords: Sequence[Poly], domain: Domain | None = None) -> None:
@@ -198,7 +203,8 @@ class SeriesMap:
 
 def _fill(f: SeriesMap, spec: FieldSpec, den: tuple, cleared: list, domain: Domain | None) -> None:
     # the fields of a frozen instance, set once
-    for name, value in (("spec", spec), ("den", den), ("cleared", tuple(cleared)), ("domain", domain)):
+    cleared = tuple([tuple(c) for c in cleared])
+    for name, value in (("spec", spec), ("den", den), ("cleared", cleared), ("domain", domain)):
         object.__setattr__(f, name, value)
 
 
@@ -247,8 +253,10 @@ def _require_in_domain(f: SeriesMap, z: DiskPoint) -> None:
 def wronskian_minors(f: SeriesMap) -> list[Poly]:
     """The minors f_i' f_j - f_j' f_i, i < j.  The coordinates are cleared
     over one L, so both products of a minor are over L^2 and the minor is a
-    difference of numerators (_minors; fs_derivative reads those numerators
-    and builds no minor as a Poly)."""
+    difference of numerators (_minors), every one built, also those with a
+    constant coordinate.  fs_derivative reads those numerators and builds no
+    minor as a Poly; a minor with a constant coordinate c it reads as
+    |c| |C_j'|, with no product."""
     den = _times(f.den, f.den)
     return [_uncleared(f.spec, minor, den) for minor in _minors(f.cleared)]
 
@@ -267,19 +275,47 @@ def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     numerators W_ij of wronskian_minors, over L^2.  |f_i| = |C_i| / |L| and
     |W_ij / L^2| = |W_ij| / |L|^2, so L cancels: every seminorm is taken on
     the numerators at one point context, and no Scalar is built per
-    coefficient.  A point over another FieldSpec than f raises
-    BackendMismatch."""
+    coefficient.  A constant coordinate C_i = c has magnitude |c| at every
+    point, and its minors are W_ij = -c C_j', so |W_ij| = |c| |C_j'|
+    (_minor_seminorms): a map [c : P] takes one derivative and no Wronskian
+    product.  A point over another FieldSpec than f raises BackendMismatch."""
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
     point = _Point(z)
     coords = f.cleared
-    den = abs_max([_seminorm(c, point) for c in coords])
+    # |c| for each constant coordinate [(0, c)], None for the others
+    consts = [_term_abs(c[0][1], point.prime) if len(c) == 1 and not c[0][0] else None for c in coords]
+    den = abs_max([_seminorm(c, point) if m is None else m for c, m in zip(coords, consts)])
     if den.is_zero:
         raise DomainViolation("all homogeneous coordinates vanish at the point")
-    num = abs_max([_seminorm(w, point) for w in _minors(coords)])
+    num = abs_max(_minor_seminorms(coords, consts, point))
     zn = z.norm()
     return unit_max(zn * zn) * num / (den * den)
+
+
+def _minor_seminorms(coords: Sequence[Sequence[tuple[int, tuple]]], consts: list, point: _Point) -> list[AbsValue]:
+    """|W_ij| at the point for the pairs i < j whose minor may be nonzero.
+
+    A pair with one constant coordinate c has W_ij = c C_i' or -c C_j', and
+    seminorms multiply, so |W_ij| = |c| |C'| with C' the other coordinate's
+    derivative; each C' and its seminorm are built once, for every constant
+    that meets it.  Two constants give the zero minor, left out.  A pair with
+    no constant takes one product pass (points._wronskian)."""
+    derived: dict[int, AbsValue] = {}
+    out = []
+    n = len(coords)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ci, cj = consts[i], consts[j]
+            if ci is None and cj is None:
+                out.append(_seminorm(_wronskian(coords[i], coords[j]), point))
+            elif ci is None or cj is None:
+                c, k = (cj, i) if ci is None else (ci, j)
+                if k not in derived:
+                    derived[k] = _seminorm(_derived(coords[k]), point)
+                out.append(c * derived[k])
+    return out
 
 
 def fs_derivative_proj(f: SeriesMap, z: ProjPoint) -> AbsValue:

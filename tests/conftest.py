@@ -32,8 +32,10 @@ from berkline import (
 )
 from berkline import points
 from berkline.cli import main
-from berkline.errors import DomainViolation, NumericBaseRequired, PoleAtPoint
+from berkline.errors import BackendMismatch, DomainViolation, NumericBaseRequired, PoleAtPoint
 from berkline.field import _KEY_TERMS, _reduced, abs_max, unit_max
+from berkline.fsderiv import _require_in_domain
+from berkline.points import _Point, _seminorm, _wronskian
 
 
 # Process CPU seconds (user time, ITIMER_VIRTUAL) that one test may use; the
@@ -606,6 +608,28 @@ def fs_derivative_oracle(f: SeriesMap, z: DiskPoint) -> AbsValue:
     num = abs_max(eval_seminorm_oracle(w, z) for w in wronskian_oracle(f))
     zn = z.norm()
     return unit_max(zn * zn) * num / (den * den)
+
+
+def fs_derivative_all_minors(f: SeriesMap, z: DiskPoint) -> AbsValue:
+    """fs_derivative before constant coordinates had a rule of their own:
+    every coordinate's seminorm is taken on its cleared list, and every
+    minor W_ij, i < j, is built in one product pass (points._wronskian)."""
+    _require_in_domain(f, z)
+    if f.spec is not z.spec and f.spec != z.spec:
+        raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
+    point = _Point(z)
+    coords = f.cleared
+    den = abs_max([_seminorm(c, point) for c in coords])
+    if den.is_zero:
+        raise DomainViolation("all homogeneous coordinates vanish at the point")
+    num = abs_max([_seminorm(w, point) for w in _all_minors(coords)])
+    zn = z.norm()
+    return unit_max(zn * zn) * num / (den * den)
+
+
+def _all_minors(coords):
+    n = len(coords)
+    return [_wronskian(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n)]
 
 
 def apply_map_oracle(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:

@@ -37,6 +37,13 @@ GOLDEN_RUNS = [
     (("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0"), "1\n", '"0"'),
     (("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--multiplicative"), "1\n", '"0"'),
     (("fsderiv", str(GOLDEN / "fsderiv_identity.json"), "--point", "0,1"), "1\n", '"0"'),
+    # [3 : T^2 + T] over padic 3, where |3| != 1: at a ball and at a rigid point
+    (("fsderiv", str(GOLDEN / "fsderiv_padic_quadratic.json"), "--point", "1/3,-2"), "β^(-2)\n", '"-2"'),
+    (("fsderiv", str(GOLDEN / "fsderiv_padic_quadratic.json"), "--point", "3"), "β^(1)\n", '"1"'),
+    # [2t^(1/3) : T^2 + t : t^(1/2) T^3 + T]: a ball with short centre 0, another ball, a rigid point
+    (("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^1/2,-1/2"), "β^(1/3)\n", '"1/3"'),
+    (("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^-1,1/3"), "β^(1/2)\n", '"1/2"'),
+    (("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^1/3"), "β^(1/3)\n", '"1/3"'),
     (("diam", "--field", "padic:3", "--point", "0,-1", "--point", "1/3,0"), "β^(-2)\n", '"-2"'),
     (("dck", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"), "1\n", '"1"'),
     (("dtree", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"), "1/5\n", '"1/5"'),

@@ -27,6 +27,7 @@ from berkline import (
     eval_seminorm,
     fs_derivative,
     fs_derivative_proj,
+    gauss_point,
     identity_map,
     image_disk_radius,
     pgl_apply,
@@ -97,6 +98,17 @@ def test_charp_closed_form(p3):
 def test_derivative_zero_only_for_constants(p3):
     const = series_map([Poly.constant(p3, p3.one()), Poly.constant(p3, p3.scalar(5))])
     assert fs_derivative(const, rigid(p3.one())) == ABS_ZERO
+
+
+def test_a_map_cannot_be_changed_through_its_cleared_lists(p3):
+    t = Poly.coordinate(p3)
+    f = series_map([Poly.constant(p3, p3.one()), t * t])
+    before = fs_derivative(f, gauss_point(p3))
+    f.coords  # the cached Poly view, which == and hash read
+    with pytest.raises(AttributeError):
+        f.cleared[1].clear()
+    assert f == SeriesMap(f.coords)
+    assert fs_derivative(f, gauss_point(p3)) == before == ABS_ONE
 
 
 def test_bound_by_coordinate_derivatives(pq):

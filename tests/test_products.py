@@ -33,6 +33,7 @@ from berkline.points import _cleared, _num_den, divide_linear, poly_gcd, short_c
 
 from conftest import (
     binomial_shift_oracle,
+    fs_derivative_all_minors,
     fs_derivative_oracle,
     pgl_apply_oracle,
     poly_add_oracle,
@@ -372,11 +373,22 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
 # -- Wronskian minors: one product pass per minor ------------------------------
 
 
+def derivative_work(h: SeriesMap) -> dict[str, int]:
+    """The calls a derivative of h may make: one _wronskian per pair of
+    nonconstant coordinates, and one _derived per nonconstant coordinate
+    that meets a constant one [(0, c)]."""
+    constant = [len(c) == 1 and not c[0][0] for c in h.cleared]
+    others = constant.count(False)
+    return {"wronskian": others * (others - 1) // 2, "combine": 0, "derived": others if any(constant) else 0}
+
+
 def test_a_derivative_takes_one_product_pass_per_minor_and_no_transform_builds_one(monkeypatch):
     # a work gate: it counts calls, not time, so a loaded host cannot move it.
-    # Making or transforming a map builds no minors; a derivative builds each
-    # minor C_i' C_j - C_j' C_i in one pass of points._wronskian, with no
-    # derivative list and no two-product _combine
+    # Making or transforming a map builds no minors.  A derivative builds the
+    # minor C_i' C_j - C_j' C_i of two nonconstant coordinates in one pass of
+    # points._wronskian, with no two-product _combine; a minor with a
+    # constant coordinate c is -c C_j', so it takes no product, only the one
+    # derivative of C_j, shared by every constant that meets it
     calls = {"wronskian": 0, "combine": 0, "derived": 0}
 
     def counting(name, fn):
@@ -388,12 +400,15 @@ def test_a_derivative_takes_one_product_pass_per_minor_and_no_transform_builds_o
 
     monkeypatch.setattr(fsderiv, "_wronskian", counting("wronskian", fsderiv._wronskian))
     monkeypatch.setattr(fsderiv, "_combine", counting("combine", fsderiv._combine))
+    monkeypatch.setattr(fsderiv, "_derived", counting("derived", fsderiv._derived))
     monkeypatch.setattr(points, "_derived", counting("derived", points._derived))
     for spec in (P3, PQ):
         rng = rng_for(f"minors-gate-{spec.backend}")
+        one, c = Poly.constant(spec, spec.one()), Poly.constant(spec, random_nonzero_scalar(rng, spec))
         for _ in range(40):
             f = random_poly_map(rng, spec, 4)
             g = random_poly_map(rng, spec, 3)
+            p, q = f.coords[1], g.coords[1]
             made = {
                 "series_map": f,
                 "SeriesMap": SeriesMap(f.coords),
@@ -401,15 +416,21 @@ def test_a_derivative_takes_one_product_pass_per_minor_and_no_transform_builds_o
                 "compose": compose(f, g),
                 "rescale_map": rescale_map(f, random_nonzero_scalar(rng, spec), random_scalar(rng, spec), None),
                 "_at_infinity": _at_infinity(f),
+                "[c : 1 : P]": SeriesMap([c, one, p]),
+                "[P : c : Q]": SeriesMap([p, c, q]),
+                "[P : Q : c]": SeriesMap([p, q, c]),
+                "[P : Q : PQ]": SeriesMap([p, q, p * q]),
             }
             assert calls["wronskian"] == calls["derived"] == 0, calls
             z = DiskPoint(random_scalar(rng, spec, True), random_radius(rng, False))
             for name, h in made.items():
                 calls["combine"] = 0
                 fs_derivative(h, z)
-                n = len(h.cleared)
-                assert calls == {"wronskian": n * (n - 1) // 2, "combine": 0, "derived": 0}, (name, calls)
-                calls["wronskian"] = 0
+                assert calls == derivative_work(h), (name, calls)
+                if name in ("series_map", "SeriesMap", "compose", "rescale_map"):
+                    # [c : P]: one derivative, no product
+                    assert calls == {"wronskian": 0, "combine": 0, "derived": 1}, (name, calls)
+                calls.update(wronskian=0, derived=0)
 
 
 @pytest.mark.parametrize("kind", sorted(SCALARS))
@@ -449,3 +470,61 @@ def test_one_pass_minors_give_the_oracle_minors_and_derivatives(kind, data):
     assert wronskian_minors(f) == wronskian_oracle(f)
     for z in data.draw(st.lists(points_of(kind), min_size=1, max_size=3)):
         assert outcome(fs_derivative, f, z) == outcome(fs_derivative_oracle, f, z)
+
+
+# -- constant coordinates: |W_ij| = |c| |C_j'| --------------------------------
+
+# constants of magnitude other than 1 as well as any nonzero scalar: a padic
+# c divisible by 3 and the puiseux-q c = 2 t^(1/3)
+CONSTANTS = {
+    "padic": st.one_of(padic_scalars, st.integers(1, 30).map(lambda k: P3.scalar(3 * k))),
+    "puiseux-polynomial": st.one_of(puiseux_polynomials, st.just(PQ.t_power(Fraction(1, 3), 2))),
+    "puiseux-rational": st.one_of(SCALARS["puiseux-rational"], st.just(PQ.t_power(Fraction(1, 3), 2))),
+}
+# a scalar of magnitude below 1, to move a centre within the leading part of a root
+SMALL = {"padic": P3.scalar(27), "puiseux-polynomial": PQ.t_power(2), "puiseux-rational": PQ.t_power(2)}
+
+
+@st.composite
+def constant_coordinate_maps(draw, kind: str):
+    """(f, root): a map of 2 or 3 coordinates with one or two constant ones
+    at any index; each other coordinate is (T - root) Q, Q Laurent, so that
+    the root and the points near it make the certificate's sigma vanish."""
+    spec = SPECS[kind]
+    n = draw(st.integers(2, 3))
+    constant = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    root = draw(SCALARS[kind])
+    linear = Poly.from_dict(spec, {0: -root, 1: spec.one()})
+    coords = []
+    for is_constant in constant:
+        if is_constant:
+            c = draw(CONSTANTS[kind].filter(lambda c: not c.is_zero))
+            coords.append(Poly.constant(spec, c))
+        else:
+            q = draw(laurent(kind, low=-1, high=2).filter(lambda q: not q.is_zero))
+            coords.append(poly_mul_oracle(linear, q))
+    return SeriesMap(coords), root
+
+
+def points_around(kind: str, root):
+    """Rigid 0, the root and a near-root (sigma = 0 at a rigid point), balls
+    whose short centre is 0, and balls around the root and elsewhere."""
+    spec, small = SPECS[kind], SMALL[kind]
+    radii = st.fractions(-3, 1, max_denominator=3).map(AbsValue.of)
+    return st.one_of(
+        st.just(DiskPoint(spec.zero(), AbsValue.zero())),
+        st.just(DiskPoint(root, AbsValue.zero())),
+        SCALARS[kind].map(lambda e: DiskPoint(root + small * e, AbsValue.zero())),
+        SCALARS[kind].map(lambda e: DiskPoint(small * e, ABS_ONE)),
+        radii.map(lambda r: DiskPoint(root, r)),
+        st.builds(DiskPoint, SCALARS[kind], radii),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_constant_coordinates_give_the_all_minors_derivative(kind, data):
+    f, root = data.draw(constant_coordinate_maps(kind))
+    for z in data.draw(st.lists(points_around(kind, root), min_size=1, max_size=4)):
+        assert outcome(fs_derivative, f, z) == outcome(fs_derivative_all_minors, f, z)
