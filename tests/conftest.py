@@ -611,9 +611,10 @@ def fs_derivative_oracle(f: SeriesMap, z: DiskPoint) -> AbsValue:
 
 
 def fs_derivative_all_minors(f: SeriesMap, z: DiskPoint) -> AbsValue:
-    """fs_derivative before constant coordinates had a rule of their own:
-    every coordinate's seminorm is taken on its cleared list, and every
-    minor W_ij, i < j, is built in one product pass (points._wronskian)."""
+    """The derivative with no rule for constant coordinates, the reference
+    for fs_derivative's: every coordinate's seminorm is taken on its cleared
+    list, and every minor W_ij, i < j, is built in one product pass
+    (points._wronskian)."""
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")

@@ -37,13 +37,6 @@ GOLDEN_RUNS = [
     (("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0"), "1\n", '"0"'),
     (("eval", str(GOLDEN / "eval_gauss.json"), "--point", "0,0", "--multiplicative"), "1\n", '"0"'),
     (("fsderiv", str(GOLDEN / "fsderiv_identity.json"), "--point", "0,1"), "1\n", '"0"'),
-    # [3 : T^2 + T] over padic 3, where |3| != 1: at a ball and at a rigid point
-    (("fsderiv", str(GOLDEN / "fsderiv_padic_quadratic.json"), "--point", "1/3,-2"), "β^(-2)\n", '"-2"'),
-    (("fsderiv", str(GOLDEN / "fsderiv_padic_quadratic.json"), "--point", "3"), "β^(1)\n", '"1"'),
-    # [2t^(1/3) : T^2 + t : t^(1/2) T^3 + T]: a ball with short centre 0, another ball, a rigid point
-    (("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^1/2,-1/2"), "β^(1/3)\n", '"1/3"'),
-    (("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^-1,1/3"), "β^(1/2)\n", '"1/2"'),
-    (("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^1/3"), "β^(1/3)\n", '"1/3"'),
     (("diam", "--field", "padic:3", "--point", "0,-1", "--point", "1/3,0"), "β^(-2)\n", '"-2"'),
     (("dck", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"), "1\n", '"1"'),
     (("dtree", str(GOLDEN / "chain5.json"), "--from", "x", "--to", "y"), "1/5\n", '"1/5"'),
@@ -84,6 +77,26 @@ GOLDEN_RUNS = [
         '{"derivative_at_zero": "1", "n": 2, "rho_logval": "-2", "z": "0"}]',
     ),
 ]
+
+
+# fsderiv on [3 : T^2 + T] over padic 3, where |3| != 1, and on the
+# three-coordinate puiseux-q map [2t^(1/3) : T^2 + t : t^(1/2) T^3 + T]:
+# (argv, exact text output, exact "result" of the --json line)
+FSDERIV_GOLDEN_RUNS = [
+    pytest.param(("fsderiv", str(GOLDEN / "fsderiv_padic_quadratic.json"), "--point", "1/3,-2"), "β^(-2)\n", '"-2"', id="padic-ball"),
+    pytest.param(("fsderiv", str(GOLDEN / "fsderiv_padic_quadratic.json"), "--point", "3"), "β^(1)\n", '"1"', id="padic-rigid"),
+    pytest.param(
+        ("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^1/2,-1/2"), "β^(1/3)\n", '"1/3"', id="puiseux-ball-centre-0"
+    ),
+    pytest.param(("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^-1,1/3"), "β^(1/2)\n", '"1/2"', id="puiseux-ball"),
+    pytest.param(("fsderiv", str(GOLDEN / "fsderiv_puiseux_three.json"), "--point", "t^1/3"), "β^(1/3)\n", '"1/3"', id="puiseux-rigid"),
+]
+
+
+@pytest.mark.parametrize("args,expected,result", FSDERIV_GOLDEN_RUNS)
+def test_fsderiv_golden_outputs(args, expected, result):
+    assert run_cli(*args) == (0, expected)
+    assert run_cli_full([*args, "--json"]) == (0, f'{{"command": "fsderiv", "result": {result}}}\n', "")
 
 
 def golden_id(value) -> str:
