@@ -55,6 +55,7 @@ from .errors import (
     DomainViolation,
     InvalidGenerator,
     PoleHit,
+    PreconditionViolation,
     ZeroTuple,
 )
 from .field import (
@@ -72,14 +73,18 @@ from .points import (
     DiskPoint,
     Poly,
     ProjPoint,
-    _ONE_POLY,
     _Point,
+    _accumulate,
     _clear,
+    _collected,
     _combine,
+    _denom,
     _derived,
     _disk_image,
     _from_num_den,
     _num_den,
+    _over,
+    _raw_product,
     _seminorm,
     _term_abs,
     _times,
@@ -122,8 +127,6 @@ class Domain:
 
 
 UNIT_DISK = Domain.disk(ABS_ONE)
-
-_T_POLY = [(1, _ONE_TERMS)]  # the cleared coordinate T
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -328,8 +331,14 @@ def fs_derivative_proj(f: SeriesMap, z: ProjPoint) -> AbsValue:
 
 
 def _at_infinity(f: SeriesMap) -> SeriesMap:
-    """f in the reciprocal chart: the substitution T -> 1/T."""
-    return _substitute_cleared(f, _ONE_POLY, _T_POLY, _ONE_TERMS, None)
+    """f in the reciprocal chart: the substitution T -> 1/T, with no product.
+
+    Shifted to plain coordinates of degree at most d, the coefficient of
+    T^j moves to T^(d-j): each cleared list is reversed, its exponent n
+    going to d - (n + shift), and the denominator stays f.den."""
+    shift, d = _plain_degree(f.cleared)
+    top = d - shift
+    return SeriesMap._of(f.spec, f.den, [[(top - n, num) for n, num in reversed(c)] for c in f.cleared], None)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +391,17 @@ def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
     return _substitute_cleared(f, g1, g0, g.den, g.domain)
 
 
-def _plain_shift(coords: Sequence[list[tuple[int, tuple]]]) -> int:
+def _plain_shift(coords: Sequence[Sequence[tuple[int, tuple]]]) -> int:
     """The power of T, one for all cleared coordinates, that makes every
     entry a plain polynomial (a projective rescaling away from 0)."""
     return -min([min(0, c[0][0]) for c in coords if c], default=0)
+
+
+def _plain_degree(coords: Sequence[Sequence[tuple[int, tuple]]]) -> tuple[int, int]:
+    """(shift, d): the _plain_shift of the cleared coordinates and their
+    largest degree after it."""
+    shift = _plain_shift(coords)
+    return shift, max([c[-1][0] for c in coords if c]) + shift
 
 
 def _substitute_cleared(f: SeriesMap, top: list, bottom: list, den: tuple, domain: Domain | None) -> SeriesMap:
@@ -396,33 +412,50 @@ def _substitute_cleared(f: SeriesMap, top: list, bottom: list, den: tuple, domai
     exponent offset on the cleared lists), d the largest degree.  Each
     coordinate sum_j A_j T^j / L of f becomes sum_j a_j num^j den^(d-j) =
     sum_j A_j N^j M^(d-j) / (L L'^d): one sum of products over one
-    denominator, with no Scalar built.  num and den must have no common
-    zero; then coprime coordinates stay coprime and need no gcd."""
-    shift = _plain_shift(f.cleared)
-    d = max([c[-1][0] for c in f.cleared if c]) + shift
-    pow_top, pow_bottom, common = [_ONE_POLY, top], [_ONE_POLY, bottom], f.den
+    denominator, with no Scalar built.  N, M and every A_j are read once,
+    over the lcm D of all their exponent denominators (points._denom); the
+    powers N^j, M^k and the basis products N^j M^(d-j) stay raw row lists
+    over D (points._raw_product), the basis shared by every coordinate, and
+    each output coordinate accumulates sum_j A_j N^j M^(d-j) into one dict
+    that points._collected turns into its cleared list: one collection per
+    output coordinate, and none for a power or a basis product.  num and
+    den must have no common zero; then coprime coordinates stay coprime and
+    need no gcd."""
+    shift, d = _plain_degree(f.cleared)
+    denom = _denom([top, bottom, *f.cleared])
+    one = [(0, [(0, 1)])]
+    top = [(n, _over(num, denom)) for n, num in top]
+    bottom = [(n, _over(num, denom)) for n, num in bottom]
+    pow_top, pow_bottom, common = [one, top], [one, bottom], f.den
     for _ in range(d - 1):
-        pow_top.append(_combine([(1, pow_top[-1], top)]))
-        pow_bottom.append(_combine([(1, pow_bottom[-1], bottom)]))
+        pow_top.append(_raw_product(pow_top[-1], top))
+        pow_bottom.append(_raw_product(pow_bottom[-1], bottom))
     for _ in range(d):
         common = _times(common, den)
     # j -> N^j M^(d-j), built once for every coordinate
     basis: dict[int, list] = {0: pow_bottom[d], d: pow_top[d]}
     coords = []
     for terms in f.cleared:
-        products = []
+        acc: dict[int, dict[int, int]] = {}
         for j, a in terms:
             j += shift
             if j not in basis:
-                basis[j] = _combine([(1, pow_top[j], pow_bottom[d - j])])
-            products.append((1, [(0, a)], basis[j]))
-        coords.append(_combine(products))
+                basis[j] = _raw_product(pow_top[j], pow_bottom[d - j])
+            _accumulate(acc, [(0, _over(a, denom))], basis[j])
+        coords.append(_collected(acc, denom))
     return SeriesMap._of(f.spec, common, coords, domain)
 
 
 def rescale_map(f: SeriesMap, scale: Scalar, offset: Scalar, domain: Domain | None) -> SeriesMap:
-    """The reparametrized map z -> f(offset + scale*z); scale must be nonzero.
-    offset + scale*T is cleared to N / L, and 1 is L / L."""
+    """The reparametrized map z -> f(offset + scale*z); scale must be nonzero
+    (PreconditionViolation otherwise), and a scale or offset over another
+    FieldSpec than f raises BackendMismatch.  offset + scale*T is cleared to
+    N / L, and 1 is L / L."""
+    for x in (scale, offset):
+        if x.spec is not f.spec and x.spec != f.spec:
+            raise BackendMismatch(f"mixed backends: {f.spec} vs {x.spec}")
+    if scale.is_zero:
+        raise PreconditionViolation("rescale_map needs a nonzero scale")
     den, (top,) = _clear([Poly.from_dict(f.spec, {0: offset, 1: scale})])
     return _substitute_cleared(f, top, [(0, den)], den, domain)
 

@@ -405,26 +405,22 @@ def _clear(polys: Sequence[Poly]) -> tuple[tuple, list[list[tuple[int, tuple]]]]
 def _combine(products: Sequence[tuple[int, list, list]]) -> list[tuple[int, tuple]]:
     """The cleared sum of sign * a * b over the (sign, a, b) triples.
 
-    Every num is read over the lcm D of the operands' exponent denominators,
-    and the ints are accumulated by exponent, one dict per power of T
-    (Monagan-Pearce: sparse products accumulate by exponent); each output
-    num is made minimal once at the end, and zero coefficients are dropped.
+    Every num is read over the lcm D of the operands' exponent denominators
+    (_denom, _over: a num already over D, every padic num among them, is
+    read as it is), and the ints are accumulated by exponent, one dict per
+    power of T (Monagan-Pearce: sparse products accumulate by exponent);
+    each output num is made minimal once at the end, in _collected, and
+    zero coefficients are dropped.
     """
-    denom, over = _over_lcm([part for _, a, b in products for part in (a, b)])
+    denom = _denom([part for _, a, b in products for part in (a, b)])
     acc: dict[int, dict[int, int]] = {}
     for sign, a, b in products:
-        right = [(m, over(y)) for m, y in b]
-        for n, x in a:
-            x = over(x) if sign > 0 else [(k, -c) for k, c in over(x)]
-            for m, y in right:
-                row = acc.get(n + m)
-                if row is None:
-                    row = acc[n + m] = {}
-                get = row.get
-                for kx, cx in x:
-                    for ky, cy in y:
-                        e = kx + ky
-                        row[e] = get(e, 0) + cx * cy
+        right = [(m, _over(y, denom)) for m, y in b]
+        if sign > 0:
+            left = [(n, _over(x, denom)) for n, x in a]
+        else:
+            left = [(n, [(k, -c) for k, c in _over(x, denom)]) for n, x in a]
+        _accumulate(acc, left, right)
     return _collected(acc, denom)
 
 
@@ -437,11 +433,11 @@ def _wronskian(a: list[tuple[int, tuple]], b: list[tuple[int, tuple]]) -> list[t
     derivative (as _combine would take them) multiply every pair twice.
     The result is the same cleared list, accumulated as in _combine.
     """
-    denom, over = _over_lcm((a, b))
+    denom = _denom((a, b))
     acc: dict[int, dict[int, int]] = {}
-    right = [(m, over(y)) for m, y in b]
+    right = [(m, _over(y, denom)) for m, y in b]
     for n, x in a:
-        x = over(x)
+        x = _over(x, denom)
         for m, y in right:
             w = n - m
             if not w:
@@ -458,24 +454,75 @@ def _wronskian(a: list[tuple[int, tuple]], b: list[tuple[int, tuple]]) -> list[t
     return _collected(acc, denom)
 
 
-def _over_lcm(parts: Sequence[list[tuple[int, tuple]]]):
-    """(D, over): the lcm D of the exponent denominators of the nums of the
-    cleared lists, and the map from a num to its (k, c) terms over D."""
-    denom = math.lcm(*[num[0] for part in parts for _, num in part])
+def _denom(parts: Sequence[Sequence[tuple[int, tuple]]]) -> int:
+    """The lcm D of the exponent denominators of the nums of the cleared
+    lists; a num whose denominator divides D so far (1, for every padic
+    num) takes no lcm."""
+    denom = 1
+    for part in parts:
+        for _, num in part:
+            if denom % num[0]:
+                denom = math.lcm(denom, num[0])
+    return denom
 
-    def over(num: tuple) -> tuple:
-        m = denom // num[0]
-        return num[1] if m == 1 else [(k * m, c) for k, c in num[1]]
 
-    return denom, over
+def _over(num: tuple, denom: int):
+    """num's (k, c) terms over denom, a multiple of its own denominator;
+    the terms as they are when num is over denom already."""
+    d, terms = num
+    if d == denom:
+        return terms
+    m = denom // d
+    return [(k * m, c) for k, c in terms]
+
+
+# A raw row list [(n, [(k, c), ...]), ...] is a polynomial whose coefficient
+# of T^n is the sum of c t^(k/D) over one D fixed by the caller: unsorted in
+# n and in k, unreduced, with no zero int.  A substitution keeps its powers
+# and products in this form and collects only its outputs.
+
+
+def _accumulate(acc: dict[int, dict[int, int]], a: Sequence, b: Sequence) -> None:
+    """Add the product of the raw row lists a and b into acc, the ints
+    accumulated by power of T and exponent."""
+    for n, x in a:
+        for m, y in b:
+            row = acc.get(n + m)
+            if row is None:
+                row = acc[n + m] = {}
+            get = row.get
+            for kx, cx in x:
+                for ky, cy in y:
+                    e = kx + ky
+                    row[e] = get(e, 0) + cx * cy
+
+
+def _raw_product(a: Sequence, b: Sequence) -> list[tuple[int, list]]:
+    """The raw row list of a * b, zero ints and empty rows dropped."""
+    acc: dict[int, dict[int, int]] = {}
+    _accumulate(acc, a, b)
+    out = []
+    for n, row in acc.items():
+        terms = [kc for kc in row.items() if kc[1]]
+        if terms:
+            out.append((n, terms))
+    return out
 
 
 def _collected(acc: dict[int, dict[int, int]], denom: int) -> list[tuple[int, tuple]]:
     """The cleared list of ints accumulated by power of T and exponent over
-    denom: each num made minimal, zero coefficients dropped."""
+    denom: rows sorted by power, each num sorted by exponent (a row of one
+    entry needs no sort) and made minimal, zero coefficients dropped.  The
+    one place where accumulated ints become term maps."""
     out = []
     for n in sorted(acc):
-        terms = sorted([ec for ec in acc[n].items() if ec[1]])
+        row = acc[n]
+        if len(row) == 1:
+            (kc,) = row.items()
+            if kc[1]:
+                out.append((n, _reduced(denom, (kc,))))
+            continue
+        terms = sorted([kc for kc in row.items() if kc[1]])
         if terms:
             out.append((n, _reduced(denom, tuple(terms))))
     return out
