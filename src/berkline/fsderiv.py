@@ -36,12 +36,18 @@ deflates further only when the certificate is inconclusive.  At a rigid
 point the image is the value f(a) alone, one Horner pass over the present
 terms (points._value_at).
 
-Moebius words, composition, rescaling and the chart at infinity are one
-substitution T -> num/den into the homogenized coordinates.  num and den never
-share a zero, so a common zero of the results would be a common zero of the
-original coordinates: reduced maps stay reduced and no gcd follows.  The
+Moebius words, composition and rescaling are one substitution
+T -> num/den into the homogenized coordinates.  num and den never share a
+zero, so a common zero of the results would be a common zero of the original
+coordinates: reduced maps stay reduced and no gcd follows.  The
 substitution, like the word's matrix, reads the map's cleared lists and
-returns a map of cleared lists, with no Scalar built.
+returns a map of cleared lists, with no Scalar built.  It is one
+accumulation over one exponent denominator D: num, den and the coordinates
+are read over D once, the powers and basis products stay raw rows of ints
+(points._raw_product), and each output coordinate is accumulated in one
+dict and collected once (points._collected).  The chart at infinity,
+T -> 1/T, takes no product: each cleared list is reversed over the same
+denominator.
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@ from berkline import (
 from berkline import points
 from berkline.cli import main
 from berkline.errors import BackendMismatch, DomainViolation, NumericBaseRequired, PoleAtPoint
-from berkline.field import _KEY_TERMS, _reduced, abs_max, unit_max
-from berkline.fsderiv import _require_in_domain
-from berkline.points import _Point, _seminorm, _wronskian
+from berkline.field import _KEY_TERMS, _ONE_TERMS, _reduced, abs_max, unit_max
+from berkline.fsderiv import _plain_shift, _require_in_domain, _word_matrix
+from berkline.points import _ONE_POLY, _Point, _seminorm, _times, _wronskian
 
 
 # Process CPU seconds (user time, ITIMER_VIRTUAL) that one test may use; the
@@ -631,6 +631,97 @@ def fs_derivative_all_minors(f: SeriesMap, z: DiskPoint) -> AbsValue:
 def _all_minors(coords):
     n = len(coords)
     return [_wronskian(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n)]
+
+
+# ---------------------------------------------------------------------------
+# The substitution with one collection per product: the reference for the
+# one-accumulation substitution.  combine_per_call and substitute_per_call are
+# the earlier points._combine and fsderiv._substitute_cleared, kept as they
+# were: every product, power and basis product is rescaled to its own lcm of
+# exponent denominators and collected (sorted and reduced) on its own.
+
+_T_POLY = [(1, _ONE_TERMS)]  # the cleared coordinate T
+
+
+def combine_per_call(products):
+    denom, over = _over_lcm_per_call([part for _, a, b in products for part in (a, b)])
+    acc: dict[int, dict[int, int]] = {}
+    for sign, a, b in products:
+        right = [(m, over(y)) for m, y in b]
+        for n, x in a:
+            x = over(x) if sign > 0 else [(k, -c) for k, c in over(x)]
+            for m, y in right:
+                row = acc.get(n + m)
+                if row is None:
+                    row = acc[n + m] = {}
+                get = row.get
+                for kx, cx in x:
+                    for ky, cy in y:
+                        e = kx + ky
+                        row[e] = get(e, 0) + cx * cy
+    return _collected_per_call(acc, denom)
+
+
+def _over_lcm_per_call(parts):
+    denom = math.lcm(*[num[0] for part in parts for _, num in part])
+
+    def over(num: tuple) -> tuple:
+        m = denom // num[0]
+        return num[1] if m == 1 else [(k * m, c) for k, c in num[1]]
+
+    return denom, over
+
+
+def _collected_per_call(acc, denom):
+    out = []
+    for n in sorted(acc):
+        terms = sorted([ec for ec in acc[n].items() if ec[1]])
+        if terms:
+            out.append((n, _reduced(denom, tuple(terms))))
+    return out
+
+
+def substitute_per_call(f: SeriesMap, top: list, bottom: list, den: tuple, domain) -> SeriesMap:
+    shift = _plain_shift(f.cleared)
+    d = max([c[-1][0] for c in f.cleared if c]) + shift
+    pow_top, pow_bottom, common = [_ONE_POLY, top], [_ONE_POLY, bottom], f.den
+    for _ in range(d - 1):
+        pow_top.append(combine_per_call([(1, pow_top[-1], top)]))
+        pow_bottom.append(combine_per_call([(1, pow_bottom[-1], bottom)]))
+    for _ in range(d):
+        common = _times(common, den)
+    basis: dict[int, list] = {0: pow_bottom[d], d: pow_top[d]}
+    coords = []
+    for terms in f.cleared:
+        products = []
+        for j, a in terms:
+            j += shift
+            if j not in basis:
+                basis[j] = combine_per_call([(1, pow_top[j], pow_bottom[d - j])])
+            products.append((1, [(0, a)], basis[j]))
+        coords.append(combine_per_call(products))
+    return SeriesMap._of(f.spec, common, coords, domain)
+
+
+def pgl_apply_per_call(word, f: SeriesMap) -> SeriesMap:
+    a, b, c, d, common = _word_matrix(word, f.spec)
+    num = [(n, e) for n, e in ((0, b), (1, a)) if e[1]]
+    den = [(n, e) for n, e in ((0, d), (1, c)) if e[1]]
+    return substitute_per_call(f, num, den, common, f.domain)
+
+
+def compose_per_call(f: SeriesMap, g: SeriesMap) -> SeriesMap:
+    g0, g1 = g.cleared
+    return substitute_per_call(f, g1, g0, g.den, g.domain)
+
+
+def rescale_per_call(f: SeriesMap, scale, offset, domain) -> SeriesMap:
+    den, (top,) = points._clear([Poly.from_dict(f.spec, {0: offset, 1: scale})])
+    return substitute_per_call(f, top, [(0, den)], den, domain)
+
+
+def at_infinity_per_call(f: SeriesMap) -> SeriesMap:
+    return substitute_per_call(f, _ONE_POLY, _T_POLY, _ONE_TERMS, None)
 
 
 def apply_map_oracle(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:

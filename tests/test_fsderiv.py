@@ -36,7 +36,15 @@ from berkline import (
     rigid,
     series_map,
 )
-from berkline.errors import BackendMismatch, DomainViolation, InvalidGenerator, PoleHit, ZeroTuple
+from berkline.errors import (
+    BackendMismatch,
+    BerklineError,
+    DomainViolation,
+    InvalidGenerator,
+    PoleHit,
+    PreconditionViolation,
+    ZeroTuple,
+)
 from berkline.field import PadicScalar, PuiseuxScalar, abs_max, unit_max
 from berkline.fsderiv import _at_infinity
 
@@ -363,6 +371,32 @@ def test_rescale_map_keeps_maps_reduced_and_matches_sub_linear(backend, data):
     h = rescale_map(f, scale, offset, None)
     assert h.coords == tuple(sub_linear(c, scale, offset) for c in f.coords)
     assert_reduced(h)
+
+
+def test_rescale_map_rejects_scalars_over_another_field(p3, pq):
+    # [1 : T^2 + 1] over padic 3 with the puiseux-q offset t^(1/2) would
+    # otherwise clear Puiseux term maps into a padic map, whose coordinates
+    # then read them as the padic 1 + 2T + T^2
+    half = pq.t_power(Fraction(1, 2))
+    padic_map = series_map([Poly.constant(p3, p3.one()), Poly.from_dict(p3, {0: p3.one(), 2: p3.one()})])
+    puiseux_map = series_map([Poly.constant(pq, pq.one()), Poly.from_dict(pq, {0: pq.one(), 2: half})])
+    for f, ours, theirs in ((padic_map, p3.scalar(2), half), (puiseux_map, half, p3.scalar(2))):
+        with pytest.raises(BackendMismatch):
+            rescale_map(f, ours, theirs, None)
+        with pytest.raises(BackendMismatch):
+            rescale_map(f, theirs, ours, None)
+        assert rescale_map(f, ours, ours, None).spec == f.spec
+
+
+def test_rescale_map_rejects_a_zero_scale(p3, pq):
+    # a zero scale would silently give the constant map [f_0(offset) : f_1(offset)]
+    for spec in (p3, pq):
+        f = series_map([Poly.constant(spec, spec.one()), Poly.from_dict(spec, {1: spec.one(), 2: spec.one()})])
+        with pytest.raises(PreconditionViolation) as caught:
+            rescale_map(f, spec.zero(), spec.one(), None)
+        assert isinstance(caught.value, BerklineError)
+        with pytest.raises(PreconditionViolation):
+            rescale_map(f, spec.zero(), spec.zero(), UNIT_DISK)
 
 
 @pytest.mark.parametrize("backend", sorted(SPECS))

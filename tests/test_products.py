@@ -27,15 +27,19 @@ from berkline import (
 )
 from berkline import fsderiv, points
 from berkline.errors import DomainViolation, PoleAtPoint
-from berkline.field import PadicScalar, PuiseuxScalar, _terms_mul
+from berkline.field import PadicScalar, PuiseuxScalar, _reduced, _terms_mul
 from berkline.fsderiv import _at_infinity, wronskian_minors
 from berkline.points import _cleared, _num_den, divide_linear, poly_gcd, short_centre
 
 from conftest import (
+    at_infinity_per_call,
     binomial_shift_oracle,
+    combine_per_call,
+    compose_per_call,
     fs_derivative_all_minors,
     fs_derivative_oracle,
     pgl_apply_oracle,
+    pgl_apply_per_call,
     poly_add_oracle,
     poly_derivative_oracle,
     poly_mul_oracle,
@@ -49,6 +53,7 @@ from conftest import (
     random_radius,
     random_scalar,
     random_unit_disk_point,
+    rescale_per_call,
     rng_for,
     substitute_oracle,
     wronskian_oracle,
@@ -528,3 +533,124 @@ def test_constant_coordinates_give_the_all_minors_derivative(kind, data):
     f, root = data.draw(constant_coordinate_maps(kind))
     for z in data.draw(st.lists(points_around(kind, root), min_size=1, max_size=4)):
         assert outcome(fs_derivative, f, z) == outcome(fs_derivative_all_minors, f, z)
+
+
+# -- one accumulation per substitution ----------------------------------------
+
+
+def cleared_lists(kind: str, low: int = -2, high: int = 8):
+    """Cleared lists [(n, num), ...] drawn as they are: a padic num is a
+    nonzero int constant; a Puiseux num has its own exponent denominator
+    (1, 2, 3, 4 or 6), so the operands of one product mix them."""
+    if kind == "padic":
+        num = st.integers(-30, 30).filter(bool).map(lambda c: (1, ((0, c),)))
+    else:
+        terms = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9).filter(bool), min_size=1, max_size=3)
+        num = st.tuples(st.sampled_from([1, 2, 3, 4, 6]), terms).map(
+            lambda dt: _reduced(dt[0], tuple(sorted(dt[1].items())))
+        )
+    return st.dictionaries(st.integers(low, high), num, max_size=4).map(lambda d: sorted(d.items()))
+
+
+@st.composite
+def signed_products(draw, kind: str):
+    """(sign, a, b) triples; some cancel a row to nothing (a single term
+    times b, less the same term times b's first term) or the whole sum
+    (a b - b a)."""
+    a, b, c = draw(cleared_lists(kind)), draw(cleared_lists(kind)), draw(cleared_lists(kind))
+    sign = st.sampled_from([1, -1])
+    how = draw(st.sampled_from(["random", "zero", "row"]))
+    if how == "zero":
+        return [(1, a, b), (-1, b, a)] + [(s, c, c) for s in (1, -1)]
+    if how == "row" and a and b:
+        return [(1, a[:1], b), (-1, a[:1], b[:1]), (draw(sign), c, b)]
+    return [(draw(sign), a, b), (draw(sign), c, a), (draw(sign), b, b)]
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@PRODUCT_SETTINGS
+@given(data=st.data())
+def test_combine_equals_the_product_per_call(kind, data):
+    products = data.draw(signed_products(kind))
+    assert points._combine(products) == combine_per_call(products)
+    assert points._combine(products[:1]) == combine_per_call(products[:1])
+
+
+@st.composite
+def substitution_maps(draw, kind: str):
+    """SeriesMaps built directly: Laurent coordinates (a shift > 0), all
+    constant ones (d = 0), a zero coordinate, and sparse coordinates of
+    degree up to 8 with gaps."""
+    spec = SPECS[kind]
+    n = draw(st.integers(2, 3))
+    shapes = ["constant"] * n if draw(st.booleans()) else None
+    coords = []
+    for i in range(n):
+        shape = shapes[i] if shapes else draw(st.sampled_from(["laurent", "constant", "zero", "sparse"]))
+        if shape == "constant":
+            coords.append(Poly.from_dict(spec, {0: draw(SCALARS[kind].filter(lambda a: not a.is_zero))}))
+        elif shape == "zero":
+            coords.append(Poly(spec, ()))
+        elif shape == "sparse":
+            coords.append(draw(laurent(kind, 0, 8, max_terms=3)))
+        else:
+            coords.append(draw(laurent(kind, -3, 4)))
+    if all(c.is_zero for c in coords):
+        coords[0] = Poly.constant(spec, spec.one())
+    return SeriesMap(tuple(coords))
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_substitutions_equal_the_substitution_per_call(kind, data):
+    # the same cleared lists, term map for term map, and the same den
+    f = data.draw(substitution_maps(kind))
+    g = data.draw(maps(kind, max_coords=2, low=-1, high=2))
+    word = data.draw(words(kind))
+    scale = data.draw(SCALARS[kind].filter(lambda a: not a.is_zero))
+    offset = data.draw(SCALARS[kind])
+    pairs = {
+        "pgl_apply": (pgl_apply(word, f), pgl_apply_per_call(word, f)),
+        "compose": (compose(f, g), compose_per_call(f, g)),
+        "rescale_map": (rescale_map(f, scale, offset, None), rescale_per_call(f, scale, offset, None)),
+        "_at_infinity": (_at_infinity(f), at_infinity_per_call(f)),
+    }
+    for name, (new, old) in pairs.items():
+        assert new.cleared == old.cleared and new.den == old.den, name
+
+
+def test_a_substitution_collects_each_output_coordinate_once(monkeypatch):
+    # a work gate: it counts calls, not time, so a loaded host cannot move it.
+    # A substitution keeps its powers and basis products as raw rows and
+    # turns accumulated ints into term maps (points._collected) once per
+    # output coordinate; the chart at infinity reverses the cleared lists
+    # and collects nothing
+    calls = {"collected": 0}
+
+    def counting(*args):
+        calls["collected"] += 1
+        return collected(*args)
+
+    collected = points._collected
+    monkeypatch.setattr(points, "_collected", counting)
+    monkeypatch.setattr(fsderiv, "_collected", counting, raising=False)
+    for spec in (P3, PQ):
+        rng = rng_for(f"collection-gate-{spec.backend}")
+        for _ in range(40):
+            f = random_poly_map(rng, spec, 4)
+            wide = SeriesMap((random_poly(rng, spec, 4), random_poly(rng, spec, 4), Poly(spec, ())))
+            g = random_poly_map(rng, spec, 3)
+            word = random_pgl_word(rng, spec)
+            scale, offset = random_nonzero_scalar(rng, spec), random_scalar(rng, spec)
+            for h in (f, wide):
+                for name, transform in (
+                    ("pgl_apply", lambda: pgl_apply(word, h)),
+                    ("compose", lambda: compose(h, g)),
+                    ("rescale_map", lambda: rescale_map(h, scale, offset, None)),
+                    ("_at_infinity", lambda: _at_infinity(h)),
+                ):
+                    calls["collected"] = 0
+                    transform()
+                    expected = 0 if name == "_at_infinity" else len(h.cleared)
+                    assert calls["collected"] == expected, (name, calls)
