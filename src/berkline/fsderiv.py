@@ -82,8 +82,10 @@ from .points import (
     _Point,
     _accumulate,
     _clear,
+    _cleared,
     _collected,
     _combine,
+    _coprime_coords,
     _denom,
     _derived,
     _disk_image,
@@ -96,9 +98,6 @@ from .points import (
     _times,
     _uncleared,
     _wronskian,
-    coprime_certificate,
-    divide_out,
-    poly_gcd,
     rigid,
 )
 
@@ -154,8 +153,8 @@ class SeriesMap:
     Construct through :func:`series_map`, which normalizes Laurent content
     and removes the common polynomial factor, so that vanishing of minors is
     detected canonically.  The transforms below keep coordinates coprime and
-    build their results directly; a SeriesMap built directly is taken as
-    given.
+    build their results directly.  A SeriesMap built directly is checked as
+    series_map's input is, and takes its coordinates as given otherwise.
     """
 
     spec: FieldSpec
@@ -165,7 +164,13 @@ class SeriesMap:
 
     def __init__(self, coords: Sequence[Poly], domain: Domain | None = None) -> None:
         coords = tuple(coords)
+        if len(coords) < 2:
+            raise ZeroTuple("a projective map needs at least two coordinates")
+        if any(c.spec != coords[0].spec for c in coords):
+            raise BackendMismatch("mixed backends in map coordinates")
         den, cleared = _clear(coords)
+        if not any(cleared):
+            raise ZeroTuple("all coordinates vanish identically")
         _fill(self, coords[0].spec, den, cleared, domain)
 
     @classmethod
@@ -218,32 +223,24 @@ def _fill(f: SeriesMap, spec: FieldSpec, den: tuple, cleared: list, domain: Doma
 
 
 def series_map(coords: Sequence[Poly], domain: Domain | None = None) -> SeriesMap:
-    """Build a reduced map from homogeneous (Laurent) polynomial coordinates;
-    a common factor is divided out in Z[u][T], leaving polynomial coefficients."""
+    """Build a reduced map from homogeneous (Laurent) polynomial coordinates:
+    at least two (ZeroTuple), over one FieldSpec (BackendMismatch), not all
+    zero (ZeroTuple).  They are cleared once, as a SeriesMap is made, and
+    read as cleared lists from then on: Laurent content is an exponent
+    offset, and unless a coordinate is constant the common factor is divided
+    out in Z[u][T] (points._coprime_coords), leaving polynomial coefficients."""
     coords = tuple(coords)
-    if len(coords) < 2:
-        raise ZeroTuple("a projective map needs at least two coordinates")
-    spec = coords[0].spec
-    for c in coords:
-        if c.spec != spec:
-            raise BackendMismatch("mixed backends in map coordinates")
-    nonzero = [c for c in coords if not c.is_zero]
-    if not nonzero:
-        raise ZeroTuple("all coordinates vanish identically")
-    shift = min(c.min_exp() for c in nonzero)
-    if shift != 0:
+    f = SeriesMap(coords, domain)
+    den, cleared = f.den, f.cleared
+    shift = min([c[0][0] for c in cleared if c])
+    if shift:
         # common monomial content; removing it is a projective rescaling
-        coords = tuple([c.shift_exp(-shift) for c in coords])
-        nonzero = [c for c in coords if not c.is_zero]
-    if not any(c.is_constant for c in nonzero) and not coprime_certificate(nonzero):
-        g = nonzero[0]
-        for c in nonzero[1:]:
-            g = poly_gcd(g, c)
-            if g.is_constant:
-                break
-        if not g.is_constant:
-            coords = tuple(divide_out(coords, g))
-    return SeriesMap(coords, domain)
+        cleared = [[(n - shift, num) for n, num in c] for c in cleared]
+    if not any(len(c) == 1 and not c[0][0] for c in cleared):
+        den, cleared = _coprime_coords(coords, den, cleared)
+    if cleared is f.cleared:  # no content and no common factor
+        return f
+    return SeriesMap._of(f.spec, den, cleared, domain)
 
 
 def identity_map(spec: FieldSpec, domain: Domain | None = None) -> SeriesMap:
@@ -456,13 +453,14 @@ def rescale_map(f: SeriesMap, scale: Scalar, offset: Scalar, domain: Domain | No
     """The reparametrized map z -> f(offset + scale*z); scale must be nonzero
     (PreconditionViolation otherwise), and a scale or offset over another
     FieldSpec than f raises BackendMismatch.  offset + scale*T is cleared to
-    N / L, and 1 is L / L."""
+    N / L straight from the two scalars' num/den pairs, and 1 is L / L."""
     for x in (scale, offset):
         if x.spec is not f.spec and x.spec != f.spec:
             raise BackendMismatch(f"mixed backends: {f.spec} vs {x.spec}")
     if scale.is_zero:
         raise PreconditionViolation("rescale_map needs a nonzero scale")
-    den, (top,) = _clear([Poly.from_dict(f.spec, {0: offset, 1: scale})])
+    nums, den = _cleared([_num_den(x) for x in (offset, scale) if not x.is_zero])
+    top = list(enumerate(nums, 2 - len(nums)))  # [(0, N_0), (1, N_1)], or [(1, N_1)] for offset 0
     return _substitute_cleared(f, top, [(0, den)], den, domain)
 
 

@@ -101,11 +101,18 @@ class Poly:
     """A (Laurent) polynomial with exact backend coefficients.
 
     ``terms`` maps integer exponents to nonzero scalars, stored sorted.  A
-    plain polynomial has no negative exponents.
+    plain polynomial has no negative exponents.  A coefficient over another
+    FieldSpec raises BackendMismatch.
     """
 
     spec: FieldSpec
     terms: tuple[tuple[int, Scalar], ...]
+
+    def __post_init__(self) -> None:
+        spec = self.spec
+        for _, c in self.terms:
+            if c.spec is not spec and c.spec != spec:
+                raise BackendMismatch(f"mixed backends: {spec} vs {c.spec}")
 
     @staticmethod
     def from_dict(spec: FieldSpec, coeffs: dict[int, Scalar]) -> "Poly":
@@ -176,10 +183,6 @@ class Poly:
         return _uncleared(self.spec, _combine([(1, a, b)]), _times(la, lb))
 
     def scale(self, c: Scalar) -> "Poly":
-        if c.spec != self.spec:
-            raise BackendMismatch(f"mixed backends: {self.spec} vs {c.spec}")
-        if c.is_zero:
-            return Poly(self.spec, ())
         return self * Poly(self.spec, ((0, c),))
 
     def shift_exp(self, m: int) -> "Poly":
@@ -570,66 +573,27 @@ def initial_form(p: Poly, a: Scalar) -> tuple[AbsValue, tuple[int, ...]] | None:
     return certificate and (certificate[0] / _term_abs(lcm, point.prime), certificate[1])
 
 
-def coprime_certificate(polys: Sequence[Poly]) -> bool:
-    """A sound fast test that plain puiseux-q polynomials share no common factor.
-
-    Specializing the puiseux parameter at a rational point where some
-    polynomial keeps its degree can only enlarge the gcd, so a constant
-    specialized gcd certifies coprimality.  Returns False when inconclusive
-    and for padic coefficients (callers then run the exact gcd).
-    """
-    if len(polys) < 2 or polys[0].spec.backend != PUISEUX:
-        return False
-    # u = t^(1/denom) makes every coefficient a Laurent polynomial over its den
-    maps = [m for p in polys for _, c in p.terms for m in (c.num_terms, c.den_terms)]  # type: ignore[attr-defined]
-    denom = math.lcm(*[m[0] for m in maps])
-    for sigma in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        images = [_specialize(p, denom, sigma) for p in polys]
-        if None in images or not any(s[1] and s[1][-1][0] == p.degree() for s, p in zip(images, polys)):
-            continue
-        g = images[0]
-        for image in images[1:]:
-            g = _terms_gcd(g, image)
-            if _is_constant(g):
-                return True
-    return False
-
-
-def _specialize(p: Poly, denom: int, sigma: Fraction) -> tuple | None:
-    """p at u = sigma, u = t^(1/denom), cleared to a term map over Z[T] (the
-    zero map when p vanishes there); None at a pole."""
-    values = {}
-    for n, c in p.terms:
-        den = _terms_at(c.den_terms, denom, sigma)  # type: ignore[attr-defined]
-        if den == 0:
-            return None
-        values[n] = _terms_at(c.num_terms, denom, sigma) / den  # type: ignore[attr-defined]
-    return _terms_from_dict(values)[0]  # type: ignore[arg-type]
-
-
 # -- gcd and exact division in Z[u][T], u = t^(1/D), for both backends -------
 #
-# A polynomial is a cleared list [(n, num), ...] (_clear) whose term maps have
-# no negative exponent (a padic n/d is the constant n, D = 1).  By Gauss's
-# lemma over the UFD Z[u], a primitive gcd divides there every polynomial it
-# divides over the field.
+# Polynomials cleared together (_clear) and shifted into Z[u][T] (_biv; a
+# padic n/d is the constant n, D = 1) are their images times one common unit:
+# the certificate, the gcd and the exact division of a map all read the lists
+# series_map clears once.  By Gauss's lemma over the UFD Z[u], a primitive gcd
+# divides there every polynomial it divides over the field.
 
 
-def _biv(polys: Sequence[Poly]) -> list[list[tuple[int, tuple]]]:
-    """The plain polynomials in Z[u][T], all times one common unit (their
-    common denominator L of _cleared, and a power of u that leaves no
-    negative exponent), so that the images of a map's coordinates stay
-    proportional."""
-    _, out = _clear(polys)
-    nums = [num for a in out for _, num in a]
+def _biv(lists: list[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple]]]:
+    """The cleared lists in Z[u][T]: all times the one power of u that
+    leaves no negative exponent."""
+    nums = [num for a in lists for _, num in a]
     denom = math.lcm(*[num[0] for num in nums])
     shift = min([_terms_lowest(num, denom) for num in nums], default=0)
-    return [[(n, _terms_shift(num, -shift, denom)) for n, num in a] for a in out]
+    return [[(n, _terms_shift(num, -shift, denom)) for n, num in a] for a in lists]
 
 
 def _biv_pp(polys: list[list[tuple[int, tuple]]]) -> list[list[tuple[int, tuple]]]:
     """Divide out the joint content (the Z[u] gcd of every coefficient,
-    taken shortest first)."""
+    taken shortest first, leading positively)."""
     content = _ZERO_TERMS
     for coeff in sorted([c for a in polys for _, c in a], key=lambda c: len(c[1])):
         content = _terms_gcd(content, coeff)
@@ -660,32 +624,85 @@ def _biv_divide(a: list[tuple[int, tuple]], b: list[tuple[int, tuple]], exact: b
     return sorted((q if exact else r).items())
 
 
+def _biv_gcd(polys: Sequence[Poly], images: Sequence[list], sign: int) -> list[tuple[int, tuple]]:
+    """The chain g = gcd(g, f_i), up to a unit, of plain polys given as
+    images over one L whose top coefficient has the sign ``sign``.  A step
+    is the primitive pseudo-remainder sequence (naive Euclid would
+    accumulate rational-function coefficients with exponential blowup) of
+    its operands as clearing them alone gives them: primitive images times
+    the top sign of their own L, the product of the top signs of their
+    distinct non-constant dens.  Padic g leads positively: the monic gcd
+    times an int."""
+    padic = polys[0].spec.backend != PUISEUX
+    dens = [{d for d in [_num_den(c)[1] for _, c in p.terms] if not _is_constant(d)} for p in polys]
+    g = _signed(_biv_pp([images[0]])[0], sign)
+    for i in range(1, len(polys)):
+        step = (-1) ** sum([d[1][-1][1] < 0 for d in (dens[0] | dens[1] if i == 1 else dens[i])])
+        a, b = _signed(g, step), _signed(_biv_pp([images[i]])[0], step * sign)
+        while b:  # a first remainder of lower degree swaps a and b
+            a, b = b, _biv_pp([_biv_divide(a, b, False)])[0]
+        g = _signed(a, -1) if padic and a and a[-1][1][1][0][1] < 0 else a
+        if g and not g[-1][0]:
+            break
+    return g
+
+
+def _signed(a: list[tuple[int, tuple]], sign: int) -> list[tuple[int, tuple]]:
+    return a if sign > 0 else [(n, _terms_neg(c)) for n, c in a]
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Greatest common divisor of two plain polynomials, up to a unit: the
-    primitive pseudo-remainder sequence in Z[u][T] on both backends (naive
-    Euclid would accumulate rational-function coefficients with exponential
-    blowup), returned primitive there for puiseux-q and monic for padic."""
+    """Greatest common divisor of two plain polynomials, up to a unit
+    (_biv_gcd): primitive in Z[u][T] for puiseux-q, monic for padic."""
     if p.spec != q.spec:
         raise BackendMismatch("gcd over different backends")
-    a, b = _biv([p, q])
-    (a,), (b,) = _biv_pp([a]), _biv_pp([b])
-    while b:  # a first remainder of lower degree swaps a and b
-        a, b = b, _biv_pp([_biv_divide(a, b, False)])[0]
-    g = _uncleared(p.spec, a, _ONE_TERMS)
-    if p.spec.backend == PUISEUX or g.is_zero:
-        return g
-    return g.scale(g.terms[-1][1].inv())
+    den, lists = _clear([p, q])
+    g = _biv_gcd([p, q], _biv(lists), -1 if den[1][-1][1] < 0 else 1)
+    return _uncleared(p.spec, g, g[-1][1] if g and p.spec.backend != PUISEUX else _ONE_TERMS)
 
 
-def divide_out(polys: Sequence[Poly], g: Poly) -> list[Poly]:
-    """The plain polynomials divided by a common factor g, exactly and up to
-    one common unit, with polynomial coefficients: their images in Z[u][T]
-    are divided by g's primitive part and lose their joint content, and no
-    inverse is formed."""
-    *images, divisor = _biv([*polys, g])
-    (divisor,) = _biv_pp([divisor])
-    quotients = _biv_pp([_biv_divide(a, divisor, True) for a in images])
-    return [_uncleared(g.spec, q, _ONE_TERMS) for q in quotients]
+def coprime_certificate(polys: Sequence[Poly]) -> bool:
+    """A sound fast test (_coprime) that plain puiseux-q polynomials share no
+    common factor; False when inconclusive and for padic coefficients."""
+    return len(polys) > 1 and polys[0].spec.backend == PUISEUX and _coprime(polys, *_clear(polys))
+
+
+def _coprime(polys: Sequence[Poly], den: tuple, lists: Sequence[list]) -> bool:
+    """Whether puiseux-q polys, cleared over den, are certified coprime:
+    specializing u = t^(1/D) (D of their coefficients' maps) at a sigma
+    where some list keeps its degree can only enlarge the gcd, so a constant
+    specialized gcd certifies.  A pole (den vanishes) is skipped; elsewhere
+    the lists there are the polys times one rational."""
+    maps = [m for p in polys for _, c in p.terms for m in (c.num_terms, c.den_terms)]  # type: ignore[attr-defined]
+    denom = math.lcm(*[m[0] for m in maps])
+    for sigma in (Fraction(2), Fraction(3), Fraction(5, 2)):
+        # each list at u = sigma, cleared to a term map over Z[T]
+        values = [_terms_from_dict({n: _terms_at(num, denom, sigma) for n, num in a})[0] for a in lists]
+        keeps = any(v[1] and v[1][-1][0] == a[-1][0] for v, a in zip(values, lists))
+        if not keeps or not _terms_at(den, denom, sigma):
+            continue
+        g = values[0]
+        for v in values[1:]:
+            g = _terms_gcd(g, v)
+            if _is_constant(g):
+                return True
+    return False
+
+
+def _coprime_coords(polys: Sequence[Poly], den: tuple, lists: list) -> tuple[tuple, list]:
+    """(den, lists) of a map's plain coordinates, none constant, cleared over
+    den, without their common factor: unless _coprime certifies the nonzero
+    ones or their gcd g (_biv_gcd) is constant, their images are divided
+    exactly by sign * g, the image of g over den, and lose their joint
+    content, over den 1."""
+    polys, nonzero = zip(*[(p, a) for p, a in zip(polys, lists) if a])
+    if polys[0].spec.backend == PUISEUX and _coprime(polys, den, nonzero):
+        return den, lists
+    images, sign = _biv(lists), -1 if den[1][-1][1] < 0 else 1
+    g = _biv_gcd(polys, [a for a in images if a], sign)
+    if not g[-1][0]:
+        return den, lists
+    return _ONE_TERMS, _biv_pp([_biv_divide(a, _signed(g, sign), True) for a in images])
 
 
 # ---------------------------------------------------------------------------

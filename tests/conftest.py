@@ -33,7 +33,18 @@ from berkline import (
 from berkline import points
 from berkline.cli import main
 from berkline.errors import BackendMismatch, DomainViolation, NumericBaseRequired, PoleAtPoint
-from berkline.field import _KEY_TERMS, _ONE_TERMS, _reduced, abs_max, unit_max
+from berkline.field import (
+    _KEY_TERMS,
+    _ONE_TERMS,
+    _reduced,
+    _terms_at,
+    _terms_from_dict,
+    _terms_gcd,
+    _terms_lowest,
+    _terms_shift,
+    abs_max,
+    unit_max,
+)
 from berkline.fsderiv import _plain_shift, _require_in_domain, _word_matrix
 from berkline.points import _ONE_POLY, _Point, _seminorm, _times, _wronskian
 
@@ -722,6 +733,84 @@ def rescale_per_call(f: SeriesMap, scale, offset, domain) -> SeriesMap:
 
 def at_infinity_per_call(f: SeriesMap) -> SeriesMap:
     return substitute_per_call(f, _ONE_POLY, _T_POLY, _ONE_TERMS, None)
+
+
+# ---------------------------------------------------------------------------
+# series_map on Polys: the map reduction as it was before it ran on one
+# clearing.  Each gcd step clears its own two operands, the padic gcd is made
+# monic by Poly arithmetic, and the divisor is cleared again with the
+# coordinates (divide_out); the result is a map of the reduced Polys.
+
+
+def coprime_certificate_on_polys(polys) -> bool:
+    if len(polys) < 2 or polys[0].spec.backend != "puiseux-q":
+        return False
+    maps = [m for p in polys for _, c in p.terms for m in (c.num_terms, c.den_terms)]
+    denom = math.lcm(*[m[0] for m in maps])
+    for sigma in (Fraction(2), Fraction(3), Fraction(5, 2)):
+        images = [_specialize_on_polys(p, denom, sigma) for p in polys]
+        if None in images or not any(s[1] and s[1][-1][0] == p.degree() for s, p in zip(images, polys)):
+            continue
+        g = images[0]
+        for image in images[1:]:
+            g = _terms_gcd(g, image)
+            if points._is_constant(g):
+                return True
+    return False
+
+
+def _specialize_on_polys(p: Poly, denom: int, sigma: Fraction):
+    values = {}
+    for n, c in p.terms:
+        den = _terms_at(c.den_terms, denom, sigma)
+        if den == 0:
+            return None
+        values[n] = _terms_at(c.num_terms, denom, sigma) / den
+    return _terms_from_dict(values)[0]
+
+
+def _biv_on_polys(polys):
+    _, out = points._clear(polys)
+    nums = [num for a in out for _, num in a]
+    denom = math.lcm(*[num[0] for num in nums])
+    shift = min([_terms_lowest(num, denom) for num in nums], default=0)
+    return [[(n, _terms_shift(num, -shift, denom)) for n, num in a] for a in out]
+
+
+def poly_gcd_on_polys(p: Poly, q: Poly) -> Poly:
+    a, b = _biv_on_polys([p, q])
+    (a,), (b,) = points._biv_pp([a]), points._biv_pp([b])
+    while b:
+        a, b = b, points._biv_pp([points._biv_divide(a, b, False)])[0]
+    g = points._uncleared(p.spec, a, _ONE_TERMS)
+    if p.spec.backend == "puiseux-q" or g.is_zero:
+        return g
+    return g.scale(g.terms[-1][1].inv())
+
+
+def divide_out_on_polys(polys, g: Poly) -> list[Poly]:
+    *images, divisor = _biv_on_polys([*polys, g])
+    (divisor,) = points._biv_pp([divisor])
+    quotients = points._biv_pp([points._biv_divide(a, divisor, True) for a in images])
+    return [points._uncleared(g.spec, q, _ONE_TERMS) for q in quotients]
+
+
+def series_map_on_polys(coords, domain=None) -> SeriesMap:
+    coords = tuple(coords)
+    nonzero = [c for c in coords if not c.is_zero]
+    shift = min(c.min_exp() for c in nonzero)
+    if shift != 0:
+        coords = tuple([c.shift_exp(-shift) for c in coords])
+        nonzero = [c for c in coords if not c.is_zero]
+    if not any(c.is_constant for c in nonzero) and not coprime_certificate_on_polys(nonzero):
+        g = nonzero[0]
+        for c in nonzero[1:]:
+            g = poly_gcd_on_polys(g, c)
+            if g.is_constant:
+                break
+        if not g.is_constant:
+            coords = tuple(divide_out_on_polys(coords, g))
+    return SeriesMap(coords, domain)
 
 
 def apply_map_oracle(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:

@@ -166,6 +166,23 @@ def test_series_map_removes_common_factor(spec_name, request):
         series_map([Poly(spec, ()), Poly(spec, ())])
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_series_map_constructor_needs_two_coordinates(p3, count):
+    with pytest.raises(ZeroTuple):
+        SeriesMap([Poly.coordinate(p3)] * count)
+
+
+def test_series_map_constructor_rejects_mixed_field_specs(p3, pq):
+    with pytest.raises(BackendMismatch):
+        SeriesMap([Poly.constant(p3, p3.one()), Poly.coordinate(pq)])
+
+
+def test_series_map_constructor_rejects_an_all_zero_map(p3):
+    # such a map ended every substitution in a bare ValueError
+    with pytest.raises(ZeroTuple):
+        SeriesMap([Poly(p3, ()), Poly(p3, ())])
+
+
 # ---------------------------------------------------------------------------
 # composition and the chain rule
 

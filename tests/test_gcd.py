@@ -1,6 +1,7 @@
 """The integer gcd stack: the term-map gcd and exact division, fraction
-reduction, poly_gcd on both backends, and the coprimality certificate, each
-against an exact oracle."""
+reduction, poly_gcd on both backends, the coprimality certificate and
+series_map's reduction on cleared lists, each against an exact oracle, and
+the work series_map does."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from berkline import FieldSpec, Poly, SeriesMap, fs_derivative, series_map
+from berkline import FieldSpec, Poly, SeriesMap, fs_derivative, fsderiv, points, series_map
 from berkline.field import (
     _ZERO_TERMS,
     _normalize_fraction,
@@ -24,6 +25,7 @@ from berkline.field import (
 from berkline.points import coprime_certificate, poly_gcd
 
 from conftest import (
+    coprime_certificate_on_polys,
     dense_divexact_oracle,
     dense_gcd_oracle,
     dense_to_terms,
@@ -31,6 +33,7 @@ from conftest import (
     random_poly,
     random_unit_disk_point,
     rng_for,
+    series_map_on_polys,
     terms_to_dense,
 )
 
@@ -147,6 +150,34 @@ def test_certificate_skips_a_specialization_that_vanishes(pq):
     assert poly_gcd(p, q).degree() == 0
 
 
+def test_certificate_skips_a_pole_where_an_image_keeps_its_degree(pq):
+    # at t = 2 the lists of T/(2 - t) + 1 and T + 1/(2 - t) + 9 - 3t, cleared
+    # over L = 2 - t, are T and 1: coprime images of the right degree, but
+    # t = 2 is a pole, and at t = 3 and t = 5/2 the two share a root
+    t, one = pq.from_terms([(1, 1)]), pq.one()
+    w = (pq.scalar(2) - t).inv()
+    p = Poly.from_coeffs(pq, [one, w])
+    q = Poly.from_coeffs(pq, [w + pq.scalar(9) - pq.scalar(3) * t, one])
+    assert not coprime_certificate([p, q])
+    assert coprime_certificate([p, q]) == coprime_certificate_on_polys([p, q])
+
+
+def test_certificate_reads_u_over_the_exponent_denominator_of_the_coefficients(pq):
+    # x = (1 + t^(1/2)) / (1 + t^(1/2)) and y = (1 - t^(1/2)) / (1 - t^(1/2))
+    # are 1, left unreduced: cleared over L = 1 - t no list keeps t^(1/2), but
+    # u is t^(1/2), so sigma = 2 is t = 4, where T + t and the roots
+    # -2, -3, -5/2 of the second polynomial are apart
+    root = pq.from_terms([(Fraction(1, 2), 1)])
+    one = pq.one()
+    x, y = (one + root) / (one + root), (one - root) / (one - root)
+    p = Poly.from_coeffs(pq, [x * pq.from_terms([(1, 1)]), x])
+    q = Poly.from_coeffs(pq, [y])
+    for r in (2, 3, Fraction(5, 2)):
+        q = q * Poly.from_coeffs(pq, [pq.scalar(r), one])
+    assert coprime_certificate([p, q])
+    assert coprime_certificate_on_polys([p, q])
+
+
 def test_certificate_is_puiseux_only(p3):
     t = Poly.coordinate(p3)
     assert not coprime_certificate([t, t + Poly.constant(p3, p3.one())])
@@ -215,3 +246,105 @@ def test_series_map_divides_out_a_common_factor_exactly(backend, data):
     for _ in range(4):
         z = random_unit_disk_point(rng, spec)  # coprime coordinates never all vanish
         assert fs_derivative(f, z) == fs_derivative(oracle, z)
+
+
+# -- series_map on one clearing against the reduction on Polys ----------------
+
+DIFFERENTIAL_COEFFS = {
+    "padic": SCALARS["padic"],
+    "puiseux-polynomial": _PQ_POLY_COEFFS,
+    "puiseux-rational": st.one_of(_PQ_POLY_COEFFS, _PQ_FRACTION_COEFFS),
+}
+DIFFERENTIAL_LEADS = {
+    "padic": LEADS["padic"],
+    "puiseux-polynomial": _PQ_POLY_COEFFS.filter(lambda c: not c.is_zero),
+    "puiseux-rational": LEADS["puiseux-q"],
+}
+
+
+def _map_coords(data, kind: str, laurent: bool) -> list[Poly]:
+    """2-3 coordinates of degree <= 2, some possibly zero, not all zero,
+    times a drawn common factor of degree 1-2 or none; with ``laurent``,
+    each also times its own power T^k, -2 <= k <= 2."""
+    spec = P3 if kind == "padic" else PQ
+    coeffs = DIFFERENTIAL_COEFFS[kind]
+    poly = st.lists(coeffs, min_size=1, max_size=3).map(lambda cs: Poly.from_coeffs(spec, cs))
+    coords = data.draw(st.lists(st.one_of(poly, st.just(Poly(spec, ()))), min_size=2, max_size=3))
+    assume(any(not c.is_zero for c in coords))
+    if data.draw(st.booleans()):
+        low = data.draw(st.lists(coeffs, min_size=1, max_size=2))
+        h = Poly.from_coeffs(spec, [*low, data.draw(DIFFERENTIAL_LEADS[kind])])
+        coords = [c * h for c in coords]
+    if laurent:
+        coords = [c.shift_exp(data.draw(st.integers(-2, 2))) for c in coords]
+    return coords
+
+
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_COEFFS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_series_map_equals_the_reduction_on_polys(kind, data):
+    coords = _map_coords(data, kind, laurent=True)
+    f, oracle = series_map(coords), series_map_on_polys(coords)
+    assert f.den == oracle.den
+    assert f.cleared == oracle.cleared
+
+
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_COEFFS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_coprime_certificate_on_cleared_lists_returns_the_bool_on_polys(kind, data):
+    polys = [c for c in _map_coords(data, kind, laurent=False) if not c.is_zero]
+    assert coprime_certificate(polys) == coprime_certificate_on_polys(polys)
+
+
+def test_series_map_keeps_the_sign_of_the_reduction_on_polys_over_a_negative_den(pq):
+    # 1 - t leads negatively: a common denominator L of the coordinates, or
+    # of only some of them, flips the sign of what each gcd step reads
+    t, one, two = pq.from_terms([(1, 1)]), pq.one(), pq.scalar(2)
+    w = (one - t).inv()
+    line = [Poly.from_coeffs(pq, [c, one]) for c in (one, two, w)]
+    for coords in ([p * line[2] for p in line[:2]], [p * Poly.from_coeffs(pq, [t, one]) for p in line]):
+        f, oracle = series_map(coords), series_map_on_polys(coords)
+        assert (f.den, f.cleared) == (oracle.den, oracle.cleared)
+
+
+# the Poly constructor, operators and methods that return a Poly
+POLY_WORK = ("__init__", "__add__", "__sub__", "__mul__", "__neg__", "scale", "shift_exp", "derivative")
+
+
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+def test_series_map_clears_once_and_builds_no_poly(backend, monkeypatch):
+    spec = P3 if backend == "padic" else PQ
+    t, one, zero = Poly.coordinate(spec), Poly.constant(spec, spec.one()), Poly(spec, ())
+    c = Poly.constant(spec, spec.scalar(2) if backend == "padic" else PQ.from_terms([(1, 1), (0, 2)]))
+    h = t * t + c
+    maps = {
+        "a constant coordinate": [one, t * t + c],
+        "coprime": [t + one, t + c],
+        "a common factor": [(t + one) * h, (t + c) * h],
+        "Laurent content, a zero and a common factor": [(t + one) * h, zero, (t * t + one) * h.shift_exp(-1)],
+        "a single nonzero coordinate": [zero, h.shift_exp(2)],
+    }
+    if backend == "puiseux-q":  # coprime, but the certificate is inconclusive
+        w = (PQ.scalar(2) - PQ.from_terms([(1, 1)])).inv()
+        maps["uncertified"] = [t + Poly.constant(spec, w), t.scale(w) + one]
+    counts: dict[str, int] = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_clear", "_uncleared"):
+        wrapper = counted(name, getattr(points, name))
+        for module in (points, fsderiv):
+            monkeypatch.setattr(module, name, wrapper)
+    for name in POLY_WORK:
+        monkeypatch.setattr(Poly, name, counted(f"Poly.{name}", getattr(Poly, name)))
+    for shape, coords in maps.items():
+        counts.clear()
+        series_map(coords)
+        assert counts == {"_clear": 1}, shape

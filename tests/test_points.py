@@ -33,7 +33,7 @@ from berkline import (
     series_map,
     taylor_shift,
 )
-from berkline.errors import BackendMismatch, DomainViolation, PoleAtPoint
+from berkline.errors import BackendMismatch, DomainViolation, PoleAtPoint, ZeroTuple
 from berkline.field import PadicScalar, PuiseuxScalar, abs_max
 from berkline import points
 from berkline.points import (
@@ -517,8 +517,14 @@ def test_seminorm_kernel_matches_the_scalar_oracles(kind, data):
     laurent = p.shift_exp(-data.draw(st.integers(0, 2)))
     assert _result(eval_seminorm, laurent, x) == _result(eval_seminorm_oracle, laurent, x)
     other = Poly.from_dict(spec, data.draw(st.dictionaries(st.integers(0, 3), scalars, max_size=2)))
-    f = SeriesMap((other.shift_exp(-data.draw(st.integers(0, 2))), laurent))
-    assert _result(fs_derivative, f, x) == _result(fs_derivative_oracle, f, x)
+    coords = (other.shift_exp(-data.draw(st.integers(0, 2))), laurent)
+    if other.is_zero and laurent.is_zero:
+        # a map with every coordinate zero is refused when it is made
+        with pytest.raises(ZeroTuple):
+            SeriesMap(coords)
+    else:
+        f = SeriesMap(coords)
+        assert _result(fs_derivative, f, x) == _result(fs_derivative_oracle, f, x)
     g = affine_map(spec, data.draw(nonzero), p)
     images, expected = apply_map(g, x), apply_map_oracle(g, x)
     assert images == expected and [y.radius for y in images] == [y.radius for y in expected]
@@ -620,6 +626,16 @@ def test_evaluate_and_scale_reject_a_scalar_of_another_backend(p3, pq, backend):
                 p.scale(c)
     with pytest.raises(BackendMismatch):
         fs_ratio([Poly.constant(spec, spec.one()), Poly.constant(spec, spec.scalar(2))], other.one(), other.scalar(2))
+
+
+@pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
+def test_poly_rejects_a_coefficient_of_another_backend(p3, pq, backend):
+    # a padic Poly of t^5 evaluated silently to beta^0 at rigid 1
+    spec, c = (p3, pq.from_terms([(5, 1)])) if backend == "padic" else (pq, p3.scalar(9))
+    with pytest.raises(BackendMismatch):
+        Poly(spec, ((0, c),))
+    with pytest.raises(BackendMismatch):
+        Poly.from_dict(spec, {0: spec.one(), 1: c})
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
     # coefficient through _num_den (its one _num_den call is the point's own
     # short centre, in _Point) and clears nothing; the transforms themselves
     # build no Scalar
-    calls = {"num_den": 0, "clear": 0, "scalars": 0, "on": False}
+    calls = {"num_den": 0, "clear": 0, "cleared": 0, "scalars": 0, "on": False}
 
     def counting(name, original):
         def wrapper(*args):
@@ -339,6 +339,7 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
     clear = counting("clear", points._clear)
     for module in (points, fsderiv):
         monkeypatch.setattr(module, "_clear", clear)
+    monkeypatch.setattr(fsderiv, "_cleared", counting("cleared", points._cleared))
     for cls in (PuiseuxScalar, PadicScalar):
 
         def constructing(self, *args, init=cls.__init__):
@@ -361,11 +362,11 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
             composed = compose(f, g)
             inside = compose(on_disk, unit_identity)
             assert calls["scalars"] == 0 and calls["clear"] == 0 and calls["num_den"] == 0, calls
-            # rescale_map clears its own two parameters, not the map
+            # rescale_map clears its own two parameters once, not the map
             rescaled = rescale_map(f, scale, offset, None)
             calls["on"] = False
-            assert calls["scalars"] == 0 and calls["clear"] == 1, calls
-            calls["clear"] = calls["num_den"] = 0
+            assert calls["scalars"] == 0 and calls["clear"] == 0 and calls["cleared"] == 1, calls
+            calls["cleared"] = calls["num_den"] = 0
             centre_reads = 0 if short_centre(z).is_zero else 1
             for h in (moved, composed, inside, rescaled):
                 calls["on"] = True

@@ -4,19 +4,22 @@ strips), every import sits at module level, no tuple is built from a
 generator expression, the polynomial kernels allocate no dense lists,
 magnitude arithmetic builds no Fraction, nor do the int paths of document
 rationals, in-disk coordinates and the p-adic selection gap, the seminorm
-kernel builds no Poly and evaluates no Scalar, every benchmark trace target
-names a library function, and the CLI's command table and the document
-reader's payload table name the same payload kinds."""
+kernel builds no Poly and evaluates no Scalar, the map reduction and the
+substitution name no Poly and use none of its members, every benchmark
+trace target names a library function, and the CLI's command table and the
+document reader's payload table name the same payload kinds."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 from pathlib import Path
+from types import MemberDescriptorType
 
 import pytest
 
-from berkline import cli, documents
+from berkline import Poly, cli, documents
+from berkline.field import Scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "berkline"
@@ -229,6 +232,44 @@ def _poly_uses(name: str, qualname: str) -> list[str]:
 @pytest.mark.parametrize("name, qualname", KERNEL_FUNCTIONS, ids=lambda x: x)
 def test_seminorm_kernel_names_no_poly_and_evaluates_no_scalar(name, qualname):
     assert _poly_uses(name, qualname) == []
+
+
+# the map reduction, the rescaling and the substitution read and return
+# cleared lists: their bodies name no Poly and use no member of it, beyond
+# its fields and what a Scalar shares with it (is_zero); annotations may
+# name Poly
+CLEARED_LIST_FUNCTIONS = [
+    ("fsderiv.py", "series_map"),
+    ("fsderiv.py", "rescale_map"),
+    ("fsderiv.py", "_substitute_cleared"),
+]
+POLY_MEMBERS = sorted(
+    name
+    for name, value in vars(Poly).items()
+    if not name.startswith("__") and not isinstance(value, MemberDescriptorType) and not hasattr(Scalar, name)
+)
+
+
+def _poly_uses_in_body(name: str, qualname: str) -> list[str]:
+    fn = _scope(name, qualname)
+    annotated = [node.annotation for node in ast.walk(fn) if isinstance(node, ast.AnnAssign)]
+    annotations = {id(n) for annotation in annotated for n in ast.walk(annotation)}
+    return [
+        f"{name}:{node.lineno}: {ast.unparse(node)} in {qualname}"
+        for statement in fn.body
+        for node in ast.walk(statement)
+        if id(node) not in annotations
+        and (
+            (isinstance(node, ast.Name) and node.id == "Poly")
+            or (isinstance(node, ast.Attribute) and node.attr in POLY_MEMBERS)
+        )
+    ]
+
+
+@pytest.mark.parametrize("name, qualname", CLEARED_LIST_FUNCTIONS, ids=lambda x: x)
+def test_cleared_list_functions_build_no_poly_and_use_none_of_its_members(name, qualname):
+    assert POLY_MEMBERS
+    assert _poly_uses_in_body(name, qualname) == []
 
 
 def _trace_targets() -> list[tuple[str, str, str, str]]:
