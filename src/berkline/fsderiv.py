@@ -26,15 +26,20 @@ reads |c| off c, takes P' and its one seminorm, and forms no product; two
 constant coordinates give the zero minor.
 
 Disk images of affine polynomial maps are exact.  With a the short centre of
-eta_{a,r}, one synthetic division f = f(a) + (T - a) q gives the image: its
-center is f(a), and its radius is r |q|_{a,r}, because seminorms multiply and
-|T - a|_{a,r} = r.  This equals max_{i>=1} |f_i| r^i over the coefficients f_i
+eta_{a,r} and f = f(a) + (T - a) q, the image is the ball of radius
+R = r |q|_{a,r} around f(a), because seminorms multiply and
+|T - a|_{a,r} = r.  R equals max_{i>=1} |f_i| r^i over the coefficients f_i
 of f recentred at a, the computational content of the diameter-transport
-identity, and holds in every residue characteristic; |q|_{a,r} is read off
-the numerators of the cleared quotient and certified like any seminorm, so q
-deflates further only when the certificate is inconclusive.  At a rigid
-point the image is the value f(a) alone, one Horner pass over the present
-terms (points._value_at).
+identity.  Over puiseux-q every nonzero int has magnitude 1, so R is also
+r |f'|_{a,r}: the radius is read off the seminorm of f', and the centre is
+f(a) cut at R (points._truncated_value), one Horner pass that drops only
+terms whose sum stays within R, so it names the same ball and may print
+shorter than f(a).  Over padic |k|_p < 1 breaks that identity, and one
+synthetic division gives f(a) and q, whose seminorm is read off the
+numerators of the cleared quotient.  Either seminorm is certified like any
+other, and deflates further only when the certificate is inconclusive.  At
+a rigid point the image is the value f(a) alone, one Horner pass over the
+present terms (points._value_at).
 
 Moebius words, composition and rescaling are one substitution
 T -> num/den into the homogenized coordinates.  num and den never share a
@@ -566,7 +571,10 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     exactly computable center and radius.  Every coordinate is read off the
     map's cleared lists: |c_0| and 1/c_0 come from its cleared pair, and
     _disk_image takes each affine coordinate over the map's denominator: at
-    a ball its value and radius, at a rigid point its value alone.
+    a puiseux-q ball the radius r |P'|_{a,r} and the centre P(a) cut at that
+    radius, at a padic ball P(a) and the radius from one synthetic division,
+    at a rigid point the value P(a) alone.  A cut centre names the same ball
+    (== and hash read the ball), but its repr may be shorter than P(a)'s.
     """
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:

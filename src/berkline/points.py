@@ -26,8 +26,9 @@ a context built once per call (_Point: the short centre, its initial triple,
 and p).  Seminorms are multiplicative, so L only scales the value by |L|:
 the kernel never sees L, and each caller divides its magnitude out once
 (eval_seminorm clears P through _clear; the derivative of fsderiv reads a
-map's cleared lists, where L cancels; disk images divide by the quotient's
-one den).  No Scalar is built at any point type.
+map's cleared lists, where L cancels; disk images divide by the one den of
+P' at a puiseux-q ball and of the quotient at a padic ball).  No Scalar is
+built at any point type.
 
 Polynomial algebra runs on one clearing for both backends: every value is
 read as a num/den pair of int term maps (a padic rational as two constants),
@@ -37,9 +38,11 @@ lcm of the constant dens times the product of the distinct other dens
 those int numerators, with no Scalar arithmetic; a Poly result gets one
 scalar per output coefficient, left unreduced over its constant den.
 Polynomial input has nothing to clear.  One synthetic-division kernel gives
-disk images at a ball (one pass), the deflation (passes until a certificate)
-and the Taylor shift (all passes), and a value-only pass over the present
-terms gives P(a) at a rigid point (_value_at); products, sums and
+disk images at a padic ball (one pass), the deflation (passes until a
+certificate) and the Taylor shift (all passes); a value-only pass over the
+present terms gives P(a) at a rigid point (_value_at), and a Horner pass cut
+at the image radius r |P'| the image centre at a puiseux-q ball
+(_truncated_value); products, sums and
 derivatives (the Poly operators, the Wronskian minors and the map
 substitution) accumulate int terms by exponent, the denominator of a product
 being the product of the denominators.
@@ -101,18 +104,25 @@ class Poly:
     """A (Laurent) polynomial with exact backend coefficients.
 
     ``terms`` maps integer exponents to nonzero scalars, stored sorted.  A
-    plain polynomial has no negative exponents.  A coefficient over another
-    FieldSpec raises BackendMismatch.
+    plain polynomial has no negative exponents.  The terms are checked once,
+    at construction: a coefficient over another FieldSpec raises
+    BackendMismatch, and exponents that do not strictly increase or a zero
+    coefficient raise ValueError (``from_dict`` sorts and drops zeros).
     """
 
     spec: FieldSpec
     terms: tuple[tuple[int, Scalar], ...]
 
     def __post_init__(self) -> None:
-        spec = self.spec
-        for _, c in self.terms:
+        spec, prev = self.spec, None
+        for n, c in self.terms:
             if c.spec is not spec and c.spec != spec:
                 raise BackendMismatch(f"mixed backends: {spec} vs {c.spec}")
+            if c.is_zero:
+                raise ValueError(f"zero coefficient of T^{n}")
+            if prev is not None and n <= prev:
+                raise ValueError(f"exponents must strictly increase: T^{n} after T^{prev}")
+            prev = n
 
     @staticmethod
     def from_dict(spec: FieldSpec, coeffs: dict[int, Scalar]) -> "Poly":
@@ -183,7 +193,9 @@ class Poly:
         return _uncleared(self.spec, _combine([(1, a, b)]), _times(la, lb))
 
     def scale(self, c: Scalar) -> "Poly":
-        return self * Poly(self.spec, ((0, c),))
+        if c.spec is not self.spec and c.spec != self.spec:
+            raise BackendMismatch(f"mixed backends: {self.spec} vs {c.spec}")
+        return self * Poly.constant(self.spec, c)
 
     def shift_exp(self, m: int) -> "Poly":
         """Multiply by T^m."""
@@ -993,12 +1005,30 @@ def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> AbsValue:
 
 
 def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[Scalar, AbsValue]:
-    """(P(a), r |Q|_{a,r}): the image of x under a plain P = P(a) + (T - a) Q,
-    a cleared list over den, with a the short centre of x.  At a ball, one
-    pass of _SyntheticDivision and the seminorm of the quotient's nums over
-    its one den, den B^(d-1); at a rigid point, P(a) alone (_value_at).
-    Only P(a) is built as a Scalar."""
+    """(c, R): the image of x = eta_{a,r} under a plain P, a cleared list
+    over den, with a the short centre of x: R = r |Q|_{a,r} for
+    P = P(a) + (T - a) Q, and c a centre of the image ball, P(a) itself or a
+    value within R of it.  Only c is built as a Scalar.
+
+    * A puiseux-q ball builds no quotient.  Every nonzero int k has |k| = 1
+      there, so with b_k the Taylor coefficients of P at a,
+      |P'|_{a,r} = max_{k>=1} |k b_k| r^(k-1) = R / r: R is r times the
+      seminorm of P' (_derived, over the same den), the seminorm that
+      fs_derivative takes.  c is P(a) cut at R (_truncated_value): one
+      Horner pass that keeps only the terms that can reach above the image
+      radius, so the centre may print shorter than P(a) and names the same
+      ball.
+    * A padic ball keeps one pass of _SyntheticDivision for P(a) and reads R
+      off the quotient's nums over its one den, den B^(d-1) (for a = 0, P(0)
+      and P's own shifted terms): there |k|_p < 1 can make r |P'|_{a,r}
+      smaller than R.
+    * A rigid point: c = P(a) alone (_value_at), and R = 0.
+    """
     spec, r = x.centre.spec, x.point.radius
+    if not r.is_zero and not x.prime:
+        radius = r * _seminorm(_derived(nums), x) / _term_abs(den, 0)
+        top, bottom = (_ZERO_TERMS, _ONE_TERMS) if x.centre.is_zero else (x.top, x.bottom)
+        return _from_num_den(spec, *_truncated_value(nums, den, top, bottom, radius)), radius
     if x.centre.is_zero or not nums:
         c0 = nums[0][1] if nums and not nums[0][0] else _ZERO_TERMS
         value, quotient, qden = _from_num_den(spec, c0, den), [(n - 1, num) for n, num in nums if n], den
@@ -1009,6 +1039,89 @@ def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[S
         value = _from_num_den(spec, *division.divide())
         quotient, qden = division.quotient()
     return value, r * _seminorm(quotient, x) / _term_abs(qden, x.prime)
+
+
+def _truncated_value(
+    nums: list[tuple[int, tuple]], lcm: tuple, top: tuple, bottom: tuple, radius: AbsValue
+) -> tuple[tuple, tuple]:
+    """P(a) cut at the magnitude R, as a num/den pair of term maps with
+    den = lcm B^d: a value within R of P(a), for a plain puiseux-q P given as
+    a cleared list over lcm and a = A/B (A = 0 allowed).  R = 0 only for a
+    constant P, whose value is returned whole.
+
+    One Horner pass acc_n = A acc_(n+1) + N_n B^(d-n), n = d, ..., 0, ends
+    in acc_0 = sum_n N_n A^n B^(d-n), the numerator of P(a) over den.  It
+    runs on raw int rows over one exponent denominator q, the lcm of every
+    map's (as _accumulate does), and builds term maps only for its result.
+    With v the valuation of a map (its lowest exponent, in units of 1/q) and
+    R = beta^rho, level n keeps only the terms of exponent below
+    cut_n = v(lcm) + d v(B) - n v(A) - q rho.
+
+    Proof that the result names the same closed ball of radius R: a term
+    delta dropped at level n reaches acc_0 only as delta A^n, because every
+    later level multiplies by A and adds; so its share of P(a) is
+    delta A^n / den, of magnitude beta^(-(v(delta) + n v(A) - v(lcm) -
+    d v(B)) / q) <= R, since v(delta) >= cut_n.  P(a) minus the result is
+    the sum of those shares, so by the ultrametric inequality it is <= R.
+    The products N_n B^(d-n) are cut at the same cut_n.  The powers of a
+    non-constant B are cut too: B^j is exact below M + j v(B), with M the
+    largest cut_n - v(N_n) - (d - n) v(B), which is all of B^(d-n) that
+    N_n B^(d-n) reads below cut_n; B^j = B^(j-1) B is exact below that
+    bound when B^(j-1) is exact below M + (j - 1) v(B).  With a constant
+    den, every term of the result has magnitude > R."""
+    if radius.is_zero:
+        return (nums[0][1] if nums else _ZERO_TERMS), lcm
+    d = nums[-1][0]
+    q = _denom([nums, [(0, top), (0, bottom), (0, lcm)]])
+    rows = {n: _over(num, q) for n, num in nums}
+    a_row, b_row = _over(top, q), _over(bottom, q)
+    va, vb = a_row[0][0] if a_row else 0, b_row[0][0]
+    # cut_n = base - n v(A); an int exponent k lies below the rational
+    # cut base' - q rho iff it lies below base' - floor(q rho)
+    base = _over(lcm, q)[0][0] + d * vb - q * radius.n // radius.d
+    # B^(d-n) at level n, exact below low + (d - n) v(B); None for B = 1
+    power: list | None = None
+    if bottom != _ONE_TERMS:
+        low = max([base - n * va - num[0][0] - (d - n) * vb for n, num in rows.items()])
+        power = [(0, 1)]
+    acc: dict[int, int] = {}
+    for n in range(d, -1, -1):
+        cut = base - n * va
+        row: dict[int, int] = {}
+        get = row.get
+        for ka, ca in a_row:
+            limit = cut - ka
+            for k, c in acc.items():
+                if k < limit:
+                    e = k + ka
+                    row[e] = get(e, 0) + ca * c
+        if n in rows:
+            if power is None:
+                for k, c in rows[n]:
+                    if k >= cut:
+                        break
+                    row[k] = get(k, 0) + c
+            else:
+                _cut_product(row, rows[n], power, cut)
+        acc = row  # a cancelled int stays, as a 0, until the end
+        if n and power is not None:
+            row = {}
+            _cut_product(row, power, b_row, low + (d - n + 1) * vb)
+            power = sorted([kc for kc in row.items() if kc[1]])
+    return _reduced(q, tuple(sorted([kc for kc in acc.items() if kc[1]]))), _times(lcm, _power(bottom, d))
+
+
+def _cut_product(row: dict[int, int], x: Sequence, y: Sequence, cut: int) -> None:
+    """Add into row the terms of exponent below cut of the product of the
+    raw int terms x and y, each sorted by exponent."""
+    get = row.get
+    for kx, cx in x:
+        limit = cut - kx
+        for ky, cy in y:
+            if ky >= limit:
+                break
+            e = kx + ky
+            row[e] = get(e, 0) + cx * cy
 
 
 def short_centre(x: DiskPoint) -> Scalar:

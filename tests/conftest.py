@@ -110,7 +110,9 @@ def count_deflation_passes(monkeypatch) -> list[int]:
     runs, one entry (the pass index) per pass: the passes of
     points._SyntheticDivision that deflate at a ball, and the one value-only
     pass (points._value_at, entry 0) that gives P(a) at a rigid point.  The
-    one pass of a disk image and the passes of taylor_shift are not counted."""
+    one pass of a disk image (a padic ball's division; a puiseux-q ball
+    divides nowhere but in the seminorm of P') and the passes of
+    taylor_shift are not counted."""
     passes: list[int] = []
     divide, value_at = points._SyntheticDivision.divide, points._value_at
 

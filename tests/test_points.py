@@ -347,6 +347,96 @@ def test_a_sparse_root_at_a_rigid_point_costs_log_d_products_per_term(monkeypatc
         assert products["count"] <= 3 * len(p.terms) * degree.bit_length(), (degree, products)
 
 
+# -- puiseux-q ball images from the derivative's seminorm (hypothesis) --------
+
+_nonzero_polynomials = puiseux_polynomials.filter(lambda c: not c.is_zero)
+_constants = st.fractions(-6, 6, max_denominator=3).filter(bool).map(PQ.scalar)
+
+
+@st.composite
+def puiseux_ball_images(draw):
+    """(f, x): a map [c : P] over puiseux-q and a ball x.
+
+    P is random, or (T - a)^m Q with a root a of multiplicity m = 1 or 2.
+    The centre of x is a, a plus one term (a near root, or a centre inside
+    the ball), or a held as the rational function (a w) / w.  c is a
+    nonzero constant or a Puiseux polynomial."""
+    a = draw(_nonzero_polynomials)
+    construction = draw(st.sampled_from(["random", "simple root", "double root"]))
+    if construction == "random":
+        p = Poly.from_dict(PQ, draw(st.dictionaries(st.integers(0, 6), puiseux_polynomials, max_size=5)))
+    else:
+        small = st.dictionaries(st.integers(0, 3), _nonzero_polynomials, min_size=1, max_size=3)
+        p = Poly.from_dict(PQ, draw(small))
+        for _ in range(1 if construction == "simple root" else 2):
+            p = Poly.from_dict(PQ, {0: -a, 1: PQ.one()}) * p
+    centre = draw(st.sampled_from(["root", "near", "rational"]))
+    if centre == "near":
+        a = a + PQ.from_terms([(draw(st.fractions(0, 5, max_denominator=6)), draw(st.integers(1, 3)))])
+    elif centre == "rational":
+        w = PQ.from_terms([(0, 1), (draw(st.fractions(1, 3, max_denominator=3)), 1)])
+        a = PuiseuxScalar(PQ, (a * w).num_terms, w.num_terms)
+    x = DiskPoint(a, AbsValue.of(draw(st.fractions(-4, 1, max_denominator=6))))
+    return affine_map(PQ, draw(st.one_of(_constants, _nonzero_polynomials)), p), x
+
+
+@SHIFT_SETTINGS
+@given(case=puiseux_ball_images())
+def test_puiseux_ball_images_equal_the_division_oracle(case):
+    # the radius read off P' and the centre cut at it against the Scalar
+    # division and the quotient's seminorm
+    f, x = case
+    images, expected = apply_map(f, x), apply_map_oracle(f, x)
+    assert images == expected and [hash(y) for y in images] == [hash(y) for y in expected]
+    assert [y.radius for y in images] == [y.radius for y in expected]
+    (image,) = images
+    chart = f.coords[0].coeff(0)
+    dens = (x.center.den_terms, chart.num_terms, chart.den_terms, image.center.den_terms)
+    if all(len(terms) == 1 and not terms[0][0] for _, terms in dens):
+        # with a constant den, no term of the centre lies inside the image ball
+        assert all(AbsValue.of(-q) > image.radius for q, _ in image.center.num)
+
+
+def test_a_puiseux_ball_near_a_root_cuts_its_centre_at_every_degree():
+    # (T - a) Q with Q dense, at a ball around a + t^(7/5) of log-radius -2:
+    # the image radius is |P'(a)| r = beta^(-2), and P(a + t^(7/5)) keeps the
+    # three terms of magnitude above it at every degree.  A full Horner pass
+    # held a four-term centre to powers up to the degree: 0.15 s at 101 and
+    # 0.7 s at 201, about 5x per doubling
+    a = PQ.from_terms([(0, 1), ("1/2", 1), ("1/3", 1)])
+    x = DiskPoint(a + PQ.t_power("7/5"), AbsValue.of(-2))
+    rng = rng_for("near-root-ball")
+    terms, elapsed = {}, {}
+    for degree in (101, 201, 401):
+        coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(degree)]
+        if not sum(coeffs):
+            coeffs[0] += 1
+        p = Poly.from_dict(PQ, {0: -a, 1: PQ.one()}) * Poly.from_coeffs(PQ, [PQ.scalar(c) for c in coeffs])
+        f = affine_map(PQ, PQ.one(), p)
+        start = time.process_time()
+        (image,) = apply_map(f, x)
+        elapsed[degree] = time.process_time() - start
+        assert image.radius == AbsValue.of(-2)
+        terms[degree] = len(image.center.num_terms[1])
+        if degree == 101:
+            assert image == DiskPoint(p.evaluate(x.center), AbsValue.of(-2))
+    assert terms[101] == terms[201] == terms[401] == 3, terms
+    assert elapsed[401] < 1, elapsed
+
+
+def test_a_padic_ball_image_reads_its_radius_off_the_quotient(p3):
+    # over Q_3, (1 + h)^3 = 1 + 3h + 3h^2 + h^3, so [1 : T^3] maps
+    # eta_{1, beta^(-1/3)} to the ball of radius |b_3| r^3 = beta^(-1); but
+    # r |P'|_x = r max(|3|, |6| r, |3| r^2) = beta^(-4/3), because |3|_3 < 1:
+    # a padic ball keeps its quotient
+    p = Poly.from_dict(p3, {3: p3.one()})
+    x = DiskPoint(p3.one(), AbsValue.of("-1/3"))
+    (image,) = apply_map(affine_map(p3, p3.one(), p), x)
+    assert image.radius == AbsValue.of(-1)
+    assert image == DiskPoint(p3.one(), AbsValue.of(-1))
+    assert x.radius * eval_seminorm(p.derivative(), x) == AbsValue.of("-4/3")
+
+
 # ball points with a puiseux-q polynomial centre and a radius in (1/6)Z
 puiseux_balls = st.builds(
     DiskPoint, puiseux_polynomials, st.fractions(-4, 3, max_denominator=6).map(AbsValue.of)
@@ -636,6 +726,24 @@ def test_poly_rejects_a_coefficient_of_another_backend(p3, pq, backend):
         Poly(spec, ((0, c),))
     with pytest.raises(BackendMismatch):
         Poly.from_dict(spec, {0: spec.one(), 1: c})
+
+
+def test_poly_rejects_exponents_out_of_order(p3):
+    # Poly(p3, ((1, 9), (0, 1))) reported degree() 0, and a map on it ended
+    # apply_map in a bare IndexError from _SyntheticDivision
+    with pytest.raises(ValueError):
+        Poly(p3, ((1, p3.scalar(9)), (0, p3.one())))
+    with pytest.raises(ValueError):
+        Poly(p3, ((0, p3.one()), (0, p3.scalar(2))))
+    assert Poly.from_dict(p3, {1: p3.scalar(9), 0: p3.one()}).degree() == 1
+
+
+def test_poly_rejects_a_zero_coefficient(p3, pq):
+    # Poly(p3, ((0, 0),)) made eval_seminorm at rigid 1 raise "valuation of 0"
+    for spec in (p3, pq):
+        with pytest.raises(ValueError):
+            Poly(spec, ((0, spec.zero()),))
+        assert Poly.from_dict(spec, {0: spec.zero(), 1: spec.one()}) == Poly.coordinate(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,8 @@ MAGNITUDE_FUNCTIONS = [
     ("points.py", "_certificate"),
     ("points.py", "_seminorm"),
     ("points.py", "_disk_image"),
+    ("points.py", "_truncated_value"),
+    ("points.py", "_cut_product"),
 ]
 
 
@@ -216,6 +218,8 @@ KERNEL_FUNCTIONS = [
     ("points.py", "_seminorm"),
     ("points.py", "_certificate"),
     ("points.py", "_disk_image"),
+    ("points.py", "_truncated_value"),
+    ("points.py", "_cut_product"),
     ("points.py", "_SyntheticDivision"),
 ]
 
