@@ -398,11 +398,11 @@ def test_puiseux_ball_images_equal_the_division_oracle(case):
 
 
 def test_a_puiseux_ball_near_a_root_cuts_its_centre_at_every_degree():
-    # (T - a) Q with Q dense, at a ball around a + t^(7/5) of log-radius -2:
-    # the image radius is |P'(a)| r = beta^(-2), and P(a + t^(7/5)) keeps the
-    # three terms of magnitude above it at every degree.  A full Horner pass
-    # held a four-term centre to powers up to the degree: 0.15 s at 101 and
-    # 0.7 s at 201, about 5x per doubling
+    # (T - a) Q with Q dense and Q(1) != 0, at a ball around a + t^(7/5) of
+    # log-radius -2: P' is a unit there, so the image radius is
+    # r = beta^(-2), and P(a + t^(7/5)) keeps the three terms of magnitude
+    # above it at every degree.  An uncut Horner pass carries a four-term
+    # centre to powers up to the degree, about 5x the time per doubling
     a = PQ.from_terms([(0, 1), ("1/2", 1), ("1/3", 1)])
     x = DiskPoint(a + PQ.t_power("7/5"), AbsValue.of(-2))
     rng = rng_for("near-root-ball")
