@@ -49,7 +49,9 @@ class PoleHit(BerklineError):
 
 
 class InvalidGenerator(BerklineError):
-    """A PGL(2, k°) generator parameter violates its norm bound."""
+    """A PGL(2, k°) generator is malformed (unknown kind, wrong arity, a
+    parameter that is not a Scalar) or its parameter violates its norm
+    bound."""
 
 
 class ZeroSeries(BerklineError):

@@ -23,7 +23,10 @@ of C_i and C_j (points._wronskian): the coefficient of T^(n+m-1) gathers
 is built.  A constant coordinate C_i = c is the exception: C_i' = 0, so
 W_ij = -c C_j' and |W_ij| = |c| |C_j'|, and the derivative of a map [c : P]
 reads |c| off c, takes P' and its one seminorm, and forms no product; two
-constant coordinates give the zero minor.
+constant coordinates give the zero minor.  The seminorms are unreduced int
+pairs (n, d) for beta^(n/d), and the derivative is formed in log form,
+2 max(0, log|z|) + log max |W_ij| - 2 log max |C_i|, by int sums and
+cross-multiplied compares; one AbsValue is built, for the result.
 
 Disk images of affine polynomial maps are exact.  With a the short centre of
 eta_{a,r} and f = f(a) + (T - a) q, the image is the ball of radius
@@ -39,7 +42,9 @@ synthetic division gives f(a) and q, whose seminorm is read off the
 numerators of the cleared quotient.  Either seminorm is certified like any
 other, and deflates further only when the certificate is inconclusive.  At
 a rigid point the image is the value f(a) alone, one Horner pass over the
-present terms (points._value_at).
+present terms (points._value_at).  Each radius stays an int pair until its
+one AbsValue; a [1 : P] map, whose chart coordinate is cleared to the map's
+own denominator, has chart scalar 1, so its images are not scaled.
 
 Moebius words, composition and rescaling are one substitution
 T -> num/den into the homogenized coordinates.  num and den never share a
@@ -76,14 +81,15 @@ from .field import (
     Scalar,
     _ONE_TERMS,
     _ZERO_TERMS,
+    _magnitude,
     _terms_add,
     abs_max,
-    unit_max,
 )
 from .points import (
     DiskPoint,
     Poly,
     ProjPoint,
+    _LOG_ZERO,
     _Point,
     _accumulate,
     _clear,
@@ -95,6 +101,10 @@ from .points import (
     _derived,
     _disk_image,
     _from_num_den,
+    _log_div,
+    _log_lt,
+    _log_max,
+    _log_mul,
     _num_den,
     _over,
     _raw_product,
@@ -289,43 +299,54 @@ def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     coefficient.  A constant coordinate C_i = c has magnitude |c| at every
     point, and its minors are W_ij = -c C_j', so |W_ij| = |c| |C_j'|
     (_minor_seminorms): a map [c : P] takes one derivative and no Wronskian
-    product.  A point over another FieldSpec than f raises BackendMismatch."""
+    product.  The seminorms are int pairs (points._seminorm), and the
+    derivative is formed in log form on ints,
+    2 max(0, log|z|) + log max |W_ij| - 2 log max |C_i|, with |z| read off
+    the point context; one AbsValue is built, for the result.  A point over
+    another FieldSpec than f raises BackendMismatch."""
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
     point = _Point(z)
-    coords = f.cleared
+    coords, prime = f.cleared, point.prime
     # |c| for each constant coordinate [(0, c)], None for the others
-    consts = [_term_abs(c[0][1], point.prime) if len(c) == 1 and not c[0][0] else None for c in coords]
-    den = abs_max([_seminorm(c, point) if m is None else m for c, m in zip(coords, consts)])
-    if den.is_zero:
+    consts = [_term_abs(c[0][1], prime) if len(c) == 1 and not c[0][0] else None for c in coords]
+    den = _LOG_ZERO
+    for c, m in zip(coords, consts):
+        den = _log_max(den, _seminorm(c, point) if m is None else m)
+    cn, cd = den
+    if not cd:
         raise DomainViolation("all homogeneous coordinates vanish at the point")
-    num = abs_max(_minor_seminorms(coords, consts, point))
-    zn = z.norm()
-    return unit_max(zn * zn) * num / (den * den)
+    wn, wd = _minor_seminorms(coords, consts, point)
+    zn, zd = point.norm
+    if zn <= 0:  # |z| <= 1, the zero magnitude included: max(1, |z|^2) = 1
+        zn, zd = 0, 1
+    # a zero minor max (wd = 0) leaves d = 0 and n < 0, the zero magnitude
+    return _magnitude(2 * zn * wd * cd + wn * zd * cd - 2 * cn * zd * wd, zd * wd * cd)
 
 
-def _minor_seminorms(coords: Sequence[Sequence[tuple[int, tuple]]], consts: list, point: _Point) -> list[AbsValue]:
-    """|W_ij| at the point for the pairs i < j whose minor may be nonzero.
+def _minor_seminorms(coords: Sequence[Sequence[tuple[int, tuple]]], consts: list, point: _Point) -> tuple[int, int]:
+    """max |W_ij| at the point, as an int pair, over the pairs i < j whose
+    minor may be nonzero.
 
     A pair with one constant coordinate c has W_ij = c C_i' or -c C_j', and
     seminorms multiply, so |W_ij| = |c| |C'| with C' the other coordinate's
     derivative; each C' and its seminorm are built once, for every constant
     that meets it.  Two constants give the zero minor, left out.  A pair with
     no constant takes one product pass (points._wronskian)."""
-    derived: dict[int, AbsValue] = {}
-    out = []
+    derived: dict[int, tuple[int, int]] = {}
+    out = _LOG_ZERO
     n = len(coords)
     for i in range(n):
         for j in range(i + 1, n):
             ci, cj = consts[i], consts[j]
             if ci is None and cj is None:
-                out.append(_seminorm(_wronskian(coords[i], coords[j]), point))
+                out = _log_max(out, _seminorm(_wronskian(coords[i], coords[j]), point))
             elif ci is None or cj is None:
                 c, k = (cj, i) if ci is None else (ci, j)
                 if k not in derived:
                     derived[k] = _seminorm(_derived(coords[k]), point)
-                out.append(c * derived[k])
+                out = _log_max(out, _log_mul(c, derived[k]))
     return out
 
 
@@ -353,6 +374,13 @@ def _at_infinity(f: SeriesMap) -> SeriesMap:
 # Composition
 
 
+def _at_radius(num: tuple, n: int, outer: AbsValue, prime: int) -> tuple[int, int]:
+    """|num| outer^n as an int pair, the term num T^n at the Shilov point
+    eta_{0,outer} (outer^0 = 1)."""
+    value = _term_abs(num, prime)
+    return _log_mul(value, (outer.n * n, outer.d)) if n else value
+
+
 def _zero_free_log_bound(g0: list[tuple[int, tuple]], outer: AbsValue, prime: int) -> bool:
     """Whether the plain cleared g0 has no zeros on the closed disk of the
     given radius, so that its magnitude there is |g0(0)|: its nonzero
@@ -361,7 +389,7 @@ def _zero_free_log_bound(g0: list[tuple[int, tuple]], outer: AbsValue, prime: in
     if not g0 or g0[0][0]:
         return False
     c0 = _term_abs(g0[0][1], prime)
-    return all(_term_abs(num, prime) * outer**n < c0 for n, num in g0[1:])
+    return all(_log_lt(_at_radius(num, n, outer, prime), c0) for n, num in g0[1:])
 
 
 def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
@@ -388,13 +416,16 @@ def compose(f: SeriesMap, g: SeriesMap) -> SeriesMap:
             raise PoleHit("denominator coordinate vanishes on the inner domain")
         g0_mag = _term_abs(plain0[0][1], prime)
         # the seminorm at the Shilov point eta_{0,outer}: max |c_n| outer^n
-        image_sup = abs_max([_term_abs(num, prime) * outer**n for n, num in plain1]) / g0_mag
-        if image_sup > f.domain.outer:
+        image_sup = _LOG_ZERO
+        for n, num in plain1:
+            image_sup = _log_max(image_sup, _at_radius(num, n, outer, prime))
+        if _log_lt((f.domain.outer.n, f.domain.outer.d), _log_div(image_sup, g0_mag)):
             raise DomainViolation("image leaves the outer domain")
         if f.domain.inner is not None:
             if not _zero_free_log_bound(plain1, outer, prime):
                 raise PoleHit("image meets the puncture of the outer domain")
-            if _term_abs(plain1[0][1], prime) / g0_mag < f.domain.inner:
+            inner = f.domain.inner
+            if _log_lt(_log_div(_term_abs(plain1[0][1], prime), g0_mag), (inner.n, inner.d)):
                 raise DomainViolation("image dips below the inner radius")
     return _substitute_cleared(f, g1, g0, g.den, g.domain)
 
@@ -476,17 +507,24 @@ Generator = tuple
 
 
 def _validate_generator(gen: Generator, spec: FieldSpec) -> None:
-    kind = gen[0]
-    if kind == "scale":
-        a: Scalar = gen[1]
-        if a.abs() != ABS_ONE:
-            raise InvalidGenerator("scaling parameter must have magnitude 1")
-    elif kind == "translate":
-        b: Scalar = gen[1]
-        if b.abs() > ABS_ONE:
-            raise InvalidGenerator("translation parameter must have magnitude <= 1")
-    elif kind != "invert":
+    """A generator is ("scale", a) with |a| = 1, ("translate", b) with
+    |b| <= 1, or ("invert",); anything else raises InvalidGenerator.  A
+    Scalar over another FieldSpec than spec raises BackendMismatch where it
+    is used."""
+    kind = gen[0] if gen else None
+    if kind == "invert":
+        if len(gen) != 1:
+            raise InvalidGenerator("inversion takes no parameter")
+        return
+    if kind != "scale" and kind != "translate":
         raise InvalidGenerator(f"unknown generator {kind!r}")
+    if len(gen) != 2 or not isinstance(gen[1], Scalar):
+        raise InvalidGenerator(f"{kind} takes one Scalar parameter")
+    if kind == "scale":
+        if gen[1].abs() != ABS_ONE:
+            raise InvalidGenerator("scaling parameter must have magnitude 1")
+    elif gen[1].abs() > ABS_ONE:
+        raise InvalidGenerator("translation parameter must have magnitude <= 1")
 
 
 def _word_matrix(word: Iterable[Generator], spec: FieldSpec) -> tuple[tuple, tuple, tuple, tuple, tuple]:
@@ -575,6 +613,10 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     radius, at a padic ball P(a) and the radius from one synthetic division,
     at a rigid point the value P(a) alone.  A cut centre names the same ball
     (== and hash read the ball), but its repr may be shorter than P(a)'s.
+    Each radius r |P'|_{a,r} / |L| / |c_0| (puiseux-q) or r |Q|_{a,r} / |qden|
+    / |c_0| (padic) is formed on int pairs, one AbsValue per image; when c_0
+    is the map's denominator the chart scalar is 1, and neither 1/c_0 nor
+    |c_0| is applied.
     """
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:
@@ -583,12 +625,19 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     if len(chart) != 1 or chart[0][0]:
         raise PoleHit("chart denominator must be a nonzero constant")
     c0, point = chart[0][1], _Point(z)
-    c_inv = _from_num_den(f.spec, f.den, c0)
-    c_abs = _term_abs(c0, point.prime) / _term_abs(f.den, point.prime)
+    # c_0 = den (every [1 : P] map): the chart scalar is 1, and neither the
+    # centre nor the radius is scaled
+    unit = c0 == f.den
+    if not unit:
+        c_inv = _from_num_den(f.spec, f.den, c0)
+        c_abs = _log_div(_term_abs(c0, point.prime), _term_abs(f.den, point.prime))
     out = []
     for p in affine:
         if p and p[0][0] < 0:
             raise DomainViolation("affine coordinates must be plain polynomials")
         value, radius = _disk_image(p, f.den, point)
-        out.append(DiskPoint(value * c_inv, radius / c_abs))
+        if unit:
+            out.append(DiskPoint(value, _magnitude(*radius)))
+        else:
+            out.append(DiskPoint(value * c_inv, _magnitude(*_log_div(radius, c_abs))))
     return out

@@ -23,12 +23,16 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
 The seminorm kernel (_seminorm, _certificate) reads a polynomial as a cleared
 list [(n, num), ...] of int term maps over one denominator L and the point as
 a context built once per call (_Point: the short centre, its initial triple,
-and p).  Seminorms are multiplicative, so L only scales the value by |L|:
-the kernel never sees L, and each caller divides its magnitude out once
-(eval_seminorm clears P through _clear; the derivative of fsderiv reads a
-map's cleared lists, where L cancels; disk images divide by the one den of
-P' at a puiseux-q ball and of the quotient at a padic ball).  No Scalar is
-built at any point type.
+p, and the radius and |T| as int pairs).  Seminorms are multiplicative, so L
+only scales the value by |L|: the kernel never sees L, and each caller
+divides its magnitude out once (eval_seminorm clears P through _clear; the
+derivative of fsderiv reads a map's cleared lists, where L cancels; disk
+images divide by the one den of P' at a puiseux-q ball and of the quotient
+at a padic ball).  No Scalar is built at any point type, and no AbsValue
+inside the kernel: a magnitude there is an unreduced int pair (n, d) for
+beta^(n/d), d = 0 for zero, and each public query (eval_seminorm,
+initial_form, fsderiv's fs_derivative and apply_map) builds one AbsValue
+per result, reduced once.
 
 Polynomial algebra runs on one clearing for both backends: every value is
 read as a num/den pair of int term maps (a padic rational as two constants),
@@ -582,7 +586,7 @@ def initial_form(p: Poly, a: Scalar) -> tuple[AbsValue, tuple[int, ...]] | None:
     lcm, (nums,) = _clear([p])
     point = _Point(rigid(a))
     certificate = _certificate(nums, point)
-    return certificate and (certificate[0] / _term_abs(lcm, point.prime), certificate[1])
+    return certificate and (_magnitude(*_log_div(certificate[0], _term_abs(lcm, point.prime))), certificate[1])
 
 
 # -- gcd and exact division in Z[u][T], u = t^(1/D), for both backends -------
@@ -733,6 +737,13 @@ class DiskPoint:
     center: Scalar
     radius: AbsValue
 
+    def __post_init__(self) -> None:
+        # a plain type test: pgl_point and apply_map build points per call
+        if not isinstance(self.center, Scalar):
+            raise ValueError(f"a ball centre must be a Scalar, not {type(self.center).__name__}")
+        if type(self.radius) is not AbsValue:
+            raise ValueError(f"a ball radius must be an AbsValue, not {type(self.radius).__name__}")
+
     @property
     def spec(self) -> FieldSpec:
         return self.center.spec
@@ -863,29 +874,72 @@ class ProjPoint:
 
 def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
     """|P(x)| for the multiplicative seminorm of the point x: _seminorm on P
-    cleared once over L (_clear), divided by |L|.  A point over another
-    FieldSpec than P raises BackendMismatch, as scalar arithmetic does."""
+    cleared once over L (_clear), |L| divided out of its int pair, and one
+    AbsValue built.  A point over another FieldSpec than P raises
+    BackendMismatch, as scalar arithmetic does."""
     if p.spec is not x.spec and p.spec != x.spec:
         raise BackendMismatch(f"mixed backends: {p.spec} vs {x.spec}")
     lcm, (nums,) = _clear([p])
     point = _Point(x)
     value = _seminorm(nums, point)
-    return value if lcm == _ONE_TERMS else value / _term_abs(lcm, point.prime)
+    if lcm != _ONE_TERMS:
+        value = _log_div(value, _term_abs(lcm, point.prime))
+    return _magnitude(*value)
+
+
+# -- magnitudes as int pairs inside one query --------------------------------
+#
+# The seminorm kernel and the queries on it (eval_seminorm, initial_form, the
+# derivative and disk images of fsderiv) carry a magnitude beta^(n/d) as the
+# unreduced int pair (n, d), d > 0, and the zero magnitude as a pair with
+# d = 0 and n < 0: the convention of AbsValue, so pairs compare by
+# cross-multiplication and multiply by adding exponents, and a sum of
+# exponents with a zero pair is a zero pair again.  No gcd runs inside a
+# query; each public result is reduced once, by the one AbsValue built from
+# its pair (field._magnitude).
+
+_LOG_ZERO = (-1, 0)
+
+
+def _log_lt(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _log_max(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return b if a[0] * b[1] < b[0] * a[1] else a
+
+
+def _log_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The product of two magnitudes (zero absorbs)."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return an + bn, ad
+    return an * bd + bn * ad, ad * bd
+
+
+def _log_div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The quotient of two magnitudes, b nonzero."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return an - bn, ad
+    return an * bd - bn * ad, ad * bd
 
 
 class _Point:
     """The context of seminorms at one point x = eta_{a,r}, built once per
     call: the short centre a (the centre itself at a rigid point), its num/den
-    term maps A/B, the residue characteristic p (0 for puiseux-q), and for
+    term maps A/B, the residue characteristic p (0 for puiseux-q), the radius
+    r and |T(x)| = max(|a|, r) as int pairs (``radius``, ``norm``), and for
     a != 0 the initial triple of a as ``initial`` = (v, D, alpha, beta): the
     valuation v/D of a, and the lowest num and den coefficients (puiseux-q)
     or the p-free parts of a's numerator and denominator (padic, D = 1)."""
 
-    __slots__ = ("point", "centre", "prime", "top", "bottom", "initial")
+    __slots__ = ("centre", "prime", "radius", "norm", "top", "bottom", "initial")
 
     def __init__(self, x: DiskPoint) -> None:
-        a = self.centre = x.center if x.radius.is_zero else short_centre(x)
-        self.point = x
+        r = x.radius
+        a = self.centre = x.center if r.is_zero else short_centre(x)
+        self.radius = self.norm = (r.n, r.d)
         self.prime = a.spec.p or 0
         if a.is_zero:
             return
@@ -897,15 +951,19 @@ class _Point:
             (dn, tn), (dd, td) = top, bottom
             denom = math.lcm(dn, dd)
             self.initial = (tn[0][0] * (denom // dn) - td[0][0] * (denom // dd), denom, tn[0][1], td[0][1])
+        # |a| = beta^(-v/D); a short centre keeps |a| when |a| > r, so
+        # max(|a|, r) is |T| at x
+        self.norm = _log_max(self.radius, (-self.initial[0], self.initial[1]))
 
 
-def _term_abs(num: tuple, prime: int) -> AbsValue:
-    """|num| for an int term map (padic: a constant, over the prime p)."""
+def _term_abs(num: tuple, prime: int) -> tuple[int, int]:
+    """|num| as an int pair, for an int term map (padic: a constant, over
+    the prime p)."""
     if not num[1]:
-        return ABS_ZERO
+        return _LOG_ZERO
     if prime:
-        return _magnitude(-_padic_split(num[1][0][1], 1, prime)[0], 1)
-    return _magnitude(-num[1][0][0], num[0])
+        return -_padic_split(num[1][0][1], 1, prime)[0], 1
+    return -num[1][0][0], num[0]
 
 
 def _weights(nums: list[tuple[int, tuple]], step: int, denom: int, prime: int) -> tuple[list[int], int, list[int]]:
@@ -922,7 +980,7 @@ def _weights(nums: list[tuple[int, tuple]], step: int, denom: int, prime: int) -
     return weights, common, [num[1][0][1] for _, num in nums]
 
 
-def _certificate(nums: list[tuple[int, tuple]], x: _Point) -> tuple[AbsValue, tuple[int, ...]] | None:
+def _certificate(nums: list[tuple[int, tuple]], x: _Point) -> tuple[tuple[int, int], tuple[int, ...]] | None:
     """The certificate |P(a)| = |P|_{0,|a|} for a nonzero plain P, given as
     a cleared list, and the nonzero centre a of x.
 
@@ -931,13 +989,13 @@ def _certificate(nums: list[tuple[int, tuple]], x: _Point) -> tuple[AbsValue, tu
     sigma = sum_{n in S} in(c_n) in(a)^n, in(x) being the lowest num
     coefficient over the lowest den coefficient for puiseux-q and the unit
     part of x mod p for padic.  When sigma != 0 the terms of S do not cancel,
-    so |P(a)| = U, and the witness (U, S) is returned; None when sigma = 0.
-    A single attaining term never cancels, so sigma is formed only for two or
-    more.  Valuations are ints over one common denominator (puiseux-q) or
-    p-adic valuations of the ints, and sigma is one int over the leading
-    denominator of a, read mod p for padic.  The list's one denominator
-    scales U by its magnitude and sigma by a unit, so the certificate of the
-    nums holds for the coefficients too.
+    so |P(a)| = U, and the witness (U, S) is returned, U as an int pair;
+    None when sigma = 0.  A single attaining term never cancels, so sigma is
+    formed only for two or more.  Valuations are ints over one common
+    denominator (puiseux-q) or p-adic valuations of the ints, and sigma is
+    one int over the leading denominator of a, read mod p for padic.  The
+    list's one denominator scales U by its magnitude and sigma by a unit, so
+    the certificate of the nums holds for the coefficients too.
     """
     step, denom, alpha, beta = x.initial
     prime = x.prime
@@ -954,11 +1012,12 @@ def _certificate(nums: list[tuple[int, tuple]], x: _Point) -> tuple[AbsValue, tu
             sigma += leads[i] * alpha**n * beta ** (d - n)
         if not (sigma % prime if prime else sigma):
             return None
-    return _magnitude(-best, denom), tuple([nums[i][0] for i in support])
+    return (-best, denom), tuple([nums[i][0] for i in support])
 
 
-def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> AbsValue:
-    """|P(x)| |L| for P given as a cleared list over one denominator L.
+def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> tuple[int, int]:
+    """|P(x)| |L| as an int pair, for P given as a cleared list over one
+    denominator L.
 
     For a plain polynomial this is max_i |c_i| r^i over the coefficients
     recentred at the short centre a: read off P itself when a = 0, certified
@@ -968,47 +1027,47 @@ def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> AbsValue:
     until _certificate holds for the nums of a quotient P_k over its one den,
     and the value is the max of |c_j| r^j over j < k and r^k |P_k(a)|.  A
     Laurent polynomial is written T^{-m} Q with Q plain and evaluated
-    multiplicatively; this is exact at every point other than the rigid
-    point 0, where T has seminorm zero.
+    multiplicatively, as |Q(x)| / |T(x)|^m; this is exact at every point
+    other than the rigid point 0, where T has seminorm zero.
     """
     if not nums:
-        return ABS_ZERO
+        return _LOG_ZERO
     neg = -nums[0][0]
     if neg > 0:
-        t_norm = x.point.norm()
-        if t_norm.is_zero:
+        tn, td = x.norm
+        if not td:
             raise PoleAtPoint("Laurent polynomial at the rigid point 0")
-        return _seminorm([(n + neg, num) for n, num in nums], x) / t_norm**neg
-    a, r, prime = x.centre, x.point.radius, x.prime
+        return _log_div(_seminorm([(n + neg, num) for n, num in nums], x), (tn * neg, td))
+    a, (rn, rd), prime = x.centre, x.radius, x.prime
     if a.is_zero:
-        if r.is_zero:
+        if not rd:
             n, num = nums[0]
-            return ABS_ZERO if n else _term_abs(num, prime)
-        weights, denom, _ = _weights(nums, -r.n, r.d, prime)
-        return _magnitude(-min(weights), denom)
+            return _LOG_ZERO if n else _term_abs(num, prime)
+        weights, denom, _ = _weights(nums, -rn, rd, prime)
+        return -min(weights), denom
     certificate = _certificate(nums, x)
     if certificate is not None:
         return certificate[0]
-    if r.is_zero:  # sigma = 0 at a rigid point: P(a) itself
+    if not rd:  # sigma = 0 at a rigid point: P(a) itself
         num, den = _value_at(nums, _ONE_TERMS, x.top, x.bottom)
-        return _term_abs(num, prime) / _term_abs(den, prime)
+        return _log_div(_term_abs(num, prime), _term_abs(den, prime))
     # sigma = 0 at a ball: divide until a quotient is certified (a constant
-    # one always is)
-    division, value, k = _SyntheticDivision(nums, _ONE_TERMS, x.top, x.bottom), ABS_ZERO, 0
+    # one always is); r^k is the pair (k rn, rd)
+    division, value, k = _SyntheticDivision(nums, _ONE_TERMS, x.top, x.bottom), _LOG_ZERO, 0
     while certificate is None:
         num, den = division.divide()
-        value = max(value, _term_abs(num, prime) / _term_abs(den, prime) * r**k)
+        value = _log_max(value, _log_mul(_log_div(_term_abs(num, prime), _term_abs(den, prime)), (k * rn, rd)))
         k += 1
         nums, den = division.quotient()
         certificate = _certificate(nums, x)
-    return max(value, certificate[0] / _term_abs(den, prime) * r**k)
+    return _log_max(value, _log_mul(_log_div(certificate[0], _term_abs(den, prime)), (k * rn, rd)))
 
 
-def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[Scalar, AbsValue]:
+def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[Scalar, tuple[int, int]]:
     """(c, R): the image of x = eta_{a,r} under a plain P, a cleared list
     over den, with a the short centre of x: R = r |Q|_{a,r} for
-    P = P(a) + (T - a) Q, and c a centre of the image ball, P(a) itself or a
-    value within R of it.  Only c is built as a Scalar.
+    P = P(a) + (T - a) Q, as an int pair, and c a centre of the image ball,
+    P(a) itself or a value within R of it.  Only c is built as a Scalar.
 
     * A puiseux-q ball builds no quotient.  Every nonzero int k has |k| = 1
       there, so with b_k the Taylor coefficients of P at a,
@@ -1024,30 +1083,30 @@ def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[S
       smaller than R.
     * A rigid point: c = P(a) alone (_value_at), and R = 0.
     """
-    spec, r = x.centre.spec, x.point.radius
-    if not r.is_zero and not x.prime:
-        radius = r * _seminorm(_derived(nums), x) / _term_abs(den, 0)
+    spec, r, prime = x.centre.spec, x.radius, x.prime
+    if r[1] and not prime:
+        radius = _log_div(_log_mul(r, _seminorm(_derived(nums), x)), _term_abs(den, 0))
         top, bottom = (_ZERO_TERMS, _ONE_TERMS) if x.centre.is_zero else (x.top, x.bottom)
         return _from_num_den(spec, *_truncated_value(nums, den, top, bottom, radius)), radius
     if x.centre.is_zero or not nums:
         c0 = nums[0][1] if nums and not nums[0][0] else _ZERO_TERMS
         value, quotient, qden = _from_num_den(spec, c0, den), [(n - 1, num) for n, num in nums if n], den
-    elif r.is_zero:
+    elif not r[1]:
         return _from_num_den(spec, *_value_at(nums, den, x.top, x.bottom)), r
     else:
         division = _SyntheticDivision(nums, den, x.top, x.bottom)
         value = _from_num_den(spec, *division.divide())
         quotient, qden = division.quotient()
-    return value, r * _seminorm(quotient, x) / _term_abs(qden, x.prime)
+    return value, _log_div(_log_mul(r, _seminorm(quotient, x)), _term_abs(qden, prime))
 
 
 def _truncated_value(
-    nums: list[tuple[int, tuple]], lcm: tuple, top: tuple, bottom: tuple, radius: AbsValue
+    nums: list[tuple[int, tuple]], lcm: tuple, top: tuple, bottom: tuple, radius: tuple[int, int]
 ) -> tuple[tuple, tuple]:
-    """P(a) cut at the magnitude R, as a num/den pair of term maps with
-    den = lcm B^d: a value within R of P(a), for a plain puiseux-q P given as
-    a cleared list over lcm and a = A/B (A = 0 allowed).  R = 0 only for a
-    constant P, whose value is returned whole.
+    """P(a) cut at the magnitude R (an int pair), as a num/den pair of term
+    maps with den = lcm B^d: a value within R of P(a), for a plain puiseux-q
+    P given as a cleared list over lcm and a = A/B (A = 0 allowed).  R = 0
+    only for a constant P, whose value is returned whole.
 
     One Horner pass acc_n = A acc_(n+1) + N_n B^(d-n), n = d, ..., 0, ends
     in acc_0 = sum_n N_n A^n B^(d-n), the numerator of P(a) over den.  It
@@ -1069,7 +1128,7 @@ def _truncated_value(
     N_n B^(d-n) reads below cut_n; B^j = B^(j-1) B is exact below that
     bound when B^(j-1) is exact below M + (j - 1) v(B).  With a constant
     den, every term of the result has magnitude > R."""
-    if radius.is_zero:
+    if not radius[1]:
         return (nums[0][1] if nums else _ZERO_TERMS), lcm
     d = nums[-1][0]
     q = _denom([nums, [(0, top), (0, bottom), (0, lcm)]])
@@ -1078,7 +1137,7 @@ def _truncated_value(
     va, vb = a_row[0][0] if a_row else 0, b_row[0][0]
     # cut_n = base - n v(A); an int exponent k lies below the rational
     # cut base' - q rho iff it lies below base' - floor(q rho)
-    base = _over(lcm, q)[0][0] + d * vb - q * radius.n // radius.d
+    base = _over(lcm, q)[0][0] + d * vb - q * radius[0] // radius[1]
     # B^(d-n) at level n, exact below low + (d - n) v(B); None for B = 1
     power: list | None = None
     if bottom != _ONE_TERMS:

@@ -36,6 +36,7 @@ from berkline.errors import BackendMismatch, DomainViolation, NumericBaseRequire
 from berkline.field import (
     _KEY_TERMS,
     _ONE_TERMS,
+    _magnitude,
     _reduced,
     _terms_at,
     _terms_from_dict,
@@ -627,16 +628,17 @@ def fs_derivative_all_minors(f: SeriesMap, z: DiskPoint) -> AbsValue:
     """The derivative with no rule for constant coordinates, the reference
     for fs_derivative's: every coordinate's seminorm is taken on its cleared
     list, and every minor W_ij, i < j, is built in one product pass
-    (points._wronskian)."""
+    (points._wronskian).  Each int pair of the kernel becomes an AbsValue
+    where it is read."""
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:
         raise BackendMismatch(f"mixed backends: {f.spec} vs {z.spec}")
     point = _Point(z)
     coords = f.cleared
-    den = abs_max([_seminorm(c, point) for c in coords])
+    den = abs_max([_magnitude(*_seminorm(c, point)) for c in coords])
     if den.is_zero:
         raise DomainViolation("all homogeneous coordinates vanish at the point")
-    num = abs_max([_seminorm(w, point) for w in _all_minors(coords)])
+    num = abs_max([_magnitude(*_seminorm(w, point)) for w in _all_minors(coords)])
     zn = z.norm()
     return unit_max(zn * zn) * num / (den * den)
 

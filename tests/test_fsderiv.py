@@ -45,6 +45,7 @@ from berkline.errors import (
     PreconditionViolation,
     ZeroTuple,
 )
+from berkline import field, fsderiv, points
 from berkline.field import PadicScalar, PuiseuxScalar, abs_max, unit_max
 from berkline.fsderiv import _at_infinity
 
@@ -264,6 +265,23 @@ def test_pgl_generator_validation(p3):
         pgl_apply([("translate", p3.scalar(Fraction(1, 3)))], identity_map(p3))
     with pytest.raises(InvalidGenerator):
         pgl_apply([("spin",)], identity_map(p3))
+
+
+def test_malformed_generators_raise_invalid_generator(p3, pq):
+    # a wrong arity ended in a bare IndexError, and a parameter that is not a
+    # Scalar in an AttributeError from its abs()
+    f, x = identity_map(p3), rigid(p3.one())
+    malformed = [("scale",), ("translate",), ("scale", 2), ("translate", Fraction(1, 2)), ("invert", p3.one())]
+    for gen in malformed + [("scale", p3.one(), p3.one()), ()]:
+        with pytest.raises(InvalidGenerator):
+            pgl_apply([gen], f)
+        with pytest.raises(InvalidGenerator):
+            pgl_point([gen], x)
+    # a Scalar over another field keeps raising BackendMismatch
+    with pytest.raises(BackendMismatch):
+        pgl_apply([("scale", pq.one())], f)
+    with pytest.raises(BackendMismatch):
+        pgl_point([("translate", pq.one())], x)
 
 
 @pytest.mark.parametrize("backend", ["padic", "puiseux-q"])
@@ -583,6 +601,53 @@ def test_transport_ops_build_at_most_a_quarter_of_the_fractions_of_fraction_magn
         fs_derivative(f, z)
         made["on"] = False
     assert made["count"] * 4 <= _FRACTIONS_WITH_FRACTION_MAGNITUDES, made["count"]
+
+
+def test_queries_build_one_abs_value_per_result_whatever_the_map(monkeypatch):
+    # a work gate: it counts AbsValue constructions (field._magnitude, which
+    # field, points and fsderiv each import by name), not time.  Inside one
+    # query magnitudes are int pairs, so at one point fs_derivative builds
+    # the same number for maps of 2, 3 and 4 coordinates, at most 3 (the
+    # domain check, the short centre and the result); eval_seminorm builds a
+    # number fixed by the point, and apply_map one more per image coordinate.
+    # The points include sigma = 0 at planted double roots
+    made = {"count": 0}
+    magnitude = field._magnitude
+
+    def counting(n, d):
+        made["count"] += 1
+        return magnitude(n, d)
+
+    for module in (field, points, fsderiv):
+        monkeypatch.setattr(module, "_magnitude", counting)
+
+    def count(fn, *args):
+        made["count"] = 0
+        try:
+            fn(*args)
+        except DomainViolation:  # every coordinate vanishes at the point
+            return None
+        return made["count"]
+
+    for spec in (FieldSpec("padic", 3), FieldSpec("puiseux-q")):
+        rng = rng_for(f"magnitude-work-gate-{spec.backend}")
+        one = Poly.constant(spec, spec.one())
+        for i in range(40):
+            z = random_unit_disk_point(rng, spec)
+            polys = [random_poly(rng, spec, 4, unit_ball=True) for _ in range(4)]
+            if i % 2:  # a double root at the centre: the sigma = 0 fallback
+                t_minus_a = Poly.from_dict(spec, {0: -z.center, 1: spec.one()})
+                polys[1] = t_minus_a * t_minus_a * polys[1]
+            polys = [q if not q.is_constant else q + Poly.coordinate(spec) for q in polys]
+            charts = [[one] + polys[1:m] for m in (2, 3, 4)]
+            maps = [series_map(c, UNIT_DISK) for c in charts + [polys[:m] for m in (2, 3, 4)]]
+            derivatives = {count(fs_derivative, f, z) for f in maps} - {None}
+            assert len(derivatives) == 1 and max(derivatives) <= 3, derivatives
+            seminorms = {count(eval_seminorm, q, z) for q in polys}
+            assert len(seminorms) == 1 and max(seminorms) <= 2, seminorms
+            scaled = series_map([Poly.constant(spec, spec.scalar(Fraction(1, 2)))] + polys[1:], UNIT_DISK)
+            images = {count(apply_map, f, z) - f.target_dim for f in maps[:3] + [scaled]}
+            assert len(images) == 1 and max(images) <= 2, images
 
 
 def test_ball_derivatives_and_images_build_no_scalar_per_minor_or_quotient_coefficient(monkeypatch):

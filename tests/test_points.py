@@ -15,6 +15,7 @@ from berkline import (
     ABS_ZERO,
     AbsValue,
     DiskPoint,
+    Domain,
     FieldSpec,
     Poly,
     ProjPoint,
@@ -620,6 +621,36 @@ def test_seminorm_kernel_matches_the_scalar_oracles(kind, data):
     assert images == expected and [y.radius for y in images] == [y.radius for y in expected]
 
 
+@pytest.mark.parametrize("kind", sorted(CERTIFICATE_SCALARS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_int_pair_queries_equal_the_scalar_oracles(kind, data):
+    # fs_derivative, eval_seminorm and apply_map form their results on int
+    # pairs and build one AbsValue each: against the Scalar oracles at
+    # sigma = 0 balls and rigid points (planted roots and near roots), for
+    # maps with a unit chart and with another constant chart, and for
+    # Laurent maps at the points of an annulus around the point
+    construction, p, a, x = data.draw(certificate_cases(kind))
+    spec, scalars = CERTIFICATE_SPECS[kind], CERTIFICATE_SCALARS[kind]
+    nonzero = scalars.filter(lambda c: not c.is_zero)
+    assert eval_seminorm(p, x) == eval_seminorm_oracle(p, x)
+    chart = data.draw(st.one_of(st.just(spec.one()), nonzero))
+    f = affine_map(spec, chart, p)
+    assert _result(fs_derivative, f, x) == _result(fs_derivative_oracle, f, x)
+    images, expected = apply_map(f, x), apply_map_oracle(f, x)
+    assert images == expected and [y.radius for y in images] == [y.radius for y in expected]
+    norm = x.norm()
+    if norm.is_zero:
+        return
+    other = Poly.from_dict(spec, data.draw(st.dictionaries(st.integers(0, 3), nonzero, min_size=1, max_size=2)))
+    coords = (other.shift_exp(-data.draw(st.integers(0, 2))), p.shift_exp(-data.draw(st.integers(1, 2))))
+    beta = AbsValue.of(1)
+    g = SeriesMap(coords, Domain.annulus(norm / beta, norm * beta))
+    assert _result(fs_derivative, g, x) == _result(fs_derivative_oracle, g, x)
+    for c in coords:
+        assert _result(eval_seminorm, c, x) == _result(eval_seminorm_oracle, c, x)
+
+
 def test_synthetic_division_recovers_the_polynomial():
     for spec in (P3, PQ):
         rng = rng_for(f"divide-linear-{spec.backend}")
@@ -744,6 +775,22 @@ def test_poly_rejects_a_zero_coefficient(p3, pq):
         with pytest.raises(ValueError):
             Poly(spec, ((0, spec.zero()),))
         assert Poly.from_dict(spec, {0: spec.zero(), 1: spec.one()}) == Poly.coordinate(spec)
+
+
+def test_disk_point_rejects_a_centre_that_is_not_a_scalar(p3):
+    # rigid(1) was accepted, and its hash or fs_derivative at it then ended
+    # in an AttributeError
+    with pytest.raises(ValueError):
+        rigid(1)
+    with pytest.raises(ValueError):
+        DiskPoint(Fraction(1, 3), ABS_ONE)
+
+
+def test_disk_point_rejects_a_radius_that_is_not_an_abs_value(p3):
+    with pytest.raises(ValueError):
+        DiskPoint(p3.one(), "x")
+    with pytest.raises(ValueError):
+        DiskPoint(p3.one(), Fraction(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ strips), every import sits at module level, no tuple is built from a
 generator expression, the polynomial kernels allocate no dense lists,
 magnitude arithmetic builds no Fraction, nor do the int paths of document
 rationals, in-disk coordinates and the p-adic selection gap, the seminorm
-kernel builds no Poly and evaluates no Scalar, the map reduction and the
+kernel builds no Poly and evaluates no Scalar, the int kernel of a query
+builds no AbsValue and reads no magnitude of a Scalar, the map reduction and the
 substitution name no Poly and use none of its members, every benchmark
 trace target names a library function, and the CLI's command table and the
 document reader's payload table name the same payload kinds."""
@@ -236,6 +237,42 @@ def _poly_uses(name: str, qualname: str) -> list[str]:
 @pytest.mark.parametrize("name, qualname", KERNEL_FUNCTIONS, ids=lambda x: x)
 def test_seminorm_kernel_names_no_poly_and_evaluates_no_scalar(name, qualname):
     assert _poly_uses(name, qualname) == []
+
+
+# the int kernel of one query: a magnitude is an unreduced int pair from the
+# cleared lists up to the public function, which builds the one AbsValue of
+# its result, so these bodies name no AbsValue builder and call no abs()
+INT_KERNEL_FUNCTIONS = [
+    ("points.py", "_Point.__init__"),
+    ("points.py", "_log_lt"),
+    ("points.py", "_log_max"),
+    ("points.py", "_log_mul"),
+    ("points.py", "_log_div"),
+    ("points.py", "_term_abs"),
+    ("points.py", "_weights"),
+    ("points.py", "_certificate"),
+    ("points.py", "_seminorm"),
+    ("points.py", "_disk_image"),
+    ("points.py", "_truncated_value"),
+    ("fsderiv.py", "_minor_seminorms"),
+    ("fsderiv.py", "_at_radius"),
+]
+ABS_VALUE_NAMES = ("_magnitude", "AbsValue", "abs_max", "unit_max", "ABS_ZERO", "ABS_ONE")
+
+
+def _abs_value_uses_in_body(name: str, qualname: str) -> list[str]:
+    return [
+        f"{name}:{node.lineno}: {ast.unparse(node)} in {qualname}"
+        for statement in _scope(name, qualname).body
+        for node in ast.walk(statement)
+        if (isinstance(node, ast.Name) and node.id in ABS_VALUE_NAMES)
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "abs")
+    ]
+
+
+@pytest.mark.parametrize("name, qualname", INT_KERNEL_FUNCTIONS, ids=lambda x: x)
+def test_int_kernel_builds_no_abs_value_and_reads_no_scalar_magnitude(name, qualname):
+    assert _abs_value_uses_in_body(name, qualname) == []
 
 
 # the map reduction, the rescaling and the substitution read and return
