@@ -511,7 +511,7 @@ def _validate_generator(gen: Generator, spec: FieldSpec) -> None:
     |b| <= 1, or ("invert",); anything else raises InvalidGenerator.  A
     Scalar over another FieldSpec than spec raises BackendMismatch where it
     is used."""
-    kind = gen[0] if gen else None
+    kind = gen[0] if isinstance(gen, (tuple, list)) and gen else None
     if kind == "invert":
         if len(gen) != 1:
             raise InvalidGenerator("inversion takes no parameter")

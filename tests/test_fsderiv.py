@@ -226,6 +226,17 @@ def test_compose_domain_check(p3):
     assert compose(outer_ok, inner).proportional_to(inner)
 
 
+def test_compose_over_an_inner_disk_of_radius_zero(p3):
+    # the image of the rigid point 0 under T + 3 is 3, inside the unit disk;
+    # the domain check read the constant term's radius power 0^0 and raised
+    # DivisionByZero
+    one = Poly.constant(p3, p3.one())
+    inner = SeriesMap((one, Poly.from_dict(p3, {0: p3.scalar(3), 1: p3.one()})), Domain.disk(ABS_ZERO))
+    assert compose(identity_map(p3, UNIT_DISK), inner).proportional_to(inner)
+    with pytest.raises(DomainViolation):
+        compose(identity_map(p3, Domain.disk(AbsValue.of(-2))), inner)
+
+
 def test_compose_pole_detection(p3):
     t = Poly.coordinate(p3)
     g = series_map([t - Poly.constant(p3, p3.scalar(Fraction(1, 3))), t], UNIT_DISK)
@@ -272,7 +283,7 @@ def test_malformed_generators_raise_invalid_generator(p3, pq):
     # Scalar in an AttributeError from its abs()
     f, x = identity_map(p3), rigid(p3.one())
     malformed = [("scale",), ("translate",), ("scale", 2), ("translate", Fraction(1, 2)), ("invert", p3.one())]
-    for gen in malformed + [("scale", p3.one(), p3.one()), ()]:
+    for gen in malformed + [("scale", p3.one(), p3.one()), (), "invert", 5]:
         with pytest.raises(InvalidGenerator):
             pgl_apply([gen], f)
         with pytest.raises(InvalidGenerator):
