@@ -5,10 +5,11 @@ generator expression, the polynomial kernels allocate no dense lists,
 magnitude arithmetic builds no Fraction, nor do the int paths of document
 rationals, in-disk coordinates and the p-adic selection gap, the seminorm
 kernel builds no Poly and evaluates no Scalar, the int kernel of a query
-builds no AbsValue and reads no magnitude of a Scalar, the map reduction and the
-substitution name no Poly and use none of its members, every benchmark
-trace target names a library function, and the CLI's command table and the
-document reader's payload table name the same payload kinds."""
+builds no AbsValue and reads no magnitude of a Scalar, the map reduction
+and the substitution name no Poly and use none of its members, every
+benchmark trace target names a library function, and the CLI's command
+table and the document reader's payload table name the same payload
+kinds."""
 
 from __future__ import annotations
 
