@@ -437,6 +437,13 @@ class Scalar:
     spec: FieldSpec
 
     def abs(self) -> AbsValue:
+        """|self|: each backend reduces its abs_pair to an AbsValue."""
+        raise NotImplementedError
+
+    def abs_pair(self) -> tuple[int, int]:
+        """|self| as an unreduced int pair (n, d) for beta^(n/d), d > 0, and
+        (-1, 0) for zero: the convention of AbsValue, with no gcd and no
+        object built.  Each backend's valuation formula lives here once."""
         raise NotImplementedError
 
     @property
@@ -493,11 +500,14 @@ class PadicScalar(Scalar):
         return PadicScalar(self.spec, 1 / self.value)
 
     def abs(self) -> AbsValue:
-        if not self.value:
-            return ABS_ZERO
-        # |x| = p^(-v_p(x)); FieldSpec requires a prime for padic
+        return _magnitude(*self.abs_pair())
+
+    def abs_pair(self) -> tuple[int, int]:
         x = self.value
-        return _magnitude(-_padic_split(x.numerator, x.denominator, self.spec.p)[0], 1)
+        if not x:
+            return -1, 0
+        # |x| = p^(-v_p(x)); FieldSpec requires a prime for padic
+        return -_padic_split(x.numerator, x.denominator, self.spec.p)[0], 1
 
     def dist(self, other: Scalar) -> AbsValue:
         """|self - other| = p^(v_p(xd) + v_p(yd) - v_p(xn yd - yn xd)) for
@@ -938,11 +948,14 @@ class PuiseuxScalar(Scalar):
         return PuiseuxScalar(self.spec, *_fast_reduce(self.den_terms, self.num_terms))
 
     def abs(self) -> AbsValue:
+        return _magnitude(*self.abs_pair())
+
+    def abs_pair(self) -> tuple[int, int]:
         # the valuation of num/den needs no gcd reduction
         (dn, tn), (dd, td) = self.num_terms, self.den_terms
         if not tn:
-            return ABS_ZERO
-        return _magnitude(td[0][0] * dn - tn[0][0] * dd, dn * dd)
+            return -1, 0
+        return td[0][0] * dn - tn[0][0] * dd, dn * dd
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PuiseuxScalar):

@@ -42,9 +42,10 @@ synthetic division gives f(a) and q, whose seminorm is read off the
 numerators of the cleared quotient.  Either seminorm is certified like any
 other, and deflates further only when the certificate is inconclusive.  At
 a rigid point the image is the value f(a) alone, one Horner pass over the
-present terms (points._value_at).  Each radius stays an int pair until its
-one AbsValue; a [1 : P] map, whose chart coordinate is cleared to the map's
-own denominator, has chart scalar 1, so its images are not scaled.
+present terms on raw int rows, reduced once (points._value_at).  Each
+radius stays an int pair until its one AbsValue; a [1 : P] map, whose chart
+coordinate is cleared to the map's own denominator, has chart scalar 1, so
+its images are not scaled.
 
 Moebius words, composition and rescaling are one substitution
 T -> num/den into the homogenized coordinates.  num and den never share a
@@ -105,6 +106,7 @@ from .points import (
     _log_lt,
     _log_max,
     _log_mul,
+    _log_norm,
     _num_den,
     _over,
     _raw_product,
@@ -138,12 +140,12 @@ class Domain:
         return Domain(outer, inner)
 
     def contains(self, x: DiskPoint) -> bool:
-        n = x.norm()
-        if n > self.outer:
+        # |T(x)| as an int pair (points._log_norm), compared by cross-multiplication
+        n, d = _log_norm(x)
+        outer, inner = self.outer, self.inner
+        if outer.n * d < n * outer.d:
             return False
-        if self.inner is not None and n < self.inner:
-            return False
-        return True
+        return inner is None or not n * inner.d < inner.n * d
 
 
 UNIT_DISK = Domain.disk(ABS_ONE)
@@ -520,10 +522,12 @@ def _validate_generator(gen: Generator, spec: FieldSpec) -> None:
         raise InvalidGenerator(f"unknown generator {kind!r}")
     if len(gen) != 2 or not isinstance(gen[1], Scalar):
         raise InvalidGenerator(f"{kind} takes one Scalar parameter")
+    # |x| = beta^(n/d): 1 iff n = 0 < d, and > 1 iff n > 0 (zero is (-1, 0))
+    n, d = gen[1].abs_pair()
     if kind == "scale":
-        if gen[1].abs() != ABS_ONE:
+        if n or not d:
             raise InvalidGenerator("scaling parameter must have magnitude 1")
-    elif gen[1].abs() > ABS_ONE:
+    elif n > 0:
         raise InvalidGenerator("translation parameter must have magnitude <= 1")
 
 
@@ -569,7 +573,9 @@ def pgl_point(word: Sequence[Generator], x: DiskPoint | ProjPoint) -> ProjPoint:
 
     Inversion swaps the chart, so the image may be held in the chart at
     infinity; ProjPoint.to_affine inverts it at its first call and keeps
-    the result, so each image is inverted at most once."""
+    the result, so each image is inverted at most once.  A scaling keeps
+    the radius (|a| = 1), so scalings and translations build no
+    AbsValue."""
     current: ProjPoint = x if isinstance(x, ProjPoint) else ProjPoint.affine(x)
     spec = current.point.spec
     for gen in reversed(list(word)):
@@ -581,8 +587,8 @@ def pgl_point(word: Sequence[Generator], x: DiskPoint | ProjPoint) -> ProjPoint:
         if aff is None:  # the rigid point at infinity is fixed by affine maps
             continue
         if gen[0] == "scale":
-            a: Scalar = gen[1]
-            current = ProjPoint.affine(DiskPoint(a * aff.center, a.abs() * aff.radius))
+            # |a| = 1 (_validate_generator), so the radius is kept
+            current = ProjPoint.affine(DiskPoint(gen[1] * aff.center, aff.radius))
         else:
             current = ProjPoint.affine(DiskPoint(aff.center + gen[1], aff.radius))
     return current

@@ -16,9 +16,10 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
   |P(a)| <= |P|_{a,r} <= U the seminorm is exactly U.  The same test gives
   |P(a)| at a rigid point;
 * only when the leading parts cancel is P evaluated at a: at a rigid point
-  by one Horner pass over its present terms, whose cost follows the number
-  of terms and log d, and at a ball P divides by T - a and deflates, by
-  |P|_{a,r} = max(|P(a)|, r |Q|_{a,r}) for P = P(a) + (T - a) Q.
+  by one Horner pass over its present terms on raw int rows, whose cost
+  follows the number of terms and log d, and at a ball P divides by T - a
+  and deflates, by |P|_{a,r} = max(|P(a)|, r |Q|_{a,r}) for
+  P = P(a) + (T - a) Q.
 
 The seminorm kernel (_seminorm, _certificate) reads a polynomial as a cleared
 list [(n, num), ...] of int term maps over one denominator L and the point as
@@ -32,7 +33,10 @@ at a padic ball).  No Scalar is built at any point type, and no AbsValue
 inside the kernel: a magnitude there is an unreduced int pair (n, d) for
 beta^(n/d), d = 0 for zero, and each public query (eval_seminorm,
 initial_form, fsderiv's fs_derivative and apply_map) builds one AbsValue
-per result, reduced once.
+per result, reduced once.  The point-level magnitudes read |a| as a pair
+too (Scalar.abs_pair): the short centre, |T(x)| (_log_norm, under
+DiskPoint.norm, diam_proj and fsderiv's domain check) and the inverted ball
+of the chart at infinity.
 
 Polynomial algebra runs on one clearing for both backends: every value is
 read as a num/den pair of int term maps (a padic rational as two constants),
@@ -44,9 +48,9 @@ scalar per output coefficient, left unreduced over its constant den.
 Polynomial input has nothing to clear.  One synthetic-division kernel gives
 disk images at a padic ball (one pass), the deflation (passes until a
 certificate) and the Taylor shift (all passes); a value-only pass over the
-present terms gives P(a) at a rigid point (_value_at), and a Horner pass cut
-at the image radius r |P'| the image centre at a puiseux-q ball
-(_truncated_value); products, sums and
+present terms on raw int rows gives P(a) at a rigid point (_value_at), and
+a Horner pass on raw int rows cut at the image radius r |P'| the image
+centre at a puiseux-q ball (_truncated_value); products, sums and
 derivatives (the Poly operators, the Wronskian minors and the map
 substitution) accumulate int terms by exponent, the denominator of a product
 being the product of the denominators.
@@ -56,7 +60,8 @@ point 0.
 
 Diameter functions follow the usual conventions: diam_A is the radius (the
 max of coordinate radii in higher dimension) and the projective diameter
-divides by max(1, |x|)^2.
+divides by max(1, |x|)^2, formed on int pairs with one AbsValue for the
+result.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BackendMismatch, PoleAtPoint
 from .field import (
@@ -96,7 +101,6 @@ from .field import (
     _terms_neg,
     _terms_shift,
     abs_max,
-    unit_max,
 )
 
 # ---------------------------------------------------------------------------
@@ -320,18 +324,72 @@ def _value_at(nums: list[tuple[int, tuple]], lcm: tuple, top: tuple, bottom: tup
     list over lcm and a = A/B: sum_n N_n A^n B^(d-n) over lcm B^d, the value
     of _SyntheticDivision's first pass, term map for term map.
 
-    One Horner pass over the present terms only, with the running power
-    B^(d-n) beside the accumulator: a gap of g exponents costs one A^g and
-    one B^g by squaring, and each present term one product by B^(d-n).  So
-    the pass takes O(terms log d) term-map products, where a full pass takes
-    d, and it keeps no quotient."""
-    n, acc = nums[-1]
-    scale = _ONE_TERMS  # B^(d-n)
-    for m, num in reversed(nums[:-1]):
-        acc = _times(acc, _power(top, n - m))
-        scale = _times(scale, _power(bottom, n - m))
-        acc, n = _terms_add(acc, _times(num, scale)), m
-    return _times(acc, _power(top, n)), _times(lcm, _times(scale, _power(bottom, n)))
+    One Horner pass over the present terms only, on raw int rows over one
+    exponent denominator q, the lcm of every map's (the layout of
+    _truncated_value): the accumulator is one dict of ints per level,
+    multiplied by A^g for a gap of g exponents, into which the term
+    N_n B^(d-n) is added, with the running power B^(d-n) kept beside it as a
+    raw row (none for B = 1).  A^g and B^g are taken by squaring, once per
+    gap length, so the pass takes O(terms log d) raw products, where a full
+    pass takes d, and it keeps no quotient.  Nothing is sorted, put over a
+    common denominator or reduced until the end, where num and den become
+    term maps once."""
+    q = _denom([nums, [(0, top), (0, bottom), (0, lcm)]])
+    a_row = _over(top, q)
+    b_row = None if bottom == _ONE_TERMS else _over(bottom, q)
+    powers: dict[int, tuple] = {}  # g -> (A^g, B^g) as raw terms, B^g None for B = 1
+    n, num = nums[-1]
+    acc, scale = dict(_over(num, q)), [(0, 1)]  # scale: B^(d-n)
+    # the pass ends with a gap of n to exponent 0, where it adds no term
+    for m, num in [*reversed(nums[:-1]), (0, None)]:
+        if n > m:
+            if n - m not in powers:
+                powers[n - m] = (_row_power(a_row, n - m), b_row and _row_power(b_row, n - m))
+            a_g, b_g = powers[n - m]
+            row: dict[int, int] = {}
+            _add_product(row, acc.items(), a_g)
+            acc = row
+            if b_g:
+                scale = _row_product(scale, b_g)
+        if num is not None:
+            _add_product(acc, _over(num, q), scale)
+        n = m
+    value = _reduced(q, tuple(sorted([kc for kc in acc.items() if kc[1]])))
+    if b_row is None:
+        return value, lcm
+    den: dict[int, int] = {}
+    _add_product(den, _over(lcm, q), scale)
+    return value, _reduced(q, tuple(sorted([kc for kc in den.items() if kc[1]])))
+
+
+def _add_product(row: dict[int, int], x: Iterable, y: Sequence) -> None:
+    """Add into row the product of the raw int terms x and y (a zero int
+    of x is skipped)."""
+    get = row.get
+    for kx, cx in x:
+        if cx:
+            for ky, cy in y:
+                e = kx + ky
+                row[e] = get(e, 0) + cx * cy
+
+
+def _row_power(x: Sequence, k: int) -> Sequence:
+    """x^k for raw int terms x and k >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else _row_product(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = _row_product(x, x)
+
+
+def _row_product(x: Sequence, y: Sequence) -> list[tuple[int, int]]:
+    """The raw int terms of x * y, zero ints dropped."""
+    row: dict[int, int] = {}
+    _add_product(row, x, y)
+    return [kc for kc in row.items() if kc[1]]
 
 
 def _power(x: tuple, k: int) -> tuple:
@@ -761,9 +819,8 @@ class DiskPoint:
         return "II" if group == "Q" or group % r.d == 0 else "III"
 
     def norm(self) -> AbsValue:
-        """|T(x)| = max(|a|, r)."""
-        v = self.center.abs()
-        return v if v > self.radius else self.radius
+        """|T(x)| = max(|a|, r), formed on int pairs (_log_norm)."""
+        return _magnitude(*_log_norm(self))
 
     def contains(self, other: "DiskPoint") -> bool:
         return other.radius <= self.radius and (self.center - other.center).abs() <= self.radius
@@ -821,6 +878,13 @@ class ProjPoint:
     chart: str  # "affine" | "infinity"
     point: DiskPoint
 
+    def __post_init__(self) -> None:
+        # plain tests: pgl_point builds a point per generator
+        if self.chart != "affine" and self.chart != "infinity":
+            raise ValueError(f"a chart must be 'affine' or 'infinity', not {self.chart!r}")
+        if not isinstance(self.point, DiskPoint):
+            raise ValueError(f"a projective point holds a DiskPoint, not {type(self.point).__name__}")
+
     @staticmethod
     def affine(point: DiskPoint) -> "ProjPoint":
         return ProjPoint("affine", point)
@@ -843,14 +907,15 @@ class ProjPoint:
         # a ball held in the chart at infinity is inverted once per point
         if self.chart == "affine":
             return self.point
-        c, r = self.point.center, self.point.radius
-        ca = c.abs()
-        if ca > r:
-            # the reciprocal ball avoids 0, so it inverts to a ball
-            return DiskPoint(c.inv(), r / (ca * ca))
-        if not r.is_zero:
+        c, (rn, rd) = self.point.center, (self.point.radius.n, self.point.radius.d)
+        cn, cd = c.abs_pair()
+        if rn * cd < cn * rd:
+            # the reciprocal ball avoids 0, so it inverts to a ball of
+            # radius r / |c|^2, formed on the int pairs
+            return DiskPoint(c.inv(), _magnitude(rn * cd - 2 * cn * rd, rd * cd))
+        if rd:
             # contains the origin of the reciprocal chart: eta_{0, 1/r}
-            return DiskPoint(c.spec.zero(), ABS_ONE / r)
+            return DiskPoint(c.spec.zero(), _magnitude(-rn, rd))
         return None
 
     def __eq__(self, other: object) -> bool:
@@ -896,7 +961,12 @@ def eval_seminorm(p: Poly, x: DiskPoint) -> AbsValue:
 # cross-multiplication and multiply by adding exponents, and a sum of
 # exponents with a zero pair is a zero pair again.  No gcd runs inside a
 # query; each public result is reduced once, by the one AbsValue built from
-# its pair (field._magnitude).
+# its pair (field._magnitude).  The point layer reads |a| the same way, off
+# the backend's one pair reader (Scalar.abs_pair, on which Scalar.abs is
+# built): the short centre, |T(x)| (_log_norm) behind DiskPoint.norm,
+# diam_proj and fsderiv's Domain.contains, the inverted ball of
+# ProjPoint.to_affine and fsderiv's generator check decide on ints, and
+# build an AbsValue only for a result.
 
 _LOG_ZERO = (-1, 0)
 
@@ -923,6 +993,14 @@ def _log_div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     if ad == bd:
         return an - bn, ad
     return an * bd - bn * ad, ad * bd
+
+
+def _log_norm(x: DiskPoint) -> tuple[int, int]:
+    """|T(x)| = max(|a|, r) as an int pair, |a| read off the centre's
+    abs_pair."""
+    r = x.radius
+    n, d = x.center.abs_pair()
+    return (n, d) if r.n * d < n * r.d else (r.n, r.d)
 
 
 class _Point:
@@ -1197,8 +1275,9 @@ def short_centre(x: DiskPoint) -> Scalar:
     if r.is_zero:
         return a
     if type(a) is not PuiseuxScalar or len(a.den_terms[1]) > 1 or a.den_terms[1][0][0]:
-        # a padic value or a rational function
-        return a if a.abs() > r else a.spec.zero()
+        # a padic value or a rational function: |a| > r on the int pairs
+        n, d = a.abs_pair()
+        return a if r.n * d < n * r.d else a.spec.zero()
     denom, terms = a.num_terms
     # |c t^(k/D)| = beta^(-k/D) > r = beta^(n/d)  iff  k < -nD/d, iff k < ceil(-nD/d)
     # for an int k; terms are sorted by k
@@ -1219,11 +1298,18 @@ def diam_affine(coords: Sequence[DiskPoint] | DiskPoint) -> AbsValue:
 
 
 def diam_proj(coords: Sequence[DiskPoint] | DiskPoint) -> AbsValue:
-    """Projective diameter diam_A(x) / max(1, max_i |x_i|)^2."""
+    """Projective diameter diam_A(x) / max(1, max_i |x_i|)^2: the max radius
+    and the max norm are int pairs (_log_norm), and the one AbsValue built
+    is the result."""
     if isinstance(coords, DiskPoint):
         coords = [coords]
-    denom = unit_max(abs_max(x.norm() for x in coords))
-    return diam_affine(coords) / (denom * denom)
+    radius, norm = _LOG_ZERO, (0, 1)
+    for x in coords:
+        radius = _log_max(radius, (x.radius.n, x.radius.d))
+        norm = _log_max(norm, _log_norm(x))
+    (rn, rd), (nn, nd) = radius, norm
+    # a zero radius (rd = 0) leaves d = 0 and n < 0, the zero magnitude
+    return _magnitude(rn * nd - 2 * nn * rd, rd * nd)
 
 
 def diam_proj_point(x: ProjPoint) -> AbsValue:

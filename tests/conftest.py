@@ -835,6 +835,46 @@ def apply_map_oracle(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     return out
 
 
+# -- point magnitudes as they ran on AbsValues: the norm, the projective
+# diameter, the inverted ball of the chart at infinity and the domain test,
+# each step a reduced AbsValue (abs(), abs_max, unit_max, * and /)
+
+
+def norm_oracle(x: DiskPoint) -> AbsValue:
+    """|T(x)| = max(|a|, r)."""
+    v = x.center.abs()
+    return v if v > x.radius else x.radius
+
+
+def diam_proj_oracle(coords) -> AbsValue:
+    """diam_A(x) / max(1, max_i |x_i|)^2."""
+    if isinstance(coords, DiskPoint):
+        coords = [coords]
+    denom = unit_max(abs_max(norm_oracle(x) for x in coords))
+    return abs_max(x.radius for x in coords) / (denom * denom)
+
+
+def to_affine_oracle(x: ProjPoint) -> DiskPoint | None:
+    """The affine-chart representative of a projective point, None for the
+    rigid point at infinity."""
+    if x.chart == "affine":
+        return x.point
+    c, r = x.point.center, x.point.radius
+    ca = c.abs()
+    if ca > r:
+        return DiskPoint(c.inv(), r / (ca * ca))
+    if not r.is_zero:
+        return DiskPoint(c.spec.zero(), ABS_ONE / r)
+    return None
+
+
+def domain_contains_oracle(domain, x: DiskPoint) -> bool:
+    n = norm_oracle(x)
+    if n > domain.outer:
+        return False
+    return domain.inner is None or not n < domain.inner
+
+
 def expansion_oracle(num: tuple, den: tuple, radius: AbsValue = ABS_ZERO) -> tuple:
     """The lowest terms, at most _KEY_TERMS, of the Puiseux expansion of
     num/den of magnitude > radius, as (exponent, coefficient) Fractions."""

@@ -617,11 +617,12 @@ def test_transport_ops_build_at_most_a_quarter_of_the_fractions_of_fraction_magn
 def test_queries_build_one_abs_value_per_result_whatever_the_map(monkeypatch):
     # a work gate: it counts AbsValue constructions (field._magnitude, which
     # field, points and fsderiv each import by name), not time.  Inside one
-    # query magnitudes are int pairs, so at one point fs_derivative builds
-    # the same number for maps of 2, 3 and 4 coordinates, at most 3 (the
-    # domain check, the short centre and the result); eval_seminorm builds a
-    # number fixed by the point, and apply_map one more per image coordinate.
-    # The points include sigma = 0 at planted double roots
+    # query magnitudes are int pairs, and the domain check and the short
+    # centre read |a| as a pair too, so each query builds its results alone:
+    # fs_derivative 1 for maps of 2, 3 and 4 coordinates, eval_seminorm 1,
+    # apply_map 1 per image coordinate, diam_proj and diam_proj_point 1, and
+    # pgl_point none for a word of scalings and translations.  The points
+    # include sigma = 0 at planted double roots
     made = {"count": 0}
     magnitude = field._magnitude
 
@@ -652,13 +653,18 @@ def test_queries_build_one_abs_value_per_result_whatever_the_map(monkeypatch):
             polys = [q if not q.is_constant else q + Poly.coordinate(spec) for q in polys]
             charts = [[one] + polys[1:m] for m in (2, 3, 4)]
             maps = [series_map(c, UNIT_DISK) for c in charts + [polys[:m] for m in (2, 3, 4)]]
-            derivatives = {count(fs_derivative, f, z) for f in maps} - {None}
-            assert len(derivatives) == 1 and max(derivatives) <= 3, derivatives
-            seminorms = {count(eval_seminorm, q, z) for q in polys}
-            assert len(seminorms) == 1 and max(seminorms) <= 2, seminorms
+            assert {count(fs_derivative, f, z) for f in maps} - {None} == {1}
+            assert {count(eval_seminorm, q, z) for q in polys} == {1}
             scaled = series_map([Poly.constant(spec, spec.scalar(Fraction(1, 2)))] + polys[1:], UNIT_DISK)
-            images = {count(apply_map, f, z) - f.target_dim for f in maps[:3] + [scaled]}
-            assert len(images) == 1 and max(images) <= 2, images
+            assert {count(apply_map, f, z) - f.target_dim for f in maps[:3] + [scaled]} == {0}
+            images = apply_map(maps[2], z)
+            assert count(diam_proj, images) == count(diam_proj, z) == count(diam_proj, []) == 1
+            point = ProjPoint("infinity", z)
+            point.to_affine()  # the inverted ball, built once and kept
+            assert count(diam_proj_point, ProjPoint.affine(z)) == 1
+            assert count(diam_proj_point, point) == (0 if point.to_affine() is None else 1)
+            word = [g for g in random_pgl_word(rng, spec) if g[0] != "invert"]
+            assert count(pgl_point, word, z) == 0
 
 
 def test_ball_derivatives_and_images_build_no_scalar_per_minor_or_quotient_coefficient(monkeypatch):

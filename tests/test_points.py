@@ -52,16 +52,20 @@ from conftest import (
     apply_map_oracle,
     binomial_shift_oracle,
     count_deflation_passes,
+    diam_proj_oracle,
+    domain_contains_oracle,
     eval_seminorm_oracle,
     fs_derivative_oracle,
     horner_shift_oracle,
     initial_form_oracle,
+    norm_oracle,
     random_nonzero_scalar,
     random_poly,
     random_radius,
     random_scalar,
     random_unit_disk_point,
     rng_for,
+    to_affine_oracle,
 )
 
 
@@ -330,14 +334,16 @@ def test_a_sparse_root_at_a_rigid_point_costs_log_d_products_per_term(monkeypatc
     # there; a full pass took d products, sparse P or not
     spec = FieldSpec(backend, 3 if backend == "padic" else None)
     a = spec.scalar("7/5") if backend == "padic" else spec.from_terms([(0, 1), ("1/2", 1)])
+    # the products are term-map products (_terms_mul) and raw-row products
+    # (_add_product, under the value-only pass)
     products = {"count": 0}
-    mul = points._terms_mul
+    for name in ("_terms_mul", "_add_product"):
 
-    def counting(x, y):
-        products["count"] += 1
-        return mul(x, y)
+        def counting(*args, product=getattr(points, name)):
+            products["count"] += 1
+            return product(*args)
 
-    monkeypatch.setattr(points, "_terms_mul", counting)
+        monkeypatch.setattr(points, name, counting)
     passes = count_deflation_passes(monkeypatch)
     for degree in (100, 200, 400):
         p = Poly.from_dict(spec, {degree: spec.one(), 1: spec.one(), 0: -_scalar_pow(a, degree) - a})
@@ -346,6 +352,105 @@ def test_a_sparse_root_at_a_rigid_point_costs_log_d_products_per_term(monkeypatc
         assert eval_seminorm(p, rigid(a)) == ABS_ZERO
         assert passes == [0], (degree, passes)
         assert products["count"] <= 3 * len(p.terms) * degree.bit_length(), (degree, products)
+
+
+# -- rigid values on raw int rows against Scalar Horner (hypothesis) ----------
+
+# the highest exponent of the sparse P below: a gap of up to ~120 exponents,
+# except at rational-function centres, where the Scalar oracle's lazy
+# fractions reach the fraction gcd, whose eliminations grow with the span
+# (seconds per example from degree 9 on); for the same reason P's
+# coefficients there are Puiseux polynomials (the centre's B is a
+# polynomial already)
+RAW_ROW_DEGREES = {"padic": 120, "puiseux-polynomial": 120, "puiseux-rational": 6}
+_nonzero = {kind: scalars.filter(lambda c: not c.is_zero) for kind, scalars in SCALARS.items()}
+_nonzero["puiseux-rational"] = _nonzero["puiseux-polynomial"]
+
+
+@st.composite
+def raw_row_centres(draw, kind: str):
+    """A nonzero centre a = A/B, B != 1 where the kind allows it: a padic
+    rational, a Puiseux binomial with rational coefficients (a constant B),
+    or a Puiseux binomial over a binomial with two terms (a polynomial B)."""
+    if kind == "padic":
+        return draw(_nonzero[kind])
+    a = draw(binomials.filter(lambda c: not c.is_zero))
+    if kind == "puiseux-polynomial":
+        return a * PQ.scalar(Fraction(1, draw(st.integers(2, 5))))
+    return a / draw(binomials.filter(lambda c: len(c.num_terms[1]) == 2))
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@SHIFT_SETTINGS
+@given(data=st.data())
+def test_rigid_values_on_raw_rows_equal_the_scalar_horner_oracle(kind, data):
+    # the value-only pass on raw int rows (_value_at) under eval_seminorm's
+    # sigma = 0 fallback and apply_map's rigid images, against Poly.evaluate:
+    # sparse P with long gaps, and planted roots (P(a) = 0)
+    spec = SPECS[kind]
+    a = data.draw(raw_row_centres(kind))
+    exponents = st.integers(0, RAW_ROW_DEGREES[kind])
+    p = Poly.from_dict(spec, data.draw(st.dictionaries(exponents, _nonzero[kind], min_size=1, max_size=4)))
+    if data.draw(st.booleans()):
+        p = p - Poly.constant(spec, p.evaluate(a))
+    value = p.evaluate(a)
+    lcm, (nums,) = _clear([p])
+    if nums:
+        num, den = _value_at(nums, lcm, *_num_den(a))
+        for denom, terms in (num, den):
+            assert list(terms) == sorted(terms) and all(c for _, c in terms)
+            assert gcd(denom, *[k for k, _ in terms]) == 1
+        assert points._from_num_den(spec, num, den) == value
+    assert eval_seminorm(p, rigid(a)) == value.abs()
+    # a rational chart keeps the image's den a power of B, so both reprs
+    # print in reduced form
+    chart = data.draw(st.fractions(-6, 6, max_denominator=5).filter(bool).map(spec.scalar))
+    f = affine_map(spec, chart, p)
+    images, expected = apply_map(f, rigid(a)), apply_map_oracle(f, rigid(a))
+    assert images == expected and [hash(y) for y in images] == [hash(y) for y in expected]
+    assert [repr(y) for y in images] == [repr(y) for y in expected]
+    assert all(y.is_rigid for y in images)
+
+
+# -- point magnitudes on int pairs against the AbsValue oracles (hypothesis) ---
+
+
+@st.composite
+def oracle_disk_points(draw, kind: str):
+    """A point with a zero or random centre and a zero or random radius."""
+    centre = draw(st.one_of(st.just(SPECS[kind].zero()), SCALARS[kind]))
+    radius = draw(st.one_of(st.just(ABS_ZERO), st.fractions(-4, 4, max_denominator=6).map(AbsValue.of)))
+    return DiskPoint(centre, radius)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@SHIFT_SETTINGS
+@given(data=st.data())
+def test_point_magnitudes_on_int_pairs_equal_the_abs_value_oracles(kind, data):
+    # diam_proj, DiskPoint.norm, ProjPoint.to_affine and Domain.contains read
+    # |a| as an int pair and build at most one AbsValue, against the formulas
+    # they replaced: several coordinates, the empty list, rigid and zero
+    # centres, and the point at infinity
+    coords = data.draw(st.lists(oracle_disk_points(kind), max_size=4))
+    value, expected = diam_proj(coords), diam_proj_oracle(coords)
+    assert value == expected and repr(value) == repr(expected)
+    logs = st.fractions(-4, 4, max_denominator=6)
+    low, high = sorted(data.draw(st.lists(logs, min_size=2, max_size=2, unique=True)))
+    domains = [Domain.disk(ABS_ZERO), Domain.disk(AbsValue.of(high)), Domain.annulus(AbsValue.of(low), AbsValue.of(high))]
+    infinity = ProjPoint.infinity(SPECS[kind])
+    assert infinity.to_affine() is None and diam_proj_point(infinity) == ABS_ZERO
+    for x in coords:
+        assert diam_proj(x) == diam_proj_oracle(x) and x.norm() == norm_oracle(x)
+        for domain in domains:
+            assert domain.contains(x) == domain_contains_oracle(domain, x)
+        for chart in ("affine", "infinity"):
+            point = ProjPoint(chart, x)
+            value, expected = point.to_affine(), to_affine_oracle(point)
+            if expected is None:
+                assert value is None and diam_proj_point(point) == ABS_ZERO
+            else:
+                assert value == expected and value.radius == expected.radius and repr(value) == repr(expected)
+                assert diam_proj_point(point) == diam_proj_oracle(expected)
 
 
 # -- puiseux-q ball images from the derivative's seminorm (hypothesis) --------
@@ -1000,6 +1105,24 @@ def test_a_point_of_the_chart_at_infinity_is_inverted_once(monkeypatch):
         assert point.to_affine() == DiskPoint(inv(c), AbsValue.of(-5))
         assert point == twin and hash(point) == hash(twin)
     assert len(calls) == 2  # once for each of the two points
+
+
+def test_proj_point_rejects_a_chart_it_does_not_know(p3):
+    # a misspelt chart was read as the chart at infinity: eta(9, beta^-1)
+    # gave the affine point eta(0, beta)
+    x = DiskPoint(p3.scalar(9), AbsValue.of(-1))
+    for chart in ("Affine", "INFINITY", "", None):
+        with pytest.raises(ValueError):
+            ProjPoint(chart, x)
+    assert ProjPoint("affine", x).to_affine() is x
+
+
+def test_proj_point_rejects_a_point_that_is_not_a_disk_point(p3):
+    for point in (5, p3.scalar(5), None, ProjPoint.affine(rigid(p3.one()))):
+        with pytest.raises(ValueError):
+            ProjPoint("affine", point)
+        with pytest.raises(ValueError):
+            ProjPoint("infinity", point)
 
 
 def test_point_types_follow_value_group():

@@ -5,7 +5,9 @@ generator expression, the polynomial kernels allocate no dense lists,
 magnitude arithmetic builds no Fraction, nor do the int paths of document
 rationals, in-disk coordinates and the p-adic selection gap, the seminorm
 kernel builds no Poly and evaluates no Scalar, the int kernel of a query
-builds no AbsValue and reads no magnitude of a Scalar, the map reduction
+builds no AbsValue and reads no magnitude of a Scalar, nor do the
+point-level checks, which read |a| as an int pair, the rigid value runs on
+raw int rows with no term-map arithmetic, the map reduction
 and the substitution name no Poly and use none of its members, every
 benchmark trace target names a library function, and the CLI's command
 table and the document reader's payload table name the same payload
@@ -223,6 +225,7 @@ KERNEL_FUNCTIONS = [
     ("points.py", "_truncated_value"),
     ("points.py", "_cut_product"),
     ("points.py", "_SyntheticDivision"),
+    ("points.py", "_value_at"),
 ]
 
 
@@ -276,6 +279,57 @@ def test_int_kernel_builds_no_abs_value_and_reads_no_scalar_magnitude(name, qual
     assert _abs_value_uses_in_body(name, qualname) == []
 
 
+# the point-level checks read |a| as an int pair (Scalar.abs_pair, one reader
+# per backend) and decide on ints: their bodies call no abs() or norm(), the
+# readers of an AbsValue, and name no AbsValue builder
+PAIR_READER_FUNCTIONS = [
+    ("field.py", "PadicScalar.abs_pair"),
+    ("field.py", "PuiseuxScalar.abs_pair"),
+    ("points.py", "_log_norm"),
+    ("points.py", "short_centre"),
+    ("fsderiv.py", "Domain.contains"),
+    ("fsderiv.py", "_validate_generator"),
+]
+
+
+def _magnitude_reads_in_body(name: str, qualname: str) -> list[str]:
+    return _abs_value_uses_in_body(name, qualname) + [
+        f"{name}:{node.lineno}: {ast.unparse(node)} in {qualname}"
+        for statement in _scope(name, qualname).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "norm"
+    ]
+
+
+@pytest.mark.parametrize("name, qualname", PAIR_READER_FUNCTIONS, ids=lambda x: x)
+def test_point_checks_read_magnitudes_as_int_pairs(name, qualname):
+    assert _magnitude_reads_in_body(name, qualname) == []
+
+
+# the rigid value is one Horner pass on raw int rows, reduced once at its
+# end: no term-map product, sum or power runs inside it
+TERM_MAP_ARITHMETIC = ("_terms_mul", "_terms_add", "_times", "_power")
+RAW_ROW_FUNCTIONS = [
+    ("points.py", "_value_at"),
+    ("points.py", "_add_product"),
+    ("points.py", "_row_power"),
+    ("points.py", "_row_product"),
+]
+
+
+def _term_map_arithmetic(name: str, qualname: str) -> list[str]:
+    return [
+        f"{name}:{node.lineno}: {node.id} in {qualname}"
+        for node in ast.walk(_scope(name, qualname))
+        if isinstance(node, ast.Name) and node.id in TERM_MAP_ARITHMETIC
+    ]
+
+
+@pytest.mark.parametrize("name, qualname", RAW_ROW_FUNCTIONS, ids=lambda x: x)
+def test_rigid_value_runs_on_raw_rows(name, qualname):
+    assert _term_map_arithmetic(name, qualname) == []
+
+
 # the map reduction, the rescaling and the substitution read and return
 # cleared lists: their bodies name no Poly and use no member of it, beyond
 # its fields and what a Scalar shares with it (is_zero); annotations may
@@ -324,15 +378,20 @@ def _trace_targets() -> list[tuple[str, str, str, str]]:
 
 
 def test_every_benchmark_trace_target_resolves_in_the_library():
-    # the tracer wraps (layer, name, owner, attribute) through getattr, so a
-    # renamed or deleted function breaks --trace 1; name it here instead
+    # the tracer wraps (layer, name, owner, attribute): a module attribute
+    # through getattr, a class attribute through the class's own __dict__
+    # (an inherited method is not there), so a renamed, deleted or merely
+    # inherited function breaks --trace 1; name it here instead
     targets = _trace_targets()
     assert targets
     missing = []
     for layer, name, owner, attr in targets:
         module = importlib.import_module(f"berkline.{layer}")
-        holder = module if owner == "module" else getattr(module, owner, None)
-        if not callable(getattr(holder, attr, None)):
+        if owner == "module":
+            target = getattr(module, attr, None)
+        else:
+            target = vars(getattr(module, owner, object)).get(attr)
+        if not callable(target):
             missing.append(f"{layer}.{name}: {owner}.{attr}")
     assert missing == []
 
