@@ -361,8 +361,9 @@ def test_a_sparse_root_at_a_rigid_point_costs_log_d_products_per_term(monkeypatc
 # fractions reach the fraction gcd, whose eliminations grow with the span
 # (seconds per example from degree 9 on); for the same reason P's
 # coefficients there are Puiseux polynomials (the centre's B is a
-# polynomial already)
-RAW_ROW_DEGREES = {"padic": 120, "puiseux-polynomial": 120, "puiseux-rational": 6}
+# polynomial already).  At degree 5 the image's num and den span at most
+# 330 units of 1/6, inside the span that repr prints in reduced form
+RAW_ROW_DEGREES = {"padic": 120, "puiseux-polynomial": 120, "puiseux-rational": 5}
 _nonzero = {kind: scalars.filter(lambda c: not c.is_zero) for kind, scalars in SCALARS.items()}
 _nonzero["puiseux-rational"] = _nonzero["puiseux-polynomial"]
 
