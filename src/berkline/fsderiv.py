@@ -22,7 +22,8 @@ of C_i and C_j (points._wronskian): the coefficient of T^(n+m-1) gathers
 (n - m) c_{i,n} c_{j,m}, so every pair is multiplied once and no derivative
 is built.  A constant coordinate C_i = c is the exception: C_i' = 0, so
 W_ij = -c C_j' and |W_ij| = |c| |C_j'|, and the derivative of a map [c : P]
-reads |c| off c, takes P' and its one seminorm, and forms no product; two
+reads |c| off c, takes the one seminorm of P', read off P's own terms with
+no P' list (points._derivative_seminorm), and forms no product; two
 constant coordinates give the zero minor.  The seminorms are unreduced int
 pairs (n, d) for beta^(n/d), and the derivative is formed in log form,
 2 max(0, log|z|) + log max |W_ij| - 2 log max |C_i|, by int sums and
@@ -34,7 +35,8 @@ R = r |q|_{a,r} around f(a), because seminorms multiply and
 |T - a|_{a,r} = r.  R equals max_{i>=1} |f_i| r^i over the coefficients f_i
 of f recentred at a, the computational content of the diameter-transport
 identity.  Over puiseux-q every nonzero int has magnitude 1, so R is also
-r |f'|_{a,r}: the radius is read off the seminorm of f', and the centre is
+r |f'|_{a,r}: the radius is the seminorm of f', read off f's own terms
+(points._derivative_seminorm) with no f' list, and the centre is
 f(a) cut at R (points._truncated_value), one Horner pass that drops only
 terms whose sum stays within R, so it names the same ball and may print
 shorter than f(a).  Over padic |k|_p < 1 breaks that identity, and one
@@ -45,7 +47,8 @@ a rigid point the image is the value f(a) alone, one Horner pass over the
 present terms on raw int rows, reduced once (points._value_at).  Each
 radius stays an int pair until its one AbsValue; a [1 : P] map, whose chart
 coordinate is cleared to the map's own denominator, has chart scalar 1, so
-its images are not scaled.
+its images are not scaled; any other constant chart c_0 scales each centre
+num/den to num L / (den c_0) on term maps, left unreduced, so no gcd runs.
 
 Moebius words, composition and rescaling are one substitution
 T -> num/den into the homogenized coordinates.  num and den never share a
@@ -99,7 +102,7 @@ from .points import (
     _combine,
     _coprime_coords,
     _denom,
-    _derived,
+    _derivative_seminorm,
     _disk_image,
     _from_num_den,
     _log_div,
@@ -300,8 +303,9 @@ def fs_derivative(f: SeriesMap, z: DiskPoint) -> AbsValue:
     the numerators at one point context, and no Scalar is built per
     coefficient.  A constant coordinate C_i = c has magnitude |c| at every
     point, and its minors are W_ij = -c C_j', so |W_ij| = |c| |C_j'|
-    (_minor_seminorms): a map [c : P] takes one derivative and no Wronskian
-    product.  The seminorms are int pairs (points._seminorm), and the
+    (_minor_seminorms): a map [c : P] takes one seminorm of P', read off
+    P's own terms with no P' list (points._derivative_seminorm), and no
+    Wronskian product.  The seminorms are int pairs (points._seminorm), and the
     derivative is formed in log form on ints,
     2 max(0, log|z|) + log max |W_ij| - 2 log max |C_i|, with |z| read off
     the point context; one AbsValue is built, for the result.  A point over
@@ -333,8 +337,9 @@ def _minor_seminorms(coords: Sequence[Sequence[tuple[int, tuple]]], consts: list
 
     A pair with one constant coordinate c has W_ij = c C_i' or -c C_j', and
     seminorms multiply, so |W_ij| = |c| |C'| with C' the other coordinate's
-    derivative; each C' and its seminorm are built once, for every constant
-    that meets it.  Two constants give the zero minor, left out.  A pair with
+    derivative; the seminorm of each C' is read once off C's own terms
+    (points._derivative_seminorm, which builds C' only at sigma' = 0), for
+    every constant that meets it.  Two constants give the zero minor, left out.  A pair with
     no constant takes one product pass (points._wronskian)."""
     derived: dict[int, tuple[int, int]] = {}
     out = _LOG_ZERO
@@ -347,7 +352,7 @@ def _minor_seminorms(coords: Sequence[Sequence[tuple[int, tuple]]], consts: list
             elif ci is None or cj is None:
                 c, k = (cj, i) if ci is None else (ci, j)
                 if k not in derived:
-                    derived[k] = _seminorm(_derived(coords[k]), point)
+                    derived[k] = _derivative_seminorm(coords[k], point)
                 out = _log_max(out, _log_mul(c, derived[k]))
     return out
 
@@ -613,7 +618,7 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     The chart denominator (coordinate 0) must be a nonzero constant, so the
     map is polynomial on the whole chart and images of balls are balls with
     exactly computable center and radius.  Every coordinate is read off the
-    map's cleared lists: |c_0| and 1/c_0 come from its cleared pair, and
+    map's cleared lists: |c_0| and L/c_0 come from its cleared pair, and
     _disk_image takes each affine coordinate over the map's denominator: at
     a puiseux-q ball the radius r |P'|_{a,r} and the centre P(a) cut at that
     radius, at a padic ball P(a) and the radius from one synthetic division,
@@ -621,8 +626,9 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     (== and hash read the ball), but its repr may be shorter than P(a)'s.
     Each radius r |P'|_{a,r} / |L| / |c_0| (puiseux-q) or r |Q|_{a,r} / |qden|
     / |c_0| (padic) is formed on int pairs, one AbsValue per image; when c_0
-    is the map's denominator the chart scalar is 1, and neither 1/c_0 nor
-    |c_0| is applied.
+    is the map's denominator the chart scalar is 1, and neither L/c_0 nor
+    |c_0| is applied.  Otherwise each centre num/den becomes num L / (den c_0)
+    on term maps, one Scalar left unreduced, so no fraction gcd runs.
     """
     _require_in_domain(f, z)
     if f.spec is not z.spec and f.spec != z.spec:
@@ -635,15 +641,14 @@ def apply_map(f: SeriesMap, z: DiskPoint) -> list[DiskPoint]:
     # centre nor the radius is scaled
     unit = c0 == f.den
     if not unit:
-        c_inv = _from_num_den(f.spec, f.den, c0)
         c_abs = _log_div(_term_abs(c0, point.prime), _term_abs(f.den, point.prime))
     out = []
     for p in affine:
         if p and p[0][0] < 0:
             raise DomainViolation("affine coordinates must be plain polynomials")
-        value, radius = _disk_image(p, f.den, point)
-        if unit:
-            out.append(DiskPoint(value, _magnitude(*radius)))
-        else:
-            out.append(DiskPoint(value * c_inv, _magnitude(*_log_div(radius, c_abs))))
+        (num, den), radius = _disk_image(p, f.den, point)
+        if not unit:
+            # num/den times 1/c_0 = L/c_0 on term maps, left unreduced: no gcd
+            num, den, radius = _times(num, f.den), _times(den, c0), _log_div(radius, c_abs)
+        out.append(DiskPoint(_from_num_den(f.spec, num, den), _magnitude(*radius)))
     return out

@@ -21,19 +21,20 @@ its terms of magnitude <= r; any other centre with |a| <= r becomes 0):
   and deflates, by |P|_{a,r} = max(|P(a)|, r |Q|_{a,r}) for
   P = P(a) + (T - a) Q.
 
-The seminorm kernel (_seminorm, _certificate) reads a polynomial as a cleared
+The seminorm kernel (_seminorm, _certificate, and _derivative_seminorm, the
+seminorm of P' read off P's own terms) reads a polynomial as a cleared
 list [(n, num), ...] of int term maps over one denominator L and the point as
 a context built once per call (_Point: the short centre, its initial triple,
 p, and the radius and |T| as int pairs).  Seminorms are multiplicative, so L
 only scales the value by |L|: the kernel never sees L, and each caller
 divides its magnitude out once (eval_seminorm clears P through _clear; the
 derivative of fsderiv reads a map's cleared lists, where L cancels; disk
-images divide by the one den of P' at a puiseux-q ball and of the quotient
-at a padic ball).  No Scalar is built at any point type, and no AbsValue
-inside the kernel: a magnitude there is an unreduced int pair (n, d) for
-beta^(n/d), d = 0 for zero, and each public query (eval_seminorm,
-initial_form, fsderiv's fs_derivative and apply_map) builds one AbsValue
-per result, reduced once.  The point-level magnitudes read |a| as a pair
+images divide by the one den of P, which P' shares, at a puiseux-q ball and
+by that of the quotient at a padic ball).  No Scalar is built at any point
+type, and no AbsValue inside the kernel: a magnitude there is an unreduced
+int pair (n, d) for beta^(n/d), d = 0 for zero, and each public query
+(eval_seminorm, initial_form, fsderiv's fs_derivative and apply_map) builds
+one AbsValue per result, reduced once.  The point-level magnitudes read |a| as a pair
 too (Scalar.abs_pair): the short centre, |T(x)| (_log_norm, under
 DiskPoint.norm, diam_proj and fsderiv's domain check) and the inverted ball
 of the chart at infinity.
@@ -1044,21 +1045,34 @@ def _term_abs(num: tuple, prime: int) -> tuple[int, int]:
     return -num[1][0][0], num[0]
 
 
-def _weights(nums: list[tuple[int, tuple]], step: int, denom: int, prime: int) -> tuple[list[int], int, list[int]]:
+def _weights(
+    nums: list[tuple[int, tuple]], step: int, denom: int, prime: int, derive: int = 0
+) -> tuple[list[int], int, list[int]]:
     """(weights, denom, leads) of a cleared list at valuation step/denom: the
     valuation of each term num T^n there as ints over one common denom, and
     the leading coefficient of each num (puiseux-q: its lowest coefficient;
-    padic: its p-free part)."""
+    padic: its p-free part).  With derive = 1 they are those of the
+    derivative, read off the terms n >= 1 of P itself (nums holds only
+    those): the term n num T^(n-1) weighs one step less, plus v_p(n) over
+    padic, and leads with n times the lead of num, so no P' list is built."""
     if prime:
-        splits = [_padic_split(num[1][0][1], 1, prime) for _, num in nums]
-        return [v * denom + n * step for (n, _), (v, _, _) in zip(nums, splits)], denom, [u for _, u, _ in splits]
+        if derive:
+            splits = [_padic_split(n * num[1][0][1], 1, prime) for n, num in nums]
+        else:
+            splits = [_padic_split(num[1][0][1], 1, prime) for _, num in nums]
+        weights = [v * denom + (n - derive) * step for (n, _), (v, _, _) in zip(nums, splits)]
+        return weights, denom, [u for _, u, _ in splits]
     common = math.lcm(denom, *[num[0] for _, num in nums])
     step *= common // denom
-    weights = [num[1][0][0] * (common // num[0]) + n * step for n, num in nums]
+    weights = [num[1][0][0] * (common // num[0]) + (n - derive) * step for n, num in nums]
+    if derive:
+        return weights, common, [n * num[1][0][1] for n, num in nums]
     return weights, common, [num[1][0][1] for _, num in nums]
 
 
-def _certificate(nums: list[tuple[int, tuple]], x: _Point) -> tuple[tuple[int, int], tuple[int, ...]] | None:
+def _certificate(
+    nums: list[tuple[int, tuple]], x: _Point, derive: int = 0
+) -> tuple[tuple[int, int], tuple[int, ...]] | None:
     """The certificate |P(a)| = |P|_{0,|a|} for a nonzero plain P, given as
     a cleared list, and the nonzero centre a of x.
 
@@ -1073,11 +1087,13 @@ def _certificate(nums: list[tuple[int, tuple]], x: _Point) -> tuple[tuple[int, i
     denominator (puiseux-q) or p-adic valuations of the ints, and sigma is
     one int over the leading denominator of a, read mod p for padic.  The
     list's one denominator scales U by its magnitude and sigma by a unit, so
-    the certificate of the nums holds for the coefficients too.
+    the certificate of the nums holds for the coefficients too.  With
+    derive = 1 the same test runs for P', read off the terms n >= 1 of P
+    (_weights), each at exponent n - 1.
     """
     step, denom, alpha, beta = x.initial
     prime = x.prime
-    weights, denom, leads = _weights(nums, step, denom, prime)
+    weights, denom, leads = _weights(nums, step, denom, prime, derive)
     best = min(weights)
     support = [i for i, w in enumerate(weights) if w == best]
     if len(support) > 1:
@@ -1087,10 +1103,10 @@ def _certificate(nums: list[tuple[int, tuple]], x: _Point) -> tuple[tuple[int, i
         sigma = 0
         for i in support:
             n = nums[i][0]
-            sigma += leads[i] * alpha**n * beta ** (d - n)
+            sigma += leads[i] * alpha ** (n - derive) * beta ** (d - n)
         if not (sigma % prime if prime else sigma):
             return None
-    return (-best, denom), tuple([nums[i][0] for i in support])
+    return (-best, denom), tuple([nums[i][0] - derive for i in support])
 
 
 def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> tuple[int, int]:
@@ -1141,39 +1157,72 @@ def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> tuple[int, int]:
     return _log_max(value, _log_mul(_log_div(certificate[0], _term_abs(den, prime)), (k * rn, rd)))
 
 
-def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[Scalar, tuple[int, int]]:
+def _derivative_seminorm(nums: list[tuple[int, tuple]], x: _Point) -> tuple[int, int]:
+    """|P'(x)| |L| as an int pair, for P given as a cleared list over one
+    denominator L: _seminorm(_derived(nums), x), read off P's own terms.
+
+    P' = sum_{n>=1} n c_n T^(n-1), so its weights are those of P's terms
+    n >= 1 one step lower (plus v_p(n) over padic) and its leads are
+    n lead(c_n) (_weights with derive = 1).  At a = 0 the value is
+    max_{n>=1} |n c_n| r^(n-1), and |c_1| at the rigid point 0; at a != 0
+    _certificate runs its sigma test on those terms.  Only when the test is
+    inconclusive (sigma' = 0: a near or planted root of P') and on Laurent
+    input is P' built, and its seminorm taken by _seminorm.
+    """
+    if not nums:
+        return _LOG_ZERO
+    if nums[0][0] < 0:
+        return _seminorm(_derived(nums), x)
+    terms = nums if nums[0][0] else nums[1:]
+    if not terms:
+        return _LOG_ZERO
+    a, (rn, rd), prime = x.centre, x.radius, x.prime
+    if a.is_zero:
+        if not rd:
+            n, num = terms[0]
+            return _term_abs(num, prime) if n == 1 else _LOG_ZERO
+        weights, denom, _ = _weights(terms, -rn, rd, prime, 1)
+        return -min(weights), denom
+    certificate = _certificate(terms, x, 1)
+    if certificate is not None:
+        return certificate[0]
+    return _seminorm(_derived(nums), x)
+
+
+def _disk_image(nums: list[tuple[int, tuple]], den: tuple, x: _Point) -> tuple[tuple[tuple, tuple], tuple[int, int]]:
     """(c, R): the image of x = eta_{a,r} under a plain P, a cleared list
     over den, with a the short centre of x: R = r |Q|_{a,r} for
     P = P(a) + (T - a) Q, as an int pair, and c a centre of the image ball,
-    P(a) itself or a value within R of it.  Only c is built as a Scalar.
+    P(a) itself or a value within R of it, as a num/den pair of term maps.
+    No Scalar is built.
 
     * A puiseux-q ball builds no quotient.  Every nonzero int k has |k| = 1
       there, so with b_k the Taylor coefficients of P at a,
       |P'|_{a,r} = max_{k>=1} |k b_k| r^(k-1) = R / r: R is r times the
-      seminorm of P' (_derived, over the same den), the seminorm that
-      fs_derivative takes.  c is P(a) cut at R (_truncated_value): one
-      Horner pass that keeps only the terms that can reach above the image
-      radius, so the centre may print shorter than P(a) and names the same
-      ball.
+      seminorm of P' (over the same den), the seminorm that fs_derivative
+      takes, read off P's own terms (_derivative_seminorm) with no P' list.
+      c is P(a) cut at R (_truncated_value): one Horner pass that keeps only
+      the terms that can reach above the image radius, so the centre may
+      print shorter than P(a) and names the same ball.
     * A padic ball keeps one pass of _SyntheticDivision for P(a) and reads R
       off the quotient's nums over its one den, den B^(d-1) (for a = 0, P(0)
       and P's own shifted terms): there |k|_p < 1 can make r |P'|_{a,r}
       smaller than R.
     * A rigid point: c = P(a) alone (_value_at), and R = 0.
     """
-    spec, r, prime = x.centre.spec, x.radius, x.prime
+    r, prime = x.radius, x.prime
     if r[1] and not prime:
-        radius = _log_div(_log_mul(r, _seminorm(_derived(nums), x)), _term_abs(den, 0))
+        radius = _log_div(_log_mul(r, _derivative_seminorm(nums, x)), _term_abs(den, 0))
         top, bottom = (_ZERO_TERMS, _ONE_TERMS) if x.centre.is_zero else (x.top, x.bottom)
-        return _from_num_den(spec, *_truncated_value(nums, den, top, bottom, radius)), radius
+        return _truncated_value(nums, den, top, bottom, radius), radius
     if x.centre.is_zero or not nums:
         c0 = nums[0][1] if nums and not nums[0][0] else _ZERO_TERMS
-        value, quotient, qden = _from_num_den(spec, c0, den), [(n - 1, num) for n, num in nums if n], den
+        value, quotient, qden = (c0, den), [(n - 1, num) for n, num in nums if n], den
     elif not r[1]:
-        return _from_num_den(spec, *_value_at(nums, den, x.top, x.bottom)), r
+        return _value_at(nums, den, x.top, x.bottom), r
     else:
         division = _SyntheticDivision(nums, den, x.top, x.bottom)
-        value = _from_num_den(spec, *division.divide())
+        value = division.divide()
         quotient, qden = division.quotient()
     return value, _log_div(_log_mul(r, _seminorm(quotient, x)), _term_abs(qden, prime))
 

@@ -107,13 +107,14 @@ def run_cli_full(argv: list[str]) -> tuple[object, str, str]:
 
 def count_deflation_passes(monkeypatch) -> list[int]:
     """The passes that the sigma = 0 fallback of the seminorm kernel
-    (points._seminorm, under eval_seminorm, fs_derivative and apply_map)
-    runs, one entry (the pass index) per pass: the passes of
+    (points._seminorm, under eval_seminorm, fs_derivative and apply_map,
+    and on the P' list that points._derivative_seminorm builds only at
+    sigma' = 0) runs, one entry (the pass index) per pass: the passes of
     points._SyntheticDivision that deflate at a ball, and the one value-only
     pass (points._value_at, entry 0) that gives P(a) at a rigid point.  The
     one pass of a disk image (a padic ball's division; a puiseux-q ball
-    divides nowhere but in the seminorm of P') and the passes of
-    taylor_shift are not counted."""
+    divides nowhere but in the seminorm of P', when sigma' = 0) and the
+    passes of taylor_shift are not counted."""
     passes: list[int] = []
     divide, value_at = points._SyntheticDivision.divide, points._value_at
 

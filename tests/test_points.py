@@ -35,13 +35,15 @@ from berkline import (
     taylor_shift,
 )
 from berkline.errors import BackendMismatch, DomainViolation, PoleAtPoint, ZeroTuple
-from berkline.field import PadicScalar, PuiseuxScalar, abs_max
+from berkline.field import PadicScalar, PuiseuxScalar, _magnitude, _scaled, _terms_neg, abs_max
 from berkline import points
 from berkline.points import (
+    _Point,
     _SyntheticDivision,
     _clear,
     _num_den,
     _scalar_pow,
+    _seminorm,
     _value_at,
     divide_linear,
     initial_form,
@@ -413,6 +415,52 @@ def test_rigid_values_on_raw_rows_equal_the_scalar_horner_oracle(kind, data):
     assert all(y.is_rigid for y in images)
 
 
+# -- a constant chart other than the map's den scales on term maps -------------
+
+
+def chart_case(spec: FieldSpec, degree: int):
+    """[-3 : T^degree + 2 T^3 + 1] and a rigid point whose centre is a
+    rational function of three terms over two (puiseux-q) or 7/5 (padic)."""
+    if spec.p:
+        a = spec.scalar(Fraction(7, 5))
+    else:
+        a = spec.from_terms([("5/3", 2), (2, 5), ("8/3", -1)]) / spec.from_terms([(0, 6), ("5/2", -2)])
+    p = Poly.from_dict(spec, {degree: spec.one(), 3: spec.scalar(2), 0: spec.one()})
+    return affine_map(spec, spec.scalar(-3), p), rigid(a)
+
+
+@pytest.mark.parametrize("spec", [P3, PQ], ids=lambda spec: spec.backend)
+def test_a_constant_chart_scales_the_image_as_the_scalar_product(spec):
+    # the image centre num/den times 1/c_0 = L/c_0, formed on term maps, is
+    # the scalar product value * (1/c_0) that apply_map formed before
+    f, x = chart_case(spec, 8)
+    (image,) = apply_map(f, x)
+    (nums,) = f.cleared[1:]
+    c0, top_bottom = f.cleared[0][0][1], _num_den(x.center)
+    value = points._from_num_den(spec, *_value_at(nums, f.den, *top_bottom))
+    expected = rigid(value * points._from_num_den(spec, f.den, c0))
+    assert image == expected and hash(image) == hash(expected) and repr(image) == repr(expected)
+    assert image.center * spec.scalar(-3) == value
+
+
+@pytest.mark.parametrize("spec", [P3, PQ], ids=lambda spec: spec.backend)
+def test_a_constant_chart_at_a_rational_function_centre_takes_no_gcd(spec):
+    # 1/c_0 through PuiseuxScalar.__mul__ ran the fraction gcd on the image
+    # centre, a 777-term num over a 65-term den at degree 64: 7 s at degree
+    # 16, and no result in 60 s at degree 64.  Scaling on term maps is two
+    # products; the hash reads the centre's expansion with no gcd either
+    f, x = chart_case(spec, 64)
+    start = time.process_time()
+    (image,) = apply_map(f, x)
+    hash(image)
+    assert time.process_time() - start < 1.0
+    # P(a) = num/den, so the centre is -num / (3 den), compared by
+    # cross-multiplication
+    (nums,) = f.cleared[1:]
+    num, den = _value_at(nums, f.den, *_num_den(x.center))
+    assert image.is_rigid and image.center == points._from_num_den(spec, _terms_neg(num), _scaled(den, 3))
+
+
 # -- point magnitudes on int pairs against the AbsValue oracles (hypothesis) ---
 
 
@@ -755,6 +803,79 @@ def test_int_pair_queries_equal_the_scalar_oracles(kind, data):
     assert _result(fs_derivative, g, x) == _result(fs_derivative_oracle, g, x)
     for c in coords:
         assert _result(eval_seminorm, c, x) == _result(eval_seminorm_oracle, c, x)
+
+
+# -- the derivative seminorm off P's own terms (hypothesis) ---------------------
+
+
+@st.composite
+def derivative_cases(draw, kind: str):
+    """(construction, P, x) for the seminorm of P' at x.
+
+    P is random, has exponents divisible by 3 (so |n|_3 < 1 over padic), is
+    (T - b)^2 Q with a planted double root b (a root of P'), or is constant
+    (P' = 0); it may be shifted into a Laurent polynomial.  x is rigid or a
+    ball smaller than |b| centred at b (the root, for a double root), near b
+    or at 0, or a ball around 0 that holds b."""
+    spec, scalars = SPECS[kind], SCALARS[kind]
+    nonzero = scalars.filter(lambda c: not c.is_zero)
+    # lazy fractions of rational-function polynomials reach the fraction gcd
+    # of the Scalar oracle, whose eliminations grow with the exponent span
+    rational = kind == "puiseux-rational"
+    construction = draw(st.sampled_from(["random", "p-multiples", "double root", "constant"]))
+    b = draw(nonzero)
+    if construction == "random":
+        coeffs = st.dictionaries(st.integers(0, 4 if rational else 7), scalars, max_size=3 if rational else 5)
+    elif construction == "p-multiples":
+        coeffs = st.dictionaries(st.sampled_from([0, 1, 3, 6, 9]), nonzero, max_size=3 if rational else 4)
+    elif construction == "constant":
+        coeffs = st.dictionaries(st.just(0), scalars, max_size=1)
+    else:
+        coeffs = st.dictionaries(st.integers(0, 1 if rational else 3), nonzero, min_size=1, max_size=2)
+    p = Poly.from_dict(spec, draw(coeffs))
+    if construction == "double root":
+        root = Poly.from_dict(spec, {0: -b, 1: spec.one()})
+        p = root * root * p
+    if draw(st.booleans()):
+        p = p.shift_exp(-draw(st.integers(1, 2)))
+    centre = draw(st.sampled_from(["b", "near", "zero", "inside"]))
+    if centre == "near":
+        b = b + _below_one(draw(nonzero)) * b
+    elif centre == "zero":
+        b = spec.zero()
+    # a ball below |b|, or one around 0 that holds b
+    offset = AbsValue.of(draw(st.fractions(Fraction(1, 3), 4, max_denominator=3)))
+    if centre == "inside":
+        radius = b.abs() * offset
+    elif draw(st.booleans()):
+        radius = ABS_ZERO
+    else:
+        radius = (b.abs() if centre != "zero" else AbsValue.of(2)) / offset
+    return construction, p, DiskPoint(b, radius)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_derivative_seminorm_off_p_equals_the_seminorm_of_its_derivative(kind, data):
+    # |P'(x)| |L| read off P's own cleared terms (_derivative_seminorm),
+    # against the kernel on the built P' list, and |P'(x)| against
+    # eval_seminorm and the Scalar oracle on Poly.derivative: exponents
+    # divisible by p, planted double roots and near roots (sigma' = 0), rigid
+    # points, the point 0 and balls around it, constant P and Laurent P
+    construction, p, x = data.draw(derivative_cases(kind))
+    lcm, (nums,) = _clear([p])
+    point = _Point(x)
+    value = _result(points._derivative_seminorm, nums, point)
+    assert value == _result(_seminorm, points._derived(nums), point)
+    expected = _result(eval_seminorm, p.derivative(), x)
+    assert expected == _result(eval_seminorm_oracle, p.derivative(), x)
+    if isinstance(value, tuple):
+        assert _magnitude(*points._log_div(value, points._term_abs(lcm, point.prime))) == expected
+    else:
+        assert value == expected
+    if p.is_constant:
+        assert value == (-1, 0)
 
 
 def test_synthetic_division_recovers_the_polynomial():

@@ -17,6 +17,7 @@ from berkline import (
     FieldSpec,
     Poly,
     SeriesMap,
+    apply_map,
     compose,
     fs_derivative,
     identity_map,
@@ -379,13 +380,26 @@ def test_derivatives_of_transformed_maps_clear_nothing_and_transforms_build_no_s
 # -- Wronskian minors: one product pass per minor ------------------------------
 
 
-def derivative_work(h: SeriesMap) -> dict[str, int]:
-    """The calls a derivative of h may make: one _wronskian per pair of
-    nonconstant coordinates, and one _derived per nonconstant coordinate
-    that meets a constant one [(0, c)]."""
+_derived = points._derived  # the P' list, uncounted
+
+
+def derivative_work(h: SeriesMap, z: DiskPoint) -> dict[str, int]:
+    """The calls a derivative of h at z may make: one _wronskian per pair of
+    nonconstant coordinates, and one _derivative_seminorm per nonconstant
+    coordinate that meets a constant one [(0, c)].  That seminorm builds the
+    coordinate's _derived list only where its certificate is inconclusive
+    (sigma' = 0 at a nonzero short centre) or the coordinate is Laurent."""
     constant = [len(c) == 1 and not c[0][0] for c in h.cleared]
-    others = constant.count(False)
-    return {"wronskian": others * (others - 1) // 2, "combine": 0, "derived": others if any(constant) else 0}
+    others = [c for c, const in zip(h.cleared, constant) if not const]
+    work = {"wronskian": len(others) * (len(others) - 1) // 2, "combine": 0, "derivative_seminorm": 0, "derived": 0}
+    if any(constant):
+        point = points._Point(z)
+        work["derivative_seminorm"] = len(others)
+        work["derived"] = sum(
+            c[0][0] < 0 or (not point.centre.is_zero and points._certificate(_derived(c), point) is None)
+            for c in others
+        )
+    return work
 
 
 def test_a_derivative_takes_one_product_pass_per_minor_and_no_transform_builds_one(monkeypatch):
@@ -394,8 +408,12 @@ def test_a_derivative_takes_one_product_pass_per_minor_and_no_transform_builds_o
     # minor C_i' C_j - C_j' C_i of two nonconstant coordinates in one pass of
     # points._wronskian, with no two-product _combine; a minor with a
     # constant coordinate c is -c C_j', so it takes no product, only the one
-    # derivative of C_j, shared by every constant that meets it
-    calls = {"wronskian": 0, "combine": 0, "derived": 0}
+    # seminorm of C_j' (points._derivative_seminorm), read off C_j's own
+    # terms with no _derived list and shared by every constant that meets
+    # it.  A puiseux-q ball image takes the same seminorm for its radius and
+    # builds no _derived list either; only sigma' = 0 (a root of P' at the
+    # centre) builds P'
+    calls = {"wronskian": 0, "combine": 0, "derivative_seminorm": 0, "derived": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -406,8 +424,11 @@ def test_a_derivative_takes_one_product_pass_per_minor_and_no_transform_builds_o
 
     monkeypatch.setattr(fsderiv, "_wronskian", counting("wronskian", fsderiv._wronskian))
     monkeypatch.setattr(fsderiv, "_combine", counting("combine", fsderiv._combine))
-    monkeypatch.setattr(fsderiv, "_derived", counting("derived", fsderiv._derived))
+    for module in (fsderiv, points):
+        seminorm = counting("derivative_seminorm", module._derivative_seminorm)
+        monkeypatch.setattr(module, "_derivative_seminorm", seminorm)
     monkeypatch.setattr(points, "_derived", counting("derived", points._derived))
+    none = dict.fromkeys(calls, 0)
     for spec in (P3, PQ):
         rng = rng_for(f"minors-gate-{spec.backend}")
         one, c = Poly.constant(spec, spec.one()), Poly.constant(spec, random_nonzero_scalar(rng, spec))
@@ -427,16 +448,33 @@ def test_a_derivative_takes_one_product_pass_per_minor_and_no_transform_builds_o
                 "[P : Q : c]": SeriesMap([p, q, c]),
                 "[P : Q : PQ]": SeriesMap([p, q, p * q]),
             }
-            assert calls["wronskian"] == calls["derived"] == 0, calls
+            assert calls == none, calls
             z = DiskPoint(random_scalar(rng, spec, True), random_radius(rng, False))
             for name, h in made.items():
-                calls["combine"] = 0
+                work = derivative_work(h, z)
                 fs_derivative(h, z)
-                assert calls == derivative_work(h), (name, calls)
+                assert calls == work, (name, calls)
+                calls.update(none)
                 if name in ("series_map", "SeriesMap", "compose", "rescale_map"):
-                    # [c : P]: one derivative, no product
-                    assert calls == {"wronskian": 0, "combine": 0, "derived": 1}, (name, calls)
-                calls.update(wronskian=0, derived=0)
+                    # [c : P]: one seminorm of P', no product, and a P' list
+                    # only at sigma' = 0
+                    assert work == {**none, "derivative_seminorm": 1, "derived": work["derived"]}, name
+                    # a ball image: the same seminorm over puiseux-q, one
+                    # division and no derivative over padic
+                    apply_map(h, z)
+                    assert calls == (none if spec.p else work), (name, calls)
+                    calls.update(none)
+    # sigma' = 0: P = (T - 1)^2 has P' = 2 (T - 1), whose two terms cancel at
+    # a ball around 1, so P' is built once, and only there
+    for spec in (P3, PQ):
+        p = Poly.from_coeffs(spec, [spec.one(), spec.scalar(-2), spec.one()])
+        h, z = series_map([Poly.constant(spec, spec.one()), p]), DiskPoint(spec.one(), AbsValue.of(-1))
+        fs_derivative(h, z)
+        assert calls == {**none, "derivative_seminorm": 1, "derived": 1}, (spec, calls)
+        calls.update(none)
+        apply_map(h, z)
+        assert calls == (none if spec.p else {**none, "derivative_seminorm": 1, "derived": 1}), (spec, calls)
+        calls.update(none)
 
 
 @pytest.mark.parametrize("kind", sorted(SCALARS))

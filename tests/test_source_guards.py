@@ -157,6 +157,7 @@ MAGNITUDE_FUNCTIONS = [
     ("points.py", "_weights"),
     ("points.py", "_certificate"),
     ("points.py", "_seminorm"),
+    ("points.py", "_derivative_seminorm"),
     ("points.py", "_disk_image"),
     ("points.py", "_truncated_value"),
     ("points.py", "_cut_product"),
@@ -220,6 +221,7 @@ def test_int_paths_build_no_fraction(name, qualname):
 # on Scalars runs
 KERNEL_FUNCTIONS = [
     ("points.py", "_seminorm"),
+    ("points.py", "_derivative_seminorm"),
     ("points.py", "_certificate"),
     ("points.py", "_disk_image"),
     ("points.py", "_truncated_value"),
@@ -256,6 +258,7 @@ INT_KERNEL_FUNCTIONS = [
     ("points.py", "_weights"),
     ("points.py", "_certificate"),
     ("points.py", "_seminorm"),
+    ("points.py", "_derivative_seminorm"),
     ("points.py", "_disk_image"),
     ("points.py", "_truncated_value"),
     ("fsderiv.py", "_minor_seminorms"),
@@ -277,6 +280,26 @@ def _abs_value_uses_in_body(name: str, qualname: str) -> list[str]:
 @pytest.mark.parametrize("name, qualname", INT_KERNEL_FUNCTIONS, ids=lambda x: x)
 def test_int_kernel_builds_no_abs_value_and_reads_no_scalar_magnitude(name, qualname):
     assert _abs_value_uses_in_body(name, qualname) == []
+
+
+# |P'| at a point is read off P's own terms (points._derivative_seminorm):
+# the derivative and the ball image build no P' list, which only the
+# seminorm's sigma' = 0 and Laurent fallback does
+DERIVATIVE_READERS = [
+    ("fsderiv.py", "fs_derivative"),
+    ("fsderiv.py", "_minor_seminorms"),
+    ("fsderiv.py", "apply_map"),
+    ("points.py", "_disk_image"),
+]
+
+
+@pytest.mark.parametrize("name, qualname", DERIVATIVE_READERS, ids=lambda x: x)
+def test_derivative_seminorms_build_no_derivative_list(name, qualname):
+    assert [
+        f"{name}:{node.lineno}: _derived in {qualname}"
+        for node in ast.walk(_scope(name, qualname))
+        if isinstance(node, ast.Name) and node.id == "_derived"
+    ] == []
 
 
 # the point-level checks read |a| as an int pair (Scalar.abs_pair, one reader
