@@ -1047,27 +1047,19 @@ def _term_abs(num: tuple, prime: int) -> tuple[int, int]:
 
 def _weights(
     nums: list[tuple[int, tuple]], step: int, denom: int, prime: int, derive: int = 0
-) -> tuple[list[int], int, list[int]]:
-    """(weights, denom, leads) of a cleared list at valuation step/denom: the
-    valuation of each term num T^n there as ints over one common denom, and
-    the leading coefficient of each num (puiseux-q: its lowest coefficient;
-    padic: its p-free part).  With derive = 1 they are those of the
-    derivative, read off the terms n >= 1 of P itself (nums holds only
-    those): the term n num T^(n-1) weighs one step less, plus v_p(n) over
-    padic, and leads with n times the lead of num, so no P' list is built."""
+) -> tuple[list[int], int]:
+    """(weights, denom) of a cleared list at valuation step/denom: the
+    valuation of each term num T^n there as ints over one common denom.
+    With derive = 1 they are those of the derivative, read off the terms
+    n >= 1 of P itself (nums holds only those): the term n num T^(n-1)
+    weighs one step less, plus v_p(n) over padic, so no P' list is built."""
     if prime:
         if derive:
-            splits = [_padic_split(n * num[1][0][1], 1, prime) for n, num in nums]
-        else:
-            splits = [_padic_split(num[1][0][1], 1, prime) for _, num in nums]
-        weights = [v * denom + (n - derive) * step for (n, _), (v, _, _) in zip(nums, splits)]
-        return weights, denom, [u for _, u, _ in splits]
+            return [_padic_split(n * num[1][0][1], 1, prime)[0] * denom + (n - 1) * step for n, num in nums], denom
+        return [_padic_split(num[1][0][1], 1, prime)[0] * denom + n * step for n, num in nums], denom
     common = math.lcm(denom, *[num[0] for _, num in nums])
     step *= common // denom
-    weights = [num[1][0][0] * (common // num[0]) + (n - derive) * step for n, num in nums]
-    if derive:
-        return weights, common, [n * num[1][0][1] for n, num in nums]
-    return weights, common, [num[1][0][1] for _, num in nums]
+    return [num[1][0][0] * (common // num[0]) + (n - derive) * step for n, num in nums], common
 
 
 def _certificate(
@@ -1088,22 +1080,27 @@ def _certificate(
     one int over the leading denominator of a, read mod p for padic.  The
     list's one denominator scales U by its magnitude and sigma by a unit, so
     the certificate of the nums holds for the coefficients too.  With
-    derive = 1 the same test runs for P', read off the terms n >= 1 of P
-    (_weights), each at exponent n - 1.
+    derive = 1 the same test runs for P', read off the terms n >= 1 of P:
+    each stands for n num T^(n-1) (_weights), with n in(c_n) leading.
     """
     step, denom, alpha, beta = x.initial
     prime = x.prime
-    weights, denom, leads = _weights(nums, step, denom, prime, derive)
+    weights, denom = _weights(nums, step, denom, prime, derive)
     best = min(weights)
     support = [i for i, w in enumerate(weights) if w == best]
     if len(support) > 1:
         # sigma times beta^d: an int, and for padic a residue of the same
-        # class, since p does not divide beta
+        # class, since p does not divide beta.  in(c_n) is read for the
+        # terms of S only: the lowest coefficient of num (puiseux-q) or its
+        # p-free part (padic), times n for P'
         d = nums[support[-1]][0]
         sigma = 0
         for i in support:
-            n = nums[i][0]
-            sigma += leads[i] * alpha ** (n - derive) * beta ** (d - n)
+            n, num = nums[i]
+            lead = n * num[1][0][1] if derive else num[1][0][1]
+            if prime:
+                lead = _padic_split(lead, 1, prime)[1]
+            sigma += lead * alpha ** (n - derive) * beta ** (d - n)
         if not (sigma % prime if prime else sigma):
             return None
     return (-best, denom), tuple([nums[i][0] - derive for i in support])
@@ -1137,7 +1134,7 @@ def _seminorm(nums: list[tuple[int, tuple]], x: _Point) -> tuple[int, int]:
         if not rd:
             n, num = nums[0]
             return _LOG_ZERO if n else _term_abs(num, prime)
-        weights, denom, _ = _weights(nums, -rn, rd, prime)
+        weights, denom = _weights(nums, -rn, rd, prime)
         return -min(weights), denom
     certificate = _certificate(nums, x)
     if certificate is not None:
@@ -1162,8 +1159,8 @@ def _derivative_seminorm(nums: list[tuple[int, tuple]], x: _Point) -> tuple[int,
     denominator L: _seminorm(_derived(nums), x), read off P's own terms.
 
     P' = sum_{n>=1} n c_n T^(n-1), so its weights are those of P's terms
-    n >= 1 one step lower (plus v_p(n) over padic) and its leads are
-    n lead(c_n) (_weights with derive = 1).  At a = 0 the value is
+    n >= 1 one step lower (plus v_p(n) over padic, _weights with derive = 1)
+    and its leads are n in(c_n).  At a = 0 the value is
     max_{n>=1} |n c_n| r^(n-1), and |c_1| at the rigid point 0; at a != 0
     _certificate runs its sigma test on those terms.  Only when the test is
     inconclusive (sigma' = 0: a near or planted root of P') and on Laurent
@@ -1181,7 +1178,7 @@ def _derivative_seminorm(nums: list[tuple[int, tuple]], x: _Point) -> tuple[int,
         if not rd:
             n, num = terms[0]
             return _term_abs(num, prime) if n == 1 else _LOG_ZERO
-        weights, denom, _ = _weights(terms, -rn, rd, prime, 1)
+        weights, denom = _weights(terms, -rn, rd, prime, 1)
         return -min(weights), denom
     certificate = _certificate(terms, x, 1)
     if certificate is not None:
